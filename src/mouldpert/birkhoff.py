@@ -42,6 +42,7 @@ from .scalars import GaussianRational, ONE, ZERO
 __all__ = [
     "make_T",
     "BirkhoffEngine",
+    "CorruptedEngine",
     "SuiteReport",
     "IdentityViolation",
     "MouldEquationReport",
@@ -98,9 +99,6 @@ class BirkhoffEngine:
         self.alphabet = alphabet
         self.T = make_T(alphabet)
         self._pairs: dict = {}
-        # debug hook for sensitivity checks: words whose R/S/N read back
-        # deliberately wrong (offset by one)
-        self._corrupted: set = set()
         self.u_minus = Mould(
             alphabet, lambda w, acc: self._pair(w, 0)[0], name="U_minus", memoize=False
         )
@@ -144,31 +142,36 @@ class BirkhoffEngine:
     def coeff_R(self, word: Word) -> GaussianRational:
         if len(word) == 0:
             return ZERO
-        value = GaussianRational(-len(word)) * self._pair(word, 0)[0].residue()
-        if word in self._corrupted:
-            value = value + ONE
-        return value
+        return GaussianRational(-len(word)) * self._pair(word, 0)[0].residue()
 
     def coeff_S(self, word: Word) -> GaussianRational:
-        value = self._pair(word, 0)[1].constant_term()
-        if word in self._corrupted:
-            value = value + ONE
-        return value
+        return self._pair(word, 0)[1].constant_term()
 
     def coeff_N(self, word: Word) -> GaussianRational:
         if len(word) == 0:
             return ZERO
-        value = -self._pair(word, 0)[0].residue()
-        if word in self._corrupted:
-            value = value + ONE
-        return value
+        return -self._pair(word, 0)[0].residue()
 
-    def corrupt_word(self, word: Word) -> None:
-        """Poison the scalar readings for one word (sensitivity testing)."""
-        self._corrupted.add(word)
-        for mould in (self.R, self.S, self.N):
-            if mould._memo is not None:
-                mould._memo.pop(word, None)
+
+class CorruptedEngine(BirkhoffEngine):
+    """An engine whose R, S and N read back deliberately wrong (offset by
+    one) on one word, for sensitivity testing of the suites."""
+
+    def __init__(self, alphabet: Alphabet, corrupted: Word):
+        self.corrupted = corrupted
+        super().__init__(alphabet)
+
+    def coeff_R(self, word: Word) -> GaussianRational:
+        return self._poison(word, super().coeff_R(word))
+
+    def coeff_S(self, word: Word) -> GaussianRational:
+        return self._poison(word, super().coeff_S(word))
+
+    def coeff_N(self, word: Word) -> GaussianRational:
+        return self._poison(word, super().coeff_N(word))
+
+    def _poison(self, word: Word, value: GaussianRational) -> GaussianRational:
+        return value + ONE if word == self.corrupted else value
 
 
 # -- verification suites ------------------------------------------------------

@@ -17,6 +17,7 @@ import sys
 
 from .birkhoff import (
     BirkhoffEngine,
+    CorruptedEngine,
     verify_conjugation_symmetry,
     verify_factorization,
     verify_grading_identities,
@@ -153,12 +154,14 @@ def cmd_moulds(args) -> int:
 
 def cmd_verify(args) -> int:
     alphabet = _alphabet_from_args(args)
-    engine = BirkhoffEngine(alphabet)
-    if args.corrupt_word is not None:
+    if args.corrupt_word is None:
+        engine = BirkhoffEngine(alphabet)
+    else:
         try:
-            engine.corrupt_word(alphabet.parse_word(args.corrupt_word))
+            bad_word = alphabet.parse_word(args.corrupt_word)
         except (KeyError, ValueError, ScalarParseError) as exc:
             raise InputError(f"bad --corrupt-word: {exc}") from exc
+        engine = CorruptedEngine(alphabet, bad_word)
     max_length = args.max_length
     suites = {}
     equation = verify_mould_equation(engine, max_length)

@@ -365,14 +365,6 @@ def mould_product(left: Mould, right: Mould, name: str = "") -> Mould:
     )
 
 
-def mould_sum(left: Mould, right: Mould, sign: int = 1, name: str = "") -> Mould:
-    def fn(word: Word, acc: int) -> Laurent:
-        v = right.value(word, acc)
-        return left.value(word, acc) + (v if sign > 0 else -v)
-
-    return Mould(left.alphabet, fn, constant=left.constant and right.constant, name=name)
-
-
 def mould_inverse(mould: Mould, name: str = "") -> Mould:
     """Multiplicative inverse by length recursion; requires M on the empty word to be 1."""
     if not mould.value(EMPTY_WORD, 0).agrees_with(Laurent.one(), 0):

@@ -4,6 +4,7 @@ import pytest
 
 from mouldpert.birkhoff import (
     BirkhoffEngine,
+    CorruptedEngine,
     make_T,
     verify_conjugation_symmetry,
     verify_factorization,
@@ -234,9 +235,8 @@ def test_nabla_Phi_turns_T_into_T_times_letters(engine, alphabet):
 
 def test_corruption_is_detected():
     alphabet = Alphabet.parse("1,-1,0")
-    engine = BirkhoffEngine(alphabet)
     bad_word = alphabet.word_of("0")
-    engine.corrupt_word(bad_word)
+    engine = CorruptedEngine(alphabet, bad_word)
     report = verify_mould_equation(engine, 2)
     assert not report.ok
     violating_words = {v.word for v in report.s_equation.violations}

@@ -158,6 +158,20 @@ def test_verify_corruption_is_reported(capsys):
     )
 
 
+def test_solve_skips_numeric_check_beyond_float_range(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps({"E0": ["0", "1"], "V": [["0", huge], [huge, "0"]], "order": 3})
+    )
+    assert main(["solve", str(path), "--mu", "1/2"]) == 0
+    data = read_json(capsys)
+    assert data["verification"]["conjugacy"] is True
+    (sample,) = data["verification"]["numeric"]
+    assert sample["skipped"]
+    assert sample["max_error"] is None
+
+
 def test_oracle_on_problem_file(problem_file, capsys):
     assert main(["oracle", problem_file, "--order", "4"]) == 0
     data = read_json(capsys)

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import mouldpert
+from mouldpert import moulds, operators
 from mouldpert.birkhoff import BirkhoffEngine
-from mouldpert.moulds import Word
+from mouldpert.moulds import Word, mould_log
 from mouldpert.operators import (
     MatrixSeries,
     PerturbationProblem,
@@ -15,11 +17,13 @@ from mouldpert.operators import (
     eigenvalue_series,
     hierarchy_oracle,
     identity_matrix,
+    mat_add,
     mat_adjoint,
     mat_commutator,
     mat_is_zero,
     mat_scale,
     mat_sub,
+    nested_bracket,
     random_problem,
     series_exp,
     series_log,
@@ -243,15 +247,44 @@ def test_unitarity_on_random_problems():
         assert (c.adjoint() * c) == MatrixSeries.identity(3, 4)
 
 
+def mould_generator(sd, engine, order):
+    """W as the mould expansion: log(S)^w / len(w) times the nested bracket
+    of w, summed over every word up to the order."""
+    log_s = mould_log(engine.S)
+    dim = sd.problem.dim
+    terms = {k: zero_matrix(dim) for k in range(1, order + 1)}
+    for w in sd.alphabet.words_up_to(order, include_empty=False):
+        weight = log_s.scalar_value(w) / len(w)
+        if weight:
+            k = len(w)
+            terms[k] = mat_add(terms[k], mat_scale(weight, nested_bracket(sd, w)))
+    return MatrixSeries.from_orders(dim, order, terms)
+
+
 def test_generator_is_hermitian_and_exponentiates_to_C():
-    problem = random_problem(3, 4, seed=11)
-    out = solve(problem)
+    problems = (
+        two_level_problem(order=4),
+        random_problem(3, 4, seed=11),
+        random_problem(3, 4, seed=5, degenerate=True),
+    )
+    for problem in problems:
+        out = solve(problem)
+        assert out.conjugacy.generator_hermitian
+        # independent route: the mould expansion of W from log S
+        w_mould = mould_generator(out.decomposition, out.engine, problem.order)
+        assert w_mould == out.w_series
+        assert series_exp(w_mould.scale(out.decomposition.inv_ihbar)) == out.c_series
+
+
+def test_solve_never_evaluates_the_mould_logarithm(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pipeline must not expand log S over words")
+
+    for module in (mouldpert, moulds, operators):
+        monkeypatch.setattr(module, "mould_log", forbidden, raising=False)
+    out = solve(random_problem(4, 4, seed=3))
     assert out.conjugacy.generator_hermitian
-    assert out.conjugacy.generator_matches
-    # independent route: i*hbar*log(C) by the truncated matrix logarithm
-    ihbar = GaussianRational(0, problem.hbar)
-    w_from_log = series_log(out.c_series).scale(ihbar)
-    assert w_from_log == out.w_series
+    assert out.ok
 
 
 # -- conjugacy verification ---------------------------------------------------------------
