@@ -44,7 +44,6 @@ from .operators import (
     compare_with_oracle,
     eigenvalue_series,
     hierarchy_oracle,
-    nested_bracket,
     numeric_compare,
     random_problem,
     series_exp,

@@ -89,10 +89,10 @@ def make_T(alphabet: Alphabet) -> Mould:
 class BirkhoffEngine:
     """Per-alphabet factorization engine with memoized word values.
 
-    Exposes T, U_minus, U_plus as Laurent-valued moulds and R, S, N as
-    constant scalar moulds.  Caches are tied to the alphabet; a different
-    alphabet (different eigenvalues or a rescaled hbar) needs a fresh
-    engine.
+    Exposes T, U_minus, U_plus as Laurent-valued moulds, R and S as
+    constant scalar moulds, and N through ``coeff_N``.  Caches are tied
+    to the alphabet; a different alphabet (different eigenvalues or a
+    rescaled hbar) needs a fresh engine.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -107,7 +107,6 @@ class BirkhoffEngine:
         )
         self.R = Mould.constant_from(alphabet, self.coeff_R, name="R")
         self.S = Mould.constant_from(alphabet, self.coeff_S, name="S")
-        self.N = Mould.constant_from(alphabet, self.coeff_N, name="N")
 
     def _pair(self, word: Word, acc: int) -> tuple:
         """(U_minus^word, U_plus^word), the latter guaranteed through acc."""

@@ -40,7 +40,6 @@ __all__ = [
     "MatrixSeries",
     "NormalizationOutput",
     "spectral_decompose",
-    "nested_bracket",
     "build_normal_form",
     "build_conjugator",
     "verify_conjugacy",
@@ -123,8 +122,19 @@ def mat_to_json(a: tuple) -> list:
     return [[format_scalar(x) for x in row] for row in a]
 
 
-def mat_from_json(rows: Sequence[Sequence[str]]) -> tuple:
-    return tuple(tuple(parse_scalar(x) for x in row) for row in rows)
+def scalar_from_json(value) -> GaussianRational:
+    """A scalar written in JSON: a literal string or an integer."""
+    if isinstance(value, str):
+        return parse_scalar(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return GaussianRational(value)
+    raise ValueError(f"expected a scalar literal string or an integer, got {value!r}")
+
+
+def mat_from_json(rows) -> tuple:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("a matrix must be a list of rows, each a list of scalars")
+    return tuple(tuple(scalar_from_json(x) for x in row) for row in rows)
 
 
 # -- truncated matrix power series --------------------------------------------
@@ -231,9 +241,10 @@ def series_log(a: MatrixSeries) -> MatrixSeries:
         raise ValueError("series_log needs an identity order-0 coefficient")
     rest = a - MatrixSeries.identity(a.dim, a.order)
     out = MatrixSeries.zeros(a.dim, a.order)
-    power = MatrixSeries.identity(a.dim, a.order)
+    power = rest
     for j in range(1, a.order + 1):
-        power = power * rest
+        if j > 1:
+            power = power * rest
         if power.is_zero():
             break
         out = out + power.scale(GaussianRational(Fraction((-1) ** (j - 1), j)))
@@ -298,17 +309,26 @@ class PerturbationProblem:
         )
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "PerturbationProblem":
-        def real_fraction(text) -> Fraction:
-            value = parse_scalar(str(text))
+    def from_json_dict(cls, data) -> "PerturbationProblem":
+        """The problem from its JSON object; malformed data raises
+        KeyError, ValueError or ScalarParseError."""
+        if not isinstance(data, dict):
+            raise ValueError("a problem must be a JSON object")
+
+        def real_fraction(raw) -> Fraction:
+            value = scalar_from_json(raw)
             if not value.is_real:
-                raise ValueError(f"expected a real rational, got {text!r}")
+                raise ValueError(f"expected a real rational, got {raw!r}")
             return value.re
 
+        if not isinstance(data["E0"], list):
+            raise ValueError("E0 must be a list of scalars")
         e0 = [real_fraction(x) for x in data["E0"]]
         v = mat_from_json(data["V"])
         hbar = real_fraction(data.get("hbar", "1"))
-        order = int(data.get("order", 4))
+        order = data.get("order", 4)
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise ValueError(f"order must be an integer, got {order!r}")
         return cls(e0=tuple(e0), v=v, hbar=hbar, order=order)
 
     def to_json_dict(self) -> dict:
@@ -405,13 +425,6 @@ class SpectralDecomposition:
                         adjacency[k].append((l, letter_index, comp[k][l]))
         self.adjacency = tuple(tuple(row) for row in adjacency)
         self.inv_ihbar = GaussianRational(0, -inv_hbar)
-        self._bracket_memo: dict = {}
-
-    def component(self, letter_index: int) -> tuple:
-        return self.components[letter_index]
-
-    def component_for(self, letter) -> tuple:
-        return self.components[self.alphabet.index(letter)]
 
     def sparse_left_bracket(self, letter_index: int, x: tuple) -> tuple:
         """[B_letter, x] / (i hbar) exploiting the sparsity of the component."""
@@ -428,24 +441,6 @@ class SpectralDecomposition:
                 if x[i][k]:
                     rows[i][l] = rows[i][l] - x[i][k] * scaled
         return tuple(tuple(row) for row in rows)
-
-    def nested_bracket(self, word: Word) -> tuple:
-        """Right-nested rescaled commutator of the word's components.
-
-        One 1/(i hbar) per bracket, so len(word) - 1 factors; a single
-        letter gives the bare component.
-        """
-        if len(word) == 0:
-            raise ValueError("nested bracket of the empty word")
-        cached = self._bracket_memo.get(word)
-        if cached is not None:
-            return cached
-        if len(word) == 1:
-            out = self.components[word.idx[0]]
-        else:
-            out = self.sparse_left_bracket(word.idx[0], self.nested_bracket(word[1:]))
-        self._bracket_memo[word] = out
-        return out
 
     def reachable_sums(self, max_letters: int) -> list:
         """reach[m] = set of letter sums attainable with at most m letters."""
@@ -464,10 +459,6 @@ def spectral_decompose(problem: PerturbationProblem) -> SpectralDecomposition:
     return SpectralDecomposition(problem)
 
 
-def nested_bracket(sd: SpectralDecomposition, word: Word) -> tuple:
-    return sd.nested_bracket(word)
-
-
 # -- mould expansions ------------------------------------------------------------
 
 
@@ -475,10 +466,11 @@ def _bracket_sum(
     sd: SpectralDecomposition,
     coeff_fn: Callable[[Word], GaussianRational],
     max_order: int,
-    collector: Optional[dict] = None,
+    collector: dict,
 ) -> list:
-    """Accumulate coeff(word) * nested_bracket(word) over resonant words,
-    by length.
+    """Accumulate coeff(word) times the right-nested rescaled commutator of
+    the word's components over resonant words, by length, and record every
+    nonzero coefficient in ``collector``.
 
     Words are walked right to left so each step costs one sparse bracket;
     branches die as soon as the bracket vanishes, and prefixes that cannot
@@ -498,8 +490,7 @@ def _bracket_sum(
             c = coeff_fn(w)
             if c:
                 totals[depth] = mat_add(totals[depth], mat_scale(c, bracket))
-                if collector is not None:
-                    collector[w] = c
+                collector[w] = c
         if depth == max_order:
             return
         for i in letters:
@@ -521,11 +512,12 @@ def _bracket_sum(
 def build_normal_form(
     sd: SpectralDecomposition, engine: BirkhoffEngine
 ) -> tuple:
-    """The normal-form series: order k sums N^w * nested_bracket(w) over
-    words of length k.  Returns (MatrixSeries, word -> coefficient table)."""
+    """The normal-form series: order k sums N^w times the nested bracket
+    [B_(w1), [B_(w2), ... B_(wk)]] / (i hbar)^(k-1) over words of length
+    k.  Returns (MatrixSeries, word -> coefficient table)."""
     problem = sd.problem
     contributing: dict = {}
-    totals = _bracket_sum(sd, engine.coeff_N, problem.order, collector=contributing)
+    totals = _bracket_sum(sd, engine.coeff_N, problem.order, contributing)
     terms = {k: totals[k] for k in range(1, problem.order + 1)}
     table = {
         w: {"N": c, "S": engine.coeff_S(w)} for w, c in contributing.items()
@@ -533,12 +525,8 @@ def build_normal_form(
     return MatrixSeries.from_orders(problem.dim, problem.order, terms), table
 
 
-def build_conjugator(
-    sd: SpectralDecomposition,
-    engine: BirkhoffEngine,
-    with_generator: bool = True,
-) -> tuple:
-    """The unitary conjugator and (optionally) its Hermitian generator.
+def build_conjugator(sd: SpectralDecomposition, engine: BirkhoffEngine) -> tuple:
+    """The unitary conjugator C and its Hermitian generator W.
 
     Order k of C sums S^w (1/(i hbar))^k B_(w1) ... B_(wk) over words of
     length k, accumulated by walking index chains of V so only nonzero
@@ -575,10 +563,7 @@ def build_conjugator(
     for k0 in range(dim):
         walk(k0, k0, 0, ONE, ())
     c_series = MatrixSeries([tuple(tuple(r) for r in rows[k]) for k in range(K + 1)])
-
-    w_series = None
-    if with_generator:
-        w_series = series_log(c_series).scale(GaussianRational(0, problem.hbar))
+    w_series = series_log(c_series).scale(GaussianRational(0, problem.hbar))
     return c_series, w_series
 
 
@@ -594,7 +579,7 @@ class ConjugacyReport:
     commutation_ok: list
     hermitian_ok: list
     trace_ok: dict
-    generator_hermitian: Optional[bool] = None
+    generator_hermitian: bool
 
     @property
     def conjugacy_ok(self) -> bool:
@@ -612,7 +597,7 @@ class ConjugacyReport:
             and all(self.commutation_ok)
             and all(self.hermitian_ok)
             and all(self.trace_ok.values())
-            and self.generator_hermitian is not False
+            and self.generator_hermitian
         )
 
     def to_json(self) -> dict:
@@ -628,23 +613,28 @@ class ConjugacyReport:
         }
 
 
-def verify_conjugacy(problem: PerturbationProblem, out: "NormalizationOutput") -> ConjugacyReport:
+def verify_conjugacy(
+    problem: PerturbationProblem,
+    n_series: MatrixSeries,
+    c_series: MatrixSeries,
+    w_series: MatrixSeries,
+) -> ConjugacyReport:
     """C (H0 + mu V) C* - (H0 + N) must vanish identically through the
     truncation order, alongside unitarity, [H0, N_k] = 0, Hermiticity of
-    N_k, and conservation of tr((H0 + mu V)^p)."""
+    N_k and of W, and conservation of tr((H0 + mu V)^p)."""
     h = problem.h_series()
     h0 = problem.h0_matrix()
-    c = out.c_series
+    c = c_series
     c_adj = c.adjoint()
-    rhs = MatrixSeries([h0] + list(out.n_series.coeffs[1:]))
+    rhs = MatrixSeries([h0] + list(n_series.coeffs[1:]))
     residual = c * h * c_adj - rhs
     unitarity = c * c_adj - MatrixSeries.identity(problem.dim, problem.order)
     commutation = [
-        mat_is_zero(mat_commutator(h0, out.n_series.coefficient(k)))
+        mat_is_zero(mat_commutator(h0, n_series.coefficient(k)))
         for k in range(1, problem.order + 1)
     ]
     hermitian = [
-        out.n_series.coefficient(k) == mat_adjoint(out.n_series.coefficient(k))
+        n_series.coefficient(k) == mat_adjoint(n_series.coefficient(k))
         for k in range(1, problem.order + 1)
     ]
     trace_ok = {}
@@ -654,16 +644,13 @@ def verify_conjugacy(problem: PerturbationProblem, out: "NormalizationOutput") -
         lhs_power = lhs_power * h
         rhs_power = rhs_power * rhs
         trace_ok[p] = lhs_power.trace_by_order() == rhs_power.trace_by_order()
-    generator_hermitian = None
-    if out.w_series is not None:
-        generator_hermitian = out.w_series == out.w_series.adjoint()
     return ConjugacyReport(
         conjugacy_magnitude=[mat_magnitude(a) for a in residual.coeffs],
         unitarity_magnitude=[mat_magnitude(a) for a in unitarity.coeffs],
         commutation_ok=commutation,
         hermitian_ok=hermitian,
         trace_ok=trace_ok,
-        generator_hermitian=generator_hermitian,
+        generator_hermitian=w_series == w_series.adjoint(),
     )
 
 
@@ -724,15 +711,48 @@ class OracleReport:
 
 
 def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) -> OracleReport:
+    """N against the recursive construction, up to the normal form's gauge.
+
+    With H0 degenerate the normal form is unique only up to a unitary
+    change of basis inside each eigenspace of H0; only the eigenvalue
+    content of each diagonal block is fixed.  Order k matches when every
+    entry outside the diagonal blocks agrees exactly and, in each block of
+    size m, the mu^k coefficients of tr(block^p), p = 1..m, agree.  For a
+    simple spectrum every block is 1x1, so this is the entrywise test.
+    """
     n_parts, _ = hierarchy_oracle(problem)
+    oracle = MatrixSeries([zero_matrix(problem.dim)] + n_parts)
+    e0 = problem.e0
+    blocks = {}
+    for i, level in enumerate(e0):
+        blocks.setdefault(level, []).append(i)
+    ours = [t for block in blocks.values() for t in _block_power_traces(n_series, block)]
+    theirs = [t for block in blocks.values() for t in _block_power_traces(oracle, block)]
+    off_block = [(i, j) for i in range(problem.dim) for j in range(problem.dim) if e0[i] != e0[j]]
     flags = []
     first = None
     for k in range(1, problem.order + 1):
-        same = n_series.coefficient(k) == n_parts[k - 1]
+        a = n_series.coefficient(k)
+        b = oracle.coefficient(k)
+        same = all(a[i][j] == b[i][j] for i, j in off_block) and all(
+            x[k] == y[k] for x, y in zip(ours, theirs)
+        )
         flags.append(same)
         if not same and first is None:
             first = k
     return OracleReport(orders_equal=flags, first_mismatch=first)
+
+
+def _block_power_traces(series: MatrixSeries, block: list) -> list:
+    """[tr(B^p) by order for p = 1..len(block)], B the series restricted to
+    the rows and columns in ``block``."""
+    sub = MatrixSeries([tuple(tuple(a[i][j] for j in block) for i in block) for a in series.coeffs])
+    power = sub
+    traces = [power.trace_by_order()]
+    for _ in range(1, len(block)):
+        power = power * sub
+        traces.append(power.trace_by_order())
+    return traces
 
 
 # -- eigenvalue series and the numeric cross-check ------------------------------------
@@ -896,20 +916,16 @@ class NormalizationOutput:
     engine: BirkhoffEngine
     n_series: MatrixSeries
     c_series: MatrixSeries
-    w_series: Optional[MatrixSeries]
+    w_series: MatrixSeries
     coefficient_table: dict
-    conjugacy: Optional[ConjugacyReport] = None
-    oracle: Optional[OracleReport] = None
-    eigen: Optional[EigenvalueSeries] = None
+    conjugacy: ConjugacyReport
+    oracle: OracleReport
+    eigen: EigenvalueSeries
     numeric: Optional[NumericReport] = None
 
     @property
     def ok(self) -> bool:
-        if self.conjugacy is None or not self.conjugacy.ok:
-            return False
-        if self.oracle is not None and not self.oracle.ok:
-            return False
-        return True
+        return self.conjugacy.ok and self.oracle.ok
 
     def to_json_dict(self) -> dict:
         alphabet = self.decomposition.alphabet
@@ -933,27 +949,23 @@ class NormalizationOutput:
                 str(k): mat_to_json(self.c_series.coefficient(k))
                 for k in range(self.problem.order + 1)
             },
-            "eigenvalue_series": self.eigen.to_json() if self.eigen else None,
+            "eigenvalue_series": self.eigen.to_json(),
             "verification": {
-                **(self.conjugacy.to_json() if self.conjugacy else {}),
-                "oracle_match": None if self.oracle is None else self.oracle.ok,
+                **self.conjugacy.to_json(),
+                "oracle_match": self.oracle.ok,
                 "numeric": self.numeric.to_json() if self.numeric else None,
             },
         }
 
 
-def solve(
-    problem: PerturbationProblem,
-    mu_samples: Sequence[Fraction] = (),
-    compare_oracle: bool = True,
-    with_generator: bool = True,
-) -> NormalizationOutput:
+def solve(problem: PerturbationProblem, mu_samples: Sequence[Fraction] = ()) -> NormalizationOutput:
     """Run the whole pipeline on one problem and verify it."""
     sd = spectral_decompose(problem)
     engine = BirkhoffEngine(sd.alphabet)
     n_series, table = build_normal_form(sd, engine)
-    c_series, w_series = build_conjugator(sd, engine, with_generator=with_generator)
-    out = NormalizationOutput(
+    c_series, w_series = build_conjugator(sd, engine)
+    eigen = eigenvalue_series(problem, n_series)
+    return NormalizationOutput(
         problem=problem,
         decomposition=sd,
         engine=engine,
@@ -961,11 +973,8 @@ def solve(
         c_series=c_series,
         w_series=w_series,
         coefficient_table=table,
+        conjugacy=verify_conjugacy(problem, n_series, c_series, w_series),
+        oracle=compare_with_oracle(problem, n_series),
+        eigen=eigen,
+        numeric=numeric_compare(problem, eigen, mu_samples) if mu_samples else None,
     )
-    out.conjugacy = verify_conjugacy(problem, out)
-    if compare_oracle and problem.is_simple:
-        out.oracle = compare_with_oracle(problem, n_series)
-    out.eigen = eigenvalue_series(problem, n_series)
-    if mu_samples:
-        out.numeric = numeric_compare(problem, out.eigen, mu_samples)
-    return out

@@ -90,7 +90,7 @@ def test_criterion_04_support_property(engine):
 
 
 def test_criterion_05_closed_form_two_level_benchmark():
-    out = solve(two_level_problem(order=6), with_generator=False)
+    out = solve(two_level_problem(order=6))
     lower = out.eigen.table[0]
     oracle = sqrt_series_eigenvalue_coefficients(3)
     ok = (
@@ -139,7 +139,7 @@ def _criterion7_problems():
 def test_criterion_07_conjugacy_unitarity_commutation():
     ok = True
     for problem in _criterion7_problems():
-        out = solve(problem, with_generator=True)
+        out = solve(problem)
         verdict = out.conjugacy
         clean = (
             verdict.conjugacy_ok
@@ -158,7 +158,6 @@ def test_criterion_08_numeric_convergence():
     out = solve(
         two_level_problem(order=4),
         mu_samples=[Fraction(1, 100), Fraction(1, 1000)],
-        with_generator=False,
     )
     first, second = out.numeric.samples
     # first neglected term of the even series is -2 mu^6
@@ -212,3 +211,21 @@ def test_criterion_10_first_order_identities():
             if engine.coeff_S(word) != expected:
                 ok = False
     report(10, "N_1 is the resonant part of V and S^(lam) = 1/lam, S^(0) = 0, on every problem", ok)
+
+
+def test_criterion_11_oracle_equivalence_on_degenerate_problems():
+    cases = [(3 + seed % 2, Fraction(1 + seed // 10)) for seed in range(20)]
+    ok = True
+    for seed, (dim, hbar) in enumerate(cases):
+        problem = random_problem(dim, 4, seed=seed, hbar=hbar, degenerate=True)
+        assert not problem.is_simple
+        out = solve(problem)
+        if not (out.oracle.ok and out.ok):
+            ok = False
+            break
+    report(
+        11,
+        "mould normal form equals the recursive oracle up to a basis change in each "
+        "eigenspace of H0 on 20 seeded degenerate problems",
+        ok,
+    )

@@ -1,10 +1,16 @@
 """Exit codes and JSON output of the command-line front end."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mouldpert.cli import main
+from mouldpert.scalars import format_scalar, parse_scalar
 
 
 @pytest.fixture
@@ -204,3 +210,214 @@ def test_deterministic_output(problem_file, capsys):
     assert main(["solve", problem_file, "--order", "3"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# -- the exit contract ------------------------------------------------------------
+
+
+def write_problem(tmp_path, data, name="problem.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+TWO_LEVEL = {"E0": ["0", "1"], "V": [["0", "1"], ["1", "0"]]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [TWO_LEVEL],
+        {**TWO_LEVEL, "E0": 5},
+        {**TWO_LEVEL, "V": [[0, 1.5], [1.5, 0]]},
+        {**TWO_LEVEL, "V": ["01", "10"]},
+        {**TWO_LEVEL, "E0": [0.5, "1"]},
+        {**TWO_LEVEL, "E0": [True, "1"]},
+        {**TWO_LEVEL, "hbar": 0.5},
+        {**TWO_LEVEL, "hbar": None},
+        {**TWO_LEVEL, "order": [4]},
+        {**TWO_LEVEL, "order": 2.7},
+        {**TWO_LEVEL, "order": "3"},
+        {**TWO_LEVEL, "order": True},
+    ],
+)
+def test_malformed_problem_exits_2_with_a_message(tmp_path, capsys, data):
+    path = write_problem(tmp_path, data)
+    for argv in (["solve", path], ["oracle", path], ["moulds", "--problem", path]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+def test_integer_scalars_are_accepted(tmp_path, capsys):
+    path = write_problem(tmp_path, {"E0": [0, 1], "V": [[0, 1], [1, 0]], "hbar": 1, "order": 2})
+    assert main(["solve", path]) == 0
+    assert read_json(capsys)["eigenvalue_series"]["0"] == ["0", "0", "-1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moulds", "--alphabet", "i,-i", "--acc", "-3"],
+        ["moulds", "--alphabet", "i,-i", "-L", "-1"],
+        ["verify", "--alphabet", "i,-i", "-L", "-1"],
+        ["oracle", "--random-dim", "3", "--seed", "1", "--order", "0"],
+        ["oracle", "--random-dim", "3", "--seed", "1", "--order", "-2"],
+    ],
+)
+def test_negative_flags_exit_2_with_a_message(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oracle_on_a_degenerate_problem(tmp_path, capsys):
+    from mouldpert.operators import random_problem
+
+    problem = random_problem(3, 4, seed=0, degenerate=True)
+    path = write_problem(tmp_path, problem.to_json_dict())
+    assert main(["oracle", path]) == 0
+    data = read_json(capsys)
+    assert data["oracle_match"] == {
+        "match": True,
+        "orders_equal": [True] * 4,
+        "first_mismatch": None,
+    }
+    assert data["conjugacy_ok"] is True
+    assert main(["solve", path]) == 0
+    assert read_json(capsys)["verification"]["oracle_match"] is True
+
+
+LITERALS = ("0", "1", "-1", "2", "1/2", "-3/4", "i", "-2i", "1+i", "1/2-i", "x", "", "1/0")
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(("a", "E0")), st.integers(0, 1), max_size=1),
+)
+SCALARS = st.one_of(st.sampled_from(LITERALS), st.integers(-3, 3))
+REAL_SCALARS = st.one_of(st.sampled_from(("0", "1", "-1", "2", "1/2", "-3/4")), st.integers(-3, 3))
+
+
+@st.composite
+def hermitian_problem(draw):
+    """A well-formed problem, possibly with a degenerate E0."""
+    dim = draw(st.integers(1, 3))
+    e0 = draw(st.lists(REAL_SCALARS, min_size=dim, max_size=dim))
+    entries = st.sampled_from(("0", "1", "-1", "2", "1/2", "i", "1+i", "-1/2+2i"))
+    v = [["0"] * dim for _ in range(dim)]
+    for k in range(dim):
+        v[k][k] = draw(REAL_SCALARS)
+        for l in range(k + 1, dim):
+            x = draw(entries)
+            v[k][l] = x
+            v[l][k] = format_scalar(parse_scalar(x).conjugate())
+    data = {"E0": e0, "V": v}
+    if draw(st.booleans()):
+        data["hbar"] = draw(st.sampled_from(("1", "2", "1/2", 3)))
+    if draw(st.booleans()):
+        data["order"] = draw(st.integers(1, 4))
+    return data
+
+
+@st.composite
+def mangled_problem(draw):
+    """A problem with one field replaced by arbitrary JSON, or not an object."""
+    data = draw(hermitian_problem())
+    field = draw(st.sampled_from(("E0", "V", "hbar", "order", "row", "entry", "drop", "top")))
+    dim = len(data["V"])
+    if field == "top":
+        return draw(st.one_of(JUNK, st.just([data])))
+    if field == "drop":
+        data.pop(draw(st.sampled_from(("E0", "V"))))
+    elif field == "row":
+        data["V"][draw(st.integers(0, dim - 1))] = draw(st.one_of(JUNK, st.lists(SCALARS, max_size=4)))
+    elif field == "entry":
+        row = data["V"][draw(st.integers(0, dim - 1))]
+        row[draw(st.integers(0, dim - 1))] = draw(st.one_of(JUNK, SCALARS))
+    else:
+        data[field] = draw(st.one_of(JUNK, SCALARS, st.lists(st.one_of(SCALARS, JUNK), max_size=4)))
+    return data
+
+
+PROBLEMS = st.one_of(hermitian_problem(), mangled_problem())
+SMALL_INTS = st.integers(-2, 3).map(str)
+
+
+@st.composite
+def command_line(draw, path):
+    command = draw(st.sampled_from(("solve", "oracle", "moulds", "verify")))
+    argv = [command]
+    if command == "solve":
+        argv.append(path)
+        if draw(st.booleans()):
+            argv += ["--order", draw(st.integers(-1, 4).map(str))]
+        if draw(st.booleans()):
+            argv += ["--mu", draw(st.sampled_from(("1/100", "1/2,1/10", "0", "1", "i", "x", "")))]
+    elif command == "oracle":
+        if draw(st.booleans()):
+            argv.append(path)
+        else:
+            argv += ["--random-dim", draw(st.integers(-1, 3).map(str))]
+            if draw(st.booleans()):
+                argv += ["--seed", draw(SMALL_INTS)]
+        if draw(st.booleans()):
+            argv += ["--order", draw(st.integers(-1, 4).map(str))]
+    else:
+        if draw(st.booleans()):
+            argv += ["--alphabet", draw(st.sampled_from(("i,-i,0", "i,-i,2i", "1,-1", "0", "i,i", "x")))]
+        else:
+            argv += ["--problem", path]
+        argv += ["-L", draw(st.integers(-2, 3).map(str))]
+        if command == "moulds" and draw(st.booleans()):
+            argv += ["--acc", draw(st.integers(-3, 2).map(str))]
+        if command == "verify" and draw(st.booleans()):
+            argv += ["--corrupt-word", draw(st.sampled_from(("0", "i", "i·-i", "q")))]
+    return argv
+
+
+def some_flag_is_false(command: str, payload) -> bool:
+    if command == "solve":
+        checks = {k: v for k, v in payload["verification"].items() if k != "numeric"}
+        return False in list(bool_leaves(checks))
+    if command == "oracle":
+        return payload["oracle_match"]["match"] is False or payload["conjugacy_ok"] is False
+    if command == "verify":
+        return any(suite["ok"] is False for suite in payload["suites"].values())
+    return False
+
+
+def bool_leaves(node):
+    if isinstance(node, bool):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from bool_leaves(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from bool_leaves(value)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), problem=PROBLEMS)
+def test_exit_contract_holds_for_any_problem_and_flags(data, problem):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "problem.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(problem, handle)
+        argv = data.draw(command_line(path), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag value
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().strip()
+    if code == 1:
+        assert some_flag_is_false(argv[0], json.loads(out.getvalue()))

@@ -1,6 +1,5 @@
 """Matrix application: decomposition, expansions, oracle, numeric checks."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,12 +7,13 @@ import pytest
 import mouldpert
 from mouldpert import moulds, operators
 from mouldpert.birkhoff import BirkhoffEngine
-from mouldpert.moulds import Word, mould_log
+from mouldpert.moulds import mould_log
 from mouldpert.operators import (
     MatrixSeries,
     PerturbationProblem,
     build_conjugator,
     build_normal_form,
+    compare_with_oracle,
     eigenvalue_series,
     hierarchy_oracle,
     identity_matrix,
@@ -23,7 +23,6 @@ from mouldpert.operators import (
     mat_is_zero,
     mat_scale,
     mat_sub,
-    nested_bracket,
     random_problem,
     series_exp,
     series_log,
@@ -56,6 +55,18 @@ def degenerate_problem(order=4):
         (gr(1), gr(0, -2), gr(-1)),
     )
     return PerturbationProblem(e0=(Fraction(0), Fraction(0), Fraction(1)), v=v, order=order)
+
+
+def component_for(sd, letter):
+    return sd.components[sd.alphabet.index(letter)]
+
+
+def dense_nested_bracket(sd, word):
+    """[B_(w1), [B_(w2), ... B_(wk)]] / (i hbar)^(k-1) by dense commutators."""
+    dense = sd.components[word.idx[-1]]
+    for i in word.idx[-2::-1]:
+        dense = mat_scale(sd.inv_ihbar, mat_commutator(sd.components[i], dense))
+    return dense
 
 
 # -- problem validation ----------------------------------------------------------
@@ -106,21 +117,21 @@ def test_two_level_decomposition():
     assert letters == ["-i", "i"]
     upper = ((gr(0), gr(1)), (gr(0), gr(0)))
     lower = ((gr(0), gr(0)), (gr(1), gr(0)))
-    assert sd.component_for(I) == upper
-    assert sd.component_for(-I) == lower
+    assert component_for(sd, I) == upper
+    assert component_for(sd, -I) == lower
 
 
 def test_diagonal_perturbation_lands_in_the_zero_component():
     sd = spectral_decompose(diagonal_problem())
     assert len(sd.alphabet) == 1
     assert sd.alphabet.letters[0] == ZERO
-    assert sd.component_for(ZERO) == diagonal_problem().v
+    assert component_for(sd, ZERO) == diagonal_problem().v
 
 
 def test_degenerate_block_is_resonant():
     problem = degenerate_problem()
     sd = spectral_decompose(problem)
-    b0 = sd.component_for(ZERO)
+    b0 = component_for(sd, ZERO)
     assert b0[0][1] == problem.v[0][1]
     assert b0[1][0] == problem.v[1][0]
     assert b0[0][0] == problem.v[0][0]
@@ -135,11 +146,11 @@ def test_decomposition_invariants(seed, hbar):
     h0 = problem.h0_matrix()
     inv_ihbar = GaussianRational(0, -Fraction(1) / hbar)
     for index, lam in enumerate(sd.alphabet.letters):
-        comp = sd.component(index)
+        comp = sd.components[index]
         total = mat_sub(total, mat_scale(-ONE, comp))
         bracket = mat_scale(inv_ihbar, mat_commutator(h0, comp))
         assert bracket == mat_scale(lam, comp)
-        assert mat_adjoint(comp) == sd.component_for(-lam)
+        assert mat_adjoint(comp) == component_for(sd, -lam)
     assert total == problem.v
     assert sd.alphabet.closed_under_negation
     assert sd.alphabet.purely_imaginary
@@ -148,40 +159,27 @@ def test_decomposition_invariants(seed, hbar):
 # -- nested brackets -------------------------------------------------------------------
 
 
-def test_nested_bracket_single_letter_is_the_component():
-    sd = spectral_decompose(two_level_problem())
-    word = sd.alphabet.word_of("i")
-    assert sd.nested_bracket(word) == sd.component_for(I)
-
-
 def test_nested_bracket_of_cancelling_pair():
     sd = spectral_decompose(two_level_problem())
-    word = sd.alphabet.word_of("i", "-i")
+    index = sd.alphabet.index
+    bracket = sd.sparse_left_bracket(index(I), component_for(sd, -I))
     expected = ((gr(0, -1), gr(0)), (gr(0), gr(0, 1)))  # -i * diag(1, -1)
-    assert sd.nested_bracket(word) == expected
+    assert bracket == expected
 
 
 def test_nested_bracket_dies_on_commuting_letters():
     sd = spectral_decompose(diagonal_problem())
-    word = sd.alphabet.word_of("0", "0")
-    assert mat_is_zero(sd.nested_bracket(word))
-
-
-def test_nested_bracket_rejects_empty_word():
-    sd = spectral_decompose(two_level_problem())
-    with pytest.raises(ValueError):
-        sd.nested_bracket(Word())
+    assert mat_is_zero(sd.sparse_left_bracket(sd.alphabet.index(ZERO), component_for(sd, ZERO)))
 
 
 def test_nested_bracket_matches_dense_commutators():
     problem = random_problem(3, 3, seed=9)
     sd = spectral_decompose(problem)
-    inv_ihbar = sd.inv_ihbar
     for word in sd.alphabet.words_up_to(3, include_empty=False):
-        dense = sd.component(word.idx[-1])
+        sparse = sd.components[word.idx[-1]]
         for i in word.idx[-2::-1]:
-            dense = mat_scale(inv_ihbar, mat_commutator(sd.component(i), dense))
-        assert sd.nested_bracket(word) == dense
+            sparse = sd.sparse_left_bracket(i, sparse)
+        assert sparse == dense_nested_bracket(sd, word)
 
 
 # -- normal form ---------------------------------------------------------------------
@@ -211,7 +209,7 @@ def test_diagonal_problem_normalizes_to_itself():
 def test_first_order_normal_form_is_the_resonant_part():
     for seed in (0, 1, 2):
         problem = random_problem(4, 2, seed=seed)
-        out = solve(problem, with_generator=False)
+        out = solve(problem)
         assert out.n_series.coefficient(1) == problem.resonant_part(problem.v)
 
 
@@ -231,7 +229,7 @@ def test_conjugator_first_order_matches_hand_value():
     problem = two_level_problem(order=2)
     sd = spectral_decompose(problem)
     engine = BirkhoffEngine(sd.alphabet)
-    c_series, _ = build_conjugator(sd, engine, with_generator=False)
+    c_series, _ = build_conjugator(sd, engine)
     # (1/i)(S^(i) B_i + S^(-i) B_(-i)) with S^(lam) = 1/lam
     assert c_series.coefficient(1) == ((gr(0), gr(-1)), (gr(1), gr(0)))
     assert c_series.coefficient(2) == ((gr(Fraction(-1, 2)), gr(0)), (gr(0), gr(Fraction(-1, 2))))
@@ -240,7 +238,7 @@ def test_conjugator_first_order_matches_hand_value():
 def test_unitarity_on_random_problems():
     for seed in (3, 4):
         problem = random_problem(3, 4, seed=seed)
-        out = solve(problem, with_generator=False)
+        out = solve(problem)
         assert out.conjugacy.unitarity_ok
         c = out.c_series
         assert (c * c.adjoint()) == MatrixSeries.identity(3, 4)
@@ -249,7 +247,7 @@ def test_unitarity_on_random_problems():
 
 def mould_generator(sd, engine, order):
     """W as the mould expansion: log(S)^w / len(w) times the nested bracket
-    of w, summed over every word up to the order."""
+    of w (built by dense commutators), summed over every word up to the order."""
     log_s = mould_log(engine.S)
     dim = sd.problem.dim
     terms = {k: zero_matrix(dim) for k in range(1, order + 1)}
@@ -257,7 +255,7 @@ def mould_generator(sd, engine, order):
         weight = log_s.scalar_value(w) / len(w)
         if weight:
             k = len(w)
-            terms[k] = mat_add(terms[k], mat_scale(weight, nested_bracket(sd, w)))
+            terms[k] = mat_add(terms[k], mat_scale(weight, dense_nested_bracket(sd, w)))
     return MatrixSeries.from_orders(dim, order, terms)
 
 
@@ -306,13 +304,12 @@ def test_order_one_conjugacy_is_trivial():
 
 def test_corrupted_normal_form_is_flagged_at_its_order():
     problem = two_level_problem(order=4)
-    out = solve(problem, with_generator=False)
+    out = solve(problem)
     coeffs = list(out.n_series.coeffs)
     bad = [list(row) for row in coeffs[3]]
     bad[0][0] = bad[0][0] + ONE
     coeffs[3] = tuple(tuple(row) for row in bad)
-    corrupted = dataclasses.replace(out, n_series=MatrixSeries(coeffs))
-    report = verify_conjugacy(problem, corrupted)
+    report = verify_conjugacy(problem, MatrixSeries(coeffs), out.c_series, out.w_series)
     assert not report.ok
     assert report.conjugacy_magnitude[3] != 0
     assert report.conjugacy_magnitude[2] == 0
@@ -321,7 +318,8 @@ def test_corrupted_normal_form_is_flagged_at_its_order():
 def test_degenerate_problem_passes_all_exact_checks():
     out = solve(degenerate_problem(order=4))
     assert out.conjugacy.ok
-    assert out.oracle is None
+    assert out.oracle.ok
+    assert out.ok
     assert out.eigen.kind == "degenerate"
 
 
@@ -340,9 +338,57 @@ def test_oracle_first_order_is_resonant_part():
 def test_oracle_matches_mould_normal_form():
     for seed, dim, order in ((0, 3, 4), (1, 4, 4), (2, 4, 5), (3, 5, 3)):
         problem = random_problem(dim, order, seed=seed)
-        out = solve(problem, with_generator=False, compare_oracle=True)
-        assert out.oracle is not None
+        out = solve(problem)
         assert out.oracle.ok, f"seed {seed}: mismatch at order {out.oracle.first_mismatch}"
+
+
+def with_entry_added(series, k, i, j, delta):
+    coeffs = [[list(row) for row in a] for a in series.coeffs]
+    coeffs[k][i][j] = coeffs[k][i][j] + delta
+    return MatrixSeries([tuple(tuple(row) for row in a) for a in coeffs])
+
+
+def test_oracle_accepts_a_basis_change_inside_a_degenerate_block():
+    problem = random_problem(3, 4, seed=0, degenerate=True)
+    assert not problem.is_simple
+    out = solve(problem)
+    n_parts, _ = hierarchy_oracle(problem)
+    # the two constructions pick different bases of the E0 = 0 eigenspace
+    assert out.n_series.coefficient(4) != n_parts[3]
+    assert [out.n_series.coefficient(k) == n_parts[k - 1] for k in (1, 2, 3)] == [True] * 3
+    assert out.oracle.ok
+    assert out.oracle.orders_equal == [True] * 4
+    assert out.oracle.first_mismatch is None
+
+
+def test_oracle_catches_a_change_inside_a_degenerate_block():
+    problem = random_problem(3, 4, seed=0, degenerate=True)
+    out = solve(problem)
+    block = [i for i in range(problem.dim) if problem.e0[i] == problem.e0[0]]
+    assert len(block) == 2
+    i, j = block
+    report = compare_with_oracle(problem, with_entry_added(out.n_series, 2, i, i, ONE))
+    assert not report.ok
+    assert report.first_mismatch == 2
+    assert report.orders_equal[0]
+    # diag(1, -1) keeps tr(block) and shows first in tr(block^2) at order 3,
+    # through 2 tr(N_1 diag(1, -1)) = 2 (N_1[i][i] - N_1[j][j])
+    assert out.n_series.coefficient(1)[i][i] != out.n_series.coefficient(1)[j][j]
+    traceless = with_entry_added(with_entry_added(out.n_series, 2, i, i, ONE), 2, j, j, -ONE)
+    assert compare_with_oracle(problem, traceless).first_mismatch == 3
+
+
+def test_oracle_catches_a_change_outside_the_blocks():
+    problem = random_problem(3, 3, seed=0, degenerate=True)
+    out = solve(problem)
+    i, j = next(
+        (i, j)
+        for i in range(problem.dim)
+        for j in range(problem.dim)
+        if problem.e0[i] != problem.e0[j]
+    )
+    report = compare_with_oracle(problem, with_entry_added(out.n_series, 3, i, j, ONE))
+    assert report.first_mismatch == 3
 
 
 def test_oracle_second_order_is_the_textbook_formula():
