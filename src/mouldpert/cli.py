@@ -88,8 +88,11 @@ def _emit(payload, output: str | None) -> None:
     directory = os.environ.get(OUTPUT_DIR_ENV)
     if directory and not os.path.isabs(output):
         output = os.path.join(directory, output)
-    with open(output, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    try:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {output}: {exc}") from exc
 
 
 def _alphabet_from_args(args) -> Alphabet:

@@ -7,9 +7,9 @@ recomputes and widens the cached entry.  Memo tables are plain dicts:
 evaluation is meant to run in a single-threaded context (concurrent use
 would need the caller to serialize evaluations).
 
-Letters are referenced by index; the :class:`Alphabet` owns the mapping
-between indices and exact scalar values, so word hashing stays on small
-integer tuples.
+A word is a plain tuple of letter indices; the :class:`Alphabet` owns the
+mapping between indices and exact scalar values, so word hashing stays on
+small integer tuples.
 """
 
 from __future__ import annotations
@@ -49,50 +49,9 @@ class MouldError(ValueError):
     """A mould operation's precondition was violated."""
 
 
-class Word:
-    """An immutable sequence of letter indices."""
+Word = tuple  # a word is a tuple of letter indices
 
-    __slots__ = ("idx",)
-
-    def __init__(self, idx: Iterable[int] = ()):
-        self.idx = tuple(idx)
-
-    def __len__(self) -> int:
-        return len(self.idx)
-
-    def __iter__(self):
-        return iter(self.idx)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return Word(self.idx[key])
-        return self.idx[key]
-
-    def __add__(self, other: "Word") -> "Word":
-        return Word(self.idx + other.idx)
-
-    def reverse(self) -> "Word":
-        return Word(self.idx[::-1])
-
-    def splits(self) -> Iterator[tuple["Word", "Word"]]:
-        """All factorizations self = a . b, including the trivial ones."""
-        for j in range(len(self.idx) + 1):
-            yield Word(self.idx[:j]), Word(self.idx[j:])
-
-    def sort_key(self) -> tuple:
-        return (len(self.idx), self.idx)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.idx == other.idx
-
-    def __hash__(self) -> int:
-        return hash(self.idx)
-
-    def __repr__(self) -> str:
-        return f"Word{self.idx!r}"
-
-
-EMPTY_WORD = Word()
+EMPTY_WORD: Word = ()
 
 
 class Alphabet:
@@ -143,7 +102,7 @@ class Alphabet:
     def phi(self, word: Word) -> GaussianRational:
         """Sum of the letter values of a word (zero on the empty word)."""
         total = ZERO
-        for i in word.idx:
+        for i in word:
             total = total + self._letters[i]
         return total
 
@@ -151,18 +110,17 @@ class Alphabet:
         """Sums of the first j letters, j = 1..len(word)."""
         out = []
         total = ZERO
-        for i in word.idx:
+        for i in word:
             total = total + self._letters[i]
             out.append(total)
         return out
 
     def word_of(self, *values) -> Word:
         """Build a word from letter values (scalar literals accepted)."""
-        return Word(self.index(v) for v in values)
+        return tuple(self.index(v) for v in values)
 
     def words_of_length(self, r: int) -> Iterator[Word]:
-        for idx in itertools.product(range(len(self._letters)), repeat=r):
-            yield Word(idx)
+        return itertools.product(range(len(self._letters)), repeat=r)
 
     def words_up_to(self, max_length: int, include_empty: bool = True) -> Iterator[Word]:
         """All words of length <= max_length, sorted by length then letter indices."""
@@ -182,12 +140,12 @@ class Alphabet:
         return all(v.is_imaginary for v in self._letters)
 
     def negate_word(self, word: Word) -> Word:
-        return Word(self.negation_index(i) for i in word.idx)
+        return tuple(self.negation_index(i) for i in word)
 
     def render_word(self, word: Word) -> str:
         if not len(word):
             return "∅"
-        return "·".join(format_scalar(self._letters[i]) for i in word.idx)
+        return "·".join(format_scalar(self._letters[i]) for i in word)
 
     def parse_word(self, text: str) -> Word:
         """Inverse of render_word; also accepts comma separators."""
@@ -224,7 +182,7 @@ def shuffle(a: Word, b: Word) -> Counter:
     Follows the recursion (x a) sh (y b) = x (a sh y b) + y (x a sh b);
     the total multiplicity is binomial(len(a) + len(b), len(a)).
     """
-    return Counter({Word(w): m for w, m in _shuffle_pairs(a.idx, b.idx)})
+    return Counter(dict(_shuffle_pairs(a, b)))
 
 
 # -- moulds ----------------------------------------------------------------
@@ -294,7 +252,7 @@ class Mould:
         def fn(word: Word, acc: int) -> Laurent:
             if len(word) != 1:
                 return Laurent.zero()
-            c = ONE if weight is None else weight(alphabet.value(word.idx[0]))
+            c = ONE if weight is None else weight(alphabet.value(word[0]))
             return Laurent.from_scalar(c) if c else Laurent.zero()
 
         return cls(alphabet, fn, constant=True, name="letters")
@@ -353,8 +311,8 @@ def mould_product(left: Mould, right: Mould, name: str = "") -> Mould:
 
     def fn(word: Word, acc: int) -> Laurent:
         total = Laurent.zero()
-        for a, b in word.splits():
-            total = total + _product_value([(left, a), (right, b)], acc)
+        for j in range(len(word) + 1):
+            total = total + _product_value([(left, word[:j]), (right, word[j:])], acc)
         return total
 
     return Mould(
@@ -390,7 +348,7 @@ def mould_inverse(mould: Mould, name: str = "") -> Mould:
 def mould_antipode(mould: Mould, name: str = "") -> Mould:
     """Signed reversal (-1)^r M^{reversed w}; inverts symmetral moulds."""
     def fn(word: Word, acc: int) -> Laurent:
-        v = mould.value(word.reverse(), acc)
+        v = mould.value(word[::-1], acc)
         return v if len(word) % 2 == 0 else -v
 
     return Mould(mould.alphabet, fn, constant=mould.constant, name=name or f"antipode({mould.name})")
@@ -526,7 +484,7 @@ def _shuffle_check(mould: Mould, max_length: int, character: bool, acc: int) -> 
         for lb in range(la, max_length - la + 1):
             for a in alphabet.words_of_length(la):
                 for b in alphabet.words_of_length(lb):
-                    if la == lb and b.idx < a.idx:
+                    if la == lb and b < a:
                         continue
                     report.pairs_checked += 1
                     lhs = Laurent.zero()

@@ -26,12 +26,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .birkhoff import BirkhoffEngine
-from .moulds import Alphabet, Word
+from .moulds import Alphabet
 from .scalars import GaussianRational, ONE, ZERO, format_scalar, parse_scalar
 
 __all__ = [
@@ -74,10 +74,6 @@ def mat_add(a: tuple, b: tuple) -> tuple:
 
 def mat_sub(a: tuple, b: tuple) -> tuple:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a: tuple) -> tuple:
-    return tuple(tuple(-x for x in row) for row in a)
 
 
 def mat_scale(c: GaussianRational, a: tuple) -> tuple:
@@ -171,9 +167,6 @@ class MatrixSeries:
 
     def __sub__(self, other: "MatrixSeries") -> "MatrixSeries":
         return MatrixSeries([mat_sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "MatrixSeries":
-        return MatrixSeries([mat_neg(a) for a in self.coeffs])
 
     def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
         out = []
@@ -340,16 +333,20 @@ class PerturbationProblem:
         }
 
 
+RANDOM_DENSITY = 0.8
+RANDOM_MAX_ABS = 2
+
+
 def random_problem(
     dim: int,
     order: int,
     seed: int,
     hbar: Fraction = Fraction(1),
-    density: float = 0.8,
-    max_abs: int = 2,
     degenerate: bool = False,
 ) -> PerturbationProblem:
-    """Seeded random Hermitian problem with small integer data."""
+    """Seeded random Hermitian problem with small integer data: each level
+    pair is coupled with probability RANDOM_DENSITY, and every integer part
+    lies in [-RANDOM_MAX_ABS, RANDOM_MAX_ABS]."""
     rng = random.Random(seed)
     if degenerate and dim >= 2:
         e0 = rng.sample(range(-6, 7), dim - 1)
@@ -359,11 +356,11 @@ def random_problem(
         e0 = rng.sample(range(-6, 7), dim)
     rows = [[ZERO] * dim for _ in range(dim)]
     for k in range(dim):
-        rows[k][k] = GaussianRational(rng.randint(-max_abs, max_abs))
+        rows[k][k] = GaussianRational(rng.randint(-RANDOM_MAX_ABS, RANDOM_MAX_ABS))
         for l in range(k + 1, dim):
-            if rng.random() < density:
-                re = rng.randint(-max_abs, max_abs)
-                im = rng.randint(-max_abs, max_abs)
+            if rng.random() < RANDOM_DENSITY:
+                re = rng.randint(-RANDOM_MAX_ABS, RANDOM_MAX_ABS)
+                im = rng.randint(-RANDOM_MAX_ABS, RANDOM_MAX_ABS)
                 rows[k][l] = GaussianRational(re, im)
                 rows[l][k] = rows[k][l].conjugate()
     return PerturbationProblem(
@@ -462,15 +459,13 @@ def spectral_decompose(problem: PerturbationProblem) -> SpectralDecomposition:
 # -- mould expansions ------------------------------------------------------------
 
 
-def _bracket_sum(
-    sd: SpectralDecomposition,
-    coeff_fn: Callable[[Word], GaussianRational],
-    max_order: int,
-    collector: dict,
-) -> list:
-    """Accumulate coeff(word) times the right-nested rescaled commutator of
-    the word's components over resonant words, by length, and record every
-    nonzero coefficient in ``collector``.
+def build_normal_form(
+    sd: SpectralDecomposition, engine: BirkhoffEngine
+) -> tuple:
+    """The normal-form series: order k sums N^w times the nested bracket
+    [B_(w1), [B_(w2), ... B_(wk)]] / (i hbar)^(k-1) over words of length
+    k.  Returns (MatrixSeries, {word: {"N": N^w, "S": S^w}}) over the
+    words with nonzero N^w.
 
     Words are walked right to left so each step costs one sparse bracket;
     branches die as soon as the bracket vanishes, and prefixes that cannot
@@ -478,20 +473,21 @@ def _bracket_sum(
     nonresonant words vanish by the support property, which the
     verification suite checks independently).
     """
-    dim = sd.problem.dim
-    totals = [zero_matrix(dim) for _ in range(max_order + 1)]
+    problem = sd.problem
+    K = problem.order
+    totals = [zero_matrix(problem.dim) for _ in range(K + 1)]
+    table: dict = {}
     letters = range(len(sd.alphabet))
     values = sd.alphabet.letters
-    reach = sd.reachable_sums(max_order)
+    reach = sd.reachable_sums(K)
 
     def visit(word: tuple, sigma: GaussianRational, bracket: Optional[tuple], depth: int):
         if depth > 0 and not sigma:
-            w = Word(word)
-            c = coeff_fn(w)
+            c = engine.coeff_N(word)
             if c:
                 totals[depth] = mat_add(totals[depth], mat_scale(c, bracket))
-                collector[w] = c
-        if depth == max_order:
+                table[word] = {"N": c, "S": engine.coeff_S(word)}
+        if depth == K:
             return
         for i in letters:
             if depth == 0:
@@ -501,28 +497,12 @@ def _bracket_sum(
             if mat_is_zero(extended):
                 continue
             sigma2 = sigma + values[i]
-            if -sigma2 not in reach[max_order - depth - 1]:
+            if -sigma2 not in reach[K - depth - 1]:
                 continue
             visit((i,) + word, sigma2, extended, depth + 1)
 
     visit((), ZERO, None, 0)
-    return totals
-
-
-def build_normal_form(
-    sd: SpectralDecomposition, engine: BirkhoffEngine
-) -> tuple:
-    """The normal-form series: order k sums N^w times the nested bracket
-    [B_(w1), [B_(w2), ... B_(wk)]] / (i hbar)^(k-1) over words of length
-    k.  Returns (MatrixSeries, word -> coefficient table)."""
-    problem = sd.problem
-    contributing: dict = {}
-    totals = _bracket_sum(sd, engine.coeff_N, problem.order, contributing)
-    terms = {k: totals[k] for k in range(1, problem.order + 1)}
-    table = {
-        w: {"N": c, "S": engine.coeff_S(w)} for w, c in contributing.items()
-    }
-    return MatrixSeries.from_orders(problem.dim, problem.order, terms), table
+    return MatrixSeries(totals), table
 
 
 def build_conjugator(sd: SpectralDecomposition, engine: BirkhoffEngine) -> tuple:
@@ -551,7 +531,7 @@ def build_conjugator(sd: SpectralDecomposition, engine: BirkhoffEngine) -> tuple
 
     def walk(k0: int, at: int, depth: int, product: GaussianRational, word: tuple):
         if depth:
-            s = coeff_S(Word(word))
+            s = coeff_S(word)
             if s:
                 cell = rows[depth][k0]
                 cell[at] = cell[at] + s * inv_pows[depth] * product
@@ -637,13 +617,9 @@ def verify_conjugacy(
         n_series.coefficient(k) == mat_adjoint(n_series.coefficient(k))
         for k in range(1, problem.order + 1)
     ]
-    trace_ok = {}
-    lhs_power = MatrixSeries.identity(problem.dim, problem.order)
-    rhs_power = MatrixSeries.identity(problem.dim, problem.order)
-    for p in range(1, problem.dim + 1):
-        lhs_power = lhs_power * h
-        rhs_power = rhs_power * rhs
-        trace_ok[p] = lhs_power.trace_by_order() == rhs_power.trace_by_order()
+    every = range(problem.dim)
+    pairs = zip(_power_traces(h, every), _power_traces(rhs, every))
+    trace_ok = {p: a == b for p, (a, b) in enumerate(pairs, start=1)}
     return ConjugacyReport(
         conjugacy_magnitude=[mat_magnitude(a) for a in residual.coeffs],
         unitarity_magnitude=[mat_magnitude(a) for a in unitarity.coeffs],
@@ -726,8 +702,8 @@ def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) ->
     blocks = {}
     for i, level in enumerate(e0):
         blocks.setdefault(level, []).append(i)
-    ours = [t for block in blocks.values() for t in _block_power_traces(n_series, block)]
-    theirs = [t for block in blocks.values() for t in _block_power_traces(oracle, block)]
+    ours = [t for block in blocks.values() for t in _power_traces(n_series, block)]
+    theirs = [t for block in blocks.values() for t in _power_traces(oracle, block)]
     off_block = [(i, j) for i in range(problem.dim) for j in range(problem.dim) if e0[i] != e0[j]]
     flags = []
     first = None
@@ -743,13 +719,13 @@ def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) ->
     return OracleReport(orders_equal=flags, first_mismatch=first)
 
 
-def _block_power_traces(series: MatrixSeries, block: list) -> list:
-    """[tr(B^p) by order for p = 1..len(block)], B the series restricted to
-    the rows and columns in ``block``."""
-    sub = MatrixSeries([tuple(tuple(a[i][j] for j in block) for i in block) for a in series.coeffs])
+def _power_traces(series: MatrixSeries, indices: Sequence[int]) -> list:
+    """[tr(B^p) by order for p = 1..len(indices)], B the series restricted
+    to the rows and columns in ``indices``."""
+    sub = MatrixSeries([tuple(tuple(a[i][j] for j in indices) for i in indices) for a in series.coeffs])
     power = sub
     traces = [power.trace_by_order()]
-    for _ in range(1, len(block)):
+    for _ in range(1, len(indices)):
         power = power * sub
         traces.append(power.trace_by_order())
     return traces
@@ -929,7 +905,7 @@ class NormalizationOutput:
 
     def to_json_dict(self) -> dict:
         alphabet = self.decomposition.alphabet
-        words = sorted(self.coefficient_table, key=lambda w: w.sort_key())
+        words = sorted(self.coefficient_table, key=lambda w: (len(w), w))
         return {
             "problem": self.problem.to_json_dict(),
             "alphabet": [format_scalar(v) for v in alphabet.letters],

@@ -221,7 +221,7 @@ def test_inverse_of_T_matches_antipode(engine, alphabet):
     word = alphabet.word_of("i", "2i")
     recursive = mould_inverse(engine.T)
     assert recursive.value(word, 1).agrees_with(
-        engine.T.value(word.reverse(), 1), 1
+        engine.T.value(word[::-1], 1), 1
     )
 
 

@@ -204,6 +204,29 @@ def test_output_file_and_env_dir(problem_file, tmp_path, monkeypatch, capsys):
     assert written[1]["R"] == "1"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "PROBLEM"],
+        ["oracle", "PROBLEM"],
+        ["moulds", "--alphabet", "i,-i", "-L", "2"],
+        ["verify", "--alphabet", "i,-i", "-L", "2"],
+    ],
+)
+def test_unwritable_output_exits_2_with_a_message(problem_file, tmp_path, monkeypatch, capsys, argv):
+    argv = [problem_file if a == "PROBLEM" else a for a in argv]
+    missing = tmp_path / "missing"
+    assert main(argv + ["-o", str(missing / "out.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ")
+    assert "Traceback" not in captured.err
+    # a relative path under a missing output directory fails the same way
+    monkeypatch.setenv("MOULDPERT_OUTPUT_DIR", str(missing))
+    assert main(argv + ["-o", "out.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert not missing.exists()
+
+
 def test_deterministic_output(problem_file, capsys):
     assert main(["solve", problem_file, "--order", "3"]) == 0
     first = capsys.readouterr().out

@@ -63,8 +63,8 @@ def component_for(sd, letter):
 
 def dense_nested_bracket(sd, word):
     """[B_(w1), [B_(w2), ... B_(wk)]] / (i hbar)^(k-1) by dense commutators."""
-    dense = sd.components[word.idx[-1]]
-    for i in word.idx[-2::-1]:
+    dense = sd.components[word[-1]]
+    for i in word[-2::-1]:
         dense = mat_scale(sd.inv_ihbar, mat_commutator(sd.components[i], dense))
     return dense
 
@@ -176,8 +176,8 @@ def test_nested_bracket_matches_dense_commutators():
     problem = random_problem(3, 3, seed=9)
     sd = spectral_decompose(problem)
     for word in sd.alphabet.words_up_to(3, include_empty=False):
-        sparse = sd.components[word.idx[-1]]
-        for i in word.idx[-2::-1]:
+        sparse = sd.components[word[-1]]
+        for i in word[-2::-1]:
             sparse = sd.sparse_left_bracket(i, sparse)
         assert sparse == dense_nested_bracket(sd, word)
 
@@ -315,12 +315,51 @@ def test_corrupted_normal_form_is_flagged_at_its_order():
     assert report.conjugacy_magnitude[2] == 0
 
 
+def test_trace_check_catches_a_changed_normal_form():
+    problem = two_level_problem(order=4)
+    out = solve(problem)
+    assert all(out.conjugacy.trace_ok.values())
+    # +1 on a diagonal entry of N_2 changes tr(H0 + N)
+    shifted = with_entry_added(out.n_series, 2, 0, 0, ONE)
+    report = verify_conjugacy(problem, shifted, out.c_series, out.w_series)
+    assert report.trace_ok[1] is False
+    # diag(1, -1) keeps the trace, and shows in tr((H0 + N)^2) through 2 tr(H0 N_2)
+    traceless = with_entry_added(shifted, 2, 1, 1, -ONE)
+    report = verify_conjugacy(problem, traceless, out.c_series, out.w_series)
+    assert report.trace_ok[1] is True
+    assert report.trace_ok[2] is False
+    assert not report.ok
+
+
 def test_degenerate_problem_passes_all_exact_checks():
     out = solve(degenerate_problem(order=4))
     assert out.conjugacy.ok
     assert out.oracle.ok
     assert out.ok
     assert out.eigen.kind == "degenerate"
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+@pytest.mark.parametrize("hbar", [Fraction(2), Fraction(1, 3)])
+def test_hbar_scaling_law(hbar, degenerate):
+    """N and C do not depend on hbar and W scales by it; letters scale by
+    1/hbar, so on a word of length r, N^w scales by hbar^(r-1) and S^w by
+    hbar^r."""
+    scale = GaussianRational(hbar)
+    for seed in range(3):
+        base = solve(random_problem(3, 4, seed=seed, degenerate=degenerate))
+        out = solve(random_problem(3, 4, seed=seed, hbar=hbar, degenerate=degenerate))
+        assert out.n_series == base.n_series
+        assert out.c_series == base.c_series
+        assert out.w_series == base.w_series.scale(scale)
+        base_letters = base.decomposition.alphabet
+        letters = out.decomposition.alphabet
+        mapped = {}
+        for word, coeffs in base.coefficient_table.items():
+            image = tuple(letters.index(base_letters.value(i) / scale) for i in word)
+            r = len(word)
+            mapped[image] = {"N": coeffs["N"] * scale ** (r - 1), "S": coeffs["S"] * scale ** r}
+        assert out.coefficient_table == mapped
 
 
 # -- hierarchy oracle -----------------------------------------------------------------------
