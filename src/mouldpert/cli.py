@@ -26,6 +26,7 @@ from .birkhoff import (
 )
 from .moulds import Alphabet
 from .operators import (
+    RANDOM_LEVELS,
     PerturbationProblem,
     compare_with_oracle,  # unused here; perfbench/tracing.py SPAN_POINTS patches this name
     random_problem,
@@ -201,6 +202,10 @@ def cmd_oracle(args) -> int:
     elif args.random_dim is not None:
         if args.seed is None:
             raise InputError("--random-dim requires --seed for reproducibility")
+        if not 1 <= args.random_dim <= len(RANDOM_LEVELS):
+            raise InputError(
+                f"--random-dim must be between 1 and {len(RANDOM_LEVELS)}, got {args.random_dim}"
+            )
         problem = _with_order(random_problem(args.random_dim, 4, args.seed), args.order)
     else:
         raise InputError("either a problem file or --random-dim is required")

@@ -80,13 +80,24 @@ def mat_scale(c: GaussianRational, a: tuple) -> tuple:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def _nonzero_rows(a: tuple) -> list:
+    """Per row of a, the (column, entry) pairs of its nonzero entries."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+
+
+def _accumulate(out: list, a_rows: list, b_rows: list) -> None:
+    """out += a b, with a and b given by their nonzero rows and out a list
+    of mutable rows; the work is proportional to the nonzero products."""
+    for out_row, a_row in zip(out, a_rows):
+        for j, x in a_row:
+            for l, y in b_rows[j]:
+                out_row[l] = out_row[l] + x * y
+
+
 def mat_mul(a: tuple, b: tuple) -> tuple:
-    dim = len(a)
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in cols)
-        for row in a
-    )
+    out = [[ZERO] * len(a) for _ in a]
+    _accumulate(out, _nonzero_rows(a), _nonzero_rows(b))
+    return tuple(tuple(row) for row in out)
 
 
 def mat_adjoint(a: tuple) -> tuple:
@@ -169,16 +180,14 @@ class MatrixSeries:
         return MatrixSeries([mat_sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
+        left = [_nonzero_rows(a) for a in self.coeffs]
+        right = [_nonzero_rows(b) for b in other.coeffs]
         out = []
         for k in range(self.order + 1):
-            acc = zero_matrix(self.dim)
+            acc = [[ZERO] * self.dim for _ in range(self.dim)]
             for j in range(k + 1):
-                a = self.coeffs[j]
-                b = other.coeffs[k - j]
-                if mat_is_zero(a) or mat_is_zero(b):
-                    continue
-                acc = mat_add(acc, mat_mul(a, b))
-            out.append(acc)
+                _accumulate(acc, left[j], right[k - j])
+            out.append(tuple(tuple(row) for row in acc))
         return MatrixSeries(out)
 
     def scale(self, c: GaussianRational) -> "MatrixSeries":
@@ -333,6 +342,7 @@ class PerturbationProblem:
         }
 
 
+RANDOM_LEVELS = range(-6, 7)
 RANDOM_DENSITY = 0.8
 RANDOM_MAX_ABS = 2
 
@@ -344,16 +354,18 @@ def random_problem(
     hbar: Fraction = Fraction(1),
     degenerate: bool = False,
 ) -> PerturbationProblem:
-    """Seeded random Hermitian problem with small integer data: each level
-    pair is coupled with probability RANDOM_DENSITY, and every integer part
-    lies in [-RANDOM_MAX_ABS, RANDOM_MAX_ABS]."""
+    """Seeded random Hermitian problem with small integer data: the levels
+    are distinct values drawn from RANDOM_LEVELS (one repeated if
+    degenerate), each level pair is coupled with probability
+    RANDOM_DENSITY, and every integer part of V lies in
+    [-RANDOM_MAX_ABS, RANDOM_MAX_ABS]."""
     rng = random.Random(seed)
     if degenerate and dim >= 2:
-        e0 = rng.sample(range(-6, 7), dim - 1)
+        e0 = rng.sample(RANDOM_LEVELS, dim - 1)
         e0.append(e0[0])
         rng.shuffle(e0)
     else:
-        e0 = rng.sample(range(-6, 7), dim)
+        e0 = rng.sample(RANDOM_LEVELS, dim)
     rows = [[ZERO] * dim for _ in range(dim)]
     for k in range(dim):
         rows[k][k] = GaussianRational(rng.randint(-RANDOM_MAX_ABS, RANDOM_MAX_ABS))
@@ -403,8 +415,8 @@ class SpectralDecomposition:
         for (k, l), lam in letter_of.items():
             components[self.alphabet.index(lam)][k][l] = problem.v[k][l]
         self.components = tuple(tuple(tuple(row) for row in comp) for comp in components)
-        # (row, col, entry, letter index) quadruples per component, and a
-        # per-row adjacency view for chain walks
+        # (row, col, entry) triples per component, and a per-row adjacency
+        # view of (col, letter index, entry) for chain walks
         self.entries = tuple(
             tuple(
                 (k, l, comp[k][l])
@@ -468,14 +480,15 @@ def build_normal_form(
     words with nonzero N^w.
 
     Words are walked right to left so each step costs one sparse bracket;
-    branches die as soon as the bracket vanishes, and prefixes that cannot
-    be completed to a word with zero letter sum are pruned (coefficients of
-    nonresonant words vanish by the support property, which the
-    verification suite checks independently).
+    prefixes that cannot be completed to a word with zero letter sum are
+    pruned before their bracket is formed (coefficients of nonresonant
+    words vanish by the support property, which the verification suite
+    checks independently), and branches die as soon as the bracket
+    vanishes.
     """
     problem = sd.problem
     K = problem.order
-    totals = [zero_matrix(problem.dim) for _ in range(K + 1)]
+    totals = [[[ZERO] * problem.dim for _ in range(problem.dim)] for _ in range(K + 1)]
     table: dict = {}
     letters = range(len(sd.alphabet))
     values = sd.alphabet.letters
@@ -485,24 +498,27 @@ def build_normal_form(
         if depth > 0 and not sigma:
             c = engine.coeff_N(word)
             if c:
-                totals[depth] = mat_add(totals[depth], mat_scale(c, bracket))
+                for out_row, row in zip(totals[depth], bracket):
+                    for j, x in enumerate(row):
+                        if x:
+                            out_row[j] = out_row[j] + c * x
                 table[word] = {"N": c, "S": engine.coeff_S(word)}
         if depth == K:
             return
         for i in letters:
+            sigma2 = sigma + values[i]
+            if -sigma2 not in reach[K - depth - 1]:
+                continue
             if depth == 0:
                 extended = sd.components[i]
             else:
                 extended = sd.sparse_left_bracket(i, bracket)
             if mat_is_zero(extended):
                 continue
-            sigma2 = sigma + values[i]
-            if -sigma2 not in reach[K - depth - 1]:
-                continue
             visit((i,) + word, sigma2, extended, depth + 1)
 
     visit((), ZERO, None, 0)
-    return MatrixSeries(totals), table
+    return MatrixSeries([tuple(tuple(row) for row in rows) for rows in totals]), table
 
 
 def build_conjugator(sd: SpectralDecomposition, engine: BirkhoffEngine) -> tuple:

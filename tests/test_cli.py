@@ -189,6 +189,13 @@ def test_oracle_random_requires_seed(capsys):
     assert main(["oracle", "--random-dim", "3"]) == 2
 
 
+@pytest.mark.parametrize("dim", ["0", "14", "-3"])
+def test_oracle_random_dim_out_of_range_exits_2(capsys, dim):
+    assert main(["oracle", "--random-dim", dim, "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --random-dim must be between 1 and 13, got {dim}\n"
+
+
 def test_oracle_random_seeded(capsys):
     assert main(["oracle", "--random-dim", "3", "--seed", "7", "--order", "3"]) == 0
     data = read_json(capsys)

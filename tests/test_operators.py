@@ -1,8 +1,10 @@
 """Matrix application: decomposition, expansions, oracle, numeric checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import mouldpert
 from mouldpert import moulds, operators
@@ -11,6 +13,7 @@ from mouldpert.moulds import mould_log
 from mouldpert.operators import (
     MatrixSeries,
     PerturbationProblem,
+    SpectralDecomposition,
     build_conjugator,
     build_normal_form,
     compare_with_oracle,
@@ -21,6 +24,7 @@ from mouldpert.operators import (
     mat_adjoint,
     mat_commutator,
     mat_is_zero,
+    mat_mul,
     mat_scale,
     mat_sub,
     random_problem,
@@ -55,6 +59,25 @@ def degenerate_problem(order=4):
         (gr(1), gr(0, -2), gr(-1)),
     )
     return PerturbationProblem(e0=(Fraction(0), Fraction(0), Fraction(1)), v=v, order=order)
+
+
+def sparse_half_integer_problem(dim, order, seed):
+    """A problem shaped like the wide benchmark problems: distinct
+    half-integer levels from (-40, 40), 15% of the level pairs coupled by
+    small nonzero Gaussian integers, small integer diagonal."""
+    rng = random.Random(seed)
+    e0 = [Fraction(2 * k + 1, 2) for k in rng.sample(range(-40, 40), dim)]
+    pairs = [(k, l) for k in range(dim) for l in range(k + 1, dim)]
+    v = [[ZERO] * dim for _ in range(dim)]
+    for k in range(dim):
+        v[k][k] = gr(rng.randint(-2, 2))
+    for k, l in rng.sample(pairs, round(Fraction(15, 100) * len(pairs))):
+        re = im = 0
+        while not (re or im):
+            re, im = rng.randint(-2, 2), rng.randint(-2, 2)
+        v[k][l] = gr(re, im)
+        v[l][k] = v[k][l].conjugate()
+    return PerturbationProblem(e0=tuple(e0), v=tuple(tuple(row) for row in v), order=order)
 
 
 def component_for(sd, letter):
@@ -213,6 +236,65 @@ def test_first_order_normal_form_is_the_resonant_part():
         assert out.n_series.coefficient(1) == problem.resonant_part(problem.v)
 
 
+def unpruned_normal_form(sd, engine, order):
+    """N^w times the dense nested bracket of w, summed over every word up to
+    the order: no reachability pruning and no early exit on a zero bracket."""
+    dim = sd.problem.dim
+    terms = {k: zero_matrix(dim) for k in range(1, order + 1)}
+    for w in sd.alphabet.words_up_to(order, include_empty=False):
+        c = engine.coeff_N(w)
+        if c:
+            terms[len(w)] = mat_add(terms[len(w)], mat_scale(c, dense_nested_bracket(sd, w)))
+    return MatrixSeries.from_orders(dim, order, terms)
+
+
+WALK_PROBLEMS = {
+    "random-0": lambda: random_problem(3, 4, seed=0),
+    "random-1": lambda: random_problem(3, 4, seed=1),
+    "degenerate-0": lambda: random_problem(3, 4, seed=0, degenerate=True),
+    "degenerate-1": lambda: random_problem(3, 4, seed=1, degenerate=True),
+    "half-integer": lambda: sparse_half_integer_problem(8, 2, seed=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_PROBLEMS))
+def test_pruned_walk_equals_the_unpruned_sum(name):
+    problem = WALK_PROBLEMS[name]()
+    sd = spectral_decompose(problem)
+    engine = BirkhoffEngine(sd.alphabet)
+    n_series, _ = build_normal_form(sd, engine)
+    assert n_series == unpruned_normal_form(sd, engine, problem.order)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_PROBLEMS))
+def test_brackets_are_formed_only_on_prefixes_that_can_close(monkeypatch, name):
+    """A prefix whose letter sum cannot return to zero within the order is
+    pruned before its bracket is computed."""
+    problem = WALK_PROBLEMS[name]()
+    sd = spectral_decompose(problem)
+    order = problem.order
+    reach = sd.reachable_sums(order)
+    values = sd.alphabet.letters
+    # the walk passes each bracket on to the next call, so its object
+    # identity names its word; `made` keeps every bracket alive
+    word_of = {id(component): (i,) for i, component in enumerate(sd.components)}
+    made = []
+    original = SpectralDecomposition.sparse_left_bracket
+
+    def checked(self, letter_index, x):
+        word = (letter_index,) + word_of[id(x)]
+        total = sum((values[i] for i in word), ZERO)
+        assert -total in reach[order - len(word)], sd.alphabet.render_word(word)
+        result = original(self, letter_index, x)
+        word_of[id(result)] = word
+        made.append(result)
+        return result
+
+    monkeypatch.setattr(SpectralDecomposition, "sparse_left_bracket", checked)
+    build_normal_form(sd, BirkhoffEngine(sd.alphabet))
+    assert made
+
+
 # -- conjugator and generator -----------------------------------------------------------
 
 
@@ -329,6 +411,15 @@ def test_trace_check_catches_a_changed_normal_form():
     assert report.trace_ok[1] is True
     assert report.trace_ok[2] is False
     assert not report.ok
+
+
+def test_wide_sparse_problem_passes_every_check():
+    problem = sparse_half_integer_problem(12, 2, seed=0)
+    out = solve(problem)
+    assert out.ok
+    assert out.oracle.ok
+    assert sorted(out.conjugacy.trace_ok) == list(range(1, 13))
+    assert all(out.conjugacy.trace_ok.values())
 
 
 def test_degenerate_problem_passes_all_exact_checks():
@@ -500,6 +591,94 @@ def test_series_mul_truncates():
     assert mat_is_zero(b.coefficient(1))
     assert b.coefficient(2) == identity_matrix(2)
     assert (a * b).coefficient(2) == zero_matrix(2)
+
+
+def dense_mul(a, b):
+    """The product by the textbook triple loop."""
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][j] * b[j][l] for j in range(n)), ZERO) for l in range(n))
+        for i in range(n)
+    )
+
+
+def dense_series_mul(a, b):
+    """The truncated product by convolution of dense coefficient products."""
+    coeffs = []
+    for k in range(a.order + 1):
+        acc = zero_matrix(a.dim)
+        for j in range(k + 1):
+            acc = mat_add(acc, dense_mul(a.coefficient(j), b.coefficient(k - j)))
+        coeffs.append(acc)
+    return MatrixSeries(coeffs)
+
+
+ENTRIES = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        lambda re, im, den: gr(Fraction(re, den), Fraction(im, den)),
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+        st.integers(1, 3),
+    ),
+)
+
+
+@st.composite
+def sparse_matrices(draw, dim):
+    """Small Gaussian-rational matrices, some rows and columns all zero."""
+    zero_rows = draw(st.sets(st.integers(0, dim - 1)))
+    zero_cols = draw(st.sets(st.integers(0, dim - 1)))
+    return tuple(
+        tuple(ZERO if i in zero_rows or j in zero_cols else draw(ENTRIES) for j in range(dim))
+        for i in range(dim)
+    )
+
+
+def sparse_series(dim, order):
+    coefficient = st.one_of(st.just(zero_matrix(dim)), sparse_matrices(dim))
+    return st.lists(coefficient, min_size=order + 1, max_size=order + 1).map(MatrixSeries)
+
+
+@given(data=st.data(), dim=st.integers(1, 5))
+def test_mat_mul_matches_a_dense_triple_loop(data, dim):
+    a = data.draw(sparse_matrices(dim))
+    b = data.draw(sparse_matrices(dim))
+    assert mat_mul(a, b) == dense_mul(a, b)
+
+
+@given(data=st.data(), dim=st.integers(1, 5), order=st.integers(0, 3))
+def test_series_product_matches_a_dense_convolution(data, dim, order):
+    a = data.draw(sparse_series(dim, order))
+    b = data.draw(sparse_series(dim, order))
+    assert a * b == dense_series_mul(a, b)
+
+
+def test_products_that_cancel_exactly_are_zero():
+    a = ((gr(1), gr(1, 1)), (gr(1, 2), gr(0)))
+    b = ((gr(1), gr(0)), (gr(Fraction(-1, 2), Fraction(1, 2)), gr(0)))  # 1 + (1+i)(-1+i)/2 = 0
+    assert mat_mul(a, b)[0] == (ZERO, ZERO)
+    assert mat_mul(a, b) == dense_mul(a, b)
+    x = MatrixSeries([identity_matrix(2), a])
+    y = MatrixSeries([b, mat_scale(-ONE, mat_mul(a, b))])  # order 1: a b - a b
+    product = x * y
+    assert product.coefficient(1) == zero_matrix(2)
+    assert product == dense_series_mul(x, y)
+
+
+def test_power_traces_match_dense_powers():
+    problem = sparse_half_integer_problem(10, 2, seed=1)
+    h = problem.h_series()
+    for indices in (range(10), [0, 3, 4, 9]):
+        sub = MatrixSeries(
+            [tuple(tuple(a[i][j] for j in indices) for i in indices) for a in h.coeffs]
+        )
+        power = sub
+        expected = []
+        for _ in indices:
+            expected.append([sum((a[i][i] for i in range(len(indices))), ZERO) for a in power.coeffs])
+            power = dense_series_mul(power, sub)
+        assert operators._power_traces(h, indices) == expected
 
 
 def test_series_exp_requires_vanishing_order_zero():
