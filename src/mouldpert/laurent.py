@@ -116,6 +116,10 @@ class Laurent:
     def is_exact_zero(self) -> bool:
         return not self._coeffs and self._acc is None
 
+    def __bool__(self) -> bool:
+        """False only for the exact zero (a windowed zero is unknown above it)."""
+        return not self.is_exact_zero
+
     @property
     def min_degree(self) -> Optional[int]:
         """Degree of the lowest stored coefficient; None if no term is stored."""

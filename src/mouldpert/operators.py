@@ -2,27 +2,29 @@
 
 A perturbation problem is H0 + mu*V with H0 = diag(E0) exact-rational and
 V an exact Hermitian matrix.  V splits into eigencomponents B_lam of the
-rescaled commutator with H0; words of components weighted by the N mould
-build the normal form, words weighted by the S mould build the unitary
-conjugator, and its Hermitian generator is W = i hbar log C, taken by the
-truncated matrix logarithm.  (W also equals the sum of log(S)^w / len(w)
-times the nested bracket of w over all words; the tests keep that mould
-expansion as an independent cross-check, but it costs a sum over all
-compositions of every word, so the pipeline never evaluates it.)
-Everything is exact except the final optional comparison against a
-double-precision eigensolver.
+rescaled commutator with H0.  The normal form N and the unitary
+conjugator C come from one Birkhoff decomposition of the matrix series
+(``build_conjugator``), which contracts the moulds with ordered products
+of components and enumerates no words; the Hermitian generator is
+W = i hbar log C, by the truncated matrix logarithm.  The word route
+(``build_normal_form``, N^w times nested brackets) fills only the
+coefficient table of the solve JSON; the tests keep it, and the mould
+expansion of W (log(S)^w / len(w) times nested brackets), as independent
+references.  Everything is exact except the final optional comparison
+against a double-precision eigensolver.
 
 Sign conventions: the entry in row k, column l of V belongs to the
 component with letter lam = (E0(k) - E0(l)) / (i hbar), which is exactly
 the eigenvalue of X -> [H0, X] / (i hbar) on that matrix unit.
 
-Problems share no state (each carries its own decomposition and engine),
+Problems share no state (each carries its own decomposition),
 so distinct problems may be processed in parallel; within one problem,
 exact arithmetic makes every accumulation order independent.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .birkhoff import BirkhoffEngine
+from .laurent import Laurent
 from .moulds import Alphabet
 from .scalars import GaussianRational, ONE, ZERO, format_scalar, parse_scalar
 
@@ -180,8 +183,11 @@ class MatrixSeries:
         return MatrixSeries([mat_sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
+        return self.times_rows([_nonzero_rows(b) for b in other.coeffs])
+
+    def times_rows(self, right: list) -> "MatrixSeries":
+        """self times the series whose coefficients have the nonzero rows ``right``."""
         left = [_nonzero_rows(a) for a in self.coeffs]
-        right = [_nonzero_rows(b) for b in other.coeffs]
         out = []
         for k in range(self.order + 1):
             acc = [[ZERO] * self.dim for _ in range(self.dim)]
@@ -415,8 +421,8 @@ class SpectralDecomposition:
         for (k, l), lam in letter_of.items():
             components[self.alphabet.index(lam)][k][l] = problem.v[k][l]
         self.components = tuple(tuple(tuple(row) for row in comp) for comp in components)
-        # (row, col, entry) triples per component, and a per-row adjacency
-        # view of (col, letter index, entry) for chain walks
+        # (row, col, entry) triples per component, for the sparse brackets
+        # of the word route
         self.entries = tuple(
             tuple(
                 (k, l, comp[k][l])
@@ -426,13 +432,6 @@ class SpectralDecomposition:
             )
             for comp in self.components
         )
-        adjacency = [[] for _ in range(dim)]
-        for letter_index, comp in enumerate(self.components):
-            for k in range(dim):
-                for l in range(dim):
-                    if comp[k][l]:
-                        adjacency[k].append((l, letter_index, comp[k][l]))
-        self.adjacency = tuple(tuple(row) for row in adjacency)
         self.inv_ihbar = GaussianRational(0, -inv_hbar)
 
     def sparse_left_bracket(self, letter_index: int, x: tuple) -> tuple:
@@ -477,7 +476,9 @@ def build_normal_form(
     """The normal-form series: order k sums N^w times the nested bracket
     [B_(w1), [B_(w2), ... B_(wk)]] / (i hbar)^(k-1) over words of length
     k.  Returns (MatrixSeries, {word: {"N": N^w, "S": S^w}}) over the
-    words with nonzero N^w.
+    words with nonzero N^w.  This word route fills only the coefficient
+    table of the solve JSON; ``solve`` takes N from ``build_conjugator``,
+    and the tests hold the two equal.
 
     Words are walked right to left so each step costs one sparse bracket;
     prefixes that cannot be completed to a word with zero letter sum are
@@ -521,46 +522,48 @@ def build_normal_form(
     return MatrixSeries([tuple(tuple(row) for row in rows) for rows in totals]), table
 
 
-def build_conjugator(sd: SpectralDecomposition, engine: BirkhoffEngine) -> tuple:
-    """The unitary conjugator C and its Hermitian generator W.
-
-    Order k of C sums S^w (1/(i hbar))^k B_(w1) ... B_(wk) over words of
-    length k, accumulated by walking index chains of V so only nonzero
-    products are ever touched.  The generator is W = i hbar log C by the
-    truncated matrix logarithm, so exp((1/(i hbar)) W) = C holds by
-    construction; its Hermiticity still tests the unitarity of C.  The
-    mould expansion of W (log S weighted by 1/len(word) over nested
-    brackets) agrees exactly and is kept as a cross-check in the tests.
+def build_conjugator(sd: SpectralDecomposition) -> tuple:
+    """(C, W, N) by the Birkhoff decomposition of the matrix series:
+    Phi(A)_k = sum over |w| = k of A^w B_(w1) ... B_(wk) turns
+    U_minus x T = U_plus into Phi(U_minus) Phi(T) = Phi(U_plus), solved
+    order by order.  Letter sums telescope along index chains a -> c to
+    s(a, c) = (E0(a) - E0(c)) / (i hbar), so Phi(T)_k is Phi(T)_(k-1) V with
+    entry (a, c) over s(a, c) + k e, and no word is enumerated.  From
+    X_k = sum over j < k of Phi(U_minus)_j Phi(T)_(k-j): Phi(U_minus)_k =
+    -polar(X_k), C_k = const(X_k) / (i hbar)^k, and N_k = k res(X_k) /
+    (i hbar)^(k-1), as N is alternal (Dynkin-Specht-Wever).  Factors are
+    inverted through e^K; the Laurent accuracy bookkeeping raises if that
+    window is short.  W = i hbar log C, whose Hermiticity tests unitarity.
     """
     problem = sd.problem
-    dim = problem.dim
-    K = problem.order
-    inv_pows = [ONE]
-    for _ in range(K):
-        inv_pows.append(inv_pows[-1] * sd.inv_ihbar)
-    rows = [
-        [[ONE if (k == 0 and i == j) else ZERO for j in range(dim)] for i in range(dim)]
-        for k in range(K + 1)
-    ]
-    coeff_S = engine.coeff_S
-    adjacency = sd.adjacency
+    dim, K = problem.dim, problem.order
+    gap = [[sd.inv_ihbar * GaussianRational(a - c) for c in problem.e0] for a in problem.e0]
 
-    def walk(k0: int, at: int, depth: int, product: GaussianRational, word: tuple):
-        if depth:
-            s = coeff_S(word)
-            if s:
-                cell = rows[depth][k0]
-                cell[at] = cell[at] + s * inv_pows[depth] * product
-        if depth == K:
-            return
-        for nxt, letter_index, entry in adjacency[at]:
-            walk(k0, nxt, depth + 1, product * entry, word + (letter_index,))
+    @functools.cache
+    def inverse(s: GaussianRational, k: int) -> Laurent:
+        if s:
+            return Laurent.from_pairs([(0, s), (1, k)]).inverse(K)
+        return Laurent.monomial(GaussianRational(Fraction(1, k)), -1)
 
-    for k0 in range(dim):
-        walk(k0, k0, 0, ONE, ())
-    c_series = MatrixSeries([tuple(tuple(r) for r in rows[k]) for k in range(K + 1)])
+    v_rows = _nonzero_rows(problem.v)
+    one = [[(a, Laurent.one())] for a in range(dim)]
+    t_rows, u_rows = [one], [one]  # nonzero rows of Phi(T)_j and Phi(U_minus)_j
+    c_coeffs, n_coeffs = [identity_matrix(dim)], [zero_matrix(dim)]
+    for k in range(1, K + 1):
+        step = [[Laurent.zero()] * dim for _ in range(dim)]
+        _accumulate(step, t_rows[-1], v_rows)
+        step_rows = enumerate(_nonzero_rows(step))
+        t_rows.append([[(c, y * inverse(gap[a][c], k)) for c, y in row] for a, row in step_rows])
+        x = [[Laurent.zero()] * dim for _ in range(dim)]
+        for j in range(k):
+            _accumulate(x, u_rows[j], t_rows[k - j])
+        u_rows.append(_nonzero_rows([[-y.polar_part() for y in row] for row in x]))
+        c_scale, n_scale = sd.inv_ihbar ** k, k * sd.inv_ihbar ** (k - 1)
+        c_coeffs.append(tuple(tuple(y.constant_term() * c_scale for y in row) for row in x))
+        n_coeffs.append(tuple(tuple(y.residue() * n_scale for y in row) for row in x))
+    c_series = MatrixSeries(c_coeffs)
     w_series = series_log(c_series).scale(GaussianRational(0, problem.hbar))
-    return c_series, w_series
+    return c_series, w_series, MatrixSeries(n_coeffs)
 
 
 # -- verification ------------------------------------------------------------------
@@ -739,10 +742,11 @@ def _power_traces(series: MatrixSeries, indices: Sequence[int]) -> list:
     """[tr(B^p) by order for p = 1..len(indices)], B the series restricted
     to the rows and columns in ``indices``."""
     sub = MatrixSeries([tuple(tuple(a[i][j] for j in indices) for i in indices) for a in series.coeffs])
+    sub_rows = [_nonzero_rows(a) for a in sub.coeffs]
     power = sub
     traces = [power.trace_by_order()]
     for _ in range(1, len(indices)):
-        power = power * sub
+        power = power.times_rows(sub_rows)
         traces.append(power.trace_by_order())
     return traces
 
@@ -905,11 +909,9 @@ def _numeric_sample(
 class NormalizationOutput:
     problem: PerturbationProblem
     decomposition: SpectralDecomposition
-    engine: BirkhoffEngine
     n_series: MatrixSeries
     c_series: MatrixSeries
     w_series: MatrixSeries
-    coefficient_table: dict
     conjugacy: ConjugacyReport
     oracle: OracleReport
     eigen: EigenvalueSeries
@@ -918,6 +920,11 @@ class NormalizationOutput:
     @property
     def ok(self) -> bool:
         return self.conjugacy.ok and self.oracle.ok
+
+    @functools.cached_property
+    def coefficient_table(self) -> dict:
+        """The word route's {word: {"N": N^w, "S": S^w}}, built on first read."""
+        return build_normal_form(self.decomposition, BirkhoffEngine(self.decomposition.alphabet))[1]
 
     def to_json_dict(self) -> dict:
         alphabet = self.decomposition.alphabet
@@ -953,18 +960,14 @@ class NormalizationOutput:
 def solve(problem: PerturbationProblem, mu_samples: Sequence[Fraction] = ()) -> NormalizationOutput:
     """Run the whole pipeline on one problem and verify it."""
     sd = spectral_decompose(problem)
-    engine = BirkhoffEngine(sd.alphabet)
-    n_series, table = build_normal_form(sd, engine)
-    c_series, w_series = build_conjugator(sd, engine)
+    c_series, w_series, n_series = build_conjugator(sd)
     eigen = eigenvalue_series(problem, n_series)
     return NormalizationOutput(
         problem=problem,
         decomposition=sd,
-        engine=engine,
         n_series=n_series,
         c_series=c_series,
         w_series=w_series,
-        coefficient_table=table,
         conjugacy=verify_conjugacy(problem, n_series, c_series, w_series),
         oracle=compare_with_oracle(problem, n_series),
         eigen=eigen,

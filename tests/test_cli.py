@@ -319,6 +319,26 @@ def test_oracle_on_a_degenerate_problem(tmp_path, capsys):
     assert read_json(capsys)["verification"]["oracle_match"] is True
 
 
+@pytest.mark.parametrize("dim,order,degenerate", [(6, 8, False), (5, 6, True)])
+def test_oracle_enumerates_no_words(tmp_path, monkeypatch, capsys, dim, order, degenerate):
+    """oracle takes N and C from the matrix decomposition: it builds no
+    Birkhoff engine and forms no nested bracket, also on problems out of
+    the word route's reach."""
+    from mouldpert import operators
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle must not enumerate words")
+
+    monkeypatch.setattr(operators, "BirkhoffEngine", forbidden)
+    monkeypatch.setattr(operators.SpectralDecomposition, "sparse_left_bracket", forbidden)
+    problem = operators.random_problem(dim, order, seed=3, degenerate=degenerate)
+    path = write_problem(tmp_path, problem.to_json_dict())
+    assert main(["oracle", path]) == 0
+    data = read_json(capsys)
+    assert data["oracle_match"]["match"] is True
+    assert data["conjugacy_ok"] is True
+
+
 LITERALS = ("0", "1", "-1", "2", "1/2", "-3/4", "i", "-2i", "1+i", "1/2-i", "x", "", "1/0")
 JUNK = st.one_of(
     st.none(),

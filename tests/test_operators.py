@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import mouldpert
 from mouldpert import moulds, operators
@@ -300,21 +300,58 @@ def test_brackets_are_formed_only_on_prefixes_that_can_close(monkeypatch, name):
 
 def test_conjugator_at_order_zero_is_identity():
     problem = two_level_problem(order=0)
-    sd = spectral_decompose(problem)
-    engine = BirkhoffEngine(sd.alphabet)
-    c_series, w_series = build_conjugator(sd, engine)
+    c_series, w_series, n_series = build_conjugator(spectral_decompose(problem))
     assert c_series == MatrixSeries.identity(2, 0)
     assert w_series == MatrixSeries.zeros(2, 0)
+    assert n_series == MatrixSeries.zeros(2, 0)
 
 
 def test_conjugator_first_order_matches_hand_value():
     problem = two_level_problem(order=2)
-    sd = spectral_decompose(problem)
-    engine = BirkhoffEngine(sd.alphabet)
-    c_series, _ = build_conjugator(sd, engine)
+    c_series, _, _ = build_conjugator(spectral_decompose(problem))
     # (1/i)(S^(i) B_i + S^(-i) B_(-i)) with S^(lam) = 1/lam
     assert c_series.coefficient(1) == ((gr(0), gr(-1)), (gr(1), gr(0)))
     assert c_series.coefficient(2) == ((gr(Fraction(-1, 2)), gr(0)), (gr(0), gr(Fraction(-1, 2))))
+
+
+def dense_conjugator(sd, engine, order):
+    """C as S^w (i hbar)^(-len(w)) times B_(w1) ... B_(wk) by mat_mul,
+    summed over every word up to the order (a word whose prefix product
+    vanishes adds nothing, so its extensions are skipped)."""
+    dim = sd.problem.dim
+    terms = {0: identity_matrix(dim)}
+    frontier = [((), identity_matrix(dim))]
+    for k in range(1, order + 1):
+        grown = []
+        terms[k] = zero_matrix(dim)
+        for word, product in frontier:
+            for i, component in enumerate(sd.components):
+                extended = mat_mul(product, component)
+                if not mat_is_zero(extended):
+                    grown.append((word + (i,), extended))
+                    weight = engine.coeff_S(word + (i,)) * sd.inv_ihbar ** k
+                    terms[k] = mat_add(terms[k], mat_scale(weight, extended))
+        frontier = grown
+    return MatrixSeries.from_orders(dim, order, terms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.integers(2, 4),
+    order=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    degenerate=st.booleans(),
+    hbar=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3)]),
+)
+def test_matrix_decomposition_equals_the_word_routes(dim, order, seed, degenerate, hbar):
+    """N from the matrix decomposition equals the bracket sum over words,
+    and C equals the S mould contracted with ordered products."""
+    problem = random_problem(dim, order, seed=seed, hbar=hbar, degenerate=degenerate)
+    sd = spectral_decompose(problem)
+    engine = BirkhoffEngine(sd.alphabet)
+    c_series, _, n_series = build_conjugator(sd)
+    assert n_series == build_normal_form(sd, engine)[0]
+    assert c_series == dense_conjugator(sd, engine, order)
 
 
 def test_unitarity_on_random_problems():
@@ -351,7 +388,8 @@ def test_generator_is_hermitian_and_exponentiates_to_C():
         out = solve(problem)
         assert out.conjugacy.generator_hermitian
         # independent route: the mould expansion of W from log S
-        w_mould = mould_generator(out.decomposition, out.engine, problem.order)
+        engine = BirkhoffEngine(out.decomposition.alphabet)
+        w_mould = mould_generator(out.decomposition, engine, problem.order)
         assert w_mould == out.w_series
         assert series_exp(w_mould.scale(out.decomposition.inv_ihbar)) == out.c_series
 

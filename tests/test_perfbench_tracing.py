@@ -42,12 +42,19 @@ def test_traced_commands_complete(tracing, tmp_path, degenerate):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main([command, str(path)]) == 0
             record = tracer.op_record()
-            assert record["alphabet_size"] > 0
-            assert record["pair_entries"] > 0
-            assert record["words_contributing"] > 0
             assert record["max_coeff_bits"] > 0
+            if command == "oracle":
+                # N and C come from the matrix decomposition: no engine, no words
+                assert record["alphabet_size"] == 0
+                assert record["pair_entries"] == 0
+                assert record["words_contributing"] == 0
+            else:
+                assert record["alphabet_size"] > 0
+                assert record["pair_entries"] > 0
+                assert record["words_contributing"] > 0
     names = {span[0] for span in tracer.spans}
-    assert {"cli.io", "operators.solve", "operators.normal_form", "operators.oracle"} <= names
+    expected = {"cli.io", "operators.solve", "operators.normal_form", "operators.conjugator", "operators.oracle"}
+    assert expected <= names
     assert "operators.oracle" in tracer.op_totals(0)
     # the patched names are restored on exit
     from mouldpert import birkhoff, cli, operators
