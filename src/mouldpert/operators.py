@@ -739,16 +739,43 @@ def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) ->
 
 
 def _power_traces(series: MatrixSeries, indices: Sequence[int]) -> list:
-    """[tr(B^p) by order for p = 1..len(indices)], B the series restricted
-    to the rows and columns in ``indices``."""
+    """[tr(B^p) by order for p = 1..n], n = len(indices), B the series
+    restricted to the rows and columns in ``indices``.
+
+    Only B^1..B^m, m = ceil(n/2), are formed as series products.  For
+    p > m, tr(B^p) is taken order by order as the sum over i, j of
+    (B^m)_ij (B^(p-m))_ji, with p - m <= m: one pass over the nonzero
+    entries of B^m instead of another product.  Every trace still comes
+    from B alone."""
+    n = len(indices)
     sub = MatrixSeries([tuple(tuple(a[i][j] for j in indices) for i in indices) for a in series.coeffs])
     sub_rows = [_nonzero_rows(a) for a in sub.coeffs]
-    power = sub
-    traces = [power.trace_by_order()]
-    for _ in range(1, len(indices)):
-        power = power.times_rows(sub_rows)
-        traces.append(power.trace_by_order())
+    powers = [sub]
+    for _ in range(1, (n + 1) // 2):
+        powers.append(powers[-1].times_rows(sub_rows))
+    m = len(powers)
+    top_rows = [_nonzero_rows(a) for a in powers[-1].coeffs]
+    traces = [power.trace_by_order() for power in powers]
+    for p in range(m + 1, n + 1):
+        traces.append(_product_trace(top_rows, powers[p - m - 1].coeffs))
     return traces
+
+
+def _product_trace(left: list, right: Sequence[tuple]) -> list:
+    """tr(X Y) by order, X a series given by the nonzero rows of its
+    coefficients and Y by its coefficient matrices."""
+    out = []
+    for k in range(len(left)):
+        total = ZERO
+        for j in range(k + 1):
+            b = right[k - j]
+            for i, row in enumerate(left[j]):
+                for l, x in row:
+                    y = b[l][i]
+                    if y:
+                        total = total + x * y
+        out.append(total)
+    return out
 
 
 # -- eigenvalue series and the numeric cross-check ------------------------------------

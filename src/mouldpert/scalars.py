@@ -23,6 +23,10 @@ __all__ = [
 ]
 
 
+_gcd = math.gcd
+_new = object.__new__
+
+
 class ScalarParseError(ValueError):
     """Malformed scalar literal; carries the offending position."""
 
@@ -37,15 +41,37 @@ class GaussianRational:
     """An exact complex number a + b*i with rational a and b.
 
     Values are immutable and canonical: internally a triple of integers
-    (re_num, im_num, den) over a common positive denominator with
-    gcd(re_num, im_num, den) == 1.  The integer triple keeps the hot
-    arithmetic paths on machine-speed int operations instead of a pair
-    of Fractions.
+    (a, b, d) standing for (a + b*i) / d, with d > 0 and
+    gcd(a, b, d) == 1, so zero is exactly (0, 0, 1) and equal values
+    have equal triples.  The integer triple keeps the hot arithmetic
+    paths on machine-speed int operations instead of a pair of
+    Fractions.
+
+    Most matrix and series entries are zero or Gaussian integers, so
+    ``+``, ``-`` and ``*`` take shortcuts that keep the invariant:
+
+    - a zero operand returns the other operand (negated for ``0 - x``),
+      or ``ZERO`` for a product, without a gcd;
+    - a sum or difference where either denominator is 1 skips
+      ``math.gcd``: a prime dividing both new numerators and d would
+      divide the whole triple of the operand with d > 1;
+    - a product of two Gaussian integers has d == 1 and skips it too;
+    - over equal denominators d > 1 the numerators are added directly
+      and reduced by one gcd (1/2 + 1/2 = 1).
+
+    Every other result is reduced by one gcd.
+    ``GaussianRational(int, int)`` builds (re, im, 1) without going
+    through ``Fraction``.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            self._a = re
+            self._b = im
+            self._d = 1
+            return
         re = re if isinstance(re, Fraction) else Fraction(re)
         im = im if isinstance(im, Fraction) else Fraction(im)
         d = re.denominator * im.denominator // math.gcd(re.denominator, im.denominator)
@@ -63,7 +89,7 @@ class GaussianRational:
     @staticmethod
     def _raw(a: int, b: int, d: int) -> "GaussianRational":
         # trusted constructor: (a, b, d) must already be canonical
-        self = object.__new__(GaussianRational)
+        self = _new(GaussianRational)
         self._a = a
         self._b = b
         self._d = d
@@ -109,26 +135,91 @@ class GaussianRational:
         return self
 
     def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(
-            self._a * o._d + o._a * self._d,
-            self._b * o._d + o._b * self._d,
-            self._d * o._d,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        c, e, f = other._a, other._b, other._d
+        if not (c or e):
+            return self
+        a, b, d = self._a, self._b, self._d
+        if not (a or b):
+            return other
+        if d == f:
+            a += c
+            b += e
+            if d != 1:
+                g = _gcd(a, b, d)
+                if g > 1:
+                    a //= g
+                    b //= g
+                    d //= g
+        elif d == 1:
+            a = a * f + c
+            b = b * f + e
+            d = f
+        elif f == 1:
+            a += c * d
+            b += e * d
+        else:
+            a = a * f + c * d
+            b = b * f + e * d
+            d *= f
+            g = _gcd(a, b, d)
+            if g > 1:
+                a //= g
+                b //= g
+                d //= g
+        out = _new(GaussianRational)
+        out._a = a
+        out._b = b
+        out._d = d
+        return out
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(
-            self._a * o._d - o._a * self._d,
-            self._b * o._d - o._b * self._d,
-            self._d * o._d,
-        )
+        # __add__ with the signs of c and e flipped
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        c, e, f = other._a, other._b, other._d
+        if not (c or e):
+            return self
+        a, b, d = self._a, self._b, self._d
+        if not (a or b):
+            return GaussianRational._raw(-c, -e, f)
+        if d == f:
+            a -= c
+            b -= e
+            if d != 1:
+                g = _gcd(a, b, d)
+                if g > 1:
+                    a //= g
+                    b //= g
+                    d //= g
+        elif d == 1:
+            a = a * f - c
+            b = b * f - e
+            d = f
+        elif f == 1:
+            a -= c * d
+            b -= e * d
+        else:
+            a = a * f - c * d
+            b = b * f - e * d
+            d *= f
+            g = _gcd(a, b, d)
+            if g > 1:
+                a //= g
+                b //= g
+                d //= g
+        out = _new(GaussianRational)
+        out._a = a
+        out._b = b
+        out._d = d
+        return out
 
     def __rsub__(self, other):
         o = _coerce(other)
@@ -137,14 +228,27 @@ class GaussianRational:
         return o.__sub__(self)
 
     def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(
-            self._a * o._a - self._b * o._b,
-            self._a * o._b + self._b * o._a,
-            self._d * o._d,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        c, e, f = other._a, other._b, other._d
+        a, b, d = self._a, self._b, self._d
+        if not (a or b) or not (c or e):
+            return ZERO
+        a, b = a * c - b * e, a * e + b * c
+        if d != 1 or f != 1:
+            d *= f
+            g = _gcd(a, b, d)
+            if g > 1:
+                a //= g
+                b //= g
+                d //= g
+        out = _new(GaussianRational)
+        out._a = a
+        out._b = b
+        out._d = d
+        return out
 
     __rmul__ = __mul__
 
@@ -184,10 +288,11 @@ class GaussianRational:
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._a == o._a and self._b == o._b and self._d == o._d
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
         if self._b == 0:
@@ -203,7 +308,7 @@ class GaussianRational:
 
 
 def _make(a: int, b: int, d: int) -> GaussianRational:
-    g = math.gcd(a, b, d)
+    g = _gcd(a, b, d)
     if g > 1:
         a //= g
         b //= g
@@ -302,19 +407,18 @@ def parse_scalar(text: str) -> GaussianRational:
     return GaussianRational(re_part, im_part)
 
 
-def _frac_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms, d > 0; a whole number prints without "/1"."""
+    g = _gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def format_scalar(z: GaussianRational) -> str:
     """Canonical literal; round-trips through :func:`parse_scalar`."""
-    re_, im_ = z.re, z.im
-    if im_ == 0:
-        return _frac_str(re_)
-    mag = abs(im_)
-    unit = "i" if mag == 1 else _frac_str(mag) + "i"
-    if re_ == 0:
-        return "-" + unit if im_ < 0 else unit
-    return _frac_str(re_) + ("-" if im_ < 0 else "+") + unit
+    a, b, d = z._a, z._b, z._d
+    if b == 0:
+        return _ratio_str(a, d)
+    unit = "i" if abs(b) == d else _ratio_str(abs(b), d) + "i"
+    if a == 0:
+        return "-" + unit if b < 0 else unit
+    return _ratio_str(a, d) + ("-" if b < 0 else "+") + unit

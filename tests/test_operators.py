@@ -704,19 +704,51 @@ def test_products_that_cancel_exactly_are_zero():
     assert product == dense_series_mul(x, y)
 
 
+def dense_power_traces(series, indices):
+    """tr(B^p) by order for p = 1..len(indices), every power of the block B
+    formed by dense series products."""
+    sub = MatrixSeries(
+        [tuple(tuple(a[i][j] for j in indices) for i in indices) for a in series.coeffs]
+    )
+    power = sub
+    traces = []
+    for _ in indices:
+        traces.append([sum((a[i][i] for i in range(len(indices))), ZERO) for a in power.coeffs])
+        power = dense_series_mul(power, sub)
+    return traces
+
+
 def test_power_traces_match_dense_powers():
     problem = sparse_half_integer_problem(10, 2, seed=1)
     h = problem.h_series()
     for indices in (range(10), [0, 3, 4, 9]):
-        sub = MatrixSeries(
-            [tuple(tuple(a[i][j] for j in indices) for i in indices) for a in h.coeffs]
-        )
-        power = sub
-        expected = []
-        for _ in indices:
-            expected.append([sum((a[i][i] for i in range(len(indices))), ZERO) for a in power.coeffs])
-            power = dense_series_mul(power, sub)
-        assert operators._power_traces(h, indices) == expected
+        assert operators._power_traces(h, indices) == dense_power_traces(h, indices)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), order=st.integers(0, 3))
+def test_power_traces_match_every_dense_power(n, data, order):
+    # odd and even n: only B^1..B^ceil(n/2) are formed, the rest are split traces
+    series = data.draw(sparse_series(n, order))
+    traces = operators._power_traces(series, range(n))
+    assert len(traces) == n
+    assert traces == dense_power_traces(series, range(n))
+
+
+def test_power_traces_on_degenerate_blocks():
+    problem = random_problem(5, 3, seed=3, degenerate=True)
+    _, _, n_series = build_conjugator(spectral_decompose(problem))
+    blocks = {}
+    for i, level in enumerate(problem.e0):
+        blocks.setdefault(level, []).append(i)
+    assert max(len(block) for block in blocks.values()) > 1
+    for series in (problem.h_series(), n_series):
+        for block in blocks.values():
+            assert operators._power_traces(series, block) == dense_power_traces(series, block)
+    # a nilpotent block: every power has zero trace at every order
+    nilpotent = MatrixSeries.from_orders(3, 2, {1: ((ZERO, ONE, I), (ZERO, ZERO, gr(2)), (ZERO, ZERO, ZERO))})
+    assert operators._power_traces(nilpotent, range(3)) == [[ZERO] * 3] * 3
 
 
 def test_series_exp_requires_vanishing_order_zero():

@@ -1,9 +1,11 @@
 """Field axioms, parsing and formatting of the exact scalars."""
 
+import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mouldpert.scalars import (
     GaussianRational,
@@ -148,3 +150,109 @@ def test_format_examples():
 
 def test_repr_is_informative():
     assert "3/4" in repr(gr(Fraction(3, 4)))
+
+
+# -- the arithmetic fast paths against (Fraction, Fraction) pairs ------------------
+#
+# GaussianRational skips work on zero operands, on Gaussian integers and on
+# equal denominators.  The reference below knows nothing of the integer
+# triple: a value is a pair of Fractions, and the operations are the
+# textbook formulas on the pair.
+
+REFERENCE = {
+    "+": (operator.add, lambda x, y: (x[0] + y[0], x[1] + y[1])),
+    "-": (operator.sub, lambda x, y: (x[0] - y[0], x[1] - y[1])),
+    "*": (operator.mul, lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])),
+}
+
+ZERO_PAIR = (0, 0)
+gaussian_integers = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+rational_pairs = st.tuples(small_fractions, small_fractions)
+pairs = st.one_of(st.just(ZERO_PAIR), gaussian_integers, rational_pairs)
+
+
+@st.composite
+def shared_denominator_pairs(draw):
+    """Two values whose canonical denominators are one d > 1, so that the
+    equal-denominator path runs; their sum often needs reducing."""
+    d = draw(st.integers(2, 12))
+    numerators = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(
+        lambda ab: math.gcd(ab[0], ab[1], d) == 1
+    )
+    (a, b), (c, e) = draw(numerators), draw(numerators)
+    return (Fraction(a, d), Fraction(b, d)), (Fraction(c, d), Fraction(e, d))
+
+
+operand_pairs = st.one_of(st.tuples(pairs, pairs), shared_denominator_pairs())
+plain_scalars = st.one_of(st.integers(-9, 9), small_fractions)
+
+
+def assert_canonical(z, expected):
+    assert type(z) is GaussianRational
+    a, b, d = z._a, z._b, z._d
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
+    if a == 0 and b == 0:
+        assert d == 1
+    assert (Fraction(a, d), Fraction(b, d)) == expected
+
+
+@pytest.mark.parametrize("symbol", sorted(REFERENCE))
+@given(operand_pairs)
+@example(((Fraction(1, 2), 0), (Fraction(1, 2), 0)))  # equal d, the sum reduces to 1
+@example(((Fraction(1, 4), Fraction(1, 4)), (Fraction(-1, 4), Fraction(3, 4))))
+@example(((Fraction(1, 3), 1), (Fraction(-1, 3), -1)))  # equal d, exact cancellation
+@example(((3, -2), (Fraction(1, 6), Fraction(5, 6))))  # one integer operand
+@example(((Fraction(1, 2), Fraction(1, 3)), (2, 0)))  # a product that reduces
+@example((ZERO_PAIR, (Fraction(5, 7), 1)))
+@example(((Fraction(5, 7), 1), ZERO_PAIR))
+@example((ZERO_PAIR, ZERO_PAIR))
+def test_arithmetic_matches_fraction_pairs(symbol, operands):
+    x, y = operands
+    apply, reference = REFERENCE[symbol]
+    expected = reference(x, y)
+    assert_canonical(apply(GaussianRational(*x), GaussianRational(*y)), expected)
+
+
+@pytest.mark.parametrize("symbol", sorted(REFERENCE))
+@given(pairs, plain_scalars)
+@example(ZERO_PAIR, 0)
+@example((Fraction(1, 2), 1), Fraction(1, 2))
+@example((Fraction(1, 2), 0), Fraction(-3, 2))
+def test_mixed_operands_on_either_side(symbol, x, y):
+    apply, reference = REFERENCE[symbol]
+    z = GaussianRational(*x)
+    assert_canonical(apply(z, y), reference(x, (y, 0)))
+    assert_canonical(apply(y, z), reference((y, 0), x))
+
+
+@given(pairs)
+def test_constructor_is_canonical(x):
+    assert_canonical(GaussianRational(*x), x)
+    assert_canonical(GaussianRational(*(Fraction(v) for v in x)), x)
+
+
+def fraction_format(z):
+    """The formatter written over the Fraction parts of z."""
+
+    def frac_str(q):
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    re_, im_ = z.re, z.im
+    if im_ == 0:
+        return frac_str(re_)
+    mag = abs(im_)
+    unit = "i" if mag == 1 else frac_str(mag) + "i"
+    if re_ == 0:
+        return "-" + unit if im_ < 0 else unit
+    return frac_str(re_) + ("-" if im_ < 0 else "+") + unit
+
+
+@given(st.one_of(pairs, st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))))
+@example((0, 1))
+@example((0, -1))
+@example((Fraction(7, 3), Fraction(-7, 3)))
+@example((Fraction(-1, 6), Fraction(1, 3)))
+def test_format_matches_the_fraction_formatter(x):
+    z = GaussianRational(*x)
+    assert format_scalar(z) == fraction_format(z)
