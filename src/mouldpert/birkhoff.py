@@ -63,12 +63,9 @@ def make_T(alphabet: Alphabet) -> Mould:
     that the full product is guaranteed through the requested accuracy.
     The valuation of T^w is minus the number of vanishing partial sums.
     """
-    holder = []
-
     def fn(word: Word, acc: int) -> Laurent:
         if len(word) == 0:
             return Laurent.one()
-        mould = holder[0]
         r = len(word)
         s = alphabet.phi(word)
         if not s:
@@ -82,7 +79,6 @@ def make_T(alphabet: Alphabet) -> Mould:
         return prefix * factor
 
     mould = Mould(alphabet, fn, name="T")
-    holder.append(mould)
     return mould
 
 

@@ -328,21 +328,17 @@ def mould_inverse(mould: Mould, name: str = "") -> Mould:
     if not mould.value(EMPTY_WORD, 0).agrees_with(Laurent.one(), 0):
         raise MouldError("mould is not invertible by length recursion: value on the empty word is not 1")
 
-    inverse_holder = []
-
     def fn(word: Word, acc: int) -> Laurent:
         if len(word) == 0:
             return Laurent.one()
-        inv = inverse_holder[0]
         total = Laurent.zero()
         for j in range(1, len(word) + 1):
             a, b = word[:j], word[j:]
-            total = total + _product_value([(mould, a), (inv, b)], acc)
+            total = total + _product_value([(mould, a), (inverse, b)], acc)
         return -total
 
-    out = Mould(mould.alphabet, fn, constant=mould.constant, name=name or f"{mould.name}^-1")
-    inverse_holder.append(out)
-    return out
+    inverse = Mould(mould.alphabet, fn, constant=mould.constant, name=name or f"{mould.name}^-1")
+    return inverse
 
 
 def mould_antipode(mould: Mould, name: str = "") -> Mould:

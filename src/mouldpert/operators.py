@@ -1,25 +1,26 @@
 """Finite Hermitian matrix problems driven by the scalar moulds.
 
 A perturbation problem is H0 + mu*V with H0 = diag(E0) exact-rational and
-V an exact Hermitian matrix.  V splits into eigencomponents B_lam of the
-rescaled commutator with H0.  The normal form N and the unitary
+V an exact Hermitian matrix.  The normal form N and the unitary
 conjugator C come from one Birkhoff decomposition of the matrix series
-(``build_conjugator``), which contracts the moulds with ordered products
-of components and enumerates no words; the Hermitian generator is
-W = i hbar log C, by the truncated matrix logarithm.  The word route
-(``build_normal_form``, N^w times nested brackets) fills only the
-coefficient table of the solve JSON; the tests keep it, and the mould
-expansion of W (log(S)^w / len(w) times nested brackets), as independent
-references.  Everything is exact except the final optional comparison
-against a double-precision eigensolver.
+built from H0, V and hbar alone (``build_conjugator``); the Hermitian
+generator is W = i hbar log C, by the truncated matrix logarithm.  No
+alphabet, component or word enters them.  The word route splits V into
+eigencomponents B_lam of the rescaled commutator with H0
+(``spectral_decompose``) and sums N^w times nested brackets
+(``build_normal_form``); it is built only for the coefficient table of
+the solve JSON, and the tests keep it, and the mould expansion of W
+(log(S)^w / len(w) times nested brackets), as independent references.
+Everything is exact except the final optional comparison against a
+double-precision eigensolver.
 
 Sign conventions: the entry in row k, column l of V belongs to the
 component with letter lam = (E0(k) - E0(l)) / (i hbar), which is exactly
 the eigenvalue of X -> [H0, X] / (i hbar) on that matrix unit.
 
-Problems share no state (each carries its own decomposition),
-so distinct problems may be processed in parallel; within one problem,
-exact arithmetic makes every accumulation order independent.
+Problems share no state, so distinct problems may be processed in
+parallel; within one problem, exact arithmetic makes every accumulation
+order independent.
 """
 
 from __future__ import annotations
@@ -120,11 +121,12 @@ def mat_commutator(a: tuple, b: tuple) -> tuple:
 
 
 def mat_magnitude(a: tuple) -> int:
-    """Largest absolute numerator across entries; 0 for the zero matrix."""
+    """Largest absolute numerator of the reduced parts; 0 for the zero matrix."""
     worst = 0
     for row in a:
         for x in row:
-            worst = max(worst, abs(x.re.numerator), abs(x.im.numerator))
+            if x:
+                worst = max(worst, abs(x.re.numerator), abs(x.im.numerator))
     return worst
 
 
@@ -421,34 +423,20 @@ class SpectralDecomposition:
         for (k, l), lam in letter_of.items():
             components[self.alphabet.index(lam)][k][l] = problem.v[k][l]
         self.components = tuple(tuple(tuple(row) for row in comp) for comp in components)
-        # (row, col, entry) triples per component, for the sparse brackets
-        # of the word route
-        self.entries = tuple(
-            tuple(
-                (k, l, comp[k][l])
-                for k in range(dim)
-                for l in range(dim)
-                if comp[k][l]
-            )
-            for comp in self.components
-        )
         self.inv_ihbar = GaussianRational(0, -inv_hbar)
+        # nonzero rows of B/(i hbar) and -B/(i hbar), the factors of the brackets
+        self._left_rows = [_nonzero_rows(mat_scale(self.inv_ihbar, b)) for b in self.components]
+        self._right_rows = [_nonzero_rows(mat_scale(-self.inv_ihbar, b)) for b in self.components]
 
     def sparse_left_bracket(self, letter_index: int, x: tuple) -> tuple:
-        """[B_letter, x] / (i hbar) exploiting the sparsity of the component."""
+        """[B_letter, x] / (i hbar) = (B/(i hbar)) x + x (-B/(i hbar)), over
+        the nonzero rows of the factors."""
         dim = self.problem.dim
-        rows = [[ZERO] * dim for _ in range(dim)]
-        for k, l, value in self.entries[letter_index]:
-            scaled = self.inv_ihbar * value
-            row_x = x[l]
-            row_out = rows[k]
-            for j in range(dim):
-                if row_x[j]:
-                    row_out[j] = row_out[j] + scaled * row_x[j]
-            for i in range(dim):
-                if x[i][k]:
-                    rows[i][l] = rows[i][l] - x[i][k] * scaled
-        return tuple(tuple(row) for row in rows)
+        out = [[ZERO] * dim for _ in range(dim)]
+        x_rows = _nonzero_rows(x)
+        _accumulate(out, self._left_rows[letter_index], x_rows)
+        _accumulate(out, x_rows, self._right_rows[letter_index])
+        return tuple(tuple(row) for row in out)
 
     def reachable_sums(self, max_letters: int) -> list:
         """reach[m] = set of letter sums attainable with at most m letters."""
@@ -522,8 +510,9 @@ def build_normal_form(
     return MatrixSeries([tuple(tuple(row) for row in rows) for rows in totals]), table
 
 
-def build_conjugator(sd: SpectralDecomposition) -> tuple:
-    """(C, W, N) by the Birkhoff decomposition of the matrix series:
+def build_conjugator(problem: PerturbationProblem) -> tuple:
+    """(C, W, N) from H0, V and hbar alone, by the Birkhoff decomposition
+    of the matrix series:
     Phi(A)_k = sum over |w| = k of A^w B_(w1) ... B_(wk) turns
     U_minus x T = U_plus into Phi(U_minus) Phi(T) = Phi(U_plus), solved
     order by order.  Letter sums telescope along index chains a -> c to
@@ -532,18 +521,18 @@ def build_conjugator(sd: SpectralDecomposition) -> tuple:
     X_k = sum over j < k of Phi(U_minus)_j Phi(T)_(k-j): Phi(U_minus)_k =
     -polar(X_k), C_k = const(X_k) / (i hbar)^k, and N_k = k res(X_k) /
     (i hbar)^(k-1), as N is alternal (Dynkin-Specht-Wever).  Factors are
-    inverted through e^K; the Laurent accuracy bookkeeping raises if that
-    window is short.  W = i hbar log C, whose Hermiticity tests unitarity.
+    inverted through e^K (exactly (1/k) e^-1 at s = 0); the Laurent
+    accuracy bookkeeping raises if that window is short.  W = i hbar
+    log C, whose Hermiticity tests unitarity.  No alphabet, component or
+    word is built: those serve only the solve JSON.
     """
-    problem = sd.problem
     dim, K = problem.dim, problem.order
-    gap = [[sd.inv_ihbar * GaussianRational(a - c) for c in problem.e0] for a in problem.e0]
+    inv_ihbar = GaussianRational(0, -1 / problem.hbar)
+    gap = [[inv_ihbar * GaussianRational(a - c) for c in problem.e0] for a in problem.e0]
 
     @functools.cache
     def inverse(s: GaussianRational, k: int) -> Laurent:
-        if s:
-            return Laurent.from_pairs([(0, s), (1, k)]).inverse(K)
-        return Laurent.monomial(GaussianRational(Fraction(1, k)), -1)
+        return Laurent.from_pairs([(0, s), (1, k)]).inverse(K)
 
     v_rows = _nonzero_rows(problem.v)
     one = [[(a, Laurent.one())] for a in range(dim)]
@@ -558,7 +547,7 @@ def build_conjugator(sd: SpectralDecomposition) -> tuple:
         for j in range(k):
             _accumulate(x, u_rows[j], t_rows[k - j])
         u_rows.append(_nonzero_rows([[-y.polar_part() for y in row] for row in x]))
-        c_scale, n_scale = sd.inv_ihbar ** k, k * sd.inv_ihbar ** (k - 1)
+        c_scale, n_scale = inv_ihbar ** k, k * inv_ihbar ** (k - 1)
         c_coeffs.append(tuple(tuple(y.constant_term() * c_scale for y in row) for row in x))
         n_coeffs.append(tuple(tuple(y.residue() * n_scale for y in row) for row in x))
     c_series = MatrixSeries(c_coeffs)
@@ -935,7 +924,6 @@ def _numeric_sample(
 @dataclass
 class NormalizationOutput:
     problem: PerturbationProblem
-    decomposition: SpectralDecomposition
     n_series: MatrixSeries
     c_series: MatrixSeries
     w_series: MatrixSeries
@@ -947,6 +935,11 @@ class NormalizationOutput:
     @property
     def ok(self) -> bool:
         return self.conjugacy.ok and self.oracle.ok
+
+    @functools.cached_property
+    def decomposition(self) -> SpectralDecomposition:
+        """The word route's alphabet and components, built on first read."""
+        return spectral_decompose(self.problem)
 
     @functools.cached_property
     def coefficient_table(self) -> dict:
@@ -986,12 +979,10 @@ class NormalizationOutput:
 
 def solve(problem: PerturbationProblem, mu_samples: Sequence[Fraction] = ()) -> NormalizationOutput:
     """Run the whole pipeline on one problem and verify it."""
-    sd = spectral_decompose(problem)
-    c_series, w_series, n_series = build_conjugator(sd)
+    c_series, w_series, n_series = build_conjugator(problem)
     eigen = eigenvalue_series(problem, n_series)
     return NormalizationOutput(
         problem=problem,
-        decomposition=sd,
         n_series=n_series,
         c_series=c_series,
         w_series=w_series,

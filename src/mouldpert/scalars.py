@@ -50,16 +50,16 @@ class GaussianRational:
     Most matrix and series entries are zero or Gaussian integers, so
     ``+``, ``-`` and ``*`` take shortcuts that keep the invariant:
 
-    - a zero operand returns the other operand (negated for ``0 - x``),
-      or ``ZERO`` for a product, without a gcd;
-    - a sum or difference where either denominator is 1 skips
-      ``math.gcd``: a prime dividing both new numerators and d would
-      divide the whole triple of the operand with d > 1;
+    - a zero operand returns the other operand, or ``ZERO`` for a
+      product, without a gcd;
+    - a sum where either denominator is 1 skips ``math.gcd``: a prime
+      dividing both new numerators and d would divide the whole triple
+      of the operand with d > 1;
     - a product of two Gaussian integers has d == 1 and skips it too;
     - over equal denominators d > 1 the numerators are added directly
       and reduced by one gcd (1/2 + 1/2 = 1).
 
-    Every other result is reduced by one gcd.
+    Every other result is reduced by one gcd; ``x - y`` is ``x + (-y)``.
     ``GaussianRational(int, int)`` builds (re, im, 1) without going
     through ``Fraction``.
     """
@@ -179,47 +179,11 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        # __add__ with the signs of c and e flipped
         if type(other) is not GaussianRational:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        c, e, f = other._a, other._b, other._d
-        if not (c or e):
-            return self
-        a, b, d = self._a, self._b, self._d
-        if not (a or b):
-            return GaussianRational._raw(-c, -e, f)
-        if d == f:
-            a -= c
-            b -= e
-            if d != 1:
-                g = _gcd(a, b, d)
-                if g > 1:
-                    a //= g
-                    b //= g
-                    d //= g
-        elif d == 1:
-            a = a * f - c
-            b = b * f - e
-            d = f
-        elif f == 1:
-            a -= c * d
-            b -= e * d
-        else:
-            a = a * f - c * d
-            b = b * f - e * d
-            d *= f
-            g = _gcd(a, b, d)
-            if g > 1:
-                a //= g
-                b //= g
-                d //= g
-        out = _new(GaussianRational)
-        out._a = a
-        out._b = b
-        out._d = d
-        return out
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         o = _coerce(other)

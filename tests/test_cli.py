@@ -321,14 +321,15 @@ def test_oracle_on_a_degenerate_problem(tmp_path, capsys):
 
 @pytest.mark.parametrize("dim,order,degenerate", [(6, 8, False), (5, 6, True)])
 def test_oracle_enumerates_no_words(tmp_path, monkeypatch, capsys, dim, order, degenerate):
-    """oracle takes N and C from the matrix decomposition: it builds no
-    Birkhoff engine and forms no nested bracket, also on problems out of
-    the word route's reach."""
+    """oracle takes N and C from the matrix decomposition of the problem:
+    it builds no spectral decomposition, no Birkhoff engine and no nested
+    bracket, also on problems out of the word route's reach."""
     from mouldpert import operators
 
     def forbidden(*args, **kwargs):
         raise AssertionError("oracle must not enumerate words")
 
+    monkeypatch.setattr(operators, "spectral_decompose", forbidden)
     monkeypatch.setattr(operators, "BirkhoffEngine", forbidden)
     monkeypatch.setattr(operators.SpectralDecomposition, "sparse_left_bracket", forbidden)
     problem = operators.random_problem(dim, order, seed=3, degenerate=degenerate)

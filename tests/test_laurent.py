@@ -140,6 +140,11 @@ def test_inverse_of_monomial_is_exact():
     g = Laurent.monomial(2, 1).inverse(0)
     assert g == Laurent.monomial(Fraction(1, 2), -1)
     assert g.acc_order is None
+    # s + k e at s = 0, the resonant factor of the matrix decomposition
+    for k in (1, 3):
+        g = Laurent.from_pairs([(0, 0), (1, k)]).inverse(5)
+        assert g == Laurent.monomial(Fraction(1, k), -1)
+        assert g.acc_order is None
 
 
 def test_inverse_with_pole_shift():

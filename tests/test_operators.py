@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mouldpert
 from mouldpert import moulds, operators
@@ -24,6 +24,7 @@ from mouldpert.operators import (
     mat_adjoint,
     mat_commutator,
     mat_is_zero,
+    mat_magnitude,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -196,13 +197,18 @@ def test_nested_bracket_dies_on_commuting_letters():
 
 
 def test_nested_bracket_matches_dense_commutators():
-    problem = random_problem(3, 3, seed=9)
-    sd = spectral_decompose(problem)
-    for word in sd.alphabet.words_up_to(3, include_empty=False):
-        sparse = sd.components[word[-1]]
-        for i in word[-2::-1]:
-            sparse = sd.sparse_left_bracket(i, sparse)
-        assert sparse == dense_nested_bracket(sd, word)
+    problems = (
+        random_problem(3, 3, seed=9),
+        random_problem(3, 3, seed=9, hbar=Fraction(1, 2)),
+        degenerate_problem(order=3),
+    )
+    for problem in problems:
+        sd = spectral_decompose(problem)
+        for word in sd.alphabet.words_up_to(3, include_empty=False):
+            sparse = sd.components[word[-1]]
+            for i in word[-2::-1]:
+                sparse = sd.sparse_left_bracket(i, sparse)
+            assert sparse == dense_nested_bracket(sd, word)
 
 
 # -- normal form ---------------------------------------------------------------------
@@ -300,7 +306,7 @@ def test_brackets_are_formed_only_on_prefixes_that_can_close(monkeypatch, name):
 
 def test_conjugator_at_order_zero_is_identity():
     problem = two_level_problem(order=0)
-    c_series, w_series, n_series = build_conjugator(spectral_decompose(problem))
+    c_series, w_series, n_series = build_conjugator(problem)
     assert c_series == MatrixSeries.identity(2, 0)
     assert w_series == MatrixSeries.zeros(2, 0)
     assert n_series == MatrixSeries.zeros(2, 0)
@@ -308,7 +314,7 @@ def test_conjugator_at_order_zero_is_identity():
 
 def test_conjugator_first_order_matches_hand_value():
     problem = two_level_problem(order=2)
-    c_series, _, _ = build_conjugator(spectral_decompose(problem))
+    c_series, _, _ = build_conjugator(problem)
     # (1/i)(S^(i) B_i + S^(-i) B_(-i)) with S^(lam) = 1/lam
     assert c_series.coefficient(1) == ((gr(0), gr(-1)), (gr(1), gr(0)))
     assert c_series.coefficient(2) == ((gr(Fraction(-1, 2)), gr(0)), (gr(0), gr(Fraction(-1, 2))))
@@ -349,7 +355,7 @@ def test_matrix_decomposition_equals_the_word_routes(dim, order, seed, degenerat
     problem = random_problem(dim, order, seed=seed, hbar=hbar, degenerate=degenerate)
     sd = spectral_decompose(problem)
     engine = BirkhoffEngine(sd.alphabet)
-    c_series, _, n_series = build_conjugator(sd)
+    c_series, _, n_series = build_conjugator(problem)
     assert n_series == build_normal_form(sd, engine)[0]
     assert c_series == dense_conjugator(sd, engine, order)
 
@@ -704,6 +710,29 @@ def test_products_that_cancel_exactly_are_zero():
     assert product == dense_series_mul(x, y)
 
 
+# (numerator of re, numerator of im, common denominator), not reduced
+GAUSSIAN_PARTS = st.one_of(
+    st.just((0, 0, 1)),
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 12)),
+)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda dim: st.lists(
+            st.lists(GAUSSIAN_PARTS, min_size=dim, max_size=dim), min_size=dim, max_size=dim
+        )
+    )
+)
+@example([[(2, 3, 4)]])  # (2+3i)/4 = 1/2 + 3/4 i reads 3
+@example([[(1, 2, 2)]])  # 1/2 + i reads 1, not the 2 of the common-denominator form
+def test_mat_magnitude_is_the_largest_reduced_numerator(rows):
+    parts = [[(Fraction(a, d), Fraction(b, d)) for a, b, d in row] for row in rows]
+    matrix = tuple(tuple(gr(re, im) for re, im in row) for row in parts)
+    expected = max(abs(q.numerator) for row in parts for pair in row for q in pair)
+    assert mat_magnitude(matrix) == expected
+
+
 def dense_power_traces(series, indices):
     """tr(B^p) by order for p = 1..len(indices), every power of the block B
     formed by dense series products."""
@@ -738,7 +767,7 @@ def test_power_traces_match_every_dense_power(n, data, order):
 
 def test_power_traces_on_degenerate_blocks():
     problem = random_problem(5, 3, seed=3, degenerate=True)
-    _, _, n_series = build_conjugator(spectral_decompose(problem))
+    _, _, n_series = build_conjugator(problem)
     blocks = {}
     for i, level in enumerate(problem.e0):
         blocks.setdefault(level, []).append(i)
