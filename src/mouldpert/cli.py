@@ -84,7 +84,15 @@ def _parse_mu_list(text: str) -> list:
 def _emit(payload, output: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if output is None or output == "-":
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # later flushes, at exit too, go nowhere instead of raising again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InputError(f"cannot write standard output: {exc}") from exc
         return
     directory = os.environ.get(OUTPUT_DIR_ENV)
     if directory and not os.path.isabs(output):

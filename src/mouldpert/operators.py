@@ -26,9 +26,12 @@ order independent.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import or_
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,10 +111,6 @@ def mat_adjoint(a: tuple) -> tuple:
     return tuple(tuple(a[j][i].conjugate() for j in range(len(a))) for i in range(len(a)))
 
 
-def mat_trace(a: tuple) -> GaussianRational:
-    return sum((a[i][i] for i in range(len(a))), ZERO)
-
-
 def mat_is_zero(a: tuple) -> bool:
     return all(not x for row in a for x in row)
 
@@ -128,6 +127,13 @@ def mat_magnitude(a: tuple) -> int:
             if x:
                 worst = max(worst, abs(x.re.numerator), abs(x.im.numerator))
     return worst
+
+
+def _residual_magnitude(a: tuple, b: tuple) -> int:
+    """mat_magnitude(a - b), subtracting only the entries where a and b differ."""
+    return mat_magnitude(
+        [[x - y for x, y in zip(ra, rb) if x != y] for ra, rb in zip(a, b) if ra != rb]
+    )
 
 
 def mat_to_json(a: tuple) -> list:
@@ -185,11 +191,8 @@ class MatrixSeries:
         return MatrixSeries([mat_sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
-        return self.times_rows([_nonzero_rows(b) for b in other.coeffs])
-
-    def times_rows(self, right: list) -> "MatrixSeries":
-        """self times the series whose coefficients have the nonzero rows ``right``."""
         left = [_nonzero_rows(a) for a in self.coeffs]
+        right = [_nonzero_rows(b) for b in other.coeffs]
         out = []
         for k in range(self.order + 1):
             acc = [[ZERO] * self.dim for _ in range(self.dim)]
@@ -206,9 +209,6 @@ class MatrixSeries:
 
     def is_zero(self) -> bool:
         return all(mat_is_zero(a) for a in self.coeffs)
-
-    def trace_by_order(self) -> list:
-        return [mat_trace(a) for a in self.coeffs]
 
     def evaluate(self, mu: Fraction) -> tuple:
         """Exact value at a rational parameter."""
@@ -236,9 +236,10 @@ def series_exp(a: MatrixSeries) -> MatrixSeries:
     if not mat_is_zero(a.coefficient(0)):
         raise ValueError("series_exp needs a vanishing order-0 coefficient")
     out = MatrixSeries.identity(a.dim, a.order)
-    term = MatrixSeries.identity(a.dim, a.order)
+    term = a
     for j in range(1, a.order + 1):
-        term = (term * a).scale(GaussianRational(Fraction(1, j)))
+        if j > 1:
+            term = (term * a).scale(GaussianRational(Fraction(1, j)))
         if term.is_zero():
             break
         out = out + term
@@ -609,16 +610,23 @@ def verify_conjugacy(
 ) -> ConjugacyReport:
     """C (H0 + mu V) C* - (H0 + N) must vanish identically through the
     truncation order, alongside unitarity, [H0, N_k] = 0, Hermiticity of
-    N_k and of W, and conservation of tr((H0 + mu V)^p)."""
+    N_k and of W, and conservation of tr((H0 + mu V)^p).
+
+    The residual magnitudes are those of the differences C H C* - (H0 + N)
+    and C C* - I, order by order, but no difference is formed as a series:
+    each side is computed on its own and an entry is subtracted only where
+    the two sides differ (``_residual_magnitude``).  Likewise H0 N_k and
+    N_k H0 are compared, not subtracted."""
     h = problem.h_series()
     h0 = problem.h0_matrix()
     c = c_series
     c_adj = c.adjoint()
     rhs = MatrixSeries([h0] + list(n_series.coeffs[1:]))
-    residual = c * h * c_adj - rhs
-    unitarity = c * c_adj - MatrixSeries.identity(problem.dim, problem.order)
+    conjugated = c * h * c_adj
+    unitary = c * c_adj
+    identity = MatrixSeries.identity(problem.dim, problem.order)
     commutation = [
-        mat_is_zero(mat_commutator(h0, n_series.coefficient(k)))
+        mat_mul(h0, n_series.coefficient(k)) == mat_mul(n_series.coefficient(k), h0)
         for k in range(1, problem.order + 1)
     ]
     hermitian = [
@@ -629,8 +637,12 @@ def verify_conjugacy(
     pairs = zip(_power_traces(h, every), _power_traces(rhs, every))
     trace_ok = {p: a == b for p, (a, b) in enumerate(pairs, start=1)}
     return ConjugacyReport(
-        conjugacy_magnitude=[mat_magnitude(a) for a in residual.coeffs],
-        unitarity_magnitude=[mat_magnitude(a) for a in unitarity.coeffs],
+        conjugacy_magnitude=[
+            _residual_magnitude(a, b) for a, b in zip(conjugated.coeffs, rhs.coeffs)
+        ],
+        unitarity_magnitude=[
+            _residual_magnitude(a, b) for a, b in zip(unitary.coeffs, identity.coeffs)
+        ],
         commutation_ok=commutation,
         hermitian_ok=hermitian,
         trace_ok=trace_ok,
@@ -648,36 +660,34 @@ def hierarchy_oracle(problem: PerturbationProblem) -> tuple:
     resonant part (the new N_k) and an off-resonant rest absorbed by
     W_k[n][m] = i hbar A[n][m] / (E0(n) - E0(m)); conjugating by
     exp((1/(i hbar)) mu^k W_k) clears order k and the loop moves on.
-    The resonant part of each W_k is fixed to zero (free gauge).
+    The resonant part of each W_k is fixed to zero (free gauge), and so is
+    every entry where A vanishes, without a division.  The series is not
+    conjugated after order K, as nothing reads the result.  The constants
+    are the oracle's own, not shared with ``build_conjugator``.
     Returns ([N_1..N_K], [W_1..W_K]).
     """
     dim = problem.dim
     K = problem.order
+    e0 = problem.e0
     ihbar = GaussianRational(0, problem.hbar)
+    inv_ihbar = GaussianRational(0, -1 / problem.hbar)
     x = problem.h_series()
     n_parts = []
     w_parts = []
     for k in range(1, K + 1):
         a = x.coefficient(k)
-        n_k = problem.resonant_part(a)
-        w_rows = []
-        for n in range(dim):
-            row = []
-            for m in range(dim):
-                if problem.e0[n] == problem.e0[m]:
-                    row.append(ZERO)
-                else:
-                    gap = GaussianRational(problem.e0[n] - problem.e0[m])
-                    row.append(ihbar * a[n][m] / gap)
-            w_rows.append(tuple(row))
-        w_k = tuple(w_rows)
-        n_parts.append(n_k)
-        w_parts.append(w_k)
-        generator = MatrixSeries.from_orders(
-            dim, K, {k: mat_scale(GaussianRational(0, -Fraction(1) / problem.hbar), w_k)}
+        w_k = tuple(
+            tuple(
+                ihbar * y / GaussianRational(e0[n] - e0[m]) if y and e0[n] != e0[m] else ZERO
+                for m, y in enumerate(row)
+            )
+            for n, row in enumerate(a)
         )
-        e = series_exp(generator)
-        x = e * x * e.adjoint()
+        n_parts.append(problem.resonant_part(a))
+        w_parts.append(w_k)
+        if k < K:
+            e = series_exp(MatrixSeries.from_orders(dim, K, {k: mat_scale(inv_ihbar, w_k)}))
+            x = e * x * e.adjoint()
     return n_parts, w_parts
 
 
@@ -731,39 +741,96 @@ def _power_traces(series: MatrixSeries, indices: Sequence[int]) -> list:
     """[tr(B^p) by order for p = 1..n], n = len(indices), B the series
     restricted to the rows and columns in ``indices``.
 
-    Only B^1..B^m, m = ceil(n/2), are formed as series products.  For
-    p > m, tr(B^p) is taken order by order as the sum over i, j of
-    (B^m)_ij (B^(p-m))_ji, with p - m <= m: one pass over the nonzero
-    entries of B^m instead of another product.  Every trace still comes
-    from B alone."""
+    The work is done in integers: every entry of B, at every order, is
+    written as a Gaussian integer over one shared denominator D (the lcm
+    of the entry denominators), so B^p is a matrix of Gaussian integers
+    over D^p and no sum or product is reduced on the way.  Only B^1..B^m,
+    m = ceil(n/2), are formed as series products.  For p > m, tr(B^p) is
+    taken order by order as the sum over i, j of (B^m)_ij (B^(p-m))_ji,
+    with p - m <= m: one pass over the nonzero entries of B^m instead of
+    another product.  Each trace becomes a canonical GaussianRational
+    once, as (its integer sum) / D^p.  Every trace still comes from B
+    alone."""
     n = len(indices)
-    sub = MatrixSeries([tuple(tuple(a[i][j] for j in indices) for i in indices) for a in series.coeffs])
-    sub_rows = [_nonzero_rows(a) for a in sub.coeffs]
-    powers = [sub]
+    block = [
+        [[(j, x) for j, x in enumerate(a[i][col] for col in indices) if x] for i in indices]
+        for a in series.coeffs
+    ]
+    # a GaussianRational is the canonical integer triple (_a + _b i) / _d
+    den = math.lcm(*(x._d for a in block for row in a for _, x in row))
+    base = []
+    for a in block:
+        re = [[0] * n for _ in range(n)]
+        im = [[0] * n for _ in range(n)]
+        for i, row in enumerate(a):
+            for j, x in row:
+                re[i][j] = x._a * (den // x._d)
+                im[i][j] = x._b * (den // x._d)
+        base.append((re, im))
+    powers = [base]
+    base_rows = top_rows = [_gaussian_rows(c) for c in base]
     for _ in range(1, (n + 1) // 2):
-        powers.append(powers[-1].times_rows(sub_rows))
+        powers.append(_gaussian_product(top_rows, base_rows, n))
+        top_rows = [_gaussian_rows(c) for c in powers[-1]]
     m = len(powers)
-    top_rows = [_nonzero_rows(a) for a in powers[-1].coeffs]
-    traces = [power.trace_by_order() for power in powers]
+    sums = [
+        [(sum(re[i][i] for i in range(n)), sum(im[i][i] for i in range(n))) for re, im in power]
+        for power in powers
+    ]
     for p in range(m + 1, n + 1):
-        traces.append(_product_trace(top_rows, powers[p - m - 1].coeffs))
+        sums.append(_split_trace(top_rows, powers[p - m - 1]))
+    traces = []
+    for p, by_order in enumerate(sums, start=1):
+        scale = GaussianRational(Fraction(1, den**p))
+        traces.append([GaussianRational(re, im) * scale for re, im in by_order])
     return traces
 
 
-def _product_trace(left: list, right: Sequence[tuple]) -> list:
-    """tr(X Y) by order, X a series given by the nonzero rows of its
-    coefficients and Y by its coefficient matrices."""
+def _gaussian_rows(coefficient: tuple) -> list:
+    """Per row of a Gaussian-integer matrix, given as its (real, imaginary)
+    parts, the (column, re, im) triples of its nonzero entries."""
+    re, im = coefficient
+    columns = range(len(re))
+    return [
+        [(j, row_re[j], row_im[j]) for j in compress(columns, map(or_, row_re, row_im))]
+        for row_re, row_im in zip(re, im)
+    ]
+
+
+def _gaussian_product(left: list, right: list, n: int) -> list:
+    """The truncated series product of two Gaussian-integer matrix series,
+    each given by the ``_gaussian_rows`` of its coefficients; per order,
+    the (real, imaginary) parts of the product."""
     out = []
     for k in range(len(left)):
-        total = ZERO
+        re = [[0] * n for _ in range(n)]
+        im = [[0] * n for _ in range(n)]
         for j in range(k + 1):
             b = right[k - j]
             for i, row in enumerate(left[j]):
-                for l, x in row:
-                    y = b[l][i]
-                    if y:
-                        total = total + x * y
-        out.append(total)
+                out_re, out_im = re[i], im[i]
+                for c, xr, xi in row:
+                    for l, yr, yi in b[c]:
+                        out_re[l] += xr * yr - xi * yi
+                        out_im[l] += xr * yi + xi * yr
+        out.append((re, im))
+    return out
+
+
+def _split_trace(left: list, right: list) -> list:
+    """tr(X Y) by order as (real, imaginary) integers, X given by the
+    ``_gaussian_rows`` of its coefficients and Y by their parts."""
+    out = []
+    for k in range(len(left)):
+        total_re = total_im = 0
+        for j in range(k + 1):
+            b_re, b_im = right[k - j]
+            for i, row in enumerate(left[j]):
+                for l, xr, xi in row:
+                    yr, yi = b_re[l][i], b_im[l][i]
+                    total_re += xr * yr - xi * yi
+                    total_im += xr * yi + xi * yr
+        out.append((total_re, total_im))
     return out
 
 

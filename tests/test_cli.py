@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -232,6 +234,29 @@ def test_unwritable_output_exits_2_with_a_message(problem_file, tmp_path, monkey
     assert main(argv + ["-o", "out.json"]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write ")
     assert not missing.exists()
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # stdout is a pipe whose read end is closed before the program writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (os.path.abspath(src), os.environ.get("PYTHONPATH"))))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "mouldpert.cli", "oracle", "--random-dim", "3", "--seed", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write standard output")
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 def test_deterministic_output(problem_file, capsys):

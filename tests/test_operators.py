@@ -441,6 +441,39 @@ def test_corrupted_normal_form_is_flagged_at_its_order():
     assert report.conjugacy_magnitude[2] == 0
 
 
+def test_residual_magnitudes_are_those_of_the_dense_differences():
+    problem = two_level_problem(order=4)
+    out = solve(problem)
+    bad_n = with_entry_added(out.n_series, 3, 0, 0, ONE)
+    bad_c = with_entry_added(out.c_series, 2, 0, 1, gr(Fraction(3, 7), 2))
+    h = problem.h_series()
+    identity = MatrixSeries.identity(problem.dim, problem.order)
+    largest = 0
+    for n_series, c_series in ((bad_n, out.c_series), (out.n_series, bad_c)):
+        report = verify_conjugacy(problem, n_series, c_series, out.w_series)
+        c_adj = MatrixSeries([mat_adjoint(a) for a in c_series.coeffs])
+        rhs = MatrixSeries([problem.h0_matrix()] + list(n_series.coeffs[1:]))
+        conjugacy = dense_series_mul(dense_series_mul(c_series, h), c_adj)
+        unitarity = dense_series_mul(c_series, c_adj)
+        expected = [mat_magnitude(mat_sub(a, b)) for a, b in zip(conjugacy.coeffs, rhs.coeffs)]
+        assert report.conjugacy_magnitude == expected
+        assert not report.ok
+        expected = [mat_magnitude(mat_sub(a, b)) for a, b in zip(unitarity.coeffs, identity.coeffs)]
+        assert report.unitarity_magnitude == expected
+        largest = max(largest, *report.conjugacy_magnitude, *report.unitarity_magnitude)
+    # the values, not only which orders are nonzero
+    assert largest > 1
+
+
+def test_commutation_check_flags_an_off_resonant_entry():
+    problem = two_level_problem(order=4)
+    out = solve(problem)
+    # E0 = (0, 1): an entry in row 0, column 1 of N_2 does not commute with H0
+    shifted = with_entry_added(out.n_series, 2, 0, 1, ONE)
+    report = verify_conjugacy(problem, shifted, out.c_series, out.w_series)
+    assert report.commutation_ok == [True, False, True, True]
+
+
 def test_trace_check_catches_a_changed_normal_form():
     problem = two_level_problem(order=4)
     out = solve(problem)
@@ -507,6 +540,60 @@ def test_oracle_first_order_is_resonant_part():
     for w in w_parts:
         assert problem.resonant_part(w) == zero_matrix(problem.dim)
         assert mat_adjoint(w) == w
+
+
+def reference_oracle(problem):
+    """The recursive construction written out in full: it divides at every
+    off-resonant position, zero or not, exponentiates from the identity,
+    and conjugates after every order, K included."""
+    dim, K = problem.dim, problem.order
+    ihbar = GaussianRational(0, problem.hbar)
+    x = problem.h_series()
+    n_parts, w_parts = [], []
+    for k in range(1, K + 1):
+        a = x.coefficient(k)
+        n_parts.append(problem.resonant_part(a))
+        w_k = tuple(
+            tuple(
+                ZERO
+                if problem.e0[n] == problem.e0[m]
+                else ihbar * a[n][m] / GaussianRational(problem.e0[n] - problem.e0[m])
+                for m in range(dim)
+            )
+            for n in range(dim)
+        )
+        w_parts.append(w_k)
+        generator = MatrixSeries.from_orders(
+            dim, K, {k: mat_scale(GaussianRational(0, -Fraction(1) / problem.hbar), w_k)}
+        )
+        e = term = MatrixSeries.identity(dim, K)
+        for j in range(1, K + 1):
+            term = (term * generator).scale(GaussianRational(Fraction(1, j)))
+            e = e + term
+        x = e * x * e.adjoint()
+    return n_parts, w_parts
+
+
+ORACLE_CASES = {
+    **{
+        f"seed3-{dim}-{order}-{'degenerate' if degenerate else 'simple'}": (
+            lambda dim=dim, order=order, degenerate=degenerate: random_problem(
+                dim, order, seed=3, degenerate=degenerate
+            )
+        )
+        for dim, order in ((3, 4), (4, 4), (4, 5), (4, 6), (5, 5))
+        for degenerate in (False, True)
+    },
+    "hbar-half": lambda: random_problem(4, 4, seed=3, hbar=Fraction(1, 2)),
+    "hbar-half-degenerate": lambda: random_problem(4, 4, seed=3, hbar=Fraction(1, 2), degenerate=True),
+    "half-integer-12": lambda: sparse_half_integer_problem(12, 2, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_oracle_equals_the_full_recursion(name):
+    problem = ORACLE_CASES[name]()
+    assert hierarchy_oracle(problem) == reference_oracle(problem)
 
 
 def test_oracle_matches_mould_normal_form():
@@ -663,7 +750,8 @@ ENTRIES = st.one_of(
         lambda re, im, den: gr(Fraction(re, den), Fraction(im, den)),
         st.integers(-2, 2),
         st.integers(-2, 2),
-        st.integers(1, 3),
+        # denominators over several primes, so a shared denominator and its powers mix them
+        st.sampled_from((1, 2, 3, 5, 7, 12)),
     ),
 )
 
@@ -752,6 +840,9 @@ def test_power_traces_match_dense_powers():
     h = problem.h_series()
     for indices in (range(10), [0, 3, 4, 9]):
         assert operators._power_traces(h, indices) == dense_power_traces(h, indices)
+    # n = 16: B^1..B^8 are formed and B^9..B^16 are split 8 + (p - 8)
+    h = sparse_half_integer_problem(16, 2, seed=2).h_series()
+    assert operators._power_traces(h, range(16)) == dense_power_traces(h, range(16))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
