@@ -58,24 +58,25 @@ def make_T(alphabet: Alphabet) -> Mould:
     """The Laurent-valued mould 1/prod_j(s_j + j e), evaluated lazily.
 
     Evaluation extends the memoized value of the length-(r-1) prefix by
-    one factor.  A vanishing partial sum contributes the exact monomial
-    (1/j) e^-1; a nonvanishing one is expanded geometrically far enough
-    that the full product is guaranteed through the requested accuracy.
-    The valuation of T^w is minus the number of vanishing partial sums.
+    the Laurent inverse of s + r e, with s the partial sum: the exact
+    monomial (1/r) e^-1 when s vanishes (the prefix is then requested one
+    degree deeper), else a geometric expansion deepened by the prefix's
+    polar depth, so the product is guaranteed through the requested
+    accuracy.  Factors are cached per (s, r, accuracy) in this mould.  The
+    valuation of T^w is minus the number of vanishing partial sums.
     """
+    factors: dict = {}
+
     def fn(word: Word, acc: int) -> Laurent:
         if len(word) == 0:
             return Laurent.one()
         r = len(word)
         s = alphabet.phi(word)
-        if not s:
-            prefix = mould.value(word[:-1], acc + 1)
-            return prefix * Laurent.monomial(GaussianRational(1) / r, -1)
-        prefix = mould.value(word[:-1], acc)
-        depth = -prefix.min_degree_bound()
-        if depth < 0:
-            depth = 0
-        factor = Laurent.from_pairs([(0, s), (1, GaussianRational(r))]).inverse(acc + depth)
+        prefix = mould.value(word[:-1], acc if s else acc + 1)
+        need = acc + max(0, -prefix.min_degree_bound())
+        factor = factors.get((s, r, need))
+        if factor is None:
+            factor = factors[s, r, need] = Laurent.from_pairs([(0, s), (1, r)]).inverse(need)
         return prefix * factor
 
     mould = Mould(alphabet, fn, name="T")
@@ -95,12 +96,8 @@ class BirkhoffEngine:
         self.alphabet = alphabet
         self.T = make_T(alphabet)
         self._pairs: dict = {}
-        self.u_minus = Mould(
-            alphabet, lambda w, acc: self._pair(w, 0)[0], name="U_minus", memoize=False
-        )
-        self.u_plus = Mould(
-            alphabet, lambda w, acc: self._pair(w, acc)[1], name="U_plus", memoize=False
-        )
+        self.u_minus = Mould(alphabet, lambda w, acc: self._pair(w, 0)[0], name="U_minus")
+        self.u_plus = Mould(alphabet, lambda w, acc: self._pair(w, acc)[1], name="U_plus")
         self.R = Mould.constant_from(alphabet, self.coeff_R, name="R")
         self.S = Mould.constant_from(alphabet, self.coeff_S, name="S")
 
@@ -119,9 +116,7 @@ class BirkhoffEngine:
                 u_minus_prefix = self._pair(word[:j], 0)[0]
                 if u_minus_prefix.is_exact_zero:
                     continue
-                depth = -u_minus_prefix.min_degree_bound()
-                if depth < 0:
-                    depth = 0
+                depth = max(0, -u_minus_prefix.min_degree_bound())
                 t_suffix = self.T.value(word[j:], acc + depth)
                 total = total + u_minus_prefix * t_suffix
             pair = (-total.polar_part(), total.regular_part())

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from .laurent import Laurent
-from .scalars import GaussianRational, ONE, ZERO, format_scalar, parse_scalar
+from .scalars import GaussianRational, ZERO, format_scalar, parse_scalar
 
 __all__ = [
     "Word",
@@ -192,8 +192,10 @@ class Mould:
     """A lazily evaluated family of Laurent values indexed by words.
 
     ``value(word, acc)`` guarantees all coefficients of degree <= acc.
-    Constant-valued moulds hold e-free scalars; ``scalar_value`` reads
-    them back as Gaussian rationals.
+    Every mould memoizes its values per word: a cached value is returned
+    when its window covers acc, and a deeper request re-evaluates and
+    replaces it.  Constant-valued moulds hold e-free scalars;
+    ``scalar_value`` reads them back as Gaussian rationals.
     """
 
     def __init__(
@@ -202,17 +204,14 @@ class Mould:
         evaluate: Callable[[Word, int], Laurent],
         constant: bool = False,
         name: str = "",
-        memoize: bool = True,
     ):
         self.alphabet = alphabet
         self.constant = constant
         self.name = name
         self._evaluate = evaluate
-        self._memo: Optional[dict] = {} if memoize else None
+        self._memo: dict = {}
 
     def value(self, word: Word, acc: int = 0) -> Laurent:
-        if self._memo is None:
-            return self._evaluate(word, acc)
         cached = self._memo.get(word)
         if cached is not None and (cached.acc_order is None or cached.acc_order >= acc):
             return cached
@@ -247,13 +246,10 @@ class Mould:
         return cls(alphabet, fn, constant=True, name="unit")
 
     @classmethod
-    def letters(cls, alphabet: Alphabet, weight: Optional[Callable] = None) -> "Mould":
-        """Supported on single-letter words; value 1 (or a per-letter weight)."""
+    def letters(cls, alphabet: Alphabet) -> "Mould":
+        """Supported on single-letter words, with value 1."""
         def fn(word: Word, acc: int) -> Laurent:
-            if len(word) != 1:
-                return Laurent.zero()
-            c = ONE if weight is None else weight(alphabet.value(word[0]))
-            return Laurent.from_scalar(c) if c else Laurent.zero()
+            return Laurent.one() if len(word) == 1 else Laurent.zero()
 
         return cls(alphabet, fn, constant=True, name="letters")
 

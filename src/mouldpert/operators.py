@@ -111,6 +111,11 @@ def mat_adjoint(a: tuple) -> tuple:
     return tuple(tuple(a[j][i].conjugate() for j in range(len(a))) for i in range(len(a)))
 
 
+def mat_is_hermitian(a: tuple) -> bool:
+    """a equals its adjoint, compared in place, diagonal included."""
+    return all(a[i][j] == a[j][i].conjugate() for i in range(len(a)) for j in range(i, len(a)))
+
+
 def mat_is_zero(a: tuple) -> bool:
     return all(not x for row in a for x in row)
 
@@ -231,19 +236,23 @@ class MatrixSeries:
         return [mat_to_json(a) for a in self.coeffs]
 
 
+def _power_sum(a: MatrixSeries, coefficient) -> MatrixSeries:
+    """a + sum over j >= 2 of coefficient(j) a^j for a with vanishing order-0
+    term (exp and log both start with x), up to the first vanishing power."""
+    out = power = a
+    for j in range(2, a.order + 1):
+        power = power * a
+        if power.is_zero():
+            break
+        out = out + power.scale(GaussianRational(coefficient(j)))
+    return out
+
+
 def series_exp(a: MatrixSeries) -> MatrixSeries:
     """exp of a series with vanishing order-0 term (finite in truncation)."""
     if not mat_is_zero(a.coefficient(0)):
         raise ValueError("series_exp needs a vanishing order-0 coefficient")
-    out = MatrixSeries.identity(a.dim, a.order)
-    term = a
-    for j in range(1, a.order + 1):
-        if j > 1:
-            term = (term * a).scale(GaussianRational(Fraction(1, j)))
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+    return MatrixSeries.identity(a.dim, a.order) + _power_sum(a, lambda j: Fraction(1, math.factorial(j)))
 
 
 def series_log(a: MatrixSeries) -> MatrixSeries:
@@ -251,15 +260,7 @@ def series_log(a: MatrixSeries) -> MatrixSeries:
     if a.coefficient(0) != identity_matrix(a.dim):
         raise ValueError("series_log needs an identity order-0 coefficient")
     rest = a - MatrixSeries.identity(a.dim, a.order)
-    out = MatrixSeries.zeros(a.dim, a.order)
-    power = rest
-    for j in range(1, a.order + 1):
-        if j > 1:
-            power = power * rest
-        if power.is_zero():
-            break
-        out = out + power.scale(GaussianRational(Fraction((-1) ** (j - 1), j)))
-    return out
+    return _power_sum(rest, lambda j: Fraction((-1) ** (j - 1), j))
 
 
 # -- problems ------------------------------------------------------------------
@@ -517,40 +518,45 @@ def build_conjugator(problem: PerturbationProblem) -> tuple:
     Phi(A)_k = sum over |w| = k of A^w B_(w1) ... B_(wk) turns
     U_minus x T = U_plus into Phi(U_minus) Phi(T) = Phi(U_plus), solved
     order by order.  Letter sums telescope along index chains a -> c to
-    s(a, c) = (E0(a) - E0(c)) / (i hbar), so Phi(T)_k is Phi(T)_(k-1) V with
-    entry (a, c) over s(a, c) + k e, and no word is enumerated.  From
-    X_k = sum over j < k of Phi(U_minus)_j Phi(T)_(k-j): Phi(U_minus)_k =
-    -polar(X_k), C_k = const(X_k) / (i hbar)^k, and N_k = k res(X_k) /
-    (i hbar)^(k-1), as N is alternal (Dynkin-Specht-Wever).  Factors are
-    inverted through e^K (exactly (1/k) e^-1 at s = 0); the Laurent
-    accuracy bookkeeping raises if that window is short.  W = i hbar
-    log C, whose Hermiticity tests unitarity.  No alphabet, component or
-    word is built: those serve only the solve JSON.
+    g / (i hbar), with the real gap g = E0(a) - E0(c).  In e' = i hbar e
+    the factor of T at step k is i hbar / (g + k e'), so Phi(T)_k and X_k
+    carry exactly (i hbar)^k, and the recursion runs without hbar:
+    Phi(T)_k is Phi(T)_(k-1) V (V at k = 1) with entry (a, c) times
+    1/(g + k e'), and no word is enumerated.  From X_k = Phi(T)_k + sum
+    over 0 < j < k of Phi(U_minus)_j Phi(T)_(k-j): Phi(U_minus)_k =
+    -polar(X_k), C_k = const(X_k), and N_k = k res(X_k), as N is alternal
+    (Dynkin-Specht-Wever).  Factors are inverted through e'^K (exactly
+    (1/k) e'^-1 at g = 0); the Laurent accuracy bookkeeping raises if
+    that window is short.  hbar enters only W = i hbar log C, whose
+    Hermiticity tests unitarity.  No alphabet, component or word is
+    built: those serve only the solve JSON.
     """
     dim, K = problem.dim, problem.order
-    inv_ihbar = GaussianRational(0, -1 / problem.hbar)
-    gap = [[inv_ihbar * GaussianRational(a - c) for c in problem.e0] for a in problem.e0]
+    den = math.lcm(*(x.denominator for x in problem.e0))
+    level = [int(x * den) for x in problem.e0]  # E0 over one denominator
 
     @functools.cache
-    def inverse(s: GaussianRational, k: int) -> Laurent:
-        return Laurent.from_pairs([(0, s), (1, k)]).inverse(K)
+    def factor(gap: int, k: int) -> Laurent:
+        return Laurent.from_pairs([(0, Fraction(gap, den)), (1, k)]).inverse(K)
 
     v_rows = _nonzero_rows(problem.v)
-    one = [[(a, Laurent.one())] for a in range(dim)]
-    t_rows, u_rows = [one], [one]  # nonzero rows of Phi(T)_j and Phi(U_minus)_j
+    t_rows, u_rows = [None], [None]  # nonzero rows of Phi(T)_k and Phi(U_minus)_k, k >= 1
     c_coeffs, n_coeffs = [identity_matrix(dim)], [zero_matrix(dim)]
     for k in range(1, K + 1):
-        step = [[Laurent.zero()] * dim for _ in range(dim)]
-        _accumulate(step, t_rows[-1], v_rows)
-        step_rows = enumerate(_nonzero_rows(step))
-        t_rows.append([[(c, y * inverse(gap[a][c], k)) for c, y in row] for a, row in step_rows])
         x = [[Laurent.zero()] * dim for _ in range(dim)]
-        for j in range(k):
+        step_rows = v_rows  # nonzero rows of Phi(T)_(k-1) V, formed in x for k > 1
+        if k > 1:
+            _accumulate(x, t_rows[-1], v_rows)
+            step_rows = _nonzero_rows(x)
+        for a, row in enumerate(step_rows):
+            for c, y in row:
+                x[a][c] = y * factor(level[a] - level[c], k)
+        t_rows.append(_nonzero_rows(x))
+        for j in range(1, k):
             _accumulate(x, u_rows[j], t_rows[k - j])
         u_rows.append(_nonzero_rows([[-y.polar_part() for y in row] for row in x]))
-        c_scale, n_scale = inv_ihbar ** k, k * inv_ihbar ** (k - 1)
-        c_coeffs.append(tuple(tuple(y.constant_term() * c_scale for y in row) for row in x))
-        n_coeffs.append(tuple(tuple(y.residue() * n_scale for y in row) for row in x))
+        c_coeffs.append(tuple(tuple(y.constant_term() for y in row) for row in x))
+        n_coeffs.append(tuple(tuple(y.residue() * k for y in row) for row in x))
     c_series = MatrixSeries(c_coeffs)
     w_series = series_log(c_series).scale(GaussianRational(0, problem.hbar))
     return c_series, w_series, MatrixSeries(n_coeffs)
@@ -629,10 +635,7 @@ def verify_conjugacy(
         mat_mul(h0, n_series.coefficient(k)) == mat_mul(n_series.coefficient(k), h0)
         for k in range(1, problem.order + 1)
     ]
-    hermitian = [
-        n_series.coefficient(k) == mat_adjoint(n_series.coefficient(k))
-        for k in range(1, problem.order + 1)
-    ]
+    hermitian = [mat_is_hermitian(n_series.coefficient(k)) for k in range(1, problem.order + 1)]
     every = range(problem.dim)
     pairs = zip(_power_traces(h, every), _power_traces(rhs, every))
     trace_ok = {p: a == b for p, (a, b) in enumerate(pairs, start=1)}
@@ -646,7 +649,7 @@ def verify_conjugacy(
         commutation_ok=commutation,
         hermitian_ok=hermitian,
         trace_ok=trace_ok,
-        generator_hermitian=w_series == w_series.adjoint(),
+        generator_hermitian=all(mat_is_hermitian(w) for w in w_series.coeffs),
     )
 
 

@@ -322,7 +322,7 @@ def parse_scalar(text: str) -> GaussianRational:
     def read_uint(what: str) -> int:
         nonlocal i
         start = i
-        while i < n and s[i].isdigit():
+        while i < n and s[i] in "0123456789":
             i += 1
         if i == start:
             fail(start, f"expected {what}")

@@ -61,13 +61,16 @@ def test_T_on_cancelling_pair(engine, alphabet):
 
 def test_T_is_the_product_of_resolvent_factors(engine, alphabet):
     # direct evaluation of the defining product, independent of the
-    # prefix recursion used by the engine
-    for word in alphabet.words_up_to(3, include_empty=False):
-        direct = Laurent.one()
-        for j, s in enumerate(alphabet.partial_sums(word), start=1):
-            factor = Laurent.from_pairs([(0, s), (1, GaussianRational(j))])
-            direct = direct * factor.inverse(6)
-        assert engine.T.value(word, 2).agrees_with(direct, 2)
+    # prefix recursion used by the engine; each factor is inverted len(word)
+    # degrees past acc, so the poles of the others leave the product exact
+    # through acc.  Rising windows on one engine re-evaluate cached values.
+    for acc in (0, 2, 4):
+        for word in alphabet.words_up_to(4, include_empty=False):
+            direct = Laurent.one()
+            for j, s in enumerate(alphabet.partial_sums(word), start=1):
+                factor = Laurent.from_pairs([(0, s), (1, GaussianRational(j))])
+                direct = direct * factor.inverse(acc + len(word))
+            assert engine.T.value(word, acc).agrees_with(direct, acc)
 
 
 def test_T_valuation_counts_vanishing_partial_sums(engine, alphabet):

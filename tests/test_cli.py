@@ -294,6 +294,7 @@ TWO_LEVEL = {"E0": ["0", "1"], "V": [["0", "1"], ["1", "0"]]}
         {**TWO_LEVEL, "order": 2.7},
         {**TWO_LEVEL, "order": "3"},
         {**TWO_LEVEL, "order": True},
+        {**TWO_LEVEL, "V": [["0", "٣"], ["٣", "0"]]},
     ],
 )
 def test_malformed_problem_exits_2_with_a_message(tmp_path, capsys, data):

@@ -281,11 +281,18 @@ def geometric_symmetral(alphabet, weights):
     return Mould.constant_from(alphabet, fn, name="geometric")
 
 
+def weighted_letters(alphabet, weights):
+    """Supported on single-letter words, with one weight per letter."""
+    return Mould.constant_from(alphabet, lambda word: weights[word[0]] if len(word) == 1 else ZERO)
+
+
 def commutator_alternal(alphabet, seed):
     """Alternal mould: commutator bracket of two letter-supported moulds."""
     rng = random.Random(seed)
-    f = Mould.letters(alphabet, weight=lambda v: GaussianRational(rng.randint(1, 5)))
-    g = Mould.letters(alphabet, weight=lambda v: GaussianRational(rng.randint(1, 5), rng.randint(-3, 3)))
+    f = weighted_letters(alphabet, [GaussianRational(rng.randint(1, 5)) for _ in alphabet.letters])
+    g = weighted_letters(
+        alphabet, [GaussianRational(rng.randint(1, 5), rng.randint(-3, 3)) for _ in alphabet.letters]
+    )
     def fn(word, acc):
         return mould_product(f, g).value(word, acc) - mould_product(g, f).value(word, acc)
     return Mould(alphabet, fn, constant=True, name="bracket")

@@ -474,6 +474,23 @@ def test_commutation_check_flags_an_off_resonant_entry():
     assert report.commutation_ok == [True, False, True, True]
 
 
+def test_hermiticity_checks_flag_their_own_series():
+    problem = two_level_problem(order=4)
+    out = solve(problem)
+    assert out.conjugacy.hermitian_ok == [True] * 4 and out.conjugacy.generator_hermitian
+    # one off-diagonal entry of N_2 changed: N_2 is no longer Hermitian
+    skewed = with_entry_added(out.n_series, 2, 1, 0, gr(0, 1))
+    report = verify_conjugacy(problem, skewed, out.c_series, out.w_series)
+    assert report.hermitian_ok == [True, False, True, True]
+    assert report.generator_hermitian
+    # a non-real diagonal entry of W_3: W is no longer Hermitian
+    tilted = with_entry_added(out.w_series, 3, 1, 1, gr(0, 1))
+    report = verify_conjugacy(problem, out.n_series, out.c_series, tilted)
+    assert not report.generator_hermitian
+    assert report.hermitian_ok == [True] * 4
+    assert not report.ok
+
+
 def test_trace_check_catches_a_changed_normal_form():
     problem = two_level_problem(order=4)
     out = solve(problem)

@@ -117,7 +117,7 @@ def test_parse_examples():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "abc", "1/", "1/0", "1+", "1+2", "1 + 2i", "2i+1", "--1", "1//2", "3/4x"],
+    ["", "abc", "1/", "1/0", "1+", "1+2", "1 + 2i", "2i+1", "--1", "1//2", "3/4x", "٣/٤", "²"],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ScalarParseError) as err:
