@@ -277,9 +277,9 @@ def verify_grading_identities(engine: BirkhoffEngine, max_length: int, acc: int 
     alphabet = engine.alphabet
     report = SuiteReport(name="grading identities")
     ones = Mould.letters(alphabet)
-    lhs_minus = nabla(engine.u_minus, "Phi")
+    lhs_minus = nabla(engine.u_minus)
     rhs_minus = mould_product(engine.R, engine.u_minus)
-    lhs_plus = nabla(engine.u_plus, "Phi")
+    lhs_plus = nabla(engine.u_plus)
     rhs_plus_a = mould_product(engine.u_plus, ones)
     rhs_plus_b = mould_product(engine.R, engine.u_plus)
     for word in alphabet.words_up_to(max_length):

@@ -61,7 +61,7 @@ def _load_problem(path: str) -> PerturbationProblem:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return PerturbationProblem.from_json_dict(data)
-    except (KeyError, ValueError, ScalarParseError) as exc:
+    except (ValueError, ScalarParseError) as exc:
         raise InputError(f"bad problem file {path}: {exc}") from exc
 
 
@@ -179,7 +179,7 @@ def cmd_verify(args) -> int:
     else:
         try:
             bad_word = alphabet.parse_word(args.corrupt_word)
-        except (KeyError, ValueError, ScalarParseError) as exc:
+        except (ValueError, ScalarParseError) as exc:
             raise InputError(f"bad --corrupt-word: {exc}") from exc
         engine = CorruptedEngine(alphabet, bad_word)
     max_length = _nonnegative(args, "max_length", "--max-length")

@@ -72,11 +72,6 @@ class Laurent:
         return _EXACT_ZERO
 
     @classmethod
-    def zero_through(cls, acc_order: int) -> "Laurent":
-        """Zero on the guaranteed window, unknown above it."""
-        return cls(0, (), acc_order)
-
-    @classmethod
     def one(cls) -> "Laurent":
         return _EXACT_ONE
 

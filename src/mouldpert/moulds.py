@@ -23,7 +23,7 @@ from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .laurent import Laurent
-from .scalars import GaussianRational, ZERO, format_scalar, parse_scalar
+from .scalars import GaussianRational, ONE, ZERO, format_scalar, parse_scalar
 
 __all__ = [
     "Word",
@@ -91,13 +91,13 @@ class Alphabet:
     def letters(self) -> tuple:
         return self._letters
 
-    def value(self, index: int) -> GaussianRational:
-        return self._letters[index]
-
     def index(self, value) -> int:
         if isinstance(value, str):
             value = parse_scalar(value)
-        return self._index[value]
+        try:
+            return self._index[value]
+        except KeyError:
+            raise ValueError(f"{format_scalar(value)} is not a letter of the alphabet") from None
 
     def phi(self, word: Word) -> GaussianRational:
         """Sum of the letter values of a word (zero on the empty word)."""
@@ -105,15 +105,6 @@ class Alphabet:
         for i in word:
             total = total + self._letters[i]
         return total
-
-    def partial_sums(self, word: Word) -> list:
-        """Sums of the first j letters, j = 1..len(word)."""
-        out = []
-        total = ZERO
-        for i in word:
-            total = total + self._letters[i]
-            out.append(total)
-        return out
 
     def word_of(self, *values) -> Word:
         """Build a word from letter values (scalar literals accepted)."""
@@ -194,7 +185,8 @@ class Mould:
     ``value(word, acc)`` guarantees all coefficients of degree <= acc.
     Every mould memoizes its values per word: a cached value is returned
     when its window covers acc, and a deeper request re-evaluates and
-    replaces it.  Constant-valued moulds hold e-free scalars;
+    replaces it.  Constant-valued moulds hold e-free scalars, are built
+    by ``constant_from`` (``unit`` and ``letters`` are two of them), and
     ``scalar_value`` reads them back as Gaussian rationals.
     """
 
@@ -224,48 +216,22 @@ class Mould:
             raise MouldError(f"mould {self.name or '<anonymous>'} is not constant-valued")
         return self.value(word, 0).constant_term()
 
-    def table_json(self, max_length: int, acc: int = 0) -> list:
-        """Dump values on all words up to max_length, sorted by length then
-        letter indices, as [{word, value}] with JSON-rendered series."""
-        return [
-            {
-                "word": self.alphabet.render_word(word),
-                "value": self.value(word, acc).to_json(),
-            }
-            for word in self.alphabet.words_up_to(max_length)
-        ]
-
     # -- ready-made moulds ------------------------------------------------
 
     @classmethod
     def unit(cls, alphabet: Alphabet) -> "Mould":
         """The multiplicative unit: 1 on the empty word, 0 elsewhere."""
-        def fn(word: Word, acc: int) -> Laurent:
-            return Laurent.one() if len(word) == 0 else Laurent.zero()
-
-        return cls(alphabet, fn, constant=True, name="unit")
+        return cls.constant_from(alphabet, lambda word: ONE if len(word) == 0 else ZERO, name="unit")
 
     @classmethod
     def letters(cls, alphabet: Alphabet) -> "Mould":
         """Supported on single-letter words, with value 1."""
-        def fn(word: Word, acc: int) -> Laurent:
-            return Laurent.one() if len(word) == 1 else Laurent.zero()
-
-        return cls(alphabet, fn, constant=True, name="letters")
+        return cls.constant_from(alphabet, lambda word: ONE if len(word) == 1 else ZERO, name="letters")
 
     @classmethod
     def constant_from(cls, alphabet: Alphabet, scalar_fn: Callable[[Word], GaussianRational], name: str = "") -> "Mould":
         def fn(word: Word, acc: int) -> Laurent:
             c = scalar_fn(word)
-            return Laurent.from_scalar(c) if c else Laurent.zero()
-
-        return cls(alphabet, fn, constant=True, name=name)
-
-    @classmethod
-    def from_table(cls, alphabet: Alphabet, table: dict, name: str = "") -> "Mould":
-        """Constant mould from an explicit word -> scalar table (0 off-table)."""
-        def fn(word: Word, acc: int) -> Laurent:
-            c = table.get(word, ZERO)
             return Laurent.from_scalar(c) if c else Laurent.zero()
 
         return cls(alphabet, fn, constant=True, name=name)
@@ -346,43 +312,33 @@ def mould_antipode(mould: Mould, name: str = "") -> Mould:
     return Mould(mould.alphabet, fn, constant=mould.constant, name=name or f"antipode({mould.name})")
 
 
-def nabla(mould: Mould, mode: str = "phi", name: str = "") -> Mould:
-    """Grading operators on moulds.
+def nabla(mould: Mould, name: str = "") -> Mould:
+    """The grading operator nabla_Phi: multiply M^w by phi(w) + len(w) * e.
 
-    mode "phi":    multiply M^w by the letter sum phi(w);
-    mode "Phi":    multiply M^w by phi(w) + len(w) * e;
-    mode "length": multiply M^w by len(w).
+    The factor carries e, so the result is Laurent-valued even for a
+    constant mould.
     """
-    if mode not in ("phi", "Phi", "length"):
-        raise MouldError(f"unknown nabla mode {mode!r}")
     alphabet = mould.alphabet
 
     def fn(word: Word, acc: int) -> Laurent:
-        r = len(word)
-        if mode == "length":
-            return mould.value(word, acc).scale(GaussianRational(r))
-        s = alphabet.phi(word)
-        if mode == "phi":
-            return mould.value(word, acc).scale(s)
-        poly = Laurent.from_pairs([(0, s), (1, GaussianRational(r))])
-        if poly.is_exact_zero:
-            return Laurent.zero()
-        return mould.value(word, acc) * poly
+        return mould.value(word, acc) * Laurent.from_pairs([(0, alphabet.phi(word)), (1, len(word))])
 
-    return Mould(
-        alphabet,
-        fn,
-        constant=mould.constant and mode != "Phi",
-        name=name or f"nabla_{mode}({mould.name})",
-    )
+    return Mould(alphabet, fn, name=name or f"nabla_Phi({mould.name})")
 
 
-def _compositions(word: Word, parts: int) -> Iterator[tuple]:
-    """Splittings of word into `parts` nonempty consecutive blocks."""
+def _composition_sum(mould: Mould, word: Word, acc: int, coefficient: Callable[[int], Fraction]) -> Laurent:
+    """Sum over k of coefficient(k) times the products of M over the
+    splittings of word into k nonempty consecutive blocks: the word's
+    value of a power series in M, for M vanishing on the empty word."""
     r = len(word)
-    for cuts in itertools.combinations(range(1, r), parts - 1):
-        edges = (0,) + cuts + (r,)
-        yield tuple(word[edges[i]:edges[i + 1]] for i in range(parts))
+    total = Laurent.zero()
+    for k in range(1, r + 1):
+        coeff = coefficient(k)
+        for cuts in itertools.combinations(range(1, r), k - 1):
+            edges = (0,) + cuts + (r,)
+            blocks = [(mould, word[edges[i]:edges[i + 1]]) for i in range(k)]
+            total = total + _product_value(blocks, acc).scale(coeff)
+    return total
 
 
 def mould_exp(mould: Mould, name: str = "") -> Mould:
@@ -395,16 +351,9 @@ def mould_exp(mould: Mould, name: str = "") -> Mould:
         raise MouldError("mould exponential requires value 0 on the empty word")
 
     def fn(word: Word, acc: int) -> Laurent:
-        r = len(word)
-        if r == 0:
+        if len(word) == 0:
             return Laurent.one()
-        total = Laurent.zero()
-        for k in range(1, r + 1):
-            coeff = Fraction(1, factorial(k))
-            for blocks in _compositions(word, k):
-                v = _product_value([(mould, part) for part in blocks], acc)
-                total = total + v.scale(coeff)
-        return total
+        return _composition_sum(mould, word, acc, lambda k: Fraction(1, factorial(k)))
 
     return Mould(mould.alphabet, fn, constant=mould.constant, name=name or f"exp({mould.name})")
 
@@ -415,16 +364,7 @@ def mould_log(mould: Mould, name: str = "") -> Mould:
         raise MouldError("mould logarithm requires value 1 on the empty word")
 
     def fn(word: Word, acc: int) -> Laurent:
-        r = len(word)
-        if r == 0:
-            return Laurent.zero()
-        total = Laurent.zero()
-        for k in range(1, r + 1):
-            coeff = Fraction((-1) ** (k - 1), k)
-            for blocks in _compositions(word, k):
-                v = _product_value([(mould, part) for part in blocks], acc)
-                total = total + v.scale(coeff)
-        return total
+        return _composition_sum(mould, word, acc, lambda k: Fraction((-1) ** (k - 1), k))
 
     return Mould(mould.alphabet, fn, constant=mould.constant, name=name or f"log({mould.name})")
 

@@ -120,10 +120,6 @@ def mat_is_zero(a: tuple) -> bool:
     return all(not x for row in a for x in row)
 
 
-def mat_commutator(a: tuple, b: tuple) -> tuple:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 def mat_magnitude(a: tuple) -> int:
     """Largest absolute numerator of the reduced parts; 0 for the zero matrix."""
     worst = 0
@@ -173,10 +169,6 @@ class MatrixSeries:
         self.coeffs = tuple(coeffs)
         self.order = len(self.coeffs) - 1
         self.dim = len(self.coeffs[0])
-
-    @classmethod
-    def zeros(cls, dim: int, order: int) -> "MatrixSeries":
-        return cls([zero_matrix(dim)] * (order + 1))
 
     @classmethod
     def identity(cls, dim: int, order: int) -> "MatrixSeries":
@@ -323,9 +315,12 @@ class PerturbationProblem:
     @classmethod
     def from_json_dict(cls, data) -> "PerturbationProblem":
         """The problem from its JSON object; malformed data raises
-        KeyError, ValueError or ScalarParseError."""
+        ValueError or ScalarParseError."""
         if not isinstance(data, dict):
             raise ValueError("a problem must be a JSON object")
+        for key in ("E0", "V"):
+            if key not in data:
+                raise ValueError(f'missing key "{key}"')
 
         def real_fraction(raw) -> Fraction:
             value = scalar_from_json(raw)
@@ -621,8 +616,8 @@ def verify_conjugacy(
     The residual magnitudes are those of the differences C H C* - (H0 + N)
     and C C* - I, order by order, but no difference is formed as a series:
     each side is computed on its own and an entry is subtracted only where
-    the two sides differ (``_residual_magnitude``).  Likewise H0 N_k and
-    N_k H0 are compared, not subtracted."""
+    the two sides differ (``_residual_magnitude``).  As H0 is diagonal,
+    [H0, N_k] = 0 is read as N_k equal to its resonant part."""
     h = problem.h_series()
     h0 = problem.h0_matrix()
     c = c_series
@@ -631,10 +626,7 @@ def verify_conjugacy(
     conjugated = c * h * c_adj
     unitary = c * c_adj
     identity = MatrixSeries.identity(problem.dim, problem.order)
-    commutation = [
-        mat_mul(h0, n_series.coefficient(k)) == mat_mul(n_series.coefficient(k), h0)
-        for k in range(1, problem.order + 1)
-    ]
+    commutation = [n == problem.resonant_part(n) for n in n_series.coeffs[1:]]
     hermitian = [mat_is_hermitian(n_series.coefficient(k)) for k in range(1, problem.order + 1)]
     every = range(problem.dim)
     pairs = zip(_power_traces(h, every), _power_traces(rhs, every))
@@ -842,12 +834,12 @@ def _split_trace(left: list, right: list) -> list:
 
 @dataclass
 class EigenvalueSeries:
-    """Per-level corrections for simple spectra; degenerate spectra keep
-    the per-order block matrices and defer to the numeric comparison."""
+    """Per-level corrections for simple spectra, in ``table``; a degenerate
+    spectrum has no table (None) and keeps the per-order block matrices of
+    N, deferring to the numeric comparison."""
 
     problem: PerturbationProblem
     n_series: MatrixSeries
-    kind: str
     table: Optional[dict] = None  # index -> [Fraction coefficients, orders 0..K]
 
     def partial_sum(self, index: int, mu: Fraction) -> Fraction:
@@ -877,7 +869,7 @@ class EigenvalueSeries:
 
 def eigenvalue_series(problem: PerturbationProblem, n_series: MatrixSeries) -> EigenvalueSeries:
     if not problem.is_simple:
-        return EigenvalueSeries(problem, n_series, kind="degenerate")
+        return EigenvalueSeries(problem, n_series)
     table = {}
     for n in range(problem.dim):
         coeffs = [problem.e0[n]]
@@ -887,7 +879,7 @@ def eigenvalue_series(problem: PerturbationProblem, n_series: MatrixSeries) -> E
                 raise ValueError(f"eigenvalue correction at order {k} is not real")
             coeffs.append(entry.re)
         table[n] = coeffs
-    return EigenvalueSeries(problem, n_series, kind="simple", table=table)
+    return EigenvalueSeries(problem, n_series, table=table)
 
 
 @dataclass
@@ -910,14 +902,6 @@ class NumericSample:
         return out
 
 
-@dataclass
-class NumericReport:
-    samples: list
-
-    def to_json(self) -> list:
-        return [s.to_json() for s in self.samples]
-
-
 def _to_complex_matrix(a: tuple) -> np.ndarray:
     return np.array([[complex(x) for x in row] for row in a], dtype=complex)
 
@@ -926,8 +910,9 @@ def numeric_compare(
     problem: PerturbationProblem,
     eigen: EigenvalueSeries,
     mu_samples: Sequence[Fraction],
-) -> NumericReport:
-    """|double-precision eigenvalue - exact partial sum| per sample.
+) -> list:
+    """|double-precision eigenvalue - exact partial sum|, one
+    :class:`NumericSample` per sample.
 
     Matching is by proximity; a match is flagged ambiguous when the two
     nearest numeric eigenvalues are closer than 1e-8 times the spectral
@@ -951,7 +936,7 @@ def numeric_compare(
                     skipped="exact values exceed the double-precision range",
                 )
             )
-    return NumericReport(samples=samples)
+    return samples
 
 
 def _numeric_sample(
@@ -966,7 +951,7 @@ def _numeric_sample(
     tol = 1e-8 * spread
     ambiguous = False
     errors = []
-    if eigen.kind == "simple":
+    if eigen.table is not None:
         for n in range(problem.dim):
             target = float(eigen.partial_sum(n, mu))
             gaps = np.abs(numeric - target)
@@ -1000,7 +985,7 @@ class NormalizationOutput:
     conjugacy: ConjugacyReport
     oracle: OracleReport
     eigen: EigenvalueSeries
-    numeric: Optional[NumericReport] = None
+    numeric: Optional[list] = None  # NumericSample per mu sample
 
     @property
     def ok(self) -> bool:
@@ -1042,7 +1027,7 @@ class NormalizationOutput:
             "verification": {
                 **self.conjugacy.to_json(),
                 "oracle_match": self.oracle.ok,
-                "numeric": self.numeric.to_json() if self.numeric else None,
+                "numeric": [s.to_json() for s in self.numeric] if self.numeric else None,
             },
         }
 

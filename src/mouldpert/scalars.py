@@ -116,10 +116,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational._raw(self._a, -self._b, self._d)
 
-    def norm_squared(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
 

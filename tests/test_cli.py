@@ -295,16 +295,29 @@ TWO_LEVEL = {"E0": ["0", "1"], "V": [["0", "1"], ["1", "0"]]}
         {**TWO_LEVEL, "order": "3"},
         {**TWO_LEVEL, "order": True},
         {**TWO_LEVEL, "V": [["0", "٣"], ["٣", "0"]]},
+        {"V": TWO_LEVEL["V"]},
+        {"E0": TWO_LEVEL["E0"]},
     ],
 )
 def test_malformed_problem_exits_2_with_a_message(tmp_path, capsys, data):
     path = write_problem(tmp_path, data)
+    missing = [key for key in ("E0", "V") if isinstance(data, dict) and key not in data]
     for argv in (["solve", path], ["oracle", path], ["moulds", "--problem", path]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+        for key in missing:
+            assert f'missing key "{key}"' in captured.err
+
+
+def test_unknown_corrupt_word_letter_is_named(capsys):
+    assert main(["verify", "--alphabet", "i,-i", "--corrupt-word", "2i"]) == 2
+    captured = capsys.readouterr()
+    assert "2i is not a letter of the alphabet" in captured.err
+    assert "GaussianRational(" not in captured.err
+    assert captured.out == ""
 
 
 def test_integer_scalars_are_accepted(tmp_path, capsys):

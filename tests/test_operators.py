@@ -22,7 +22,6 @@ from mouldpert.operators import (
     identity_matrix,
     mat_add,
     mat_adjoint,
-    mat_commutator,
     mat_is_zero,
     mat_magnitude,
     mat_mul,
@@ -85,11 +84,15 @@ def component_for(sd, letter):
     return sd.components[sd.alphabet.index(letter)]
 
 
+def commutator(a, b):
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
 def dense_nested_bracket(sd, word):
     """[B_(w1), [B_(w2), ... B_(wk)]] / (i hbar)^(k-1) by dense commutators."""
     dense = sd.components[word[-1]]
     for i in word[-2::-1]:
-        dense = mat_scale(sd.inv_ihbar, mat_commutator(sd.components[i], dense))
+        dense = mat_scale(sd.inv_ihbar, commutator(sd.components[i], dense))
     return dense
 
 
@@ -172,7 +175,7 @@ def test_decomposition_invariants(seed, hbar):
     for index, lam in enumerate(sd.alphabet.letters):
         comp = sd.components[index]
         total = mat_sub(total, mat_scale(-ONE, comp))
-        bracket = mat_scale(inv_ihbar, mat_commutator(h0, comp))
+        bracket = mat_scale(inv_ihbar, commutator(h0, comp))
         assert bracket == mat_scale(lam, comp)
         assert mat_adjoint(comp) == component_for(sd, -lam)
     assert total == problem.v
@@ -308,8 +311,8 @@ def test_conjugator_at_order_zero_is_identity():
     problem = two_level_problem(order=0)
     c_series, w_series, n_series = build_conjugator(problem)
     assert c_series == MatrixSeries.identity(2, 0)
-    assert w_series == MatrixSeries.zeros(2, 0)
-    assert n_series == MatrixSeries.zeros(2, 0)
+    assert w_series == MatrixSeries.from_orders(2, 0, {})
+    assert n_series == MatrixSeries.from_orders(2, 0, {})
 
 
 def test_conjugator_first_order_matches_hand_value():
@@ -521,7 +524,7 @@ def test_degenerate_problem_passes_all_exact_checks():
     assert out.conjugacy.ok
     assert out.oracle.ok
     assert out.ok
-    assert out.eigen.kind == "degenerate"
+    assert out.eigen.table is None
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
@@ -541,7 +544,7 @@ def test_hbar_scaling_law(hbar, degenerate):
         letters = out.decomposition.alphabet
         mapped = {}
         for word, coeffs in base.coefficient_table.items():
-            image = tuple(letters.index(base_letters.value(i) / scale) for i in word)
+            image = tuple(letters.index(base_letters.letters[i] / scale) for i in word)
             r = len(word)
             mapped[image] = {"N": coeffs["N"] * scale ** (r - 1), "S": coeffs["S"] * scale ** r}
         assert out.coefficient_table == mapped
@@ -677,7 +680,7 @@ def test_oracle_second_order_is_the_textbook_formula():
         for m in range(problem.dim):
             if m == n:
                 continue
-            expected += problem.v[n][m].norm_squared() / (problem.e0[n] - problem.e0[m])
+            expected += (problem.v[n][m] * problem.v[n][m].conjugate()).re / (problem.e0[n] - problem.e0[m])
         assert n_parts[1][n][n] == GaussianRational(expected)
 
 
@@ -698,7 +701,7 @@ def test_diagonal_problem_eigenvalues_are_exact_at_first_order():
 
 def test_numeric_error_scales_like_the_first_neglected_order():
     out = solve(two_level_problem(order=4), mu_samples=[Fraction(1, 100), Fraction(1, 1000)])
-    first, second = out.numeric.samples
+    first, second = out.numeric
     assert not first.ambiguous
     # neglected term is -2 mu^6
     assert 2e-12 / 4 <= first.max_error <= 2e-12 * 4
@@ -707,12 +710,12 @@ def test_numeric_error_scales_like_the_first_neglected_order():
 
 def test_numeric_error_vanishes_at_mu_zero():
     out = solve(two_level_problem(order=2), mu_samples=[Fraction(0)])
-    assert out.numeric.samples[0].max_error == 0.0
+    assert out.numeric[0].max_error == 0.0
 
 
 def test_degenerate_numeric_comparison_is_small():
     out = solve(degenerate_problem(order=4), mu_samples=[Fraction(1, 100)])
-    assert out.numeric.samples[0].max_error < 1e-7
+    assert out.numeric[0].max_error < 1e-7
 
 
 def test_eigen_series_partial_sum():
@@ -892,7 +895,7 @@ def test_series_exp_requires_vanishing_order_zero():
     with pytest.raises(ValueError):
         series_exp(MatrixSeries.identity(2, 2))
     with pytest.raises(ValueError):
-        series_log(MatrixSeries.zeros(2, 2))
+        series_log(MatrixSeries.from_orders(2, 2, {}))
 
 
 # -- solve output ----------------------------------------------------------------------------------

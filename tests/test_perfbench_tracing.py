@@ -61,3 +61,27 @@ def test_traced_commands_complete(tracing, tmp_path, degenerate):
 
     assert cli.solve is operators.solve
     assert cli.BirkhoffEngine is birkhoff.BirkhoffEngine
+
+
+def test_traced_alphabet_suites_complete(tracing):
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        for argv in (
+            ["verify", "--alphabet", "i,-i,0", "-L", "2"],
+            ["moulds", "--alphabet", "i,-i,0", "-L", "2", "--acc", "2"],
+        ):
+            tracer.begin_op(argv[0])
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            record = tracer.op_record()
+            assert record["pair_entries"] > 0
+            assert record["t_entries"] > 0
+    names = {span[0] for span in tracer.spans}
+    assert {"birkhoff.suites", "moulds.symmetral"} <= names
+    # the patched names are restored on exit
+    from mouldpert import birkhoff, cli, moulds
+
+    assert cli.verify_mould_equation is birkhoff.verify_mould_equation
+    assert cli.verify_grading_identities is birkhoff.verify_grading_identities
+    assert birkhoff.is_symmetral_up_to is moulds.is_symmetral_up_to
+    assert cli.BirkhoffEngine is birkhoff.BirkhoffEngine
