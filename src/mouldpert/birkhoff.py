@@ -79,7 +79,7 @@ def make_T(alphabet: Alphabet) -> Mould:
             factor = factors[s, r, need] = Laurent.from_pairs([(0, s), (1, r)]).inverse(need)
         return prefix * factor
 
-    mould = Mould(alphabet, fn, name="T")
+    mould = Mould(alphabet, fn)
     return mould
 
 
@@ -96,10 +96,10 @@ class BirkhoffEngine:
         self.alphabet = alphabet
         self.T = make_T(alphabet)
         self._pairs: dict = {}
-        self.u_minus = Mould(alphabet, lambda w, acc: self._pair(w, 0)[0], name="U_minus")
-        self.u_plus = Mould(alphabet, lambda w, acc: self._pair(w, acc)[1], name="U_plus")
-        self.R = Mould.constant_from(alphabet, self.coeff_R, name="R")
-        self.S = Mould.constant_from(alphabet, self.coeff_S, name="S")
+        self.u_minus = Mould(alphabet, lambda w, acc: self._pair(w, 0)[0])
+        self.u_plus = Mould(alphabet, lambda w, acc: self._pair(w, acc)[1])
+        self.R = Mould.constant_from(alphabet, self.coeff_R)
+        self.S = Mould.constant_from(alphabet, self.coeff_S)
 
     def _pair(self, word: Word, acc: int) -> tuple:
         """(U_minus^word, U_plus^word), the latter guaranteed through acc."""
@@ -177,7 +177,9 @@ class IdentityViolation:
 
 @dataclass
 class SuiteReport:
-    name: str
+    """Words checked by one identity suite and the violations it found;
+    the suite's name is its key in the ``verify`` JSON."""
+
     words_checked: int = 0
     violations: list = field(default_factory=list)
 
@@ -210,8 +212,8 @@ def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> MouldEquat
     ones = Mould.letters(alphabet)
     rhs_mould = mould_product(engine.S, ones)
     correction = mould_product(engine.R, engine.S)
-    s_report = SuiteReport(name="mould equation for S")
-    r_report = SuiteReport(name="resonance of R")
+    s_report = SuiteReport()
+    r_report = SuiteReport()
     for word in alphabet.words_up_to(max_length):
         phi = alphabet.phi(word)
         s_report.words_checked += 1
@@ -230,17 +232,17 @@ def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> MouldEquat
     )
 
 
-def verify_factorization(engine: BirkhoffEngine, max_length: int, acc: int = 0) -> SuiteReport:
-    """U_minus x T agrees with U_plus through degree acc, and the parts
-    have the right shape: U_minus purely polar with valuation >= -len(w),
-    U_plus pole free."""
-    report = SuiteReport(name="Birkhoff factorization")
+def verify_factorization(engine: BirkhoffEngine, max_length: int) -> SuiteReport:
+    """U_minus x T agrees with U_plus through degree 0 on every word of
+    length <= max_length, and the parts have the right shape: U_minus
+    purely polar with valuation >= -len(w), U_plus pole free."""
+    report = SuiteReport()
     product = mould_product(engine.u_minus, engine.T)
     for word in engine.alphabet.words_up_to(max_length):
         report.words_checked += 1
-        u_minus, u_plus = engine.decompose(word, acc)
-        if not product.value(word, acc).agrees_with(u_plus, acc):
-            report.record(word, "U_minus x T = U_plus", product.value(word, acc).render(), u_plus.render())
+        u_minus, u_plus = engine.decompose(word)
+        if not product.value(word).agrees_with(u_plus, 0):
+            report.record(word, "U_minus x T = U_plus", product.value(word).render(), u_plus.render())
         if len(word) > 0:
             if not u_minus.is_exact_zero and (
                 u_minus.max_degree >= 0 or u_minus.min_degree < -len(word)
@@ -253,7 +255,7 @@ def verify_factorization(engine: BirkhoffEngine, max_length: int, acc: int = 0) 
 
 def verify_support(engine: BirkhoffEngine, max_length: int) -> SuiteReport:
     """Off resonance (letter sum nonzero) U_minus and R must vanish."""
-    report = SuiteReport(name="support")
+    report = SuiteReport()
     for word in engine.alphabet.words_up_to(max_length, include_empty=False):
         if not engine.alphabet.phi(word):
             continue
@@ -267,15 +269,16 @@ def verify_support(engine: BirkhoffEngine, max_length: int) -> SuiteReport:
     return report
 
 
-def verify_grading_identities(engine: BirkhoffEngine, max_length: int, acc: int = 0) -> SuiteReport:
-    """The three exact identities tying the grading operator to R:
+def verify_grading_identities(engine: BirkhoffEngine, max_length: int) -> SuiteReport:
+    """The three exact identities tying the grading operator to R, on every
+    word of length <= max_length:
 
     (i)   nabla_Phi U_minus = -R x U_minus          (exact polynomials)
-    (ii)  nabla_Phi U_plus  = U_plus x I - R x U_plus   (through degree acc)
+    (ii)  nabla_Phi U_plus  = U_plus x I - R x U_plus   (through degree 0)
     (iii) R^w = -(e * len(w) * U_minus^w) evaluated at e = infinity.
     """
     alphabet = engine.alphabet
-    report = SuiteReport(name="grading identities")
+    report = SuiteReport()
     ones = Mould.letters(alphabet)
     lhs_minus = nabla(engine.u_minus)
     rhs_minus = mould_product(engine.R, engine.u_minus)
@@ -284,13 +287,13 @@ def verify_grading_identities(engine: BirkhoffEngine, max_length: int, acc: int 
     rhs_plus_b = mould_product(engine.R, engine.u_plus)
     for word in alphabet.words_up_to(max_length):
         report.words_checked += 1
-        left = lhs_minus.value(word, acc)
-        right = -rhs_minus.value(word, acc)
+        left = lhs_minus.value(word)
+        right = -rhs_minus.value(word)
         if not (left.acc_order is None and right.acc_order is None and left == right):
             report.record(word, "(i) nabla_Phi U_minus = -R x U_minus", left.render(), right.render())
-        left2 = lhs_plus.value(word, acc)
-        right2 = rhs_plus_a.value(word, acc) - rhs_plus_b.value(word, acc)
-        if not left2.agrees_with(right2, acc):
+        left2 = lhs_plus.value(word)
+        right2 = rhs_plus_a.value(word) - rhs_plus_b.value(word)
+        if not left2.agrees_with(right2, 0):
             report.record(word, "(ii) nabla_Phi U_plus = U_plus x I - R x U_plus", left2.render(), right2.render())
         if len(word) > 0:
             scaled = engine.decompose(word)[0].scale(GaussianRational(len(word))).shift(1)
@@ -310,7 +313,7 @@ def verify_conjugation_symmetry(engine: BirkhoffEngine, max_length: int) -> Suit
         raise ValueError("conjugation symmetry needs an alphabet closed under negation")
     if not alphabet.purely_imaginary:
         raise ValueError("conjugation symmetry needs a purely imaginary alphabet")
-    report = SuiteReport(name="conjugation symmetry")
+    report = SuiteReport()
     readers = (
         ("R", engine.coeff_R),
         ("S", engine.coeff_S),

@@ -11,6 +11,7 @@ violated), 2 (bad input).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ from .operators import (
     solve,
     spectral_decompose,
 )
-from .scalars import ScalarParseError, format_scalar, parse_scalar
+from .scalars import format_scalar, parse_scalar
 
 OUTPUT_DIR_ENV = "MOULDPERT_OUTPUT_DIR"
 
@@ -61,7 +62,7 @@ def _load_problem(path: str) -> PerturbationProblem:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return PerturbationProblem.from_json_dict(data)
-    except (ValueError, ScalarParseError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad problem file {path}: {exc}") from exc
 
 
@@ -108,7 +109,7 @@ def _alphabet_from_args(args) -> Alphabet:
     if getattr(args, "alphabet", None):
         try:
             return Alphabet.parse(args.alphabet)
-        except (ValueError, ScalarParseError) as exc:
+        except ValueError as exc:
             raise InputError(f"bad alphabet literal: {exc}") from exc
     if getattr(args, "problem", None):
         problem = _load_problem(args.problem)
@@ -118,9 +119,7 @@ def _alphabet_from_args(args) -> Alphabet:
 
 def _with_order(problem: PerturbationProblem, order: int | None) -> PerturbationProblem:
     if order is not None:
-        problem = PerturbationProblem(
-            e0=problem.e0, v=problem.v, hbar=problem.hbar, order=order
-        )
+        problem = dataclasses.replace(problem, order=order)
     if problem.order < 1:
         raise InputError("the truncation order must be at least 1")
     return problem
@@ -179,7 +178,7 @@ def cmd_verify(args) -> int:
     else:
         try:
             bad_word = alphabet.parse_word(args.corrupt_word)
-        except (ValueError, ScalarParseError) as exc:
+        except ValueError as exc:
             raise InputError(f"bad --corrupt-word: {exc}") from exc
         engine = CorruptedEngine(alphabet, bad_word)
     max_length = _nonnegative(args, "max_length", "--max-length")
@@ -304,10 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ScalarParseError, ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

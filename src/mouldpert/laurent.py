@@ -76,12 +76,6 @@ class Laurent:
         return _EXACT_ONE
 
     @classmethod
-    def from_scalar(cls, c) -> "Laurent":
-        if isinstance(c, (int, Fraction)):
-            c = GaussianRational(c)
-        return cls(0, (c,), None)
-
-    @classmethod
     def monomial(cls, c, degree: int) -> "Laurent":
         if isinstance(c, (int, Fraction)):
             c = GaussianRational(c)

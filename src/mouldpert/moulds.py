@@ -182,24 +182,18 @@ def shuffle(a: Word, b: Word) -> Counter:
 class Mould:
     """A lazily evaluated family of Laurent values indexed by words.
 
-    ``value(word, acc)`` guarantees all coefficients of degree <= acc.
-    Every mould memoizes its values per word: a cached value is returned
-    when its window covers acc, and a deeper request re-evaluates and
-    replaces it.  Constant-valued moulds hold e-free scalars, are built
+    A mould is its alphabet, its evaluation function and whether its
+    values are constant; it carries no label.  ``value(word, acc)``
+    guarantees all coefficients of degree <= acc.  Every mould memoizes
+    its values per word: a cached value is returned when its window
+    covers acc, and a deeper request re-evaluates and replaces it.  Constant-valued moulds hold e-free scalars, are built
     by ``constant_from`` (``unit`` and ``letters`` are two of them), and
     ``scalar_value`` reads them back as Gaussian rationals.
     """
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        evaluate: Callable[[Word, int], Laurent],
-        constant: bool = False,
-        name: str = "",
-    ):
+    def __init__(self, alphabet: Alphabet, evaluate: Callable[[Word, int], Laurent], constant: bool = False):
         self.alphabet = alphabet
         self.constant = constant
-        self.name = name
         self._evaluate = evaluate
         self._memo: dict = {}
 
@@ -213,7 +207,7 @@ class Mould:
 
     def scalar_value(self, word: Word) -> GaussianRational:
         if not self.constant:
-            raise MouldError(f"mould {self.name or '<anonymous>'} is not constant-valued")
+            raise MouldError("mould is not constant-valued")
         return self.value(word, 0).constant_term()
 
     # -- ready-made moulds ------------------------------------------------
@@ -221,24 +215,24 @@ class Mould:
     @classmethod
     def unit(cls, alphabet: Alphabet) -> "Mould":
         """The multiplicative unit: 1 on the empty word, 0 elsewhere."""
-        return cls.constant_from(alphabet, lambda word: ONE if len(word) == 0 else ZERO, name="unit")
+        return cls.constant_from(alphabet, lambda word: ONE if len(word) == 0 else ZERO)
 
     @classmethod
     def letters(cls, alphabet: Alphabet) -> "Mould":
         """Supported on single-letter words, with value 1."""
-        return cls.constant_from(alphabet, lambda word: ONE if len(word) == 1 else ZERO, name="letters")
+        return cls.constant_from(alphabet, lambda word: ONE if len(word) == 1 else ZERO)
 
     @classmethod
-    def constant_from(cls, alphabet: Alphabet, scalar_fn: Callable[[Word], GaussianRational], name: str = "") -> "Mould":
+    def constant_from(cls, alphabet: Alphabet, scalar_fn: Callable[[Word], GaussianRational]) -> "Mould":
         def fn(word: Word, acc: int) -> Laurent:
             c = scalar_fn(word)
-            return Laurent.from_scalar(c) if c else Laurent.zero()
+            return Laurent.monomial(c, 0) if c else Laurent.zero()
 
-        return cls(alphabet, fn, constant=True, name=name)
+        return cls(alphabet, fn, constant=True)
 
     def __repr__(self) -> str:
         kind = "constant mould" if self.constant else "mould"
-        return f"<{kind} {self.name or '<anonymous>'} over {self.alphabet!r}>"
+        return f"<{kind} over {self.alphabet!r}>"
 
 
 def _product_value(factors: list, acc: int) -> Laurent:
@@ -266,7 +260,7 @@ def _product_value(factors: list, acc: int) -> Laurent:
     return out
 
 
-def mould_product(left: Mould, right: Mould, name: str = "") -> Mould:
+def mould_product(left: Mould, right: Mould) -> Mould:
     """Concatenation-dual convolution: (M x N)^w = sum over w = a.b of M^a N^b."""
     if left.alphabet is not right.alphabet:
         raise MouldError("mould product requires a shared alphabet")
@@ -277,15 +271,10 @@ def mould_product(left: Mould, right: Mould, name: str = "") -> Mould:
             total = total + _product_value([(left, word[:j]), (right, word[j:])], acc)
         return total
 
-    return Mould(
-        left.alphabet,
-        fn,
-        constant=left.constant and right.constant,
-        name=name or f"({left.name} x {right.name})",
-    )
+    return Mould(left.alphabet, fn, constant=left.constant and right.constant)
 
 
-def mould_inverse(mould: Mould, name: str = "") -> Mould:
+def mould_inverse(mould: Mould) -> Mould:
     """Multiplicative inverse by length recursion; requires M on the empty word to be 1."""
     if not mould.value(EMPTY_WORD, 0).agrees_with(Laurent.one(), 0):
         raise MouldError("mould is not invertible by length recursion: value on the empty word is not 1")
@@ -299,20 +288,20 @@ def mould_inverse(mould: Mould, name: str = "") -> Mould:
             total = total + _product_value([(mould, a), (inverse, b)], acc)
         return -total
 
-    inverse = Mould(mould.alphabet, fn, constant=mould.constant, name=name or f"{mould.name}^-1")
+    inverse = Mould(mould.alphabet, fn, constant=mould.constant)
     return inverse
 
 
-def mould_antipode(mould: Mould, name: str = "") -> Mould:
+def mould_antipode(mould: Mould) -> Mould:
     """Signed reversal (-1)^r M^{reversed w}; inverts symmetral moulds."""
     def fn(word: Word, acc: int) -> Laurent:
         v = mould.value(word[::-1], acc)
         return v if len(word) % 2 == 0 else -v
 
-    return Mould(mould.alphabet, fn, constant=mould.constant, name=name or f"antipode({mould.name})")
+    return Mould(mould.alphabet, fn, constant=mould.constant)
 
 
-def nabla(mould: Mould, name: str = "") -> Mould:
+def nabla(mould: Mould) -> Mould:
     """The grading operator nabla_Phi: multiply M^w by phi(w) + len(w) * e.
 
     The factor carries e, so the result is Laurent-valued even for a
@@ -323,7 +312,7 @@ def nabla(mould: Mould, name: str = "") -> Mould:
     def fn(word: Word, acc: int) -> Laurent:
         return mould.value(word, acc) * Laurent.from_pairs([(0, alphabet.phi(word)), (1, len(word))])
 
-    return Mould(alphabet, fn, name=name or f"nabla_Phi({mould.name})")
+    return Mould(alphabet, fn)
 
 
 def _composition_sum(mould: Mould, word: Word, acc: int, coefficient: Callable[[int], Fraction]) -> Laurent:
@@ -341,7 +330,7 @@ def _composition_sum(mould: Mould, word: Word, acc: int, coefficient: Callable[[
     return total
 
 
-def mould_exp(mould: Mould, name: str = "") -> Mould:
+def mould_exp(mould: Mould) -> Mould:
     """Exponential for the mould product; requires value 0 on the empty word.
 
     Evaluation on a word of length r only involves powers up to r, so the
@@ -355,10 +344,10 @@ def mould_exp(mould: Mould, name: str = "") -> Mould:
             return Laurent.one()
         return _composition_sum(mould, word, acc, lambda k: Fraction(1, factorial(k)))
 
-    return Mould(mould.alphabet, fn, constant=mould.constant, name=name or f"exp({mould.name})")
+    return Mould(mould.alphabet, fn, constant=mould.constant)
 
 
-def mould_log(mould: Mould, name: str = "") -> Mould:
+def mould_log(mould: Mould) -> Mould:
     """Logarithm for the mould product; requires value 1 on the empty word."""
     if not mould.value(EMPTY_WORD, 0).agrees_with(Laurent.one(), 0):
         raise MouldError("mould logarithm requires value 1 on the empty word")
@@ -366,7 +355,7 @@ def mould_log(mould: Mould, name: str = "") -> Mould:
     def fn(word: Word, acc: int) -> Laurent:
         return _composition_sum(mould, word, acc, lambda k: Fraction((-1) ** (k - 1), k))
 
-    return Mould(mould.alphabet, fn, constant=mould.constant, name=name or f"log({mould.name})")
+    return Mould(mould.alphabet, fn, constant=mould.constant)
 
 
 # -- shuffle-identity testers ------------------------------------------------
@@ -388,9 +377,6 @@ class ShuffleViolation:
 
 @dataclass
 class ShuffleReport:
-    property_name: str
-    mould_name: str
-    max_length: int
     pairs_checked: int = 0
     empty_word_ok: bool = True
     violations: list = field(default_factory=list)
@@ -402,11 +388,7 @@ class ShuffleReport:
 
 def _shuffle_check(mould: Mould, max_length: int, character: bool, acc: int) -> ShuffleReport:
     alphabet = mould.alphabet
-    report = ShuffleReport(
-        property_name="symmetral" if character else "alternal",
-        mould_name=mould.name,
-        max_length=max_length,
-    )
+    report = ShuffleReport()
     empty_value = mould.value(EMPTY_WORD, acc)
     if character:
         report.empty_word_ok = empty_value.agrees_with(Laurent.one(), acc)
@@ -437,7 +419,7 @@ def is_symmetral_up_to(mould: Mould, max_length: int, acc: int = 0) -> ShuffleRe
     return _shuffle_check(mould, max_length, character=True, acc=acc)
 
 
-def is_alternal_up_to(mould: Mould, max_length: int, acc: int = 0) -> ShuffleReport:
+def is_alternal_up_to(mould: Mould, max_length: int) -> ShuffleReport:
     """Check the infinitesimal-character property: the shuffle sum vanishes
     for all nonempty word pairs with total length <= max_length."""
-    return _shuffle_check(mould, max_length, character=False, acc=acc)
+    return _shuffle_check(mould, max_length, character=False, acc=0)

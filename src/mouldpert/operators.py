@@ -54,6 +54,7 @@ __all__ = [
     "compare_with_oracle",
     "eigenvalue_series",
     "numeric_compare",
+    "partial_sum",
     "solve",
     "random_problem",
     "series_exp",
@@ -77,10 +78,6 @@ def identity_matrix(dim: int) -> tuple:
 
 def mat_add(a: tuple, b: tuple) -> tuple:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(c: GaussianRational, a: tuple) -> tuple:
@@ -184,9 +181,6 @@ class MatrixSeries:
     def __add__(self, other: "MatrixSeries") -> "MatrixSeries":
         return MatrixSeries([mat_add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: "MatrixSeries") -> "MatrixSeries":
-        return MatrixSeries([mat_sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
         left = [_nonzero_rows(a) for a in self.coeffs]
         right = [_nonzero_rows(b) for b in other.coeffs]
@@ -248,10 +242,11 @@ def series_exp(a: MatrixSeries) -> MatrixSeries:
 
 
 def series_log(a: MatrixSeries) -> MatrixSeries:
-    """log of a series with identity order-0 term."""
+    """log of a series with identity order-0 term: the log series of
+    a - I, which is a with its order-0 term set to zero."""
     if a.coefficient(0) != identity_matrix(a.dim):
         raise ValueError("series_log needs an identity order-0 coefficient")
-    rest = a - MatrixSeries.identity(a.dim, a.order)
+    rest = MatrixSeries([zero_matrix(a.dim)] + list(a.coeffs[1:]))
     return _power_sum(rest, lambda j: Fraction((-1) ** (j - 1), j))
 
 
@@ -306,18 +301,35 @@ class PerturbationProblem:
             self.dim, self.order, {0: self.h0_matrix(), 1: self.v}
         )
 
+    @functools.cached_property
+    def levels(self) -> tuple:
+        """(D, [E0(k) D]): the levels as integers over their common
+        denominator D, so that level gaps and equalities are int arithmetic."""
+        den = math.lcm(*(x.denominator for x in self.e0))
+        return den, tuple(int(x * den) for x in self.e0)
+
+    @functools.cached_property
+    def resonance(self) -> tuple:
+        """resonance[k][l] tells whether E0(k) == E0(l)."""
+        level = self.levels[1]
+        return tuple(tuple(a == b for b in level) for a in level)
+
     def resonant_part(self, a: tuple) -> tuple:
         return tuple(
-            tuple(a[k][l] if self.e0[k] == self.e0[l] else ZERO for l in range(self.dim))
-            for k in range(self.dim)
+            tuple(x if same else ZERO for x, same in zip(row, mask))
+            for row, mask in zip(a, self.resonance)
         )
 
     @classmethod
     def from_json_dict(cls, data) -> "PerturbationProblem":
-        """The problem from its JSON object; malformed data raises
-        ValueError or ScalarParseError."""
+        """The problem from its JSON object; malformed data, a missing
+        "E0" or "V", or any other key than those and "hbar" and "order"
+        raises ValueError (ScalarParseError is one)."""
         if not isinstance(data, dict):
             raise ValueError("a problem must be a JSON object")
+        for key in data:
+            if key not in ("E0", "V", "hbar", "order"):
+                raise ValueError(f'unknown key "{key}" (a problem has E0, V, hbar and order)')
         for key in ("E0", "V"):
             if key not in data:
                 raise ValueError(f'missing key "{key}"')
@@ -527,8 +539,7 @@ def build_conjugator(problem: PerturbationProblem) -> tuple:
     built: those serve only the solve JSON.
     """
     dim, K = problem.dim, problem.order
-    den = math.lcm(*(x.denominator for x in problem.e0))
-    level = [int(x * den) for x in problem.e0]  # E0 over one denominator
+    den, level = problem.levels
 
     @functools.cache
     def factor(gap: int, k: int) -> Laurent:
@@ -711,13 +722,13 @@ def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) ->
     """
     n_parts, _ = hierarchy_oracle(problem)
     oracle = MatrixSeries([zero_matrix(problem.dim)] + n_parts)
-    e0 = problem.e0
     blocks = {}
-    for i, level in enumerate(e0):
+    for i, level in enumerate(problem.levels[1]):
         blocks.setdefault(level, []).append(i)
     ours = [t for block in blocks.values() for t in _power_traces(n_series, block)]
     theirs = [t for block in blocks.values() for t in _power_traces(oracle, block)]
-    off_block = [(i, j) for i in range(problem.dim) for j in range(problem.dim) if e0[i] != e0[j]]
+    every = range(problem.dim)
+    off_block = [(i, j) for i in every for j in every if not problem.resonance[i][j]]
     flags = []
     first = None
     for k in range(1, problem.order + 1):
@@ -832,54 +843,28 @@ def _split_trace(left: list, right: list) -> list:
 # -- eigenvalue series and the numeric cross-check ------------------------------------
 
 
-@dataclass
-class EigenvalueSeries:
-    """Per-level corrections for simple spectra, in ``table``; a degenerate
-    spectrum has no table (None) and keeps the per-order block matrices of
-    N, deferring to the numeric comparison."""
-
-    problem: PerturbationProblem
-    n_series: MatrixSeries
-    table: Optional[dict] = None  # index -> [Fraction coefficients, orders 0..K]
-
-    def partial_sum(self, index: int, mu: Fraction) -> Fraction:
-        if self.table is None:
-            raise ValueError("per-level series only exist for simple spectra")
-        total = Fraction(0)
-        power = Fraction(1)
-        for c in self.table[index]:
-            total += c * power
-            power *= mu
-        return total
-
-    def normal_matrix_at(self, mu: Fraction) -> tuple:
-        h0 = self.problem.h0_matrix()
-        return mat_add(h0, self.n_series.evaluate(mu))
-
-    def to_json(self):
-        if self.table is not None:
-            return {
-                str(n): [format_scalar(GaussianRational(c)) for c in coeffs]
-                for n, coeffs in sorted(self.table.items())
-            }
-        return {
-            "degenerate_blocks": self.n_series.to_json(),
-        }
-
-
-def eigenvalue_series(problem: PerturbationProblem, n_series: MatrixSeries) -> EigenvalueSeries:
+def eigenvalue_series(problem: PerturbationProblem, n_series: MatrixSeries) -> Optional[dict]:
+    """{level index: [E0(n), N_1[n][n], ..., N_K[n][n]]} for a simple
+    spectrum, whose levels move one by one; None for a degenerate one, whose
+    blocks of N are reported instead.  The entries stay Gaussian rationals:
+    a non-real one is printed as it is and flagged by the Hermiticity check
+    of N."""
     if not problem.is_simple:
-        return EigenvalueSeries(problem, n_series)
-    table = {}
-    for n in range(problem.dim):
-        coeffs = [problem.e0[n]]
-        for k in range(1, problem.order + 1):
-            entry = n_series.coefficient(k)[n][n]
-            if not entry.is_real:
-                raise ValueError(f"eigenvalue correction at order {k} is not real")
-            coeffs.append(entry.re)
-        table[n] = coeffs
-    return EigenvalueSeries(problem, n_series, table=table)
+        return None
+    return {
+        n: [GaussianRational(level)] + [n_k[n][n] for n_k in n_series.coeffs[1:]]
+        for n, level in enumerate(problem.e0)
+    }
+
+
+def partial_sum(coefficients: Sequence[GaussianRational], mu: Fraction) -> GaussianRational:
+    """sum over k of coefficients[k] mu^k."""
+    total = ZERO
+    power = Fraction(1)
+    for c in coefficients:
+        total = total + c * power
+        power *= mu
+    return total
 
 
 @dataclass
@@ -908,24 +893,30 @@ def _to_complex_matrix(a: tuple) -> np.ndarray:
 
 def numeric_compare(
     problem: PerturbationProblem,
-    eigen: EigenvalueSeries,
+    n_series: MatrixSeries,
+    eigen: Optional[dict],
     mu_samples: Sequence[Fraction],
 ) -> list:
-    """|double-precision eigenvalue - exact partial sum|, one
-    :class:`NumericSample` per sample.
+    """|double-precision eigenvalue - exact value|, one :class:`NumericSample`
+    per sample.
 
-    Matching is by proximity; a match is flagged ambiguous when the two
+    The numeric eigenvalues are those of (H0 + mu V) at the sample.  With
+    a per-level table ``eigen`` (see :func:`eigenvalue_series`) each level's
+    exact partial sum is matched to them by proximity; without one, they
+    are compared in order with the eigenvalues of (H0 + N) at the sample.
+    A proximity match is flagged ambiguous when the two
     nearest numeric eigenvalues are closer than 1e-8 times the spectral
     range.  Expected decay between samples is mu^(K+1) (or the first
     nonvanishing neglected order).  A sample whose exact matrix entries or
     partial sums lie beyond the double-precision range is reported as
     skipped, with the reason; the exact checks do not depend on it.
     """
+    h_series = problem.h_series()
+    normal_series = MatrixSeries([problem.h0_matrix()] + list(n_series.coeffs[1:]))
     samples = []
-    h0 = problem.h0_matrix()
     for mu in mu_samples:
         try:
-            samples.append(_numeric_sample(problem, eigen, h0, mu))
+            samples.append(_numeric_sample(h_series, normal_series, eigen, mu))
         except OverflowError:
             samples.append(
                 NumericSample(
@@ -940,20 +931,19 @@ def numeric_compare(
 
 
 def _numeric_sample(
-    problem: PerturbationProblem, eigen: EigenvalueSeries, h0: tuple, mu: Fraction
+    h_series: MatrixSeries, normal_series: MatrixSeries, eigen: Optional[dict], mu: Fraction
 ) -> NumericSample:
-    h_mu = mat_add(h0, mat_scale(GaussianRational(mu), problem.v))
     try:
-        numeric = np.linalg.eigvalsh(_to_complex_matrix(h_mu))
+        numeric = np.linalg.eigvalsh(_to_complex_matrix(h_series.evaluate(mu)))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"numeric diagonalization failed at mu = {mu}: {exc}") from exc
     spread = float(numeric[-1] - numeric[0]) or 1.0
     tol = 1e-8 * spread
     ambiguous = False
     errors = []
-    if eigen.table is not None:
-        for n in range(problem.dim):
-            target = float(eigen.partial_sum(n, mu))
+    if eigen is not None:
+        for coefficients in eigen.values():
+            target = complex(partial_sum(coefficients, mu))
             gaps = np.abs(numeric - target)
             order = np.argsort(gaps)
             best = gaps[order[0]]
@@ -961,9 +951,7 @@ def _numeric_sample(
                 ambiguous = True
             errors.append(float(best))
     else:
-        reference = np.linalg.eigvalsh(
-            _to_complex_matrix(eigen.normal_matrix_at(mu))
-        )
+        reference = np.linalg.eigvalsh(_to_complex_matrix(normal_series.evaluate(mu)))
         errors = [float(abs(a - b)) for a, b in zip(numeric, reference)]
     return NumericSample(
         mu=mu,
@@ -984,7 +972,7 @@ class NormalizationOutput:
     w_series: MatrixSeries
     conjugacy: ConjugacyReport
     oracle: OracleReport
-    eigen: EigenvalueSeries
+    eigen: Optional[dict]  # see eigenvalue_series
     numeric: Optional[list] = None  # NumericSample per mu sample
 
     @property
@@ -1023,7 +1011,11 @@ class NormalizationOutput:
                 str(k): mat_to_json(self.c_series.coefficient(k))
                 for k in range(self.problem.order + 1)
             },
-            "eigenvalue_series": self.eigen.to_json(),
+            "eigenvalue_series": (
+                {str(n): [format_scalar(c) for c in coeffs] for n, coeffs in sorted(self.eigen.items())}
+                if self.eigen is not None
+                else {"degenerate_blocks": self.n_series.to_json()}
+            ),
             "verification": {
                 **self.conjugacy.to_json(),
                 "oracle_match": self.oracle.ok,
@@ -1044,5 +1036,5 @@ def solve(problem: PerturbationProblem, mu_samples: Sequence[Fraction] = ()) -> 
         conjugacy=verify_conjugacy(problem, n_series, c_series, w_series),
         oracle=compare_with_oracle(problem, n_series),
         eigen=eigen,
-        numeric=numeric_compare(problem, eigen, mu_samples) if mu_samples else None,
+        numeric=numeric_compare(problem, n_series, eigen, mu_samples) if mu_samples else None,
     )

@@ -61,7 +61,7 @@ def sqrt_series_eigenvalue_coefficients(max_power: int):
 
 
 def test_criterion_01_birkhoff_factorization(engine):
-    result = verify_factorization(engine, max_length=5, acc=0)
+    result = verify_factorization(engine, max_length=5)
     ok = result.ok and result.words_checked == 1365
     report(1, "U_minus x T = U_plus through e^0 on all words of length <= 5", ok)
 
@@ -91,7 +91,7 @@ def test_criterion_04_support_property(engine):
 
 def test_criterion_05_closed_form_two_level_benchmark():
     out = solve(two_level_problem(order=6))
-    lower = out.eigen.table[0]
+    lower = out.eigen[0]
     oracle = sqrt_series_eigenvalue_coefficients(3)
     ok = (
         lower == [0, 0, -1, 0, 1, 0, -2]

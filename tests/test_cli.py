@@ -180,6 +180,30 @@ def test_solve_skips_numeric_check_beyond_float_range(tmp_path, capsys):
     assert sample["max_error"] is None
 
 
+def test_non_real_eigenvalue_correction_is_a_violation(problem_file, monkeypatch, capsys):
+    """A non-real diagonal entry of N is printed in the eigenvalue series
+    and flagged by the Hermiticity check: the run reports its verification
+    and exits 1, not 2."""
+    from mouldpert import operators
+    from mouldpert.scalars import I
+
+    build = operators.build_conjugator
+
+    def skewed(problem):
+        c_series, w_series, n_series = build(problem)
+        coeffs = [[list(row) for row in a] for a in n_series.coeffs]
+        coeffs[2][0][0] = coeffs[2][0][0] + I
+        return c_series, w_series, operators.MatrixSeries([tuple(map(tuple, a)) for a in coeffs])
+
+    monkeypatch.setattr(operators, "build_conjugator", skewed)
+    assert main(["solve", problem_file, "--mu", "1/100"]) == 1
+    data = read_json(capsys)
+    assert data["verification"]["hermitian"] is False
+    assert data["eigenvalue_series"]["0"][2] == "-1+i"
+    assert main(["oracle", problem_file]) == 1
+    assert read_json(capsys)["conjugacy_ok"] is False
+
+
 def test_oracle_on_problem_file(problem_file, capsys):
     assert main(["oracle", problem_file, "--order", "4"]) == 0
     data = read_json(capsys)
@@ -297,11 +321,14 @@ TWO_LEVEL = {"E0": ["0", "1"], "V": [["0", "1"], ["1", "0"]]}
         {**TWO_LEVEL, "V": [["0", "٣"], ["٣", "0"]]},
         {"V": TWO_LEVEL["V"]},
         {"E0": TWO_LEVEL["E0"]},
+        {**TWO_LEVEL, "Hbar": "1/2"},
+        {**TWO_LEVEL, "Order": 2},
     ],
 )
 def test_malformed_problem_exits_2_with_a_message(tmp_path, capsys, data):
     path = write_problem(tmp_path, data)
     missing = [key for key in ("E0", "V") if isinstance(data, dict) and key not in data]
+    unknown = [key for key in ("Hbar", "Order") if isinstance(data, dict) and key in data]
     for argv in (["solve", path], ["oracle", path], ["moulds", "--problem", path]):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -310,6 +337,8 @@ def test_malformed_problem_exits_2_with_a_message(tmp_path, capsys, data):
         assert captured.out == ""
         for key in missing:
             assert f'missing key "{key}"' in captured.err
+        for key in unknown:
+            assert f'unknown key "{key}"' in captured.err
 
 
 def test_unknown_corrupt_word_letter_is_named(capsys):
