@@ -43,27 +43,18 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 
-class InputError(Exception):
-    pass
-
-
-def _note(args, message: str) -> None:
-    if getattr(args, "verbose", False):
-        print(message, file=sys.stderr)
-
-
 def _load_problem(path: str) -> PerturbationProblem:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return PerturbationProblem.from_json_dict(data)
     except ValueError as exc:
-        raise InputError(f"bad problem file {path}: {exc}") from exc
+        raise ValueError(f"bad problem file {path}: {exc}") from exc
 
 
 def _parse_mu_list(text: str) -> list:
@@ -74,10 +65,10 @@ def _parse_mu_list(text: str) -> list:
             continue
         value = parse_scalar(part)
         if not value.is_real:
-            raise InputError(f"mu sample {part!r} is not a real rational")
+            raise ValueError(f"mu sample {part!r} is not a real rational")
         mu = value.re
         if not (0 < mu < 1):
-            raise InputError(f"mu sample {part!r} must lie strictly between 0 and 1")
+            raise ValueError(f"mu sample {part!r} must lie strictly between 0 and 1")
         samples.append(mu)
     return samples
 
@@ -93,7 +84,7 @@ def _emit(payload, output: str | None) -> None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            raise InputError(f"cannot write standard output: {exc}") from exc
+            raise ValueError(f"cannot write standard output: {exc}") from exc
         return
     directory = os.environ.get(OUTPUT_DIR_ENV)
     if directory and not os.path.isabs(output):
@@ -102,7 +93,7 @@ def _emit(payload, output: str | None) -> None:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     except OSError as exc:
-        raise InputError(f"cannot write {output}: {exc}") from exc
+        raise ValueError(f"cannot write {output}: {exc}") from exc
 
 
 def _alphabet_from_args(args) -> Alphabet:
@@ -110,39 +101,30 @@ def _alphabet_from_args(args) -> Alphabet:
         try:
             return Alphabet.parse(args.alphabet)
         except ValueError as exc:
-            raise InputError(f"bad alphabet literal: {exc}") from exc
+            raise ValueError(f"bad alphabet literal: {exc}") from exc
     if getattr(args, "problem", None):
         problem = _load_problem(args.problem)
         return spectral_decompose(problem).alphabet
-    raise InputError("either --alphabet or --problem is required")
+    raise ValueError("either --alphabet or --problem is required")
 
 
 def _with_order(problem: PerturbationProblem, order: int | None) -> PerturbationProblem:
-    if order is not None:
-        problem = dataclasses.replace(problem, order=order)
-    if problem.order < 1:
-        raise InputError("the truncation order must be at least 1")
-    return problem
+    if order is None:
+        return problem
+    return dataclasses.replace(problem, order=order)
 
 
 def _nonnegative(args, name: str, flag: str) -> int:
     value = getattr(args, name)
     if value < 0:
-        raise InputError(f"{flag} must be at least 0, got {value}")
+        raise ValueError(f"{flag} must be at least 0, got {value}")
     return value
 
 
 def cmd_solve(args) -> int:
     problem = _with_order(_load_problem(args.input), args.order)
     mu_samples = _parse_mu_list(args.mu) if args.mu else []
-    _note(args, f"solving dim {problem.dim} problem at order {problem.order}")
     out = solve(problem, mu_samples=mu_samples)
-    _note(
-        args,
-        f"alphabet size {len(out.decomposition.alphabet)}, "
-        f"{len(out.coefficient_table)} contributing words, "
-        f"verification {'clean' if out.ok else 'VIOLATED'}",
-    )
     _emit(out.to_json_dict(), args.output)
     return EXIT_OK if out.ok else EXIT_VIOLATION
 
@@ -152,7 +134,6 @@ def cmd_moulds(args) -> int:
     engine = BirkhoffEngine(alphabet)
     acc = _nonnegative(args, "acc", "--acc")
     max_length = _nonnegative(args, "max_length", "--max-length")
-    _note(args, f"alphabet size {len(alphabet)}, words up to length {max_length}")
     rows = []
     for word in alphabet.words_up_to(max_length):
         u_minus, u_plus = engine.decompose(word, acc)
@@ -173,15 +154,17 @@ def cmd_moulds(args) -> int:
 
 def cmd_verify(args) -> int:
     alphabet = _alphabet_from_args(args)
+    max_length = _nonnegative(args, "max_length", "--max-length")
     if args.corrupt_word is None:
         engine = BirkhoffEngine(alphabet)
     else:
         try:
             bad_word = alphabet.parse_word(args.corrupt_word)
         except ValueError as exc:
-            raise InputError(f"bad --corrupt-word: {exc}") from exc
+            raise ValueError(f"bad --corrupt-word: {exc}") from exc
+        if len(bad_word) > max_length:
+            raise ValueError(f"--corrupt-word is longer than --max-length {max_length}: no suite reads it")
         engine = CorruptedEngine(alphabet, bad_word)
-    max_length = _nonnegative(args, "max_length", "--max-length")
     suites = {}
     equation = verify_mould_equation(engine, max_length)
     suites["mould_equation_S"] = _suite_json(equation.s_equation, alphabet)
@@ -196,8 +179,6 @@ def cmd_verify(args) -> int:
         suites["conjugation_symmetry"] = _suite_json(
             verify_conjugation_symmetry(engine, max_length), alphabet
         )
-    for name, entry in suites.items():
-        _note(args, f"suite {name}: {'ok' if entry['ok'] else 'VIOLATED'}")
     clean = all(entry["ok"] for entry in suites.values())
     _emit({"alphabet": [format_scalar(v) for v in alphabet.letters], "suites": suites}, args.output)
     return EXIT_OK if clean else EXIT_VIOLATION
@@ -208,14 +189,14 @@ def cmd_oracle(args) -> int:
         problem = _with_order(_load_problem(args.input), args.order)
     elif args.random_dim is not None:
         if args.seed is None:
-            raise InputError("--random-dim requires --seed for reproducibility")
+            raise ValueError("--random-dim requires --seed for reproducibility")
         if not 1 <= args.random_dim <= len(RANDOM_LEVELS):
-            raise InputError(
+            raise ValueError(
                 f"--random-dim must be between 1 and {len(RANDOM_LEVELS)}, got {args.random_dim}"
             )
         problem = _with_order(random_problem(args.random_dim, 4, args.seed), args.order)
     else:
-        raise InputError("either a problem file or --random-dim is required")
+        raise ValueError("either a problem file or --random-dim is required")
     out = solve(problem)
     payload = {
         "problem": problem.to_json_dict(),
@@ -256,18 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mouldpert",
         description="Exact eigenvalue perturbation series via mould calculus",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--verbose", "-v", action="store_true", help="progress notes on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="normalize a problem file and verify it")
+    p_solve = sub.add_parser("solve", help="normalize a problem file and verify it")
     p_solve.add_argument("input", help="problem JSON file")
     p_solve.add_argument("--order", "-K", type=int, default=None, help="override the truncation order")
     p_solve.add_argument("--mu", default=None, help="comma-separated rational samples in (0,1) for the numeric check")
     p_solve.add_argument("--output", "-o", default=None, help="output path (default stdout)")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_moulds = sub.add_parser("moulds", parents=[common], help="dump the mould table for an alphabet")
+    p_moulds = sub.add_parser("moulds", help="dump the mould table for an alphabet")
     p_moulds.add_argument("--alphabet", default=None, help='inline alphabet, e.g. "i,-i,2i,0"')
     p_moulds.add_argument("--problem", default=None, help="derive the alphabet from a problem file")
     p_moulds.add_argument("--max-length", "-L", type=int, default=3)
@@ -275,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_moulds.add_argument("--output", "-o", default=None)
     p_moulds.set_defaults(func=cmd_moulds)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the identity suites for an alphabet")
+    p_verify = sub.add_parser("verify", help="run the identity suites for an alphabet")
     p_verify.add_argument("--alphabet", default=None)
     p_verify.add_argument("--problem", default=None)
     p_verify.add_argument("--max-length", "-L", type=int, default=4)
@@ -287,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--output", "-o", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_oracle = sub.add_parser("oracle", parents=[common], help="diff the normal form against the recursive construction")
+    p_oracle = sub.add_parser("oracle", help="diff the normal form against the recursive construction")
     p_oracle.add_argument("input", nargs="?", default=None, help="problem JSON file")
     p_oracle.add_argument("--random-dim", type=int, default=None, help="generate a random Hermitian problem instead")
     p_oracle.add_argument("--seed", type=int, default=None, help="seed for --random-dim")
@@ -303,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -67,6 +67,15 @@ class Laurent:
 
     # -- constructors ---------------------------------------------------
 
+    @staticmethod
+    def _raw(min_degree: int, coeffs: tuple, acc_order: Optional[int]) -> "Laurent":
+        # trusted constructor: coeffs must already be trimmed at both ends
+        out = object.__new__(Laurent)
+        out._min = min_degree
+        out._coeffs = coeffs
+        out._acc = acc_order
+        return out
+
     @classmethod
     def zero(cls) -> "Laurent":
         return _EXACT_ZERO
@@ -149,11 +158,7 @@ class Laurent:
     # -- ring operations --------------------------------------------------
 
     def __neg__(self) -> "Laurent":
-        out = object.__new__(Laurent)
-        out._min = self._min
-        out._coeffs = tuple(-c for c in self._coeffs)
-        out._acc = self._acc
-        return out
+        return Laurent._raw(self._min, tuple(-c for c in self._coeffs), self._acc)
 
     def __add__(self, other):
         if not isinstance(other, Laurent):
@@ -189,21 +194,13 @@ class Laurent:
             c = GaussianRational(c)
         if not c:
             return _EXACT_ZERO
-        out = object.__new__(Laurent)
-        out._min = self._min
-        out._coeffs = tuple(x * c for x in self._coeffs)
-        out._acc = self._acc
-        return out
+        return Laurent._raw(self._min, tuple(x * c for x in self._coeffs), self._acc)
 
     def shift(self, k: int) -> "Laurent":
         """Multiply by e^k."""
         if k == 0 or self.is_exact_zero:
             return self
-        out = object.__new__(Laurent)
-        out._min = self._min + k
-        out._coeffs = self._coeffs
-        out._acc = None if self._acc is None else self._acc + k
-        return out
+        return Laurent._raw(self._min + k, self._coeffs, None if self._acc is None else self._acc + k)
 
     def __mul__(self, other):
         if isinstance(other, (GaussianRational, int, Fraction)):

@@ -54,7 +54,6 @@ __all__ = [
     "compare_with_oracle",
     "eigenvalue_series",
     "numeric_compare",
-    "partial_sum",
     "solve",
     "random_problem",
     "series_exp",
@@ -274,8 +273,8 @@ class PerturbationProblem:
             raise ValueError("V must be square with the same dimension as E0")
         if self.hbar <= 0:
             raise ValueError("hbar must be a positive rational")
-        if self.order < 0:
-            raise ValueError("order must be nonnegative")
+        if self.order < 1:
+            raise ValueError("the truncation order must be at least 1")
         for k in range(dim):
             for l in range(k, dim):
                 if v[k][l] != v[l][k].conjugate():
@@ -407,7 +406,8 @@ class SpectralDecomposition:
     """V split into eigencomponents of X -> [H0, X] / (i hbar).
 
     The alphabet collects the distinct letters lam = (E0(k) - E0(l))/(i hbar)
-    over the support of V, closed under negation (automatic for Hermitian V).
+    over the support of V; V is Hermitian, so lam(l, k) = -lam(k, l) is
+    always there and the alphabet is closed under negation.
     Component matrices satisfy [H0, B_lam]/(i hbar) = lam * B_lam exactly and
     sum to V; the adjoint of B_lam is B_(-lam).
     """
@@ -422,9 +422,7 @@ class SpectralDecomposition:
                 if problem.v[k][l]:
                     lam = GaussianRational(0, (problem.e0[k] - problem.e0[l]) * (-inv_hbar))
                     letter_of[(k, l)] = lam
-        letters = set(letter_of.values())
-        letters |= {-lam for lam in letters}
-        ordered = sorted(letters, key=lambda z: (z.re, z.im))
+        ordered = sorted(set(letter_of.values()), key=lambda z: (z.re, z.im))
         self.alphabet = Alphabet(ordered)
         components = [
             [[ZERO] * dim for _ in range(dim)] for _ in range(len(ordered))
@@ -528,10 +526,11 @@ def build_conjugator(problem: PerturbationProblem) -> tuple:
     g / (i hbar), with the real gap g = E0(a) - E0(c).  In e' = i hbar e
     the factor of T at step k is i hbar / (g + k e'), so Phi(T)_k and X_k
     carry exactly (i hbar)^k, and the recursion runs without hbar:
-    Phi(T)_k is Phi(T)_(k-1) V (V at k = 1) with entry (a, c) times
-    1/(g + k e'), and no word is enumerated.  From X_k = Phi(T)_k + sum
-    over 0 < j < k of Phi(U_minus)_j Phi(T)_(k-j): Phi(U_minus)_k =
-    -polar(X_k), C_k = const(X_k), and N_k = k res(X_k), as N is alternal
+    from Phi(T)_0 = I (T on the empty word is 1), Phi(T)_k is
+    Phi(T)_(k-1) V with entry (a, c) times 1/(g + k e'), and no word is
+    enumerated.  From X_k = Phi(T)_k + sum over 0 < j < k of
+    Phi(U_minus)_j Phi(T)_(k-j): Phi(U_minus)_k = -polar(X_k),
+    C_k = const(X_k), and N_k = k res(X_k), as N is alternal
     (Dynkin-Specht-Wever).  Factors are inverted through e'^K (exactly
     (1/k) e'^-1 at g = 0); the Laurent accuracy bookkeeping raises if
     that window is short.  hbar enters only W = i hbar log C, whose
@@ -546,15 +545,14 @@ def build_conjugator(problem: PerturbationProblem) -> tuple:
         return Laurent.from_pairs([(0, Fraction(gap, den)), (1, k)]).inverse(K)
 
     v_rows = _nonzero_rows(problem.v)
-    t_rows, u_rows = [None], [None]  # nonzero rows of Phi(T)_k and Phi(U_minus)_k, k >= 1
+    # nonzero rows of Phi(T)_k (from Phi(T)_0 = I) and Phi(U_minus)_k (k >= 1)
+    t_rows = [[[(a, Laurent.one())] for a in range(dim)]]
+    u_rows = [None]
     c_coeffs, n_coeffs = [identity_matrix(dim)], [zero_matrix(dim)]
     for k in range(1, K + 1):
         x = [[Laurent.zero()] * dim for _ in range(dim)]
-        step_rows = v_rows  # nonzero rows of Phi(T)_(k-1) V, formed in x for k > 1
-        if k > 1:
-            _accumulate(x, t_rows[-1], v_rows)
-            step_rows = _nonzero_rows(x)
-        for a, row in enumerate(step_rows):
+        _accumulate(x, t_rows[-1], v_rows)
+        for a, row in enumerate(_nonzero_rows(x)):
             for c, y in row:
                 x[a][c] = y * factor(level[a] - level[c], k)
         t_rows.append(_nonzero_rows(x))
@@ -630,10 +628,9 @@ def verify_conjugacy(
     the two sides differ (``_residual_magnitude``).  As H0 is diagonal,
     [H0, N_k] = 0 is read as N_k equal to its resonant part."""
     h = problem.h_series()
-    h0 = problem.h0_matrix()
     c = c_series
     c_adj = c.adjoint()
-    rhs = MatrixSeries([h0] + list(n_series.coeffs[1:]))
+    rhs = _normal_series(problem, n_series)
     conjugated = c * h * c_adj
     unitary = c * c_adj
     identity = MatrixSeries.identity(problem.dim, problem.order)
@@ -700,11 +697,14 @@ def hierarchy_oracle(problem: PerturbationProblem) -> tuple:
 @dataclass
 class OracleReport:
     orders_equal: list
-    first_mismatch: Optional[int] = None
 
     @property
     def ok(self) -> bool:
         return all(self.orders_equal)
+
+    @property
+    def first_mismatch(self) -> Optional[int]:
+        return next((k for k, same in enumerate(self.orders_equal, start=1) if not same), None)
 
     def to_json(self) -> dict:
         return {"match": self.ok, "orders_equal": self.orders_equal, "first_mismatch": self.first_mismatch}
@@ -730,17 +730,14 @@ def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) ->
     every = range(problem.dim)
     off_block = [(i, j) for i in every for j in every if not problem.resonance[i][j]]
     flags = []
-    first = None
     for k in range(1, problem.order + 1):
         a = n_series.coefficient(k)
         b = oracle.coefficient(k)
-        same = all(a[i][j] == b[i][j] for i, j in off_block) and all(
-            x[k] == y[k] for x, y in zip(ours, theirs)
+        flags.append(
+            all(a[i][j] == b[i][j] for i, j in off_block)
+            and all(x[k] == y[k] for x, y in zip(ours, theirs))
         )
-        flags.append(same)
-        if not same and first is None:
-            first = k
-    return OracleReport(orders_equal=flags, first_mismatch=first)
+    return OracleReport(orders_equal=flags)
 
 
 def _power_traces(series: MatrixSeries, indices: Sequence[int]) -> list:
@@ -843,37 +840,33 @@ def _split_trace(left: list, right: list) -> list:
 # -- eigenvalue series and the numeric cross-check ------------------------------------
 
 
+def _normal_series(problem: PerturbationProblem, n_series: MatrixSeries) -> MatrixSeries:
+    """H0 + N as a matrix series: H0 at order 0, N_k at order k."""
+    return MatrixSeries([problem.h0_matrix()] + list(n_series.coeffs[1:]))
+
+
 def eigenvalue_series(problem: PerturbationProblem, n_series: MatrixSeries) -> Optional[dict]:
-    """{level index: [E0(n), N_1[n][n], ..., N_K[n][n]]} for a simple
-    spectrum, whose levels move one by one; None for a degenerate one, whose
-    blocks of N are reported instead.  The entries stay Gaussian rationals:
-    a non-real one is printed as it is and flagged by the Hermiticity check
-    of N."""
+    """{level index: [E0(n), N_1[n][n], ..., N_K[n][n]]}, the diagonals of
+    H0 + N, for a simple spectrum, whose levels move one by one; None for
+    a degenerate one, whose blocks of N are reported instead.  The entries
+    stay Gaussian rationals: a non-real one is printed as it is and
+    flagged by the Hermiticity check of N."""
     if not problem.is_simple:
         return None
-    return {
-        n: [GaussianRational(level)] + [n_k[n][n] for n_k in n_series.coeffs[1:]]
-        for n, level in enumerate(problem.e0)
-    }
-
-
-def partial_sum(coefficients: Sequence[GaussianRational], mu: Fraction) -> GaussianRational:
-    """sum over k of coefficients[k] mu^k."""
-    total = ZERO
-    power = Fraction(1)
-    for c in coefficients:
-        total = total + c * power
-        power *= mu
-    return total
+    coeffs = _normal_series(problem, n_series).coeffs
+    return {n: [a[n][n] for a in coeffs] for n in range(problem.dim)}
 
 
 @dataclass
 class NumericSample:
     mu: Fraction
     errors: list
-    max_error: Optional[float]
     ambiguous: bool
     skipped: Optional[str] = None  # why no comparison was made
+
+    @property
+    def max_error(self) -> Optional[float]:
+        return None if self.skipped is not None else max(self.errors)
 
     def to_json(self) -> dict:
         out = {
@@ -894,35 +887,34 @@ def _to_complex_matrix(a: tuple) -> np.ndarray:
 def numeric_compare(
     problem: PerturbationProblem,
     n_series: MatrixSeries,
-    eigen: Optional[dict],
     mu_samples: Sequence[Fraction],
 ) -> list:
     """|double-precision eigenvalue - exact value|, one :class:`NumericSample`
     per sample.
 
-    The numeric eigenvalues are those of (H0 + mu V) at the sample.  With
-    a per-level table ``eigen`` (see :func:`eigenvalue_series`) each level's
-    exact partial sum is matched to them by proximity; without one, they
-    are compared in order with the eigenvalues of (H0 + N) at the sample.
-    A proximity match is flagged ambiguous when the two
-    nearest numeric eigenvalues are closer than 1e-8 times the spectral
-    range.  Expected decay between samples is mu^(K+1) (or the first
-    nonvanishing neglected order).  A sample whose exact matrix entries or
-    partial sums lie beyond the double-precision range is reported as
-    skipped, with the reason; the exact checks do not depend on it.
+    The numeric eigenvalues are those of H0 + mu V at the sample; the
+    exact values are read from (H0 + N) at the sample.  For a simple
+    spectrum its diagonal entry n is level n's partial sum (see
+    :func:`eigenvalue_series`), matched to the numeric eigenvalues by
+    proximity; for a degenerate one its eigenvalues are compared in order.
+    A proximity match is flagged ambiguous when the two nearest numeric
+    eigenvalues are closer than 1e-8 times the spectral range.  Expected
+    decay between samples is mu^(K+1) (or the first nonvanishing
+    neglected order).  A sample whose exact matrix entries lie beyond the
+    double-precision range is reported as skipped, with the reason; the
+    exact checks do not depend on it.
     """
-    h_series = problem.h_series()
-    normal_series = MatrixSeries([problem.h0_matrix()] + list(n_series.coeffs[1:]))
+    h_series = MatrixSeries([problem.h0_matrix(), problem.v])
+    normal_series = _normal_series(problem, n_series)
     samples = []
     for mu in mu_samples:
         try:
-            samples.append(_numeric_sample(h_series, normal_series, eigen, mu))
+            samples.append(_numeric_sample(h_series, normal_series, problem.is_simple, mu))
         except OverflowError:
             samples.append(
                 NumericSample(
                     mu=mu,
                     errors=[],
-                    max_error=None,
                     ambiguous=False,
                     skipped="exact values exceed the double-precision range",
                 )
@@ -931,7 +923,7 @@ def numeric_compare(
 
 
 def _numeric_sample(
-    h_series: MatrixSeries, normal_series: MatrixSeries, eigen: Optional[dict], mu: Fraction
+    h_series: MatrixSeries, normal_series: MatrixSeries, simple: bool, mu: Fraction
 ) -> NumericSample:
     try:
         numeric = np.linalg.eigvalsh(_to_complex_matrix(h_series.evaluate(mu)))
@@ -941,24 +933,19 @@ def _numeric_sample(
     tol = 1e-8 * spread
     ambiguous = False
     errors = []
-    if eigen is not None:
-        for coefficients in eigen.values():
-            target = complex(partial_sum(coefficients, mu))
-            gaps = np.abs(numeric - target)
+    exact = normal_series.evaluate(mu)
+    if simple:
+        for n, row in enumerate(exact):
+            gaps = np.abs(numeric - complex(row[n]))
             order = np.argsort(gaps)
             best = gaps[order[0]]
             if len(order) > 1 and gaps[order[1]] - best < tol:
                 ambiguous = True
             errors.append(float(best))
     else:
-        reference = np.linalg.eigvalsh(_to_complex_matrix(normal_series.evaluate(mu)))
+        reference = np.linalg.eigvalsh(_to_complex_matrix(exact))
         errors = [float(abs(a - b)) for a, b in zip(numeric, reference)]
-    return NumericSample(
-        mu=mu,
-        errors=errors,
-        max_error=max(errors) if errors else 0.0,
-        ambiguous=ambiguous,
-    )
+    return NumericSample(mu=mu, errors=errors, ambiguous=ambiguous)
 
 
 # -- whole pipeline --------------------------------------------------------------------
@@ -1027,7 +1014,6 @@ class NormalizationOutput:
 def solve(problem: PerturbationProblem, mu_samples: Sequence[Fraction] = ()) -> NormalizationOutput:
     """Run the whole pipeline on one problem and verify it."""
     c_series, w_series, n_series = build_conjugator(problem)
-    eigen = eigenvalue_series(problem, n_series)
     return NormalizationOutput(
         problem=problem,
         n_series=n_series,
@@ -1035,6 +1021,6 @@ def solve(problem: PerturbationProblem, mu_samples: Sequence[Fraction] = ()) -> 
         w_series=w_series,
         conjugacy=verify_conjugacy(problem, n_series, c_series, w_series),
         oracle=compare_with_oracle(problem, n_series),
-        eigen=eigen,
-        numeric=numeric_compare(problem, n_series, eigen, mu_samples) if mu_samples else None,
+        eigen=eigenvalue_series(problem, n_series),
+        numeric=numeric_compare(problem, n_series, mu_samples) if mu_samples else None,
     )

@@ -205,8 +205,10 @@ def test_conjugation_symmetry():
 
 
 def test_conjugation_symmetry_requires_closure(engine):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="closed under negation"):
         verify_conjugation_symmetry(engine, 2)
+    with pytest.raises(ValueError, match="purely imaginary"):
+        verify_conjugation_symmetry(BirkhoffEngine(Alphabet.parse("1,-1,0")), 2)
 
 
 def test_symmetrality_and_alternality(engine):
@@ -248,3 +250,71 @@ def test_corruption_is_detected():
     assert not report.ok
     violating_words = {v.word for v in report.s_equation.violations}
     assert bad_word in violating_words
+
+
+def editing_pair(edit):
+    """An engine factory: (U_minus, U_plus) on one word read back as
+    edit(U_minus, U_plus), and every longer word is built from that value."""
+
+    def make(alphabet, word):
+        engine = BirkhoffEngine(alphabet)
+        honest = engine._pair
+
+        def pair(w, acc):
+            value = honest(w, acc)
+            return edit(*value) if w == word else value
+
+        engine._pair = pair
+        return engine
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "suite, make_engine, letters, label",
+    [
+        (
+            verify_factorization,
+            editing_pair(lambda um, up: (um, up + Laurent.one())),
+            ("i", "-i"),
+            "U_minus x T = U_plus",
+        ),
+        (
+            verify_factorization,
+            editing_pair(lambda um, up: (um + Laurent.one(), up)),
+            ("i", "-i"),
+            "U_minus shape",
+        ),
+        (
+            verify_factorization,
+            editing_pair(lambda um, up: (um, up + Laurent.monomial(1, -1))),
+            ("i", "-i"),
+            "U_plus shape",
+        ),
+        (
+            verify_support,
+            editing_pair(lambda um, up: (um + Laurent.monomial(1, -2), up)),
+            ("i",),
+            "U_minus off resonance",
+        ),
+        (verify_support, CorruptedEngine, ("i",), "R off resonance"),
+        (
+            verify_grading_identities,
+            editing_pair(lambda um, up: (um + Laurent.one(), up)),
+            ("0",),
+            "(iii) shape",
+        ),
+        (
+            lambda engine, length: verify_mould_equation(engine, length).r_equation,
+            CorruptedEngine,
+            ("i",),
+            "nabla_phi R",
+        ),
+        (verify_conjugation_symmetry, CorruptedEngine, ("i",), "R conjugation symmetry"),
+    ],
+)
+def test_each_identity_records_a_wrong_value(suite, make_engine, letters, label):
+    alphabet = Alphabet.parse("i,-i,2i,-2i,0")
+    report = suite(make_engine(alphabet, alphabet.word_of(*letters)), 2)
+    assert report.ok is False
+    assert label in {v.label for v in report.violations}

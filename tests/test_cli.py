@@ -76,8 +76,21 @@ def test_solve_rejects_bad_mu(problem_file, capsys):
     assert main(["solve", problem_file, "--mu", "i"]) == 2
 
 
-def test_solve_rejects_zero_order(problem_file, capsys):
-    assert main(["solve", problem_file, "--order", "0"]) == 2
+def test_solve_rejects_zero_order(problem_file, tmp_path, capsys):
+    """Every order below 1, from a flag or from the file, gets one message."""
+    message = "the truncation order must be at least 1"
+    for argv in (
+        ["solve", problem_file, "--order", "0"],
+        ["solve", problem_file, "-K", "-1"],
+        ["oracle", problem_file, "--order", "-2"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    for order in (0, -1):
+        path = write_problem(tmp_path, {**TWO_LEVEL, "order": order}, name=f"order{order}.json")
+        for command in ("solve", "oracle"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err == f"error: bad problem file {path}: {message}\n"
 
 
 def test_solve_missing_file(tmp_path, capsys):
@@ -339,6 +352,16 @@ def test_malformed_problem_exits_2_with_a_message(tmp_path, capsys, data):
             assert f'missing key "{key}"' in captured.err
         for key in unknown:
             assert f'unknown key "{key}"' in captured.err
+
+
+def test_corrupt_word_longer_than_max_length_exits_2(capsys):
+    verify = ["verify", "--alphabet", "i,-i,0", "--corrupt-word", "i,-i,0"]
+    assert main(verify + ["-L", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "--corrupt-word" in captured.err and "--max-length 2" in captured.err
+    assert captured.out == ""
+    # the same word is read, and caught, once -L reaches its length
+    assert main(verify + ["-L", "3"]) == 1
 
 
 def test_unknown_corrupt_word_letter_is_named(capsys):

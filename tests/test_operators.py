@@ -26,7 +26,6 @@ from mouldpert.operators import (
     mat_magnitude,
     mat_mul,
     mat_scale,
-    partial_sum,
     random_problem,
     series_exp,
     series_log,
@@ -121,6 +120,9 @@ def test_rejects_bad_shapes_and_hbar():
         PerturbationProblem(e0=(Fraction(0),), v=((gr(0), gr(0)),))
     with pytest.raises(ValueError):
         PerturbationProblem(e0=(Fraction(0),), v=((gr(0),),), hbar=Fraction(0))
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="the truncation order must be at least 1"):
+            two_level_problem(order=order)
 
 
 def test_json_roundtrip():
@@ -309,14 +311,6 @@ def test_brackets_are_formed_only_on_prefixes_that_can_close(monkeypatch, name):
 
 
 # -- conjugator and generator -----------------------------------------------------------
-
-
-def test_conjugator_at_order_zero_is_identity():
-    problem = two_level_problem(order=0)
-    c_series, w_series, n_series = build_conjugator(problem)
-    assert c_series == MatrixSeries.identity(2, 0)
-    assert w_series == MatrixSeries.from_orders(2, 0, {})
-    assert n_series == MatrixSeries.from_orders(2, 0, {})
 
 
 def test_conjugator_first_order_matches_hand_value():
@@ -717,9 +711,23 @@ def test_numeric_error_vanishes_at_mu_zero():
     assert out.numeric[0].max_error == 0.0
 
 
+def test_numeric_match_is_flagged_ambiguous_for_close_levels():
+    # two levels 1e-12 apart: each partial sum is as near to the other level
+    v = tuple(tuple(gr(d) if i == j else gr(0) for j in range(3)) for i, d in enumerate((1, 1, 3)))
+    problem = PerturbationProblem(e0=(Fraction(0), Fraction(1, 10**12), Fraction(1)), v=v)
+    out = solve(problem, mu_samples=[Fraction(1, 100)])
+    (sample,) = out.numeric
+    assert sample.ambiguous is True
+    assert sample.errors == [0.0, 0.0, 0.0]
+
+
 def test_degenerate_numeric_comparison_is_small():
     out = solve(degenerate_problem(order=4), mu_samples=[Fraction(1, 100)])
     assert out.numeric[0].max_error < 1e-7
+
+
+def partial_sum(coefficients, mu):
+    return sum((c * mu**k for k, c in enumerate(coefficients)), ZERO)
 
 
 def test_eigen_series_partial_sum():
