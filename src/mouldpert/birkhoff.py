@@ -9,9 +9,9 @@ invertible in C((e)) even at resonances.  Factoring T uniquely as
 U_minus x T = U_plus with U_minus carrying only poles and U_plus pole
 free yields the exact scalar moulds
 
-    R^w = -len(w) * residue(U_minus^w),
     S^w = constant term of U_plus^w,
-    N^w = -residue(U_minus^w) = R^w / len(w),
+    N^w = -residue(U_minus^w),
+    R^w = len(w) * N^w,
 
 which solve the normalization problem downstream: R/N weight nested
 commutators of the perturbation's eigencomponents, S weights their
@@ -37,7 +37,7 @@ from .moulds import (
     mould_product,
     nabla,
 )
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ZERO
 
 __all__ = [
     "make_T",
@@ -45,7 +45,6 @@ __all__ = [
     "CorruptedEngine",
     "SuiteReport",
     "IdentityViolation",
-    "MouldEquationReport",
     "verify_mould_equation",
     "verify_factorization",
     "verify_support",
@@ -130,9 +129,7 @@ class BirkhoffEngine:
     # -- scalar moulds ------------------------------------------------------
 
     def coeff_R(self, word: Word) -> GaussianRational:
-        if len(word) == 0:
-            return ZERO
-        return GaussianRational(-len(word)) * self._pair(word, 0)[0].residue()
+        return GaussianRational(len(word)) * self.coeff_N(word)
 
     def coeff_S(self, word: Word) -> GaussianRational:
         return self._pair(word, 0)[1].constant_term()
@@ -144,24 +141,27 @@ class BirkhoffEngine:
 
 
 class CorruptedEngine(BirkhoffEngine):
-    """An engine whose R, S and N read back deliberately wrong (offset by
-    one) on one word, for sensitivity testing of the suites."""
+    """An engine whose pair table reads back deliberately wrong on one
+    word, for sensitivity testing of the suites.
+
+    On the corrupted word ``_pair`` returns (U_minus - e^-1, U_plus + 1):
+    S is off by one there and, on a nonempty word, N by one and R by len(word).
+    Every longer word is built from the wrong value, because the
+    recursion reads its prefixes through ``self._pair``; so the
+    factorization, support, mould-equation and grading suites all see the
+    fault.  Only the value half of grading identity (iii) cannot: it
+    compares R with the residue R is computed from.
+    """
 
     def __init__(self, alphabet: Alphabet, corrupted: Word):
         self.corrupted = corrupted
         super().__init__(alphabet)
 
-    def coeff_R(self, word: Word) -> GaussianRational:
-        return self._poison(word, super().coeff_R(word))
-
-    def coeff_S(self, word: Word) -> GaussianRational:
-        return self._poison(word, super().coeff_S(word))
-
-    def coeff_N(self, word: Word) -> GaussianRational:
-        return self._poison(word, super().coeff_N(word))
-
-    def _poison(self, word: Word, value: GaussianRational) -> GaussianRational:
-        return value + ONE if word == self.corrupted else value
+    def _pair(self, word: Word, acc: int) -> tuple:
+        u_minus, u_plus = super()._pair(word, acc)
+        if word != self.corrupted:
+            return u_minus, u_plus
+        return u_minus - Laurent.monomial(1, -1), u_plus + Laurent.one()
 
 
 # -- verification suites ------------------------------------------------------
@@ -191,22 +191,12 @@ class SuiteReport:
         self.violations.append(IdentityViolation(word, label, str(lhs), str(rhs)))
 
 
-@dataclass
-class MouldEquationReport:
-    s_equation: SuiteReport
-    r_equation: SuiteReport
-    s_symmetral: "object"
-
-    @property
-    def ok(self) -> bool:
-        return self.s_equation.ok and self.r_equation.ok and self.s_symmetral.ok
-
-
-def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> MouldEquationReport:
+def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> tuple:
     """Residuals of nabla_phi S = S x I - R x S and nabla_phi R = 0.
 
     Both identities must hold with exactly zero residual on every word of
     length <= max_length; S must additionally pass the symmetrality check.
+    Returns the three reports (S equation, R equation, S symmetrality).
     """
     alphabet = engine.alphabet
     ones = Mould.letters(alphabet)
@@ -225,11 +215,7 @@ def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> MouldEquat
         r_residual = phi * engine.R.scalar_value(word)
         if r_residual:
             r_report.record(word, "nabla_phi R", r_residual, ZERO)
-    return MouldEquationReport(
-        s_equation=s_report,
-        r_equation=r_report,
-        s_symmetral=is_symmetral_up_to(engine.S, max_length),
-    )
+    return s_report, r_report, is_symmetral_up_to(engine.S, max_length)
 
 
 def verify_factorization(engine: BirkhoffEngine, max_length: int) -> SuiteReport:
@@ -256,7 +242,7 @@ def verify_factorization(engine: BirkhoffEngine, max_length: int) -> SuiteReport
 def verify_support(engine: BirkhoffEngine, max_length: int) -> SuiteReport:
     """Off resonance (letter sum nonzero) U_minus and R must vanish."""
     report = SuiteReport()
-    for word in engine.alphabet.words_up_to(max_length, include_empty=False):
+    for word in engine.alphabet.words_up_to(max_length):
         if not engine.alphabet.phi(word):
             continue
         report.words_checked += 1

@@ -61,8 +61,6 @@ def _parse_mu_list(text: str) -> list:
     samples = []
     for part in text.split(","):
         part = part.strip()
-        if not part:
-            continue
         value = parse_scalar(part)
         if not value.is_real:
             raise ValueError(f"mu sample {part!r} is not a real rational")
@@ -97,12 +95,12 @@ def _emit(payload, output: str | None) -> None:
 
 
 def _alphabet_from_args(args) -> Alphabet:
-    if getattr(args, "alphabet", None):
+    if args.alphabet:
         try:
             return Alphabet.parse(args.alphabet)
         except ValueError as exc:
             raise ValueError(f"bad alphabet literal: {exc}") from exc
-    if getattr(args, "problem", None):
+    if args.problem:
         problem = _load_problem(args.problem)
         return spectral_decompose(problem).alphabet
     raise ValueError("either --alphabet or --problem is required")
@@ -114,8 +112,7 @@ def _with_order(problem: PerturbationProblem, order: int | None) -> Perturbation
     return dataclasses.replace(problem, order=order)
 
 
-def _nonnegative(args, name: str, flag: str) -> int:
-    value = getattr(args, name)
+def _nonnegative(value: int, flag: str) -> int:
     if value < 0:
         raise ValueError(f"{flag} must be at least 0, got {value}")
     return value
@@ -132,8 +129,8 @@ def cmd_solve(args) -> int:
 def cmd_moulds(args) -> int:
     alphabet = _alphabet_from_args(args)
     engine = BirkhoffEngine(alphabet)
-    acc = _nonnegative(args, "acc", "--acc")
-    max_length = _nonnegative(args, "max_length", "--max-length")
+    acc = _nonnegative(args.acc, "--acc")
+    max_length = _nonnegative(args.max_length, "--max-length")
     rows = []
     for word in alphabet.words_up_to(max_length):
         u_minus, u_plus = engine.decompose(word, acc)
@@ -154,7 +151,7 @@ def cmd_moulds(args) -> int:
 
 def cmd_verify(args) -> int:
     alphabet = _alphabet_from_args(args)
-    max_length = _nonnegative(args, "max_length", "--max-length")
+    max_length = _nonnegative(args.max_length, "--max-length")
     if args.corrupt_word is None:
         engine = BirkhoffEngine(alphabet)
     else:
@@ -166,10 +163,10 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--corrupt-word is longer than --max-length {max_length}: no suite reads it")
         engine = CorruptedEngine(alphabet, bad_word)
     suites = {}
-    equation = verify_mould_equation(engine, max_length)
-    suites["mould_equation_S"] = _suite_json(equation.s_equation, alphabet)
-    suites["mould_equation_R"] = _suite_json(equation.r_equation, alphabet)
-    suites["symmetrality_S"] = _shuffle_json(equation.s_symmetral, alphabet)
+    s_equation, r_equation, s_symmetral = verify_mould_equation(engine, max_length)
+    suites["mould_equation_S"] = _suite_json(s_equation, alphabet)
+    suites["mould_equation_R"] = _suite_json(r_equation, alphabet)
+    suites["symmetrality_S"] = _shuffle_json(s_symmetral, alphabet)
     suites["factorization"] = _suite_json(verify_factorization(engine, max_length), alphabet)
     suites["support"] = _suite_json(verify_support(engine, max_length), alphabet)
     suites["grading_identities"] = _suite_json(
@@ -215,8 +212,8 @@ def _suite_json(report, alphabet) -> dict:
             {
                 "word": alphabet.render_word(v.word),
                 "identity": v.label,
-                "lhs": str(v.lhs),
-                "rhs": str(v.rhs),
+                "lhs": v.lhs,
+                "rhs": v.rhs,
             }
             for v in report.violations
         ],
@@ -261,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--corrupt-word",
         default=None,
-        help="debug: poison the scalar moulds on one word to prove the suites notice",
+        help="debug: poison (U_minus, U_plus) on one word to prove the suites notice",
     )
     p_verify.add_argument("--output", "-o", default=None)
     p_verify.set_defaults(func=cmd_verify)

@@ -61,15 +61,8 @@ class Alphabet:
     under negation; arbitrary alphabets need not be.
     """
 
-    def __init__(self, letters: Iterable):
-        values = []
-        for x in letters:
-            if isinstance(x, str):
-                x = parse_scalar(x)
-            elif isinstance(x, (int, Fraction)):
-                x = GaussianRational(x)
-            values.append(x)
-        self._letters = tuple(values)
+    def __init__(self, letters: Iterable[GaussianRational]):
+        self._letters = tuple(letters)
         self._index = {}
         for i, v in enumerate(self._letters):
             if v in self._index:
@@ -78,11 +71,9 @@ class Alphabet:
 
     @classmethod
     def parse(cls, text: str) -> "Alphabet":
-        """Comma-separated scalar literals, e.g. "i,-i,2i,0"."""
-        items = [part for part in text.split(",") if part.strip()]
-        if not items:
-            raise ValueError("empty alphabet literal")
-        return cls(items)
+        """Comma-separated scalar literals, e.g. "i,-i,2i,0"; an empty item
+        is an error, as it is for any scalar literal."""
+        return cls(parse_scalar(part) for part in text.split(","))
 
     def __len__(self) -> int:
         return len(self._letters)
@@ -113,14 +104,10 @@ class Alphabet:
     def words_of_length(self, r: int) -> Iterator[Word]:
         return itertools.product(range(len(self._letters)), repeat=r)
 
-    def words_up_to(self, max_length: int, include_empty: bool = True) -> Iterator[Word]:
+    def words_up_to(self, max_length: int) -> Iterator[Word]:
         """All words of length <= max_length, sorted by length then letter indices."""
-        start = 0 if include_empty else 1
-        for r in range(start, max_length + 1):
+        for r in range(max_length + 1):
             yield from self.words_of_length(r)
-
-    def negation_index(self, index: int) -> int:
-        return self._index[-self._letters[index]]
 
     @property
     def closed_under_negation(self) -> bool:
@@ -131,7 +118,7 @@ class Alphabet:
         return all(v.is_imaginary for v in self._letters)
 
     def negate_word(self, word: Word) -> Word:
-        return tuple(self.negation_index(i) for i in word)
+        return tuple(self._index[-self._letters[i]] for i in word)
 
     def render_word(self, word: Word) -> str:
         if not len(word):

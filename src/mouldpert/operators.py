@@ -167,15 +167,8 @@ class MatrixSeries:
         self.dim = len(self.coeffs[0])
 
     @classmethod
-    def identity(cls, dim: int, order: int) -> "MatrixSeries":
-        return cls([identity_matrix(dim)] + [zero_matrix(dim)] * order)
-
-    @classmethod
     def from_orders(cls, dim: int, order: int, terms: dict) -> "MatrixSeries":
         return cls([terms.get(k, zero_matrix(dim)) for k in range(order + 1)])
-
-    def coefficient(self, k: int) -> tuple:
-        return self.coeffs[k]
 
     def __add__(self, other: "MatrixSeries") -> "MatrixSeries":
         return MatrixSeries([mat_add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
@@ -196,9 +189,6 @@ class MatrixSeries:
 
     def adjoint(self) -> "MatrixSeries":
         return MatrixSeries([mat_adjoint(a) for a in self.coeffs])
-
-    def is_zero(self) -> bool:
-        return all(mat_is_zero(a) for a in self.coeffs)
 
     def evaluate(self, mu: Fraction) -> tuple:
         """Exact value at a rational parameter."""
@@ -227,7 +217,7 @@ def _power_sum(a: MatrixSeries, coefficient) -> MatrixSeries:
     out = power = a
     for j in range(2, a.order + 1):
         power = power * a
-        if power.is_zero():
+        if all(mat_is_zero(c) for c in power.coeffs):
             break
         out = out + power.scale(GaussianRational(coefficient(j)))
     return out
@@ -235,15 +225,16 @@ def _power_sum(a: MatrixSeries, coefficient) -> MatrixSeries:
 
 def series_exp(a: MatrixSeries) -> MatrixSeries:
     """exp of a series with vanishing order-0 term (finite in truncation)."""
-    if not mat_is_zero(a.coefficient(0)):
+    if not mat_is_zero(a.coeffs[0]):
         raise ValueError("series_exp needs a vanishing order-0 coefficient")
-    return MatrixSeries.identity(a.dim, a.order) + _power_sum(a, lambda j: Fraction(1, math.factorial(j)))
+    identity = MatrixSeries.from_orders(a.dim, a.order, {0: identity_matrix(a.dim)})
+    return identity + _power_sum(a, lambda j: Fraction(1, math.factorial(j)))
 
 
 def series_log(a: MatrixSeries) -> MatrixSeries:
     """log of a series with identity order-0 term: the log series of
     a - I, which is a with its order-0 term set to zero."""
-    if a.coefficient(0) != identity_matrix(a.dim):
+    if a.coeffs[0] != identity_matrix(a.dim):
         raise ValueError("series_log needs an identity order-0 coefficient")
     rest = MatrixSeries([zero_matrix(a.dim)] + list(a.coeffs[1:]))
     return _power_sum(rest, lambda j: Fraction((-1) ** (j - 1), j))
@@ -633,9 +624,9 @@ def verify_conjugacy(
     rhs = _normal_series(problem, n_series)
     conjugated = c * h * c_adj
     unitary = c * c_adj
-    identity = MatrixSeries.identity(problem.dim, problem.order)
+    identity = MatrixSeries.from_orders(problem.dim, problem.order, {0: identity_matrix(problem.dim)})
     commutation = [n == problem.resonant_part(n) for n in n_series.coeffs[1:]]
-    hermitian = [mat_is_hermitian(n_series.coefficient(k)) for k in range(1, problem.order + 1)]
+    hermitian = [mat_is_hermitian(n) for n in n_series.coeffs[1:]]
     every = range(problem.dim)
     pairs = zip(_power_traces(h, every), _power_traces(rhs, every))
     trace_ok = {p: a == b for p, (a, b) in enumerate(pairs, start=1)}
@@ -678,7 +669,7 @@ def hierarchy_oracle(problem: PerturbationProblem) -> tuple:
     n_parts = []
     w_parts = []
     for k in range(1, K + 1):
-        a = x.coefficient(k)
+        a = x.coeffs[k]
         w_k = tuple(
             tuple(
                 ihbar * y / GaussianRational(e0[n] - e0[m]) if y and e0[n] != e0[m] else ZERO
@@ -731,8 +722,8 @@ def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) ->
     off_block = [(i, j) for i in every for j in every if not problem.resonance[i][j]]
     flags = []
     for k in range(1, problem.order + 1):
-        a = n_series.coefficient(k)
-        b = oracle.coefficient(k)
+        a = n_series.coeffs[k]
+        b = oracle.coeffs[k]
         flags.append(
             all(a[i][j] == b[i][j] for i, j in off_block)
             and all(x[k] == y[k] for x, y in zip(ours, theirs))
@@ -991,11 +982,11 @@ class NormalizationOutput:
                 for w in words
             ],
             "N_matrices": {
-                str(k): mat_to_json(self.n_series.coefficient(k))
+                str(k): mat_to_json(self.n_series.coeffs[k])
                 for k in range(1, self.problem.order + 1)
             },
             "C_matrices": {
-                str(k): mat_to_json(self.c_series.coefficient(k))
+                str(k): mat_to_json(self.c_series.coeffs[k])
                 for k in range(self.problem.order + 1)
             },
             "eigenvalue_series": (

@@ -69,7 +69,7 @@ def test_T_is_the_product_of_resolvent_factors(engine, alphabet):
     # degrees past acc, so the poles of the others leave the product exact
     # through acc.  Rising windows on one engine re-evaluate cached values.
     for acc in (0, 2, 4):
-        for word in alphabet.words_up_to(4, include_empty=False):
+        for word in (w for w in alphabet.words_up_to(4) if w):
             direct = Laurent.one()
             for j, s in enumerate(partial_sums(alphabet, word), start=1):
                 factor = Laurent.from_pairs([(0, s), (1, GaussianRational(j))])
@@ -78,7 +78,7 @@ def test_T_is_the_product_of_resolvent_factors(engine, alphabet):
 
 
 def test_T_valuation_counts_vanishing_partial_sums(engine, alphabet):
-    for word in alphabet.words_up_to(4, include_empty=False):
+    for word in (w for w in alphabet.words_up_to(4) if w):
         poles = sum(1 for s in partial_sums(alphabet, word) if not s)
         value = engine.T.value(word, 0)
         assert value.min_degree == -poles
@@ -157,7 +157,7 @@ def test_S_on_fully_nonresonant_word_is_the_inverse_partial_sum_product(engine, 
 
 
 def test_N_is_R_over_length(engine, alphabet):
-    for word in alphabet.words_up_to(4, include_empty=False):
+    for word in (w for w in alphabet.words_up_to(4) if w):
         r = engine.coeff_R(word)
         n = engine.coeff_N(word)
         assert r == GaussianRational(len(word)) * n
@@ -176,9 +176,9 @@ def test_u_plus_widening_is_consistent(engine, alphabet):
 
 def test_mould_equation_holds():
     engine = BirkhoffEngine(Alphabet.parse("1,-1,0"))
-    report = verify_mould_equation(engine, 4)
-    assert report.ok
-    assert report.s_equation.words_checked == 1 + 3 + 9 + 27 + 81
+    reports = verify_mould_equation(engine, 4)
+    assert all(report.ok for report in reports)
+    assert reports[0].words_checked == 1 + 3 + 9 + 27 + 81
 
 
 def test_factorization_holds(engine):
@@ -246,9 +246,9 @@ def test_corruption_is_detected():
     alphabet = Alphabet.parse("1,-1,0")
     bad_word = alphabet.word_of("0")
     engine = CorruptedEngine(alphabet, bad_word)
-    report = verify_mould_equation(engine, 2)
-    assert not report.ok
-    violating_words = {v.word for v in report.s_equation.violations}
+    s_equation, r_equation, s_symmetral = verify_mould_equation(engine, 2)
+    assert not (s_equation.ok and r_equation.ok and s_symmetral.ok)
+    violating_words = {v.word for v in s_equation.violations}
     assert bad_word in violating_words
 
 
@@ -268,6 +268,15 @@ def editing_pair(edit):
         return engine
 
     return make
+
+
+def editing_R(alphabet, word):
+    """An engine whose coeff_R reads back one more on one word; its pair
+    table, and so every mould built from it, stays honest."""
+    engine = BirkhoffEngine(alphabet)
+    honest = engine.coeff_R
+    engine.coeff_R = lambda w: honest(w) + ONE if w == word else honest(w)
+    return engine
 
 
 @pytest.mark.parametrize(
@@ -305,12 +314,15 @@ def editing_pair(edit):
             "(iii) shape",
         ),
         (
-            lambda engine, length: verify_mould_equation(engine, length).r_equation,
+            lambda engine, length: verify_mould_equation(engine, length)[1],
             CorruptedEngine,
             ("i",),
             "nabla_phi R",
         ),
         (verify_conjugation_symmetry, CorruptedEngine, ("i",), "R conjugation symmetry"),
+        (verify_factorization, CorruptedEngine, ("i", "-i"), "U_minus x T = U_plus"),
+        (verify_support, CorruptedEngine, ("i",), "U_minus off resonance"),
+        (verify_grading_identities, editing_R, ("0",), "(iii) R from U_minus at infinity"),
     ],
 )
 def test_each_identity_records_a_wrong_value(suite, make_engine, letters, label):

@@ -74,6 +74,9 @@ def test_solve_rejects_non_hermitian(bad_problem_file, capsys):
 def test_solve_rejects_bad_mu(problem_file, capsys):
     assert main(["solve", problem_file, "--mu", "3/2"]) == 2
     assert main(["solve", problem_file, "--mu", "i"]) == 2
+    for mu in ("1/100,,1/1000", "1/100,"):
+        assert main(["solve", problem_file, "--mu", mu]) == 2
+        assert "empty scalar" in capsys.readouterr().err
 
 
 def test_solve_rejects_zero_order(problem_file, tmp_path, capsys):
@@ -138,6 +141,10 @@ def test_moulds_rejects_bad_alphabet(capsys):
     assert main(["moulds", "--alphabet", "i,i"]) == 2
     assert main(["moulds", "--alphabet", "x"]) == 2
     assert main(["moulds"]) == 2
+    capsys.readouterr()
+    for letters in ("i,,-i", "i,-i,"):
+        assert main(["verify", "--alphabet", letters]) == 2
+        assert "empty scalar" in capsys.readouterr().err
 
 
 def test_verify_clean(capsys):
@@ -177,6 +184,10 @@ def test_verify_corruption_is_reported(capsys):
         or "0" in str(violation)
         for violation in bad
     )
+    # the poisoned pair is what U_minus x T = U_plus reads
+    factorization = data["suites"]["factorization"]
+    assert factorization["ok"] is False
+    assert "U_minus x T = U_plus" in {v["identity"] for v in factorization["violations"]}
 
 
 def test_solve_skips_numeric_check_beyond_float_range(tmp_path, capsys):
@@ -498,7 +509,7 @@ def command_line(draw, path):
         if draw(st.booleans()):
             argv += ["--order", draw(st.integers(-1, 4).map(str))]
         if draw(st.booleans()):
-            argv += ["--mu", draw(st.sampled_from(("1/100", "1/2,1/10", "0", "1", "i", "x", "")))]
+            argv += ["--mu", draw(st.sampled_from(("1/100", "1/2,1/10", "0", "1", "i", "x", "", "1/2,,1/10")))]
     elif command == "oracle":
         if draw(st.booleans()):
             argv.append(path)
@@ -510,7 +521,7 @@ def command_line(draw, path):
             argv += ["--order", draw(st.integers(-1, 4).map(str))]
     else:
         if draw(st.booleans()):
-            argv += ["--alphabet", draw(st.sampled_from(("i,-i,0", "i,-i,2i", "1,-1", "0", "i,i", "x")))]
+            argv += ["--alphabet", draw(st.sampled_from(("i,-i,0", "i,-i,2i", "1,-1", "0", "i,i", "x", "i,,-i", "i,-i,")))]
         else:
             argv += ["--problem", path]
         argv += ["-L", draw(st.integers(-2, 3).map(str))]
