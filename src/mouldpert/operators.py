@@ -5,7 +5,11 @@ V an exact Hermitian matrix.  The normal form N and the unitary
 conjugator C come from one Birkhoff decomposition of the matrix series
 built from H0, V and hbar alone (``build_conjugator``); the Hermitian
 generator is W = i hbar log C, by the truncated matrix logarithm.  No
-alphabet, component or word enters them.  The word route splits V into
+alphabet, component or word enters them.  That decomposition runs on
+Laurent series in e' held as Gaussian-integer numerators over one
+denominator per order, on a fixed window of degrees, and makes
+GaussianRational values only for C_k and N_k; the trace checks use the
+same integer format (``_integer_rows``).  The word route splits V into
 eigencomponents B_lam of the rescaled commutator with H0
 (``spectral_decompose``) and sums N^w times nested brackets
 (``build_normal_form``); it is built only for the coefficient table of
@@ -31,13 +35,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import or_
+from operator import mul, or_
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .birkhoff import BirkhoffEngine
-from .laurent import Laurent
 from .moulds import Alphabet
 from .scalars import GaussianRational, ONE, ZERO, format_scalar, parse_scalar
 
@@ -81,6 +84,22 @@ def mat_add(a: tuple, b: tuple) -> tuple:
 
 def mat_scale(c: GaussianRational, a: tuple) -> tuple:
     return tuple(tuple(c * x for x in row) for row in a)
+
+
+def _denominator(matrices) -> int:
+    """The lcm of the entry denominators of GaussianRational matrices."""
+    return math.lcm(*(x._d for a in matrices for row in a for x in row if x))
+
+
+def _integer_rows(a: tuple, den: int) -> list:
+    """Per row of a, the (column, re, im) triples of its nonzero entries,
+    each entry the Gaussian integer re + im i over den, a multiple of every
+    entry denominator: the one integer format of the exact kernels."""
+    # a GaussianRational is the canonical integer triple (_a + _b i) / _d
+    return [
+        [(j, x._a * (den // x._d), x._b * (den // x._d)) for j, x in enumerate(row) if x]
+        for row in a
+    ]
 
 
 def _nonzero_rows(a: tuple) -> list:
@@ -511,50 +530,170 @@ def build_normal_form(
 def build_conjugator(problem: PerturbationProblem) -> tuple:
     """(C, W, N) from H0, V and hbar alone, by the Birkhoff decomposition
     of the matrix series:
-    Phi(A)_k = sum over |w| = k of A^w B_(w1) ... B_(wk) turns
+    Phi(A)_m = sum over |w| = m of A^w B_(w1) ... B_(wm) turns
     U_minus x T = U_plus into Phi(U_minus) Phi(T) = Phi(U_plus), solved
     order by order.  Letter sums telescope along index chains a -> c to
     g / (i hbar), with the real gap g = E0(a) - E0(c).  In e' = i hbar e
-    the factor of T at step k is i hbar / (g + k e'), so Phi(T)_k and X_k
-    carry exactly (i hbar)^k, and the recursion runs without hbar:
-    from Phi(T)_0 = I (T on the empty word is 1), Phi(T)_k is
-    Phi(T)_(k-1) V with entry (a, c) times 1/(g + k e'), and no word is
-    enumerated.  From X_k = Phi(T)_k + sum over 0 < j < k of
-    Phi(U_minus)_j Phi(T)_(k-j): Phi(U_minus)_k = -polar(X_k),
-    C_k = const(X_k), and N_k = k res(X_k), as N is alternal
-    (Dynkin-Specht-Wever).  Factors are inverted through e'^K (exactly
-    (1/k) e'^-1 at g = 0); the Laurent accuracy bookkeeping raises if
-    that window is short.  hbar enters only W = i hbar log C, whose
+    the factor of T at step m is i hbar / (g + m e'), so Phi(T)_m and X_m
+    carry exactly (i hbar)^m, and the recursion runs without hbar:
+    from Phi(T)_0 = I (T on the empty word is 1), Phi(T)_m is
+    Phi(T)_(m-1) V with entry (a, c) times 1/(g + m e'), and no word is
+    enumerated.  From X_m = Phi(T)_m + sum over 0 < j < m of
+    Phi(U_minus)_j Phi(T)_(m-j): Phi(U_minus)_m = -polar(X_m),
+    C_m = const(X_m), and N_m = m res(X_m), as N is alternal
+    (Dynkin-Specht-Wever).  hbar enters only W = i hbar log C, whose
     Hermiticity tests unitarity.  No alphabet, component or word is
     built: those serve only the solve JSON.
+
+    Windows.  Every entry of Phi(T)_m has degrees >= -m (one pole per
+    zero gap), and the recursion reads it only through degree K - m:
+    Phi(U_minus)_j Phi(T)_m, with j <= K - m, is needed only through
+    degree 0, and Phi(U_minus)_j has degrees -j..-1; the step to order
+    m + 1 reads one degree higher only at a zero gap, where the factor is
+    (1/(m + 1)) e'^-1.  So Phi(T)_m is held on the fixed window
+    -m..K-m, K + 1 coefficients, and X_m only on -m..0: each product is
+    truncated at degree 0.  With g != 0, 1/(g/D + m e'), D the common
+    denominator of the levels (``PerturbationProblem.levels``), is the
+    series sum over e of D (-m D)^e / g^(e+1) e'^e, of which degrees
+    0..K-1 reach the window; over |g|^K its coefficients are the integers
+    D (-m D)^e g^(K-1-e), times the sign of g^K.  With g = 0 the factor
+    shifts the window by one degree over the multiplier m.
+
+    Denominators.  Each order is held as Gaussian-integer numerators
+    (re, im ints per coefficient) over one positive denominator: that of
+    Phi(T)_(m-1), times that of V, times the lcm of the multipliers |g|^K
+    and m of the gaps present; X_m is over the lcm of the denominators of
+    its terms.  Phi(T)_m and Phi(U_minus)_m are reduced once, by the gcd
+    of their denominator and all their numerators.  GaussianRational
+    values are formed only for C_m and N_m, one gcd per entry.
     """
     dim, K = problem.dim, problem.order
-    den, level = problem.levels
-
-    @functools.cache
-    def factor(gap: int, k: int) -> Laurent:
-        return Laurent.from_pairs([(0, Fraction(gap, den)), (1, k)]).inverse(K)
-
-    v_rows = _nonzero_rows(problem.v)
-    # nonzero rows of Phi(T)_k (from Phi(T)_0 = I) and Phi(U_minus)_k (k >= 1)
-    t_rows = [[[(a, Laurent.one())] for a in range(dim)]]
-    u_rows = [None]
+    v_den = _denominator([problem.v])
+    v = (v_den, _integer_rows(problem.v, v_den))
+    # Phi(T)_m and Phi(U_minus)_m as (denominator, rows): per row, the
+    # (column, re, im) of its nonzero entries, re and im the numerators of
+    # degrees -m..K-m for Phi(T)_m and -m..-1 for Phi(U_minus)_m
+    t_series = [(1, [[(a, [1] + [0] * K, [0] * (K + 1))] for a in range(dim)])]
+    u_series = [None]
     c_coeffs, n_coeffs = [identity_matrix(dim)], [zero_matrix(dim)]
-    for k in range(1, K + 1):
-        x = [[Laurent.zero()] * dim for _ in range(dim)]
-        _accumulate(x, t_rows[-1], v_rows)
-        for a, row in enumerate(_nonzero_rows(x)):
-            for c, y in row:
-                x[a][c] = y * factor(level[a] - level[c], k)
-        t_rows.append(_nonzero_rows(x))
-        for j in range(1, k):
-            _accumulate(x, u_rows[j], t_rows[k - j])
-        u_rows.append(_nonzero_rows([[-y.polar_part() for y in row] for row in x]))
-        c_coeffs.append(tuple(tuple(y.constant_term() for y in row) for row in x))
-        n_coeffs.append(tuple(tuple(y.residue() * k for y in row) for row in x))
+    for m in range(1, K + 1):
+        t_series.append(_next_t(t_series[-1], v, problem.levels, m, K))
+        x_den, x_rows = _x_window(t_series, u_series, m)
+        c_coeffs.append(_degree_matrix(x_rows, x_den, m, 1))
+        n_coeffs.append(_degree_matrix(x_rows, x_den, m - 1, m))
+        polar = [[(c, [-v for v in re[:m]], [-v for v in im[:m]]) for c, re, im in row] for row in x_rows]
+        u_series.append(_reduced(x_den, polar))
     c_series = MatrixSeries(c_coeffs)
     w_series = series_log(c_series).scale(GaussianRational(0, problem.hbar))
     return c_series, w_series, MatrixSeries(n_coeffs)
+
+
+def _next_t(t: tuple, v: tuple, levels: tuple, m: int, K: int) -> tuple:
+    """Phi(T)_m from Phi(T)_(m-1) = t, both on their windows and V = v, all
+    three as (denominator, rows) (see ``build_conjugator``):
+    Phi(T)_(m-1) V, entry (a, c) divided by g/D + m e'."""
+    (t_den, t_rows), (v_den, v_rows) = t, v
+    den, level = levels
+    zeros = [0] * (K + 1)
+    products = []
+    for t_row in t_rows:
+        acc = {}
+        for b, re, im in t_row:
+            for c, vr, vi in v_rows[b]:
+                sr, si = acc.get(c, (zeros, zeros))
+                if not vi:
+                    sr = [s + x * vr for s, x in zip(sr, re)]
+                    si = [s + y * vr for s, y in zip(si, im)]
+                elif not vr:
+                    sr = [s - y * vi for s, y in zip(sr, im)]
+                    si = [s + x * vi for s, x in zip(si, re)]
+                else:
+                    sr = [s + x * vr - y * vi for s, x, y in zip(sr, re, im)]
+                    si = [s + x * vi + y * vr for s, x, y in zip(si, re, im)]
+                acc[c] = (sr, si)
+        products.append(acc)
+    gaps = {level[a] - level[c] for a, acc in enumerate(products) for c in acc}
+    multiplier = {g: abs(g) ** K if g else m for g in gaps}
+    lcm = math.lcm(*multiplier.values())
+    factors = {
+        g: [
+            (-1 if g < 0 and K % 2 else 1) * (lcm // multiplier[g]) * den * (-m * den) ** e * g ** (K - 1 - e)
+            for e in range(K)
+        ]
+        for g in gaps
+        if g
+    }
+    shift = lcm // m
+    rows = []
+    for a, acc in enumerate(products):
+        row = []
+        for c, (re, im) in acc.items():
+            g = level[a] - level[c]
+            if g:
+                f = factors[g]
+                re = [0] + [sum(map(mul, re[i::-1], f)) for i in range(K)]
+                im = [0] + [sum(map(mul, im[i::-1], f)) for i in range(K)]
+            elif shift != 1:
+                re, im = [x * shift for x in re], [x * shift for x in im]
+            row.append((c, re, im))
+        rows.append(row)
+    return _reduced(t_den * v_den * lcm, rows)
+
+
+def _x_window(t_series: list, u_series: list, m: int) -> tuple:
+    """(denominator, rows) of X_m = Phi(T)_m + sum over 0 < j < m of
+    Phi(U_minus)_j Phi(T)_(m-j) on degrees -m..0 (index 0..m)."""
+    t_den, t_rows = t_series[m]
+    x_den = math.lcm(t_den, *(u_series[j][0] * t_series[m - j][0] for j in range(1, m)))
+    s = x_den // t_den
+    window = [
+        {c: ([v * s for v in re[: m + 1]], [v * s for v in im[: m + 1]]) for c, re, im in row}
+        for row in t_rows
+    ]
+    for j in range(1, m):
+        u_den, u_rows = u_series[j]
+        right_den, right = t_series[m - j]
+        s = x_den // (u_den * right_den)
+        for acc, u_row in zip(window, u_rows):
+            for b, ur, ui in u_row:
+                if s != 1:
+                    ur, ui = [v * s for v in ur], [v * s for v in ui]
+                for c, tr, ti in right[b]:
+                    if c not in acc:
+                        acc[c] = ([0] * (m + 1), [0] * (m + 1))
+                    xr, xi = acc[c]
+                    # index u of U times index t of T lands on index u + t <= m
+                    for u, (yr, yi) in enumerate(zip(ur, ui)):
+                        if yi:
+                            xr[u:] = [x + yr * p - yi * q for x, p, q in zip(xr[u:], tr, ti)]
+                            xi[u:] = [x + yr * q + yi * p for x, p, q in zip(xi[u:], tr, ti)]
+                        elif yr:
+                            xr[u:] = [x + yr * p for x, p in zip(xr[u:], tr)]
+                            xi[u:] = [x + yr * q for x, q in zip(xi[u:], ti)]
+    return x_den, [[(c, re, im) for c, (re, im) in acc.items()] for acc in window]
+
+
+def _degree_matrix(rows: list, den: int, index: int, factor: int) -> tuple:
+    """The GaussianRational matrix of factor times coefficient ``index`` of
+    the entries of rows, over den."""
+    out = [[ZERO] * len(rows) for _ in rows]
+    for out_row, row in zip(out, rows):
+        for c, re, im in row:
+            if re[index] or im[index]:
+                out_row[c] = GaussianRational.from_integers(factor * re[index], factor * im[index], den)
+    return tuple(tuple(row) for row in out)
+
+
+def _reduced(den: int, rows: list) -> tuple:
+    """(den, rows) without the entries whose numerators all vanish, divided
+    by the gcd of den and every numerator."""
+    rows = [[(c, re, im) for c, re, im in row if any(re) or any(im)] for row in rows]
+    g = math.gcd(den, *(v for row in rows for _, re, im in row for part in (re, im) for v in part))
+    if g == 1:
+        return den, rows
+    return den // g, [
+        [(c, [v // g for v in re], [v // g for v in im]) for c, re, im in row] for row in rows
+    ]
 
 
 # -- verification ------------------------------------------------------------------
@@ -735,34 +874,23 @@ def _power_traces(series: MatrixSeries, indices: Sequence[int]) -> list:
     """[tr(B^p) by order for p = 1..n], n = len(indices), B the series
     restricted to the rows and columns in ``indices``.
 
-    The work is done in integers: every entry of B, at every order, is
-    written as a Gaussian integer over one shared denominator D (the lcm
-    of the entry denominators), so B^p is a matrix of Gaussian integers
-    over D^p and no sum or product is reduced on the way.  Only B^1..B^m,
-    m = ceil(n/2), are formed as series products.  For p > m, tr(B^p) is
-    taken order by order as the sum over i, j of (B^m)_ij (B^(p-m))_ji,
-    with p - m <= m: one pass over the nonzero entries of B^m instead of
-    another product.  Each trace becomes a canonical GaussianRational
-    once, as (its integer sum) / D^p.  Every trace still comes from B
-    alone."""
+    The work is done in integers (``_integer_rows``), with one denominator
+    per order: B_0 over D0, the lcm of its entry denominators, and B_k,
+    k >= 1, over D0 E^k, E the lcm of the entry denominators of all orders
+    k >= 1.  Each product of p coefficients whose orders sum to k is then
+    over D0^p E^k, so order k of B^p is a matrix of Gaussian integers over
+    D0^p E^k and no sum or product is reduced on the way.  Only
+    B^1..B^m, m = ceil(n/2), are formed as series products.  For p > m,
+    tr(B^p) is taken order by order as the sum over i, j of
+    (B^m)_ij (B^(p-m))_ji, with p - m <= m: one pass over the nonzero
+    entries of B^m instead of another product.  Each trace becomes a
+    canonical GaussianRational once, as (its integer sum) / (D0^p E^k).
+    Every trace still comes from B alone."""
     n = len(indices)
-    block = [
-        [[(j, x) for j, x in enumerate(a[i][col] for col in indices) if x] for i in indices]
-        for a in series.coeffs
-    ]
-    # a GaussianRational is the canonical integer triple (_a + _b i) / _d
-    den = math.lcm(*(x._d for a in block for row in a for _, x in row))
-    base = []
-    for a in block:
-        re = [[0] * n for _ in range(n)]
-        im = [[0] * n for _ in range(n)]
-        for i, row in enumerate(a):
-            for j, x in row:
-                re[i][j] = x._a * (den // x._d)
-                im[i][j] = x._b * (den // x._d)
-        base.append((re, im))
-    powers = [base]
-    base_rows = top_rows = [_gaussian_rows(c) for c in base]
+    block = [tuple(tuple(a[i][j] for j in indices) for i in indices) for a in series.coeffs]
+    d0, e = _denominator(block[:1]), _denominator(block[1:])
+    base_rows = top_rows = [_integer_rows(a, d0 * e**k) for k, a in enumerate(block)]
+    powers = [[_gaussian_parts(rows) for rows in base_rows]]
     for _ in range(1, (n + 1) // 2):
         powers.append(_gaussian_product(top_rows, base_rows, n))
         top_rows = [_gaussian_rows(c) for c in powers[-1]]
@@ -773,11 +901,22 @@ def _power_traces(series: MatrixSeries, indices: Sequence[int]) -> list:
     ]
     for p in range(m + 1, n + 1):
         sums.append(_split_trace(top_rows, powers[p - m - 1]))
-    traces = []
-    for p, by_order in enumerate(sums, start=1):
-        scale = GaussianRational(Fraction(1, den**p))
-        traces.append([GaussianRational(re, im) * scale for re, im in by_order])
-    return traces
+    return [
+        [GaussianRational.from_integers(re, im, d0**p * e**k) for k, (re, im) in enumerate(by_order)]
+        for p, by_order in enumerate(sums, start=1)
+    ]
+
+
+def _gaussian_parts(rows: list) -> tuple:
+    """The (real, imaginary) parts of a Gaussian-integer matrix given by its
+    nonzero rows: the inverse of ``_gaussian_rows``."""
+    re = [[0] * len(rows) for _ in rows]
+    im = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x, y in row:
+            re[i][j] = x
+            im[i][j] = y
+    return re, im
 
 
 def _gaussian_rows(coefficient: tuple) -> list:
@@ -793,8 +932,8 @@ def _gaussian_rows(coefficient: tuple) -> list:
 
 def _gaussian_product(left: list, right: list, n: int) -> list:
     """The truncated series product of two Gaussian-integer matrix series,
-    each given by the ``_gaussian_rows`` of its coefficients; per order,
-    the (real, imaginary) parts of the product."""
+    each given by the nonzero rows of its coefficients; per order, the
+    (real, imaginary) parts of the product."""
     out = []
     for k in range(len(left)):
         re = [[0] * n for _ in range(n)]
@@ -813,7 +952,7 @@ def _gaussian_product(left: list, right: list, n: int) -> list:
 
 def _split_trace(left: list, right: list) -> list:
     """tr(X Y) by order as (real, imaginary) integers, X given by the
-    ``_gaussian_rows`` of its coefficients and Y by their parts."""
+    nonzero rows of its coefficients and Y by their parts."""
     out = []
     for k in range(len(left)):
         total_re = total_im = 0

@@ -95,6 +95,16 @@ class GaussianRational:
         self._d = d
         return self
 
+    @staticmethod
+    def from_integers(a: int, b: int, d: int) -> "GaussianRational":
+        """(a + b i) / d for ints a, b and d > 0, reduced by one gcd."""
+        g = _gcd(a, b, d)
+        if g > 1:
+            a //= g
+            b //= g
+            d //= g
+        return GaussianRational._raw(a, b, d)
+
     # -- inspection ---------------------------------------------------
 
     @property
@@ -216,7 +226,7 @@ class GaussianRational:
         n = self._a * self._a + self._b * self._b
         if n == 0:
             raise ZeroDivisionError("reciprocal of zero")
-        return _make(self._d * self._a, -self._d * self._b, n)
+        return GaussianRational.from_integers(self._d * self._a, -self._d * self._b, n)
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -265,15 +275,6 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({format_scalar(self)!r})"
-
-
-def _make(a: int, b: int, d: int) -> GaussianRational:
-    g = _gcd(a, b, d)
-    if g > 1:
-        a //= g
-        b //= g
-        d //= g
-    return GaussianRational._raw(a, b, d)
 
 
 def _coerce(x) -> GaussianRational | None:

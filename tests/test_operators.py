@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import mouldpert
 from mouldpert import moulds, operators
 from mouldpert.birkhoff import BirkhoffEngine
+from mouldpert.laurent import Laurent
 from mouldpert.moulds import mould_log
 from mouldpert.operators import (
     MatrixSeries,
@@ -17,7 +18,6 @@ from mouldpert.operators import (
     build_conjugator,
     build_normal_form,
     compare_with_oracle,
-    eigenvalue_series,
     hierarchy_oracle,
     identity_matrix,
     mat_add,
@@ -359,6 +359,110 @@ def test_matrix_decomposition_equals_the_word_routes(dim, order, seed, degenerat
     c_series, _, n_series = build_conjugator(problem)
     assert n_series == build_normal_form(sd, engine)[0]
     assert c_series == dense_conjugator(sd, engine, order)
+
+
+def laurent_conjugator(problem):
+    """(C, W, N) by the matrix Birkhoff recursion on dense matrices of
+    Laurent series over the Gaussian rationals: each factor 1/(g + k e'),
+    with the rational gap g = E0(a) - E0(c), is inverted through e'^K, and
+    the Laurent accuracy bookkeeping raises if a window is short.  No
+    integer numerators, shared denominators or fixed windows."""
+    dim, K = problem.dim, problem.order
+    every = range(dim)
+
+    def factor(a, c, k):
+        return Laurent.from_pairs([(0, problem.e0[a] - problem.e0[c]), (1, k)]).inverse(K)
+
+    def dot(terms):
+        return sum(terms, Laurent.zero())
+
+    t = [[[Laurent.one() if a == c else Laurent.zero() for c in every] for a in every]]
+    u = [None]
+    c_coeffs, n_coeffs = [identity_matrix(dim)], [zero_matrix(dim)]
+    for k in range(1, K + 1):
+        t.append([
+            [dot(t[-1][a][b] * problem.v[b][c] for b in every) * factor(a, c, k) for c in every]
+            for a in every
+        ])
+        x = [
+            [t[k][a][c] + dot(u[j][a][b] * t[k - j][b][c] for j in range(1, k) for b in every) for c in every]
+            for a in every
+        ]
+        u.append([[-y.polar_part() for y in row] for row in x])
+        c_coeffs.append(tuple(tuple(y.constant_term() for y in row) for row in x))
+        n_coeffs.append(tuple(tuple(y.residue() * k for y in row) for row in x))
+    c_series = MatrixSeries(c_coeffs)
+    return c_series, series_log(c_series).scale(GaussianRational(0, problem.hbar)), MatrixSeries(n_coeffs)
+
+
+# integer and half-integer levels; couplings with denominators 1, 2, 3 and 6
+KERNEL_LEVELS = [Fraction(k, 2) for k in range(-5, 6)]
+KERNEL_PARTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)]
+
+
+@st.composite
+def kernel_problems(draw):
+    """Problems of dimension 1-4 and order 1-5, simple or with a repeated
+    level, over hbar 1, 2, 1/2 and 3, with Gaussian-rational couplings."""
+    dim = draw(st.integers(1, 4))
+    levels = draw(st.lists(st.sampled_from(KERNEL_LEVELS), min_size=dim, max_size=dim, unique=True))
+    if draw(st.booleans()) and dim >= 2:
+        levels[-1] = levels[0]
+    v = [[ZERO] * dim for _ in range(dim)]
+    for k in range(dim):
+        v[k][k] = gr(draw(st.sampled_from(KERNEL_PARTS)))
+        for l in range(k + 1, dim):
+            v[k][l] = gr(draw(st.sampled_from(KERNEL_PARTS)), draw(st.sampled_from(KERNEL_PARTS)))
+            v[l][k] = v[k][l].conjugate()
+    return PerturbationProblem(
+        e0=tuple(levels),
+        v=tuple(tuple(row) for row in v),
+        hbar=draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)])),
+        order=draw(st.integers(1, 5)),
+    )
+
+
+@given(problem=kernel_problems())
+@example(
+    problem=PerturbationProblem(
+        e0=(Fraction(1, 2), Fraction(1, 2), Fraction(-3, 2)),
+        v=(
+            (gr(1), gr(Fraction(1, 2), Fraction(1, 3)), gr(0, -1)),
+            (gr(Fraction(1, 2), Fraction(-1, 3)), gr(Fraction(-1, 3)), gr(2)),
+            (gr(0, 1), gr(2), gr(0)),
+        ),
+        hbar=Fraction(1, 2),
+        order=5,
+    )
+)
+def test_integer_kernel_equals_the_laurent_recursion(problem):
+    """C, W and N from the Gaussian-integer windows equal the dense
+    Laurent recursion exactly."""
+    assert build_conjugator(problem) == laurent_conjugator(problem)
+
+
+FIXED_WINDOW_PROBLEMS = {
+    "degenerate": lambda order: degenerate_problem(order=order),
+    "degenerate-random": lambda order: random_problem(4, order, seed=5, degenerate=True, hbar=Fraction(1, 2)),
+    "half-integer": lambda order: sparse_half_integer_problem(6, order, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_WINDOW_PROBLEMS))
+def test_deeper_windows_leave_the_lower_orders_unchanged(name):
+    """Phi(T)_k is held on degrees -k..K-k only: two more orders widen
+    every window by two degrees and must not change C_k or N_k, k <= K."""
+    K = 4
+    low = FIXED_WINDOW_PROBLEMS[name](K)
+    high = FIXED_WINDOW_PROBLEMS[name](K + 2)
+    c_low, _, n_low = build_conjugator(low)
+    c_high, _, n_high = build_conjugator(high)
+    assert c_low.coeffs == c_high.coeffs[: K + 1]
+    assert n_low.coeffs == n_high.coeffs[: K + 1]
+    if name.startswith("degenerate"):
+        # N_k is k times a residue: a nonzero N_k at every order means a
+        # zero gap, and so the one-degree shift, at every order
+        assert all(not mat_is_zero(n) for n in n_low.coeffs[1:])
 
 
 def test_unitarity_on_random_problems():
