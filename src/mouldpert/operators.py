@@ -615,15 +615,12 @@ def _next_t(t: tuple, v: tuple, levels: tuple, m: int, K: int) -> tuple:
     gaps = {level[a] - level[c] for a, acc in enumerate(products) for c in acc}
     multiplier = {g: abs(g) ** K if g else m for g in gaps}
     lcm = math.lcm(*multiplier.values())
-    factors = {
-        g: [
-            (-1 if g < 0 and K % 2 else 1) * (lcm // multiplier[g]) * den * (-m * den) ** e * g ** (K - 1 - e)
-            for e in range(K)
-        ]
-        for g in gaps
-        if g
-    }
-    shift = lcm // m
+    factors = {}
+    for g in gaps - {0}:
+        # D (-m D)^e g^(K-1-e) over |g|^K, times the sign of g^K, then over lcm
+        scale = (-1 if g < 0 and K % 2 else 1) * (lcm // multiplier[g]) * den
+        factors[g] = [scale * (-m * den) ** e * g ** (K - 1 - e) for e in range(K)]
+    shift = lcm // m  # read only at a zero gap, where m divides lcm
     rows = []
     for a, acc in enumerate(products):
         row = []

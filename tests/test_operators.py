@@ -385,7 +385,10 @@ def laurent_conjugator(problem):
             for a in every
         ])
         x = [
-            [t[k][a][c] + dot(u[j][a][b] * t[k - j][b][c] for j in range(1, k) for b in every) for c in every]
+            [
+                t[k][a][c] + dot(u[j][a][b] * t[k - j][b][c] for j in range(1, k) for b in every)
+                for c in every
+            ]
             for a in every
         ]
         u.append([[-y.polar_part() for y in row] for row in x])
