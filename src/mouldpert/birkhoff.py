@@ -86,9 +86,10 @@ class BirkhoffEngine:
     """Per-alphabet factorization engine with memoized word values.
 
     Exposes T, U_minus, U_plus as Laurent-valued moulds, R and S as
-    constant scalar moulds, and N through ``coeff_N``.  Caches are tied
-    to the alphabet; a different alphabet (different eigenvalues or a
-    rescaled hbar) needs a fresh engine.
+    moulds of e-free values and as scalars (``coeff_R``, ``coeff_S``),
+    and N through ``coeff_N``.  Caches are tied to the alphabet; a
+    different alphabet (different eigenvalues or a rescaled hbar) needs
+    a fresh engine.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -194,25 +195,29 @@ class SuiteReport:
 def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> tuple:
     """Residuals of nabla_phi S = S x I - R x S and nabla_phi R = 0.
 
-    Both identities must hold with exactly zero residual on every word of
-    length <= max_length; S must additionally pass the symmetrality check.
-    Returns the three reports (S equation, R equation, S symmetrality).
+    S and R are read from the engine as scalars (``coeff_S``, ``coeff_R``).
+    A product by the letters mould I is a read of the shorter word:
+    (S x I)^w is S on w without its last letter, and 0 on the empty word.
+    (R x S)^w is the sum over j >= 1 of R^(w[:j]) S^(w[j:]), as R vanishes
+    on the empty word.  Both identities must hold with exactly zero
+    residual on every word of length <= max_length; S must additionally
+    pass the symmetrality check.  Returns the three reports (S equation,
+    R equation, S symmetrality).
     """
     alphabet = engine.alphabet
-    ones = Mould.letters(alphabet)
-    rhs_mould = mould_product(engine.S, ones)
-    correction = mould_product(engine.R, engine.S)
     s_report = SuiteReport()
     r_report = SuiteReport()
     for word in alphabet.words_up_to(max_length):
         phi = alphabet.phi(word)
         s_report.words_checked += 1
-        lhs = phi * engine.S.scalar_value(word)
-        rhs = rhs_mould.scalar_value(word) - correction.scalar_value(word)
+        lhs = phi * engine.coeff_S(word)
+        rhs = engine.coeff_S(word[:-1]) if word else ZERO
+        for j in range(1, len(word) + 1):
+            rhs = rhs - engine.coeff_R(word[:j]) * engine.coeff_S(word[j:])
         if lhs != rhs:
             s_report.record(word, "nabla_phi S - (S x I - R x S)", lhs - rhs, ZERO)
         r_report.words_checked += 1
-        r_residual = phi * engine.R.scalar_value(word)
+        r_residual = phi * engine.coeff_R(word)
         if r_residual:
             r_report.record(word, "nabla_phi R", r_residual, ZERO)
     return s_report, r_report, is_symmetral_up_to(engine.S, max_length)
@@ -262,15 +267,17 @@ def verify_grading_identities(engine: BirkhoffEngine, max_length: int) -> SuiteR
     (i)   nabla_Phi U_minus = -R x U_minus          (exact polynomials)
     (ii)  nabla_Phi U_plus  = U_plus x I - R x U_plus   (through degree 0)
     (iii) R^w = -(e * len(w) * U_minus^w) evaluated at e = infinity.
+
+    A product by the letters mould I is a read of the shorter word:
+    (U_plus x I)^w is U_plus on w without its last letter, and 0 on the
+    empty word.
     """
     alphabet = engine.alphabet
     report = SuiteReport()
-    ones = Mould.letters(alphabet)
     lhs_minus = nabla(engine.u_minus)
     rhs_minus = mould_product(engine.R, engine.u_minus)
     lhs_plus = nabla(engine.u_plus)
-    rhs_plus_a = mould_product(engine.u_plus, ones)
-    rhs_plus_b = mould_product(engine.R, engine.u_plus)
+    rhs_plus = mould_product(engine.R, engine.u_plus)
     for word in alphabet.words_up_to(max_length):
         report.words_checked += 1
         left = lhs_minus.value(word)
@@ -278,7 +285,8 @@ def verify_grading_identities(engine: BirkhoffEngine, max_length: int) -> SuiteR
         if not (left.acc_order is None and right.acc_order is None and left == right):
             report.record(word, "(i) nabla_Phi U_minus = -R x U_minus", left.render(), right.render())
         left2 = lhs_plus.value(word)
-        right2 = rhs_plus_a.value(word) - rhs_plus_b.value(word)
+        shorter = engine.decompose(word[:-1])[1] if word else Laurent.zero()
+        right2 = shorter - rhs_plus.value(word)
         if not left2.agrees_with(right2, 0):
             report.record(word, "(ii) nabla_Phi U_plus = U_plus x I - R x U_plus", left2.render(), right2.render())
         if len(word) > 0:

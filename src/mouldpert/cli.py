@@ -95,12 +95,14 @@ def _emit(payload, output: str | None) -> None:
 
 
 def _alphabet_from_args(args) -> Alphabet:
-    if args.alphabet:
+    if args.alphabet is not None and args.problem is not None:
+        raise ValueError("--alphabet and --problem exclude each other: give one")
+    if args.alphabet is not None:
         try:
             return Alphabet.parse(args.alphabet)
         except ValueError as exc:
             raise ValueError(f"bad alphabet literal: {exc}") from exc
-    if args.problem:
+    if args.problem is not None:
         problem = _load_problem(args.problem)
         return spectral_decompose(problem).alphabet
     raise ValueError("either --alphabet or --problem is required")
@@ -183,6 +185,9 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.input is not None:
+        for flag, value in (("--random-dim", args.random_dim), ("--seed", args.seed)):
+            if value is not None:
+                raise ValueError(f"a problem file and {flag} exclude each other: give one")
         problem = _with_order(_load_problem(args.input), args.order)
     elif args.random_dim is not None:
         if args.seed is None:

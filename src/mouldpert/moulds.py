@@ -23,7 +23,7 @@ from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .laurent import Laurent
-from .scalars import GaussianRational, ONE, ZERO, format_scalar, parse_scalar
+from .scalars import GaussianRational, ZERO, format_scalar, parse_scalar
 
 __all__ = [
     "Word",
@@ -169,18 +169,15 @@ def shuffle(a: Word, b: Word) -> Counter:
 class Mould:
     """A lazily evaluated family of Laurent values indexed by words.
 
-    A mould is its alphabet, its evaluation function and whether its
-    values are constant; it carries no label.  ``value(word, acc)``
-    guarantees all coefficients of degree <= acc.  Every mould memoizes
-    its values per word: a cached value is returned when its window
-    covers acc, and a deeper request re-evaluates and replaces it.  Constant-valued moulds hold e-free scalars, are built
-    by ``constant_from`` (``unit`` and ``letters`` are two of them), and
-    ``scalar_value`` reads them back as Gaussian rationals.
+    A mould is its alphabet and its evaluation function; it carries no
+    label.  ``value(word, acc)`` guarantees all coefficients of degree
+    <= acc.  Every mould memoizes its values per word: a cached value is
+    returned when its window covers acc, and a deeper request re-evaluates
+    and replaces it.
     """
 
-    def __init__(self, alphabet: Alphabet, evaluate: Callable[[Word, int], Laurent], constant: bool = False):
+    def __init__(self, alphabet: Alphabet, evaluate: Callable[[Word, int], Laurent]):
         self.alphabet = alphabet
-        self.constant = constant
         self._evaluate = evaluate
         self._memo: dict = {}
 
@@ -192,34 +189,17 @@ class Mould:
         self._memo[word] = out
         return out
 
-    def scalar_value(self, word: Word) -> GaussianRational:
-        if not self.constant:
-            raise MouldError("mould is not constant-valued")
-        return self.value(word, 0).constant_term()
-
-    # -- ready-made moulds ------------------------------------------------
-
-    @classmethod
-    def unit(cls, alphabet: Alphabet) -> "Mould":
-        """The multiplicative unit: 1 on the empty word, 0 elsewhere."""
-        return cls.constant_from(alphabet, lambda word: ONE if len(word) == 0 else ZERO)
-
-    @classmethod
-    def letters(cls, alphabet: Alphabet) -> "Mould":
-        """Supported on single-letter words, with value 1."""
-        return cls.constant_from(alphabet, lambda word: ONE if len(word) == 1 else ZERO)
-
     @classmethod
     def constant_from(cls, alphabet: Alphabet, scalar_fn: Callable[[Word], GaussianRational]) -> "Mould":
+        """The mould of e-free values scalar_fn(word)."""
         def fn(word: Word, acc: int) -> Laurent:
             c = scalar_fn(word)
             return Laurent.monomial(c, 0) if c else Laurent.zero()
 
-        return cls(alphabet, fn, constant=True)
+        return cls(alphabet, fn)
 
     def __repr__(self) -> str:
-        kind = "constant mould" if self.constant else "mould"
-        return f"<{kind} over {self.alphabet!r}>"
+        return f"<mould over {self.alphabet!r}>"
 
 
 def _product_value(factors: list, acc: int) -> Laurent:
@@ -258,7 +238,7 @@ def mould_product(left: Mould, right: Mould) -> Mould:
             total = total + _product_value([(left, word[:j]), (right, word[j:])], acc)
         return total
 
-    return Mould(left.alphabet, fn, constant=left.constant and right.constant)
+    return Mould(left.alphabet, fn)
 
 
 def mould_inverse(mould: Mould) -> Mould:
@@ -275,7 +255,7 @@ def mould_inverse(mould: Mould) -> Mould:
             total = total + _product_value([(mould, a), (inverse, b)], acc)
         return -total
 
-    inverse = Mould(mould.alphabet, fn, constant=mould.constant)
+    inverse = Mould(mould.alphabet, fn)
     return inverse
 
 
@@ -285,14 +265,14 @@ def mould_antipode(mould: Mould) -> Mould:
         v = mould.value(word[::-1], acc)
         return v if len(word) % 2 == 0 else -v
 
-    return Mould(mould.alphabet, fn, constant=mould.constant)
+    return Mould(mould.alphabet, fn)
 
 
 def nabla(mould: Mould) -> Mould:
     """The grading operator nabla_Phi: multiply M^w by phi(w) + len(w) * e.
 
-    The factor carries e, so the result is Laurent-valued even for a
-    constant mould.
+    The factor carries e, so the result is Laurent-valued even where M's
+    values are e-free.
     """
     alphabet = mould.alphabet
 
@@ -331,7 +311,7 @@ def mould_exp(mould: Mould) -> Mould:
             return Laurent.one()
         return _composition_sum(mould, word, acc, lambda k: Fraction(1, factorial(k)))
 
-    return Mould(mould.alphabet, fn, constant=mould.constant)
+    return Mould(mould.alphabet, fn)
 
 
 def mould_log(mould: Mould) -> Mould:
@@ -342,7 +322,7 @@ def mould_log(mould: Mould) -> Mould:
     def fn(word: Word, acc: int) -> Laurent:
         return _composition_sum(mould, word, acc, lambda k: Fraction((-1) ** (k - 1), k))
 
-    return Mould(mould.alphabet, fn, constant=mould.constant)
+    return Mould(mould.alphabet, fn)
 
 
 # -- shuffle-identity testers ------------------------------------------------
@@ -389,7 +369,7 @@ def _shuffle_check(mould: Mould, max_length: int, character: bool, acc: int) -> 
                         continue
                     report.pairs_checked += 1
                     lhs = Laurent.zero()
-                    for n, mult in shuffle(a, b).items():
+                    for n, mult in _shuffle_pairs(a, b):
                         lhs = lhs + mould.value(n, acc).scale(GaussianRational(mult))
                     if character:
                         rhs = _product_value([(mould, a), (mould, b)], acc)

@@ -235,7 +235,7 @@ def test_inverse_of_T_matches_antipode(engine, alphabet):
 
 
 def test_nabla_Phi_turns_T_into_T_times_letters(engine, alphabet):
-    ones = Mould.letters(alphabet)
+    ones = Mould.constant_from(alphabet, lambda w: ONE if len(w) == 1 else ZERO)
     lhs = nabla(engine.T)
     rhs = mould_product(engine.T, ones)
     for word in alphabet.words_up_to(3):
@@ -323,6 +323,25 @@ def editing_R(alphabet, word):
         (verify_factorization, CorruptedEngine, ("i", "-i"), "U_minus x T = U_plus"),
         (verify_support, CorruptedEngine, ("i",), "U_minus off resonance"),
         (verify_grading_identities, editing_R, ("0",), "(iii) R from U_minus at infinity"),
+        (
+            lambda engine, length: verify_mould_equation(engine, length)[0],
+            editing_R,
+            ("0",),
+            "nabla_phi S - (S x I - R x S)",
+        ),
+        (lambda engine, length: verify_mould_equation(engine, length)[1], editing_R, ("i",), "nabla_phi R"),
+        (
+            verify_grading_identities,
+            editing_pair(lambda um, up: (um, up + Laurent.one())),
+            ("i",),
+            "(ii) nabla_Phi U_plus = U_plus x I - R x U_plus",
+        ),
+        (
+            verify_grading_identities,
+            editing_pair(lambda um, up: (um + Laurent.monomial(1, -1), up)),
+            ("0",),
+            "(i) nabla_Phi U_minus = -R x U_minus",
+        ),
     ],
 )
 def test_each_identity_records_a_wrong_value(suite, make_engine, letters, label):

@@ -142,9 +142,27 @@ def test_moulds_rejects_bad_alphabet(capsys):
     assert main(["moulds", "--alphabet", "x"]) == 2
     assert main(["moulds"]) == 2
     capsys.readouterr()
-    for letters in ("i,,-i", "i,-i,"):
+    for letters in ("i,,-i", "i,-i,", ""):
         assert main(["verify", "--alphabet", letters]) == 2
         assert "empty scalar" in capsys.readouterr().err
+    assert main(["moulds", "--alphabet="]) == 2
+    assert "empty scalar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["moulds", "verify"])
+def test_alphabet_and_problem_together_exit_2(problem_file, capsys, command):
+    assert main([command, "--alphabet", "i,-i", "--problem", problem_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --alphabet and --problem exclude each other: give one\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--random-dim", "3"), ("--seed", "7")])
+def test_oracle_file_with_random_flags_exits_2(problem_file, capsys, flag, value):
+    assert main(["oracle", problem_file, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a problem file and {flag} exclude each other: give one\n"
 
 
 def test_verify_clean(capsys):
@@ -511,18 +529,23 @@ def command_line(draw, path):
         if draw(st.booleans()):
             argv += ["--mu", draw(st.sampled_from(("1/100", "1/2,1/10", "0", "1", "i", "x", "", "1/2,,1/10")))]
     elif command == "oracle":
-        if draw(st.booleans()):
+        # a problem file, random flags, or both (which exits 2)
+        source = draw(st.sampled_from(("file", "random", "both")))
+        if source != "random":
             argv.append(path)
-        else:
+        if source != "file":
             argv += ["--random-dim", draw(st.integers(-1, 3).map(str))]
             if draw(st.booleans()):
                 argv += ["--seed", draw(SMALL_INTS)]
         if draw(st.booleans()):
             argv += ["--order", draw(st.integers(-1, 4).map(str))]
     else:
-        if draw(st.booleans()):
-            argv += ["--alphabet", draw(st.sampled_from(("i,-i,0", "i,-i,2i", "1,-1", "0", "i,i", "x", "i,,-i", "i,-i,")))]
-        else:
+        # --alphabet, --problem, or both (which exits 2)
+        source = draw(st.sampled_from(("alphabet", "problem", "both")))
+        if source != "problem":
+            letters = ("i,-i,0", "i,-i,2i", "1,-1", "0", "i,i", "x", "i,,-i", "i,-i,", "")
+            argv += ["--alphabet", draw(st.sampled_from(letters))]
+        if source != "alphabet":
             argv += ["--problem", path]
         argv += ["-L", draw(st.integers(-2, 3).map(str))]
         if command == "moulds" and draw(st.booleans()):

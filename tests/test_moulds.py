@@ -112,6 +112,16 @@ def alphabet():
     return Alphabet.parse("1,-1,0")
 
 
+def unit_mould(alphabet):
+    """The multiplicative unit: 1 on the empty word, 0 elsewhere."""
+    return Mould.constant_from(alphabet, lambda word: ONE if len(word) == 0 else ZERO)
+
+
+def letters_mould(alphabet):
+    """The letters mould I: 1 on single-letter words, 0 elsewhere."""
+    return Mould.constant_from(alphabet, lambda word: ONE if len(word) == 1 else ZERO)
+
+
 def random_constant_mould(alphabet, seed, max_len=5, zero_on_empty=False, one_on_empty=False):
     rng = random.Random(seed)
     table = {}
@@ -144,7 +154,7 @@ def random_laurent_mould(alphabet, seed, max_len=4):
 
 def test_unit_is_two_sided_identity(alphabet):
     m = random_constant_mould(alphabet, seed=1)
-    unit = Mould.unit(alphabet)
+    unit = unit_mould(alphabet)
     left = mould_product(unit, m)
     right = mould_product(m, unit)
     for w in alphabet.words_up_to(3):
@@ -153,12 +163,23 @@ def test_unit_is_two_sided_identity(alphabet):
 
 
 def test_letters_mould_product(alphabet):
-    ones = Mould.letters(alphabet)
+    ones = letters_mould(alphabet)
     square = mould_product(ones, ones)
     xy = alphabet.word_of("1", "-1")
     assert square.value(xy, 0) == Laurent.one()
     assert square.value(alphabet.word_of("1"), 0).is_exact_zero
     assert square.value(EMPTY_WORD, 0).is_exact_zero
+
+
+@pytest.mark.parametrize("make", [random_constant_mould, random_laurent_mould])
+def test_product_by_letters_drops_the_last_letter(alphabet, make):
+    m = make(alphabet, seed=12)
+    shifted = mould_product(m, letters_mould(alphabet))
+    for acc in (0, 2):
+        assert shifted.value(EMPTY_WORD, acc).is_exact_zero
+        for w in alphabet.words_up_to(4):
+            if w:
+                assert shifted.value(w, acc) == m.value(w[:-1], acc)
 
 
 def test_product_associativity_on_random_moulds(alphabet):
@@ -183,7 +204,7 @@ def test_product_associativity_on_laurent_valued_moulds(alphabet):
 
 
 def test_inverse_of_unit_is_unit(alphabet):
-    unit = Mould.unit(alphabet)
+    unit = unit_mould(alphabet)
     inv = mould_inverse(unit)
     for w in alphabet.words_up_to(3):
         assert inv.value(w, 0) == unit.value(w, 0)
@@ -192,7 +213,7 @@ def test_inverse_of_unit_is_unit(alphabet):
 def test_inverse_times_mould_is_unit(alphabet):
     m = random_constant_mould(alphabet, seed=3, one_on_empty=True)
     inv = mould_inverse(m)
-    unit = Mould.unit(alphabet)
+    unit = unit_mould(alphabet)
     for prod in (mould_product(m, inv), mould_product(inv, m)):
         for w in alphabet.words_up_to(4):
             assert prod.value(w, 0) == unit.value(w, 0)
@@ -219,25 +240,25 @@ def test_nabla_is_a_derivation(alphabet):
 
 
 def zero_mould(alphabet):
-    return Mould(alphabet, lambda w, acc: Laurent.zero(), constant=True)
+    return Mould(alphabet, lambda w, acc: Laurent.zero())
 
 
 def test_exp_of_zero_is_unit(alphabet):
     e = mould_exp(zero_mould(alphabet))
-    unit = Mould.unit(alphabet)
+    unit = unit_mould(alphabet)
     for w in alphabet.words_up_to(3):
         assert e.value(w, 0) == unit.value(w, 0)
 
 
 def test_exp_of_letters_on_two_letter_word(alphabet):
-    e = mould_exp(Mould.letters(alphabet))
+    e = mould_exp(letters_mould(alphabet))
     assert e.value(alphabet.word_of("1", "0"), 0) == Laurent.monomial(
         GaussianRational(Fraction(1, 2)), 0
     )
 
 
 def test_log_exp_roundtrip(alphabet):
-    ones = Mould.letters(alphabet)
+    ones = letters_mould(alphabet)
     back = mould_log(mould_exp(ones))
     for w in alphabet.words_up_to(5):
         assert back.value(w, 0) == ones.value(w, 0)
@@ -245,7 +266,7 @@ def test_log_exp_roundtrip(alphabet):
 
 def test_exp_log_preconditions(alphabet):
     with pytest.raises(MouldError):
-        mould_exp(Mould.unit(alphabet))
+        mould_exp(unit_mould(alphabet))
     with pytest.raises(MouldError):
         mould_log(zero_mould(alphabet))
 
@@ -282,15 +303,15 @@ def commutator_alternal(alphabet, seed):
     )
     def fn(word, acc):
         return mould_product(f, g).value(word, acc) - mould_product(g, f).value(word, acc)
-    return Mould(alphabet, fn, constant=True)
+    return Mould(alphabet, fn)
 
 
 def test_unit_is_symmetral(alphabet):
-    assert is_symmetral_up_to(Mould.unit(alphabet), 4).ok
+    assert is_symmetral_up_to(unit_mould(alphabet), 4).ok
 
 
 def test_letters_mould_is_alternal(alphabet):
-    assert is_alternal_up_to(Mould.letters(alphabet), 4).ok
+    assert is_alternal_up_to(letters_mould(alphabet), 4).ok
 
 
 def test_geometric_character_is_symmetral():
@@ -306,7 +327,7 @@ def test_commutator_of_letter_moulds_is_alternal(alphabet):
 
 def test_product_of_symmetral_is_symmetral(alphabet):
     exp_one = mould_exp(commutator_alternal(alphabet, 8))
-    exp_two = mould_exp(Mould.letters(alphabet))
+    exp_two = mould_exp(letters_mould(alphabet))
     assert is_symmetral_up_to(mould_product(exp_one, exp_two), 4).ok
 
 

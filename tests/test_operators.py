@@ -486,7 +486,7 @@ def mould_generator(sd, engine, order):
     dim = sd.problem.dim
     terms = {k: zero_matrix(dim) for k in range(1, order + 1)}
     for w in (word for word in sd.alphabet.words_up_to(order) if word):
-        weight = log_s.scalar_value(w) / len(w)
+        weight = log_s.value(w).constant_term() / len(w)
         if weight:
             k = len(w)
             terms[k] = mat_add(terms[k], mat_scale(weight, dense_nested_bracket(sd, w)))
