@@ -46,8 +46,6 @@ from .operators import (
     hierarchy_oracle,
     numeric_compare,
     random_problem,
-    series_exp,
-    series_log,
     solve,
     spectral_decompose,
     verify_conjugacy,

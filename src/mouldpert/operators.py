@@ -8,8 +8,14 @@ generator is W = i hbar log C, by the truncated matrix logarithm.  No
 alphabet, component or word enters them.  That decomposition runs on
 Laurent series in e' held as Gaussian-integer numerators over one
 denominator per order, on a fixed window of degrees, and makes
-GaussianRational values only for C_k and N_k; the trace checks use the
-same integer format (``_integer_rows``).  The word route splits V into
+GaussianRational values only for C_k and N_k; the logarithm and the
+trace checks use the same integer format (``_integer_rows``,
+``_gaussian_product``), and W becomes GaussianRational values once, at
+the end.  No series product of GaussianRational matrices is formed
+outside the checks: the recursive oracle (``hierarchy_oracle``)
+conjugates by exp(ad), one sparse matrix product per order and term,
+and only the conjugacy and unitarity checks of ``verify_conjugacy``
+multiply whole series.  The word route splits V into
 eigencomponents B_lam of the rescaled commutator with H0
 (``spectral_decompose``) and sums N^w times nested brackets
 (``build_normal_form``); it is built only for the coefficient table of
@@ -59,8 +65,6 @@ __all__ = [
     "numeric_compare",
     "solve",
     "random_problem",
-    "series_exp",
-    "series_log",
 ]
 
 
@@ -189,9 +193,6 @@ class MatrixSeries:
     def from_orders(cls, dim: int, order: int, terms: dict) -> "MatrixSeries":
         return cls([terms.get(k, zero_matrix(dim)) for k in range(order + 1)])
 
-    def __add__(self, other: "MatrixSeries") -> "MatrixSeries":
-        return MatrixSeries([mat_add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
         left = [_nonzero_rows(a) for a in self.coeffs]
         right = [_nonzero_rows(b) for b in other.coeffs]
@@ -202,9 +203,6 @@ class MatrixSeries:
                 _accumulate(acc, left[j], right[k - j])
             out.append(tuple(tuple(row) for row in acc))
         return MatrixSeries(out)
-
-    def scale(self, c: GaussianRational) -> "MatrixSeries":
-        return MatrixSeries([mat_scale(c, a) for a in self.coeffs])
 
     def adjoint(self) -> "MatrixSeries":
         return MatrixSeries([mat_adjoint(a) for a in self.coeffs])
@@ -228,35 +226,6 @@ class MatrixSeries:
 
     def to_json(self) -> list:
         return [mat_to_json(a) for a in self.coeffs]
-
-
-def _power_sum(a: MatrixSeries, coefficient) -> MatrixSeries:
-    """a + sum over j >= 2 of coefficient(j) a^j for a with vanishing order-0
-    term (exp and log both start with x), up to the first vanishing power."""
-    out = power = a
-    for j in range(2, a.order + 1):
-        power = power * a
-        if all(mat_is_zero(c) for c in power.coeffs):
-            break
-        out = out + power.scale(GaussianRational(coefficient(j)))
-    return out
-
-
-def series_exp(a: MatrixSeries) -> MatrixSeries:
-    """exp of a series with vanishing order-0 term (finite in truncation)."""
-    if not mat_is_zero(a.coeffs[0]):
-        raise ValueError("series_exp needs a vanishing order-0 coefficient")
-    identity = MatrixSeries.from_orders(a.dim, a.order, {0: identity_matrix(a.dim)})
-    return identity + _power_sum(a, lambda j: Fraction(1, math.factorial(j)))
-
-
-def series_log(a: MatrixSeries) -> MatrixSeries:
-    """log of a series with identity order-0 term: the log series of
-    a - I, which is a with its order-0 term set to zero."""
-    if a.coeffs[0] != identity_matrix(a.dim):
-        raise ValueError("series_log needs an identity order-0 coefficient")
-    rest = MatrixSeries([zero_matrix(a.dim)] + list(a.coeffs[1:]))
-    return _power_sum(rest, lambda j: Fraction((-1) ** (j - 1), j))
 
 
 # -- problems ------------------------------------------------------------------
@@ -541,9 +510,10 @@ def build_conjugator(problem: PerturbationProblem) -> tuple:
     enumerated.  From X_m = Phi(T)_m + sum over 0 < j < m of
     Phi(U_minus)_j Phi(T)_(m-j): Phi(U_minus)_m = -polar(X_m),
     C_m = const(X_m), and N_m = m res(X_m), as N is alternal
-    (Dynkin-Specht-Wever).  hbar enters only W = i hbar log C, whose
-    Hermiticity tests unitarity.  No alphabet, component or word is
-    built: those serve only the solve JSON.
+    (Dynkin-Specht-Wever).  hbar enters only W = i hbar log C
+    (``_generator``), whose Hermiticity tests unitarity and whose W_1 the
+    oracle checks.  No alphabet, component or word is built: those serve
+    only the solve JSON.
 
     Windows.  Every entry of Phi(T)_m has degrees >= -m (one pole per
     zero gap), and the recursion reads it only through degree K - m:
@@ -584,8 +554,7 @@ def build_conjugator(problem: PerturbationProblem) -> tuple:
         polar = [[(c, [-v for v in re[:m]], [-v for v in im[:m]]) for c, re, im in row] for row in x_rows]
         u_series.append(_reduced(x_den, polar))
     c_series = MatrixSeries(c_coeffs)
-    w_series = series_log(c_series).scale(GaussianRational(0, problem.hbar))
-    return c_series, w_series, MatrixSeries(n_coeffs)
+    return c_series, _generator(c_series, problem.hbar), MatrixSeries(n_coeffs)
 
 
 def _next_t(t: tuple, v: tuple, levels: tuple, m: int, K: int) -> tuple:
@@ -693,6 +662,53 @@ def _reduced(den: int, rows: list) -> tuple:
     ]
 
 
+def _generator(c_series: MatrixSeries, hbar: Fraction) -> MatrixSeries:
+    """W = i hbar log C, C_0 = I, as the log series of X = C - I on the
+    integer kernel.  X_k is held as Gaussian integers over E^k, E the lcm
+    of the entry denominators of C_1..C_K (``_integer_rows``), so order k
+    of every power X^j is over E^k too (``_gaussian_product``); the powers
+    stop at the first that vanishes, and at X^K, since X_0 = 0.  The log's
+    weights are the integers of ``_log_weights`` over L, so order k of
+    log C sums to Gaussian integers re + im i over L E^k, and with
+    hbar = p/q each entry of W_k is one canonical value
+    (-p im + p re i) / (q L E^k)."""
+    dim = c_series.dim
+    x = [zero_matrix(dim)] + list(c_series.coeffs[1:])
+    e = _denominator(x)
+    base = power = [_integer_rows(a, e**k) for k, a in enumerate(x)]
+    lcm, weights = _log_weights(c_series.order)
+    total = [([[0] * dim for _ in range(dim)], [[0] * dim for _ in range(dim)]) for _ in x]
+    for j, weight in enumerate(weights):
+        if j:
+            power = [_gaussian_rows(c) for c in _gaussian_product(power, base, dim)]
+            if not any(map(any, power)):
+                break
+        for (re, im), rows in zip(total, power):
+            for out_re, out_im, row in zip(re, im, rows):
+                for c, xr, xi in row:
+                    out_re[c] += weight * xr
+                    out_im[c] += weight * xi
+    p, q = hbar.numerator, hbar.denominator
+    return MatrixSeries([
+        tuple(
+            tuple(
+                GaussianRational.from_integers(-p * y, p * v, q * lcm * e**k) if v or y else ZERO
+                for v, y in zip(row_re, row_im)
+            )
+            for row_re, row_im in zip(re, im)
+        )
+        for k, (re, im) in enumerate(total)
+    ])
+
+
+def _log_weights(order: int) -> tuple:
+    """(L, [(-1)^(j-1) L / j for j = 1..order]), L = lcm(1..order): the
+    coefficients of log(I + X) = sum over j of (-1)^(j-1) X^j / j, as
+    integers over L."""
+    lcm = math.lcm(*range(1, order + 1))
+    return lcm, [(-1) ** (j - 1) * (lcm // j) for j in range(1, order + 1)]
+
+
 # -- verification ------------------------------------------------------------------
 
 
@@ -786,39 +802,90 @@ def verify_conjugacy(
 def hierarchy_oracle(problem: PerturbationProblem) -> tuple:
     """Order-by-order normalization by explicit generators.
 
-    At order k the still-unnormalized coefficient A splits into its
+    At order k the still-unnormalized coefficient X_k splits into its
     resonant part (the new N_k) and an off-resonant rest absorbed by
-    W_k[n][m] = i hbar A[n][m] / (E0(n) - E0(m)); conjugating by
-    exp((1/(i hbar)) mu^k W_k) clears order k and the loop moves on.
-    The resonant part of each W_k is fixed to zero (free gauge), and so is
-    every entry where A vanishes, without a division.  The series is not
-    conjugated after order K, as nothing reads the result.  The constants
-    are the oracle's own, not shared with ``build_conjugator``.
-    Returns ([N_1..N_K], [W_1..W_K]).
+    W_k[n][m] = i hbar X_k[n][m] / (E0(n) - E0(m)) (``_oracle_generator``);
+    conjugating by e = exp(mu^k A), A = W_k / (i hbar), clears order k and
+    the loop moves on.  The conjugation is the sum over n of
+    mu^(kn) ad_A^n(x) / n! (``_conjugated``), so no exponential and no
+    product of two series is formed.  The resonant part of each W_k is
+    fixed to zero (free gauge), and so is every entry where X_k vanishes,
+    without forming its weight.  A step whose W_k vanishes conjugates
+    nothing, and
+    the series is not conjugated after order K, as nothing reads the
+    result.  The constants are the oracle's own, not shared with
+    ``build_conjugator``.  Returns ([N_1..N_K], [W_1..W_K]).
     """
-    dim = problem.dim
     K = problem.order
     e0 = problem.e0
-    ihbar = GaussianRational(0, problem.hbar)
+    p, q = problem.hbar.numerator, problem.hbar.denominator
     inv_ihbar = GaussianRational(0, -1 / problem.hbar)
-    x = problem.h_series()
+
+    @functools.cache
+    def weight(n: int, m: int) -> GaussianRational:
+        """i hbar / (E0(n) - E0(m)) = i p b / (q a) for the gap a / b and
+        hbar = p / q; zero on resonance."""
+        gap = e0[n] - e0[m]
+        if not gap:
+            return ZERO
+        sign = 1 if gap > 0 else -1
+        return GaussianRational.from_integers(0, sign * p * gap.denominator, q * abs(gap.numerator))
+
+    x = list(problem.h_series().coeffs)
     n_parts = []
     w_parts = []
     for k in range(1, K + 1):
-        a = x.coeffs[k]
-        w_k = tuple(
-            tuple(
-                ihbar * y / GaussianRational(e0[n] - e0[m]) if y and e0[n] != e0[m] else ZERO
-                for m, y in enumerate(row)
-            )
-            for n, row in enumerate(a)
-        )
-        n_parts.append(problem.resonant_part(a))
+        w_k = _oracle_generator(x[k], weight)
+        n_parts.append(problem.resonant_part(x[k]))
         w_parts.append(w_k)
-        if k < K:
-            e = series_exp(MatrixSeries.from_orders(dim, K, {k: mat_scale(inv_ihbar, w_k)}))
-            x = e * x * e.adjoint()
+        a_rows = [[(m, inv_ihbar * w) for m, w in row] for row in _nonzero_rows(w_k)]
+        if k < K and any(a_rows):
+            x = _conjugated(x, a_rows, k)
     return n_parts, w_parts
+
+
+def _oracle_generator(a: tuple, weight) -> tuple:
+    """W[n][m] = a[n][m] weight(n, m), weight(n, m) = i hbar / (E0(n) -
+    E0(m)) off resonance and zero on it; no weight is formed where a
+    vanishes."""
+    return tuple(
+        tuple(y * weight(n, m) if y else ZERO for m, y in enumerate(row))
+        for n, row in enumerate(a)
+    )
+
+
+def _conjugated(x: list, a_rows: list, k: int) -> list:
+    """The coefficients of e x e*, e = exp(mu^k a), for a anti-Hermitian,
+    given by its nonzero rows, and every x_m Hermitian: the sum over n of
+    mu^(kn) ad_a^n(x) / n!.  Term n is ad_(a/n) of term n - 1, so no term
+    is rescaled, and it is formed only on orders m >= n k, from order
+    m - k of term n - 1."""
+    K = len(x) - 1
+    out = [[list(row) for row in c] for c in x]
+    term = x
+    for n in range(1, K // k + 1):
+        inverse = GaussianRational.from_integers(1, 0, n)
+        a_n = [[(j, z * inverse) for j, z in row] for row in a_rows]
+        term = {m: _ad_term(a_n, term[m - k]) for m in range(n * k, K + 1)}
+        for m, t in term.items():
+            for out_row, row in zip(out[m], t):
+                for j, y in enumerate(row):
+                    if y:
+                        out_row[j] = out_row[j] + y
+    return [tuple(tuple(row) for row in c) for c in out]
+
+
+def _ad_term(a_rows: list, y) -> list:
+    """ad_a(y) = a y - y a for a anti-Hermitian, given by its nonzero rows,
+    and y Hermitian: then y a = -(a y)*, so ad_a(y) = a y + (a y)*, one
+    product mirrored."""
+    dim = len(y)
+    p = [[ZERO] * dim for _ in range(dim)]
+    _accumulate(p, a_rows, _nonzero_rows(y))
+    return [
+        [u + v.conjugate() if v else u for u, v in zip(row, column)]
+        for row, column in zip(p, zip(*p))
+    ]
 
 
 @dataclass
@@ -837,8 +904,11 @@ class OracleReport:
         return {"match": self.ok, "orders_equal": self.orders_equal, "first_mismatch": self.first_mismatch}
 
 
-def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) -> OracleReport:
-    """N against the recursive construction, up to the normal form's gauge.
+def compare_with_oracle(
+    problem: PerturbationProblem, n_series: MatrixSeries, w_series: MatrixSeries
+) -> OracleReport:
+    """N against the recursive construction, up to the normal form's gauge,
+    and W_1 against the oracle's W_1.
 
     With H0 degenerate the normal form is unique only up to a unitary
     change of basis inside each eigenspace of H0; only the eigenvalue
@@ -846,8 +916,12 @@ def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) ->
     entry outside the diagonal blocks agrees exactly and, in each block of
     size m, the mu^k coefficients of tr(block^p), p = 1..m, agree.  For a
     simple spectrum every block is 1x1, so this is the entrywise test.
+    Both constructions fix the resonant part of W_1 to zero, so W_1 is the
+    same in both, and order 1 matches only if W_1 does too: this is the
+    one check of the scale of W, which nothing else reads.  The higher W_k
+    differ, as the oracle composes one exponential per order.
     """
-    n_parts, _ = hierarchy_oracle(problem)
+    n_parts, w_parts = hierarchy_oracle(problem)
     oracle = MatrixSeries([zero_matrix(problem.dim)] + n_parts)
     blocks = {}
     for i, level in enumerate(problem.levels[1]):
@@ -863,6 +937,7 @@ def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) ->
         flags.append(
             all(a[i][j] == b[i][j] for i, j in off_block)
             and all(x[k] == y[k] for x, y in zip(ours, theirs))
+            and (k > 1 or w_series.coeffs[1] == w_parts[0])
         )
     return OracleReport(orders_equal=flags)
 
@@ -1147,7 +1222,7 @@ def solve(problem: PerturbationProblem, mu_samples: Sequence[Fraction] = ()) -> 
         c_series=c_series,
         w_series=w_series,
         conjugacy=verify_conjugacy(problem, n_series, c_series, w_series),
-        oracle=compare_with_oracle(problem, n_series),
+        oracle=compare_with_oracle(problem, n_series, w_series),
         eigen=eigenvalue_series(problem, n_series),
         numeric=numeric_compare(problem, n_series, mu_samples) if mu_samples else None,
     )

@@ -2,7 +2,8 @@
 
 Each row replaces one function of ``mouldpert.operators`` by a wrapper
 that returns one wrong value, runs ``mouldpert solve`` on the smallest
-ladder problem (three levels, order 4, simple or degenerate), and
+ladder problem (three levels, order 4: simple, degenerate, or simple
+with hbar = 1/2), and
 records which verification flags turn false.  The
 row's expected set is the whole set of false flags, so the table shows
 which checks catch which fault, and which check is the only one that does.
@@ -12,17 +13,19 @@ import contextlib
 import io
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
 from mouldpert import operators
 from mouldpert.cli import main
-from mouldpert.operators import MatrixSeries, random_problem, zero_matrix
+from mouldpert.operators import MatrixSeries, mat_add, random_problem
 from mouldpert.scalars import ONE
 
 PROBLEMS = {
     "simple": random_problem(3, 4, seed=3),
     "degenerate": random_problem(3, 4, seed=3, degenerate=True),
+    "hbar-half": random_problem(3, 4, seed=3, hbar=Fraction(1, 2)),
 }
 
 
@@ -78,37 +81,56 @@ def n_without_its_factor(honest):
 
 
 def log_square_sign_flipped(honest):
-    """log C with +x^2/2 for -x^2/2, x = C - I."""
+    """log C with +X^2/2 for -X^2/2, X = C - I: the integer weight of X^2
+    over L negated."""
 
-    def faulty(a):
-        x = MatrixSeries([zero_matrix(a.dim)] + list(a.coeffs[1:]))
-        return honest(a) + x * x
+    def faulty(order):
+        lcm, weights = honest(order)
+        weights[1] = -weights[1]
+        return lcm, weights
 
     return faulty
 
 
-def on_first_call(edit):
-    """The first call in a run returns edit(output); later calls are honest."""
+def w_doubled(honest):
+    """2 W for W."""
+
+    def faulty(c_series, hbar):
+        return MatrixSeries([mat_add(a, a) for a in honest(c_series, hbar).coeffs])
+
+    return faulty
+
+
+def w_hbar_inverted(honest):
+    """W = (i / hbar) log C for i hbar log C."""
+
+    def faulty(c_series, hbar):
+        return honest(c_series, 1 / hbar)
+
+    return faulty
+
+
+def on_call(number, edit):
+    """Call ``number`` (0 for the first) in a run returns edit(output);
+    every other call is honest."""
 
     def wrap(honest):
         calls = itertools.count()
 
         def faulty(*args):
             out = honest(*args)
-            return edit(out) if next(calls) == 0 else out
+            return edit(out) if next(calls) == number else out
 
         return faulty
 
     return wrap
 
 
-def exp_entry_bumped(series):
-    """Order-1 entry (0, 1) of the oracle's first conjugator, one higher."""
-    coeffs = list(series.coeffs)
-    rows = [list(row) for row in coeffs[1]]
+def entry_bumped(matrix):
+    """The matrix with entry (0, 1) one higher."""
+    rows = [list(row) for row in matrix]
     rows[0][1] = rows[0][1] + ONE
-    coeffs[1] = tuple(tuple(row) for row in rows)
-    return MatrixSeries(coeffs)
+    return tuple(tuple(row) for row in rows)
 
 
 def trace_bumped(traces):
@@ -141,11 +163,16 @@ FAULTS = {
         "simple",
         {"conjugacy", "oracle_match", "trace_powers.2", "trace_powers.3"},
     ),
-    "log_coefficient": ("series_log", log_square_sign_flipped, "simple", {"generator_hermitian"}),
-    # the oracle's conjugator: nothing but the oracle reads it
-    "oracle_exp_entry": ("series_exp", on_first_call(exp_entry_bumped), "simple", {"oracle_match"}),
+    "log_coefficient": ("_log_weights", log_square_sign_flipped, "simple", {"generator_hermitian"}),
+    # W stays Hermitian: only the oracle's W_1 shows its scale
+    "w_doubled": ("_generator", w_doubled, "simple", {"oracle_match"}),
+    "w_hbar": ("_generator", w_hbar_inverted, "hbar-half", {"oracle_match"}),
+    # the oracle's own values: nothing but the oracle reads them.  The first
+    # ad term is ad_(W_1 / (i hbar))(H0); call 1 of the generator forms W_2
+    "oracle_exp_entry": ("_ad_term", on_call(0, entry_bumped), "simple", {"oracle_match"}),
+    "oracle_w_entry": ("_oracle_generator", on_call(1, entry_bumped), "simple", {"oracle_match"}),
     # the first call forms the traces of H0 + mu V in verify_conjugacy
-    "power_trace": ("_power_traces", on_first_call(trace_bumped), "simple", {"trace_powers.1"}),
+    "power_trace": ("_power_traces", on_call(0, trace_bumped), "simple", {"trace_powers.1"}),
 }
 
 

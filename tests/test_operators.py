@@ -1,5 +1,6 @@
 """Matrix application: decomposition, expansions, oracle, numeric checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -27,8 +28,6 @@ from mouldpert.operators import (
     mat_mul,
     mat_scale,
     random_problem,
-    series_exp,
-    series_log,
     solve,
     spectral_decompose,
     verify_conjugacy,
@@ -81,6 +80,46 @@ def sparse_half_integer_problem(dim, order, seed):
 
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+# -- dense series references: every power a full MatrixSeries product ----------
+
+
+def series_add(a, b):
+    return MatrixSeries([mat_add(x, y) for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def series_scale(c, a):
+    return MatrixSeries([mat_scale(c, x) for x in a.coeffs])
+
+
+def power_sum(a, coefficient):
+    """a + sum over j >= 2 of coefficient(j) a^j for a with vanishing order-0
+    term (exp and log both start with x), up to the first vanishing power."""
+    out = power = a
+    for j in range(2, a.order + 1):
+        power = power * a
+        if all(mat_is_zero(c) for c in power.coeffs):
+            break
+        out = series_add(out, series_scale(GaussianRational(coefficient(j)), power))
+    return out
+
+
+def series_exp(a):
+    """exp of a series with vanishing order-0 term (finite in truncation)."""
+    if not mat_is_zero(a.coeffs[0]):
+        raise ValueError("series_exp needs a vanishing order-0 coefficient")
+    identity = MatrixSeries.from_orders(a.dim, a.order, {0: identity_matrix(a.dim)})
+    return series_add(identity, power_sum(a, lambda j: Fraction(1, math.factorial(j))))
+
+
+def series_log(a):
+    """log of a series with identity order-0 term: the log series of
+    a - I, which is a with its order-0 term set to zero."""
+    if a.coeffs[0] != identity_matrix(a.dim):
+        raise ValueError("series_log needs an identity order-0 coefficient")
+    rest = MatrixSeries([zero_matrix(a.dim)] + list(a.coeffs[1:]))
+    return power_sum(rest, lambda j: Fraction((-1) ** (j - 1), j))
 
 
 def component_for(sd, letter):
@@ -395,7 +434,7 @@ def laurent_conjugator(problem):
         c_coeffs.append(tuple(tuple(y.constant_term() for y in row) for row in x))
         n_coeffs.append(tuple(tuple(y.residue() * k for y in row) for row in x))
     c_series = MatrixSeries(c_coeffs)
-    return c_series, series_log(c_series).scale(GaussianRational(0, problem.hbar)), MatrixSeries(n_coeffs)
+    return c_series, series_scale(GaussianRational(0, problem.hbar), series_log(c_series)), MatrixSeries(n_coeffs)
 
 
 # integer and half-integer levels; couplings with denominators 1, 2, 3 and 6
@@ -506,7 +545,7 @@ def test_generator_is_hermitian_and_exponentiates_to_C():
         engine = BirkhoffEngine(out.decomposition.alphabet)
         w_mould = mould_generator(out.decomposition, engine, problem.order)
         assert w_mould == out.w_series
-        assert series_exp(w_mould.scale(out.decomposition.inv_ihbar)) == out.c_series
+        assert series_exp(series_scale(out.decomposition.inv_ihbar, w_mould)) == out.c_series
 
 
 def test_solve_never_evaluates_the_mould_logarithm(monkeypatch):
@@ -645,7 +684,7 @@ def test_hbar_scaling_law(hbar, degenerate):
         out = solve(random_problem(3, 4, seed=seed, hbar=hbar, degenerate=degenerate))
         assert out.n_series == base.n_series
         assert out.c_series == base.c_series
-        assert out.w_series == base.w_series.scale(scale)
+        assert out.w_series == series_scale(scale, base.w_series)
         base_letters = base.decomposition.alphabet
         letters = out.decomposition.alphabet
         mapped = {}
@@ -694,8 +733,8 @@ def reference_oracle(problem):
         )
         e = term = MatrixSeries.from_orders(dim, K, {0: identity_matrix(dim)})
         for j in range(1, K + 1):
-            term = (term * generator).scale(GaussianRational(Fraction(1, j)))
-            e = e + term
+            term = series_scale(GaussianRational(Fraction(1, j)), term * generator)
+            e = series_add(e, term)
         x = e * x * e.adjoint()
     return n_parts, w_parts
 
@@ -707,12 +746,16 @@ ORACLE_CASES = {
                 dim, order, seed=3, degenerate=degenerate
             )
         )
-        for dim, order in ((3, 4), (4, 4), (4, 5), (4, 6), (5, 5))
+        for dim, order in ((3, 4), (4, 4), (4, 5), (4, 6), (5, 5), (6, 8))
         for degenerate in (False, True)
     },
     "hbar-half": lambda: random_problem(4, 4, seed=3, hbar=Fraction(1, 2)),
     "hbar-half-degenerate": lambda: random_problem(4, 4, seed=3, hbar=Fraction(1, 2), degenerate=True),
     "half-integer-12": lambda: sparse_half_integer_problem(12, 2, seed=0),
+    # V diagonal: every W_k vanishes, so no step conjugates
+    "diagonal": lambda: diagonal_problem(order=4),
+    # order 1: N_1 and W_1 are read before any conjugation
+    "order-1": lambda: random_problem(4, 1, seed=3),
 }
 
 
@@ -720,6 +763,18 @@ ORACLE_CASES = {
 def test_oracle_equals_the_full_recursion(name):
     problem = ORACLE_CASES[name]()
     assert hierarchy_oracle(problem) == reference_oracle(problem)
+
+
+def test_oracle_checks_the_scale_of_W():
+    """W_1 is the same in both constructions, so a W off by a factor fails
+    order 1 alone, and N is not needed to see it."""
+    for problem in (random_problem(3, 4, seed=3), random_problem(4, 3, seed=3, hbar=Fraction(1, 2), degenerate=True)):
+        out = solve(problem)
+        assert out.oracle.ok
+        assert out.w_series.coeffs[1] == hierarchy_oracle(problem)[1][0]
+        for factor in (gr(2), gr(Fraction(1, 2)), gr(-1)):
+            report = compare_with_oracle(problem, out.n_series, series_scale(factor, out.w_series))
+            assert report.orders_equal == [False] + [True] * (problem.order - 1)
 
 
 def test_oracle_matches_mould_normal_form():
@@ -754,7 +809,7 @@ def test_oracle_catches_a_change_inside_a_degenerate_block():
     block = [i for i in range(problem.dim) if problem.e0[i] == problem.e0[0]]
     assert len(block) == 2
     i, j = block
-    report = compare_with_oracle(problem, with_entry_added(out.n_series, 2, i, i, ONE))
+    report = compare_with_oracle(problem, with_entry_added(out.n_series, 2, i, i, ONE), out.w_series)
     assert not report.ok
     assert report.first_mismatch == 2
     assert report.orders_equal[0]
@@ -762,7 +817,7 @@ def test_oracle_catches_a_change_inside_a_degenerate_block():
     # through 2 tr(N_1 diag(1, -1)) = 2 (N_1[i][i] - N_1[j][j])
     assert out.n_series.coeffs[1][i][i] != out.n_series.coeffs[1][j][j]
     traceless = with_entry_added(with_entry_added(out.n_series, 2, i, i, ONE), 2, j, j, -ONE)
-    assert compare_with_oracle(problem, traceless).first_mismatch == 3
+    assert compare_with_oracle(problem, traceless, out.w_series).first_mismatch == 3
 
 
 def test_oracle_catches_a_change_outside_the_blocks():
@@ -774,7 +829,7 @@ def test_oracle_catches_a_change_outside_the_blocks():
         for j in range(problem.dim)
         if problem.e0[i] != problem.e0[j]
     )
-    report = compare_with_oracle(problem, with_entry_added(out.n_series, 3, i, j, ONE))
+    report = compare_with_oracle(problem, with_entry_added(out.n_series, 3, i, j, ONE), out.w_series)
     assert report.first_mismatch == 3
 
 
@@ -853,6 +908,8 @@ def test_series_exp_log_roundtrip():
         2, 3, {1: ((gr(0), gr(0, 1)), (gr(0, -1), gr(0))), 2: ((gr(1), gr(0)), (gr(0), gr(-1)))}
     )
     assert series_log(series_exp(a)) == a
+    # the integer log of the conjugator: i hbar log exp(a) = i hbar a
+    assert operators._generator(series_exp(a), Fraction(1, 3)) == series_scale(gr(0, Fraction(1, 3)), a)
 
 
 def test_series_mul_truncates():
@@ -936,6 +993,24 @@ def test_products_that_cancel_exactly_are_zero():
     product = x * y
     assert product.coeffs[1] == zero_matrix(2)
     assert product == dense_series_mul(x, y)
+
+
+def unipotent_series(dim, order):
+    """Series with identity order-0 term and sparse higher orders."""
+    return sparse_series(dim, order).map(lambda a: MatrixSeries([identity_matrix(dim)] + list(a.coeffs[1:])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(lambda shape: unipotent_series(*shape)),
+    hbar=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3), Fraction(2, 3)]),
+)
+# log(1 + mu) = mu - mu^2/2 + mu^3/3 - mu^4/4: every power up to the order survives
+@example(c=MatrixSeries([((ONE,),), ((ONE,),)] + [((ZERO,),)] * 3), hbar=Fraction(1))
+def test_integer_log_equals_the_dense_log(c, hbar):
+    """W = i hbar log C on the integer kernel equals i hbar times the dense
+    log series, each power a full MatrixSeries product."""
+    assert operators._generator(c, hbar) == series_scale(GaussianRational(0, hbar), series_log(c))
 
 
 # (numerator of re, numerator of im, common denominator), not reduced
