@@ -811,10 +811,9 @@ def hierarchy_oracle(problem: PerturbationProblem) -> tuple:
     product of two series is formed.  The resonant part of each W_k is
     fixed to zero (free gauge), and so is every entry where X_k vanishes,
     without forming its weight.  A step whose W_k vanishes conjugates
-    nothing, and
-    the series is not conjugated after order K, as nothing reads the
-    result.  The constants are the oracle's own, not shared with
-    ``build_conjugator``.  Returns ([N_1..N_K], [W_1..W_K]).
+    nothing, and the series is not conjugated after order K, as nothing
+    reads the result.  The constants are the oracle's own, not shared
+    with ``build_conjugator``.  Returns ([N_1..N_K], [W_1..W_K]).
     """
     K = problem.order
     e0 = problem.e0

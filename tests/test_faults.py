@@ -3,8 +3,7 @@
 Each row replaces one function of ``mouldpert.operators`` by a wrapper
 that returns one wrong value, runs ``mouldpert solve`` on the smallest
 ladder problem (three levels, order 4: simple, degenerate, or simple
-with hbar = 1/2), and
-records which verification flags turn false.  The
+with hbar = 1/2), and records which verification flags turn false.  The
 row's expected set is the whole set of false flags, so the table shows
 which checks catch which fault, and which check is the only one that does.
 """

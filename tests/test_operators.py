@@ -434,7 +434,8 @@ def laurent_conjugator(problem):
         c_coeffs.append(tuple(tuple(y.constant_term() for y in row) for row in x))
         n_coeffs.append(tuple(tuple(y.residue() * k for y in row) for row in x))
     c_series = MatrixSeries(c_coeffs)
-    return c_series, series_scale(GaussianRational(0, problem.hbar), series_log(c_series)), MatrixSeries(n_coeffs)
+    w_series = series_scale(GaussianRational(0, problem.hbar), series_log(c_series))
+    return c_series, w_series, MatrixSeries(n_coeffs)
 
 
 # integer and half-integer levels; couplings with denominators 1, 2, 3 and 6
@@ -768,7 +769,8 @@ def test_oracle_equals_the_full_recursion(name):
 def test_oracle_checks_the_scale_of_W():
     """W_1 is the same in both constructions, so a W off by a factor fails
     order 1 alone, and N is not needed to see it."""
-    for problem in (random_problem(3, 4, seed=3), random_problem(4, 3, seed=3, hbar=Fraction(1, 2), degenerate=True)):
+    problems = (random_problem(3, 4, seed=3), random_problem(4, 3, seed=3, hbar=Fraction(1, 2), degenerate=True))
+    for problem in problems:
         out = solve(problem)
         assert out.oracle.ok
         assert out.w_series.coeffs[1] == hierarchy_oracle(problem)[1][0]
