@@ -9,13 +9,13 @@ alphabet, component or word enters them.  That decomposition runs on
 Laurent series in e' held as Gaussian-integer numerators over one
 denominator per order, on a fixed window of degrees, and makes
 GaussianRational values only for C_k and N_k; the logarithm and the
-trace checks use the same integer format (``_integer_rows``,
-``_gaussian_product``), and W becomes GaussianRational values once, at
-the end.  No series product of GaussianRational matrices is formed
-outside the checks: the recursive oracle (``hierarchy_oracle``)
-conjugates by exp(ad), one sparse matrix product per order and term,
-and only the conjugacy and unitarity checks of ``verify_conjugacy``
-multiply whole series.  The word route splits V into
+checks of ``verify_conjugacy`` (conjugacy, unitarity, traces) use the
+same integer format (``_integer_rows``, ``_gaussian_product``), and W
+becomes GaussianRational values once, at the end.  No series product of
+GaussianRational matrices is formed: the recursive oracle
+(``hierarchy_oracle``) conjugates by exp(ad), one sparse matrix product
+of GaussianRational entries per order and term (``_accumulate``), a
+kernel the checks do not share.  The word route splits V into
 eigencomponents B_lam of the rescaled commutator with H0
 (``spectral_decompose``) and sums N^w times nested brackets
 (``build_normal_form``); it is built only for the coefficient table of
@@ -43,8 +43,6 @@ from fractions import Fraction
 from itertools import compress
 from operator import mul, or_
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .birkhoff import BirkhoffEngine
 from .moulds import Alphabet
@@ -126,10 +124,6 @@ def mat_mul(a: tuple, b: tuple) -> tuple:
     return tuple(tuple(row) for row in out)
 
 
-def mat_adjoint(a: tuple) -> tuple:
-    return tuple(tuple(a[j][i].conjugate() for j in range(len(a))) for i in range(len(a)))
-
-
 def mat_is_hermitian(a: tuple) -> bool:
     """a equals its adjoint, compared in place, diagonal included."""
     return all(a[i][j] == a[j][i].conjugate() for i in range(len(a)) for j in range(i, len(a)))
@@ -147,13 +141,6 @@ def mat_magnitude(a: tuple) -> int:
             if x:
                 worst = max(worst, abs(x.re.numerator), abs(x.im.numerator))
     return worst
-
-
-def _residual_magnitude(a: tuple, b: tuple) -> int:
-    """mat_magnitude(a - b), subtracting only the entries where a and b differ."""
-    return mat_magnitude(
-        [[x - y for x, y in zip(ra, rb) if x != y] for ra, rb in zip(a, b) if ra != rb]
-    )
 
 
 def mat_to_json(a: tuple) -> list:
@@ -192,20 +179,6 @@ class MatrixSeries:
     @classmethod
     def from_orders(cls, dim: int, order: int, terms: dict) -> "MatrixSeries":
         return cls([terms.get(k, zero_matrix(dim)) for k in range(order + 1)])
-
-    def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
-        left = [_nonzero_rows(a) for a in self.coeffs]
-        right = [_nonzero_rows(b) for b in other.coeffs]
-        out = []
-        for k in range(self.order + 1):
-            acc = [[ZERO] * self.dim for _ in range(self.dim)]
-            for j in range(k + 1):
-                _accumulate(acc, left[j], right[k - j])
-            out.append(tuple(tuple(row) for row in acc))
-        return MatrixSeries(out)
-
-    def adjoint(self) -> "MatrixSeries":
-        return MatrixSeries([mat_adjoint(a) for a in self.coeffs])
 
     def evaluate(self, mu: Fraction) -> tuple:
         """Exact value at a rational parameter."""
@@ -765,35 +738,76 @@ def verify_conjugacy(
     truncation order, alongside unitarity, [H0, N_k] = 0, Hermiticity of
     N_k and of W, and conservation of tr((H0 + mu V)^p).
 
-    The residual magnitudes are those of the differences C H C* - (H0 + N)
-    and C C* - I, order by order, but no difference is formed as a series:
-    each side is computed on its own and an entry is subtracted only where
-    the two sides differ (``_residual_magnitude``).  As H0 is diagonal,
-    [H0, N_k] = 0 is read as N_k equal to its resonant part."""
-    h = problem.h_series()
-    c = c_series
-    c_adj = c.adjoint()
+    C, N and W are read as the GaussianRational series that ``solve``
+    outputs.  The products run on the integer kernel: order k of C is
+    written as Gaussian integers over F^k, F the lcm of the entry
+    denominators of C_1..C_K and of V (``_integer_rows``), H0 over D,
+    the common denominator of the levels (``PerturbationProblem.levels``),
+    and V over D F; C* is C's rows transposed, imaginary parts negated.  So
+    order k of C H and of C H C* is over D F^k, and order k of C C* over
+    F^k (``_gaussian_product``), with no reduction on the way.  Order k
+    is compared with H0 + N and with I in integers (``_integer_residual``),
+    and an entry becomes a GaussianRational only where the two differ, so
+    the residual magnitudes are exactly those of the differences
+    C H C* - (H0 + N) and C C* - I.  The oracle keeps its own product of
+    GaussianRational entries (``_accumulate``): the checks and the oracle
+    share no product kernel that one fault could make agree.  As H0 is
+    diagonal, [H0, N_k] = 0 is read as N_k equal to its resonant part."""
+    dim, order = problem.dim, problem.order
+    (d, level), f = problem.levels, _denominator(c_series.coeffs[1:] + (problem.v,))
+    c_rows = [_integer_rows(a, f**k) for k, a in enumerate(c_series.coeffs)]
+    c_adj = [_adjoint_rows(rows) for rows in c_rows]
+    h_rows = [[[(i, e, 0)] if e else [] for i, e in enumerate(level)], _integer_rows(problem.v, d * f)]
+    h_rows += [[[] for _ in range(dim)] for _ in range(order - 1)]
+    ch_rows = [_gaussian_rows(p) for p in _gaussian_product(c_rows, h_rows, dim)]
+    conjugated = _gaussian_product(ch_rows, c_adj, dim)
+    unitary = _gaussian_product(c_rows, c_adj, dim)
     rhs = _normal_series(problem, n_series)
-    conjugated = c * h * c_adj
-    unitary = c * c_adj
-    identity = MatrixSeries.from_orders(problem.dim, problem.order, {0: identity_matrix(problem.dim)})
+    identity = MatrixSeries.from_orders(dim, order, {0: identity_matrix(dim)})
     commutation = [n == problem.resonant_part(n) for n in n_series.coeffs[1:]]
     hermitian = [mat_is_hermitian(n) for n in n_series.coeffs[1:]]
-    every = range(problem.dim)
-    pairs = zip(_power_traces(h, every), _power_traces(rhs, every))
+    every = range(dim)
+    pairs = zip(_power_traces(problem.h_series(), every), _power_traces(rhs, every))
     trace_ok = {p: a == b for p, (a, b) in enumerate(pairs, start=1)}
     return ConjugacyReport(
         conjugacy_magnitude=[
-            _residual_magnitude(a, b) for a, b in zip(conjugated.coeffs, rhs.coeffs)
+            _integer_residual(p, d * f**k, a) for k, (p, a) in enumerate(zip(conjugated, rhs.coeffs))
         ],
         unitarity_magnitude=[
-            _residual_magnitude(a, b) for a, b in zip(unitary.coeffs, identity.coeffs)
+            _integer_residual(p, f**k, a) for k, (p, a) in enumerate(zip(unitary, identity.coeffs))
         ],
         commutation_ok=commutation,
         hermitian_ok=hermitian,
         trace_ok=trace_ok,
         generator_hermitian=all(mat_is_hermitian(w) for w in w_series.coeffs),
     )
+
+
+def _adjoint_rows(rows: list) -> list:
+    """The nonzero rows of the adjoint of a Gaussian-integer matrix given by
+    its nonzero rows: transposed, imaginary parts negated."""
+    out = [[] for _ in rows]
+    for j, row in enumerate(rows):
+        for i, re, im in row:
+            out[i].append((j, re, -im))
+    return out
+
+
+def _integer_residual(parts: tuple, den: int, target: tuple) -> int:
+    """mat_magnitude(X - target), X the Gaussian-integer matrix with
+    (real, imaginary) parts over den.  X's entry (u + v i) / den equals
+    x = (a + b i) / d exactly when u d = a den and v d = b den, so the
+    entries are compared without a division, and a GaussianRational
+    difference is formed only where they differ."""
+    re, im = parts
+    return mat_magnitude([
+        [
+            GaussianRational.from_integers(u, v, den) - x
+            for u, v, x in zip(row_re, row_im, row)
+            if u * x._d != x._a * den or v * x._d != x._b * den
+        ]
+        for row_re, row_im, row in zip(re, im, target)
+    ])
 
 
 # -- the classical recursive construction (independent ground truth) -----------------
@@ -1081,7 +1095,9 @@ class NumericSample:
         return out
 
 
-def _to_complex_matrix(a: tuple) -> np.ndarray:
+def _to_complex_matrix(a: tuple):
+    import numpy as np  # only the numeric cross-check needs it
+
     return np.array([[complex(x) for x in row] for row in a], dtype=complex)
 
 
@@ -1126,6 +1142,8 @@ def numeric_compare(
 def _numeric_sample(
     h_series: MatrixSeries, normal_series: MatrixSeries, simple: bool, mu: Fraction
 ) -> NumericSample:
+    import numpy as np  # only the numeric cross-check needs it
+
     try:
         numeric = np.linalg.eigvalsh(_to_complex_matrix(h_series.evaluate(mu)))
     except np.linalg.LinAlgError as exc:

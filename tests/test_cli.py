@@ -325,6 +325,33 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert "Exception ignored" not in done.stderr
 
 
+def test_numpy_is_loaded_only_by_the_numeric_check(problem_file):
+    """Importing the CLI and running ``oracle`` leave numpy out of
+    sys.modules; ``solve --mu`` loads it, so the probe can see it."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import mouldpert.cli\n"
+        "seen = ['numpy' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert mouldpert.cli.main(['oracle', '--random-dim', '3', '--seed', '1']) == 0\n"
+        "    seen.append('numpy' in sys.modules)\n"
+        "    assert mouldpert.cli.main(['solve', sys.argv[1], '--mu', '1/100']) == 0\n"
+        "    seen.append('numpy' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (os.path.abspath(src), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script, problem_file],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[False, False, True]\n"
+
+
 def test_deterministic_output(problem_file, capsys):
     assert main(["solve", problem_file, "--order", "3"]) == 0
     first = capsys.readouterr().out

@@ -132,6 +132,12 @@ def entry_bumped(matrix):
     return tuple(tuple(row) for row in rows)
 
 
+def negated(window):
+    """(denominator, rows) of a window with every numerator negated."""
+    den, rows = window
+    return den, [[(c, [-v for v in re], [-v for v in im]) for c, re, im in row] for row in rows]
+
+
 def trace_bumped(traces):
     """tr(B^1) at order 1 one higher."""
     traces = [list(by_order) for by_order in traces]
@@ -151,6 +157,8 @@ EVERY_CHECK = {
     "trace_powers.3",
 }
 
+C_CHECKS = {"conjugacy", "unitarity", "generator_hermitian"}
+
 # (name in mouldpert.operators, wrapper, problem, false flags)
 FAULTS = {
     "next_t_zero_gap": ("_next_t", next_t_numerator(0, 0), "simple", EVERY_CHECK),
@@ -163,6 +171,12 @@ FAULTS = {
         {"conjugacy", "oracle_match", "trace_powers.2", "trace_powers.3"},
     ),
     "log_coefficient": ("_log_weights", log_square_sign_flipped, "simple", {"generator_hermitian"}),
+    # calls 0 and 1 of _degree_matrix form C_1 and N_1, call 2 forms C_2;
+    # N is untouched, so only the checks that read C catch it
+    "c_entry": ("_degree_matrix", on_call(2, entry_bumped), "simple", C_CHECKS),
+    "c_entry_degenerate": ("_degree_matrix", on_call(2, entry_bumped), "degenerate", C_CHECKS),
+    # call 0 of _reduced reduces Phi(T)_1, call 1 forms Phi(U_minus)_1
+    "u_minus_sign": ("_reduced", on_call(1, negated), "simple", EVERY_CHECK),
     # W stays Hermitian: only the oracle's W_1 shows its scale
     "w_doubled": ("_generator", w_doubled, "simple", {"oracle_match"}),
     "w_hbar": ("_generator", w_hbar_inverted, "hbar-half", {"oracle_match"}),

@@ -22,7 +22,6 @@ from mouldpert.operators import (
     hierarchy_oracle,
     identity_matrix,
     mat_add,
-    mat_adjoint,
     mat_is_zero,
     mat_magnitude,
     mat_mul,
@@ -85,6 +84,28 @@ def mat_sub(a, b):
 # -- dense series references: every power a full MatrixSeries product ----------
 
 
+def mat_adjoint(a):
+    return tuple(tuple(a[j][i].conjugate() for j in range(len(a))) for i in range(len(a)))
+
+
+def series_adjoint(a):
+    return MatrixSeries([mat_adjoint(x) for x in a.coeffs])
+
+
+def series_mul(a, b):
+    """The truncated series product, over the nonzero rows of the
+    coefficients (the sparse kernel of the oracle, ``_accumulate``)."""
+    left = [operators._nonzero_rows(x) for x in a.coeffs]
+    right = [operators._nonzero_rows(y) for y in b.coeffs]
+    out = []
+    for k in range(a.order + 1):
+        acc = [[ZERO] * a.dim for _ in range(a.dim)]
+        for j in range(k + 1):
+            operators._accumulate(acc, left[j], right[k - j])
+        out.append(tuple(tuple(row) for row in acc))
+    return MatrixSeries(out)
+
+
 def series_add(a, b):
     return MatrixSeries([mat_add(x, y) for x, y in zip(a.coeffs, b.coeffs)])
 
@@ -98,7 +119,7 @@ def power_sum(a, coefficient):
     term (exp and log both start with x), up to the first vanishing power."""
     out = power = a
     for j in range(2, a.order + 1):
-        power = power * a
+        power = series_mul(power, a)
         if all(mat_is_zero(c) for c in power.coeffs):
             break
         out = series_add(out, series_scale(GaussianRational(coefficient(j)), power))
@@ -515,8 +536,8 @@ def test_unitarity_on_random_problems():
         assert out.conjugacy.unitarity_ok
         c = out.c_series
         identity = MatrixSeries.from_orders(3, 4, {0: identity_matrix(3)})
-        assert (c * c.adjoint()) == identity
-        assert (c.adjoint() * c) == identity
+        assert series_mul(c, series_adjoint(c)) == identity
+        assert series_mul(series_adjoint(c), c) == identity
 
 
 def mould_generator(sd, engine, order):
@@ -590,26 +611,48 @@ def test_corrupted_normal_form_is_flagged_at_its_order():
     assert report.conjugacy_magnitude[2] == 0
 
 
+def fractional_degenerate_problem(order=4):
+    """Degenerate levels over D = 6 and hbar = 1/2, so H0 is not read over 1."""
+    v = (
+        (gr(Fraction(1, 2)), gr(1, Fraction(1, 3)), gr(0, 2)),
+        (gr(1, Fraction(-1, 3)), gr(-1), gr(Fraction(2, 5))),
+        (gr(0, -2), gr(Fraction(2, 5)), gr(0)),
+    )
+    e0 = (Fraction(1, 3), Fraction(1, 3), Fraction(-1, 2))
+    return PerturbationProblem(e0=e0, v=v, hbar=Fraction(1, 2), order=order)
+
+
 def test_residual_magnitudes_are_those_of_the_dense_differences():
-    problem = two_level_problem(order=4)
-    out = solve(problem)
-    bad_n = with_entry_added(out.n_series, 3, 0, 0, ONE)
-    bad_c = with_entry_added(out.c_series, 2, 0, 1, gr(Fraction(3, 7), 2))
-    h = problem.h_series()
-    identity = MatrixSeries.from_orders(problem.dim, problem.order, {0: identity_matrix(problem.dim)})
-    largest = 0
-    for n_series, c_series in ((bad_n, out.c_series), (out.n_series, bad_c)):
-        report = verify_conjugacy(problem, n_series, c_series, out.w_series)
-        c_adj = MatrixSeries([mat_adjoint(a) for a in c_series.coeffs])
+    two_level = two_level_problem(order=4)
+    degenerate = fractional_degenerate_problem()
+    assert degenerate.levels[0] == 6 and not degenerate.is_simple
+    cases = []
+    for problem in (two_level, degenerate):
+        out = solve(problem)
+        assert out.ok
+        cases += [
+            (problem, out.n_series, out.c_series, out.w_series),
+            (problem, with_entry_added(out.n_series, 3, 0, 0, ONE), out.c_series, out.w_series),
+            # a denominator that does not divide F^k, with an imaginary part
+            (problem, out.n_series, with_entry_added(out.c_series, 2, 0, 1, gr(Fraction(3, 7), 2)), out.w_series),
+            # N not Hermitian: one entry below the diagonal only
+            (problem, with_entry_added(out.n_series, 2, 1, 0, gr(0, 1)), out.c_series, out.w_series),
+        ]
+    largest, clean = 0, []
+    for problem, n_series, c_series, w_series in cases:
+        report = verify_conjugacy(problem, n_series, c_series, w_series)
+        clean.append(report.ok)
+        c_adj = series_adjoint(c_series)
         rhs = MatrixSeries([problem.h0_matrix()] + list(n_series.coeffs[1:]))
-        conjugacy = dense_series_mul(dense_series_mul(c_series, h), c_adj)
+        identity = MatrixSeries.from_orders(problem.dim, problem.order, {0: identity_matrix(problem.dim)})
+        conjugacy = dense_series_mul(dense_series_mul(c_series, problem.h_series()), c_adj)
         unitarity = dense_series_mul(c_series, c_adj)
         expected = [mat_magnitude(mat_sub(a, b)) for a, b in zip(conjugacy.coeffs, rhs.coeffs)]
         assert report.conjugacy_magnitude == expected
-        assert not report.ok
         expected = [mat_magnitude(mat_sub(a, b)) for a, b in zip(unitarity.coeffs, identity.coeffs)]
         assert report.unitarity_magnitude == expected
         largest = max(largest, *report.conjugacy_magnitude, *report.unitarity_magnitude)
+    assert clean == [True, False, False, False] * 2
     # the values, not only which orders are nonzero
     assert largest > 1
 
@@ -734,9 +777,9 @@ def reference_oracle(problem):
         )
         e = term = MatrixSeries.from_orders(dim, K, {0: identity_matrix(dim)})
         for j in range(1, K + 1):
-            term = series_scale(GaussianRational(Fraction(1, j)), term * generator)
+            term = series_scale(GaussianRational(Fraction(1, j)), series_mul(term, generator))
             e = series_add(e, term)
-        x = e * x * e.adjoint()
+        x = series_mul(series_mul(e, x), series_adjoint(e))
     return n_parts, w_parts
 
 
@@ -916,11 +959,11 @@ def test_series_exp_log_roundtrip():
 
 def test_series_mul_truncates():
     a = MatrixSeries.from_orders(2, 2, {1: identity_matrix(2)})
-    b = a * a
+    b = series_mul(a, a)
     assert mat_is_zero(b.coeffs[0])
     assert mat_is_zero(b.coeffs[1])
     assert b.coeffs[2] == identity_matrix(2)
-    assert (a * b).coeffs[2] == zero_matrix(2)
+    assert series_mul(a, b).coeffs[2] == zero_matrix(2)
 
 
 def dense_mul(a, b):
@@ -982,7 +1025,7 @@ def test_mat_mul_matches_a_dense_triple_loop(data, dim):
 def test_series_product_matches_a_dense_convolution(data, dim, order):
     a = data.draw(sparse_series(dim, order))
     b = data.draw(sparse_series(dim, order))
-    assert a * b == dense_series_mul(a, b)
+    assert series_mul(a, b) == dense_series_mul(a, b)
 
 
 def test_products_that_cancel_exactly_are_zero():
@@ -992,7 +1035,7 @@ def test_products_that_cancel_exactly_are_zero():
     assert mat_mul(a, b) == dense_mul(a, b)
     x = MatrixSeries([identity_matrix(2), a])
     y = MatrixSeries([b, mat_scale(-ONE, mat_mul(a, b))])  # order 1: a b - a b
-    product = x * y
+    product = series_mul(x, y)
     assert product.coeffs[1] == zero_matrix(2)
     assert product == dense_series_mul(x, y)
 
