@@ -9,14 +9,16 @@ alphabet, component or word enters them.  That decomposition runs on
 Laurent series in e' held as Gaussian-integer numerators over one
 denominator per order, on a fixed window of degrees, and makes
 GaussianRational values only for C_k and N_k; the logarithm and the
-checks of ``verify_conjugacy`` (conjugacy, unitarity, traces) use the
-same integer format (``_integer_rows``, ``_gaussian_product``), and W
-becomes GaussianRational values once, at the end.  No series product of
-GaussianRational matrices is formed: the recursive oracle
-(``hierarchy_oracle``) conjugates by exp(ad), one sparse matrix product
-of GaussianRational entries per order and term (``_accumulate``), a
-kernel the checks do not share.  The word route splits V into
-eigencomponents B_lam of the rescaled commutator with H0
+checks of ``verify_conjugacy`` (conjugacy, unitarity, traces) use one
+integer format, per row the (column, re, im) triples of its nonzero
+entries over a shared denominator (``_integer_rows``), and their
+products return it (``_gaussian_product``), so their cost follows the
+nonzeros; W becomes GaussianRational values once, at the end.  No
+series product of GaussianRational matrices is formed: the recursive
+oracle (``hierarchy_oracle``) conjugates by exp(ad), one sparse matrix
+product of GaussianRational entries per order and term
+(``_accumulate``), a kernel the checks do not share.  The word route
+splits V into eigencomponents B_lam of the rescaled commutator with H0
 (``spectral_decompose``) and sums N^w times nested brackets
 (``build_normal_form``); it is built only for the coefficient table of
 the solve JSON, and the tests keep it, and the mould expansion of W
@@ -40,8 +42,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import mul, or_
+from operator import mul
 from typing import Optional, Sequence
 
 from .birkhoff import BirkhoffEngine
@@ -89,8 +90,9 @@ def mat_scale(c: GaussianRational, a: tuple) -> tuple:
 
 
 def _denominator(matrices) -> int:
-    """The lcm of the entry denominators of GaussianRational matrices."""
-    return math.lcm(*(x._d for a in matrices for row in a for x in row if x))
+    """The lcm of the entry denominators of GaussianRational matrices (a
+    zero entry's is 1)."""
+    return math.lcm(*{x._d for a in matrices for row in a for x in row})
 
 
 def _integer_rows(a: tuple, den: int) -> list:
@@ -99,7 +101,7 @@ def _integer_rows(a: tuple, den: int) -> list:
     entry denominator: the one integer format of the exact kernels."""
     # a GaussianRational is the canonical integer triple (_a + _b i) / _d
     return [
-        [(j, x._a * (den // x._d), x._b * (den // x._d)) for j, x in enumerate(row) if x]
+        [(j, x._a * (den // x._d), x._b * (den // x._d)) for j, x in enumerate(row) if x._a or x._b]
         for row in a
     ]
 
@@ -124,9 +126,22 @@ def mat_mul(a: tuple, b: tuple) -> tuple:
     return tuple(tuple(row) for row in out)
 
 
+def _first_non_hermitian(a: tuple) -> Optional[tuple]:
+    """The first (k, l), k <= l in row order, where a[k][l] is not the
+    conjugate of a[l][k], or None if a equals its adjoint.  Canonical
+    triples are compared in place: x = conj(y) exactly when x._a == y._a,
+    x._b == -y._b and x._d == y._d, so no value is formed."""
+    for k, (row, column) in enumerate(zip(a, zip(*a))):
+        for l in range(k, len(row)):
+            x, y = row[l], column[l]
+            if x._a != y._a or x._b != -y._b or x._d != y._d:
+                return k, l
+    return None
+
+
 def mat_is_hermitian(a: tuple) -> bool:
-    """a equals its adjoint, compared in place, diagonal included."""
-    return all(a[i][j] == a[j][i].conjugate() for i in range(len(a)) for j in range(i, len(a)))
+    """a equals its adjoint, diagonal included."""
+    return _first_non_hermitian(a) is None
 
 
 def mat_is_zero(a: tuple) -> bool:
@@ -157,9 +172,20 @@ def scalar_from_json(value) -> GaussianRational:
 
 
 def mat_from_json(rows) -> tuple:
+    """The matrix of scalars written in JSON; each distinct string literal
+    is parsed once, and any other entry goes to ``scalar_from_json``."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("a matrix must be a list of rows, each a list of scalars")
-    return tuple(tuple(scalar_from_json(x) for x in row) for row in rows)
+    parsed = {}
+
+    def scalar(x) -> GaussianRational:
+        if not isinstance(x, str):
+            return scalar_from_json(x)
+        if x not in parsed:
+            parsed[x] = parse_scalar(x)
+        return parsed[x]
+
+    return tuple(tuple(scalar(x) for x in row) for row in rows)
 
 
 # -- truncated matrix power series --------------------------------------------
@@ -227,10 +253,9 @@ class PerturbationProblem:
             raise ValueError("hbar must be a positive rational")
         if self.order < 1:
             raise ValueError("the truncation order must be at least 1")
-        for k in range(dim):
-            for l in range(k, dim):
-                if v[k][l] != v[l][k].conjugate():
-                    raise ValueError(f"V is not Hermitian at ({k},{l})")
+        pair = _first_non_hermitian(v)
+        if pair is not None:
+            raise ValueError(f"V is not Hermitian at ({pair[0]},{pair[1]})")
 
     @property
     def dim(self) -> int:
@@ -650,28 +675,31 @@ def _generator(c_series: MatrixSeries, hbar: Fraction) -> MatrixSeries:
     e = _denominator(x)
     base = power = [_integer_rows(a, e**k) for k, a in enumerate(x)]
     lcm, weights = _log_weights(c_series.order)
-    total = [([[0] * dim for _ in range(dim)], [[0] * dim for _ in range(dim)]) for _ in x]
+    # per order and row, {column: (re, im)} of the weighted sum of powers
+    total = [[{} for _ in range(dim)] for _ in x]
     for j, weight in enumerate(weights):
         if j:
-            power = [_gaussian_rows(c) for c in _gaussian_product(power, base, dim)]
+            power = _gaussian_product(power, base)
             if not any(map(any, power)):
                 break
-        for (re, im), rows in zip(total, power):
-            for out_re, out_im, row in zip(re, im, rows):
+        for sums, rows in zip(total, power):
+            for acc, row in zip(sums, rows):
                 for c, xr, xi in row:
-                    out_re[c] += weight * xr
-                    out_im[c] += weight * xi
+                    re, im = acc.get(c, (0, 0))
+                    acc[c] = (re + weight * xr, im + weight * xi)
     p, q = hbar.numerator, hbar.denominator
-    return MatrixSeries([
-        tuple(
-            tuple(
-                GaussianRational.from_integers(-p * y, p * v, q * lcm * e**k) if v or y else ZERO
-                for v, y in zip(row_re, row_im)
-            )
-            for row_re, row_im in zip(re, im)
-        )
-        for k, (re, im) in enumerate(total)
-    ])
+    coeffs = []
+    for k, sums in enumerate(total):
+        den = q * lcm * e**k
+        rows = []
+        for acc in sums:
+            row = [ZERO] * dim
+            for c, (re, im) in acc.items():
+                if re or im:
+                    row[c] = GaussianRational.from_integers(-p * im, p * re, den)
+            rows.append(tuple(row))
+        coeffs.append(tuple(rows))
+    return MatrixSeries(coeffs)
 
 
 def _log_weights(order: int) -> tuple:
@@ -745,8 +773,10 @@ def verify_conjugacy(
     the common denominator of the levels (``PerturbationProblem.levels``),
     and V over D F; C* is C's rows transposed, imaginary parts negated.  So
     order k of C H and of C H C* is over D F^k, and order k of C C* over
-    F^k (``_gaussian_product``), with no reduction on the way.  Order k
-    is compared with H0 + N and with I in integers (``_integer_residual``),
+    F^k (``_gaussian_product``), with no reduction on the way; each
+    product is held as its nonzero rows and feeds the next as it is.
+    Order k is compared with H0 + N and with I in integers
+    (``_integer_residual``), where an entry absent from the rows is 0,
     and an entry becomes a GaussianRational only where the two differ, so
     the residual magnitudes are exactly those of the differences
     C H C* - (H0 + N) and C C* - I.  The oracle keeps its own product of
@@ -759,9 +789,9 @@ def verify_conjugacy(
     c_adj = [_adjoint_rows(rows) for rows in c_rows]
     h_rows = [[[(i, e, 0)] if e else [] for i, e in enumerate(level)], _integer_rows(problem.v, d * f)]
     h_rows += [[[] for _ in range(dim)] for _ in range(order - 1)]
-    ch_rows = [_gaussian_rows(p) for p in _gaussian_product(c_rows, h_rows, dim)]
-    conjugated = _gaussian_product(ch_rows, c_adj, dim)
-    unitary = _gaussian_product(c_rows, c_adj, dim)
+    ch_rows = _gaussian_product(c_rows, h_rows)
+    conjugated = _gaussian_product(ch_rows, c_adj)
+    unitary = _gaussian_product(c_rows, c_adj)
     rhs = _normal_series(problem, n_series)
     identity = MatrixSeries.from_orders(dim, order, {0: identity_matrix(dim)})
     commutation = [n == problem.resonant_part(n) for n in n_series.coeffs[1:]]
@@ -793,21 +823,23 @@ def _adjoint_rows(rows: list) -> list:
     return out
 
 
-def _integer_residual(parts: tuple, den: int, target: tuple) -> int:
-    """mat_magnitude(X - target), X the Gaussian-integer matrix with
-    (real, imaginary) parts over den.  X's entry (u + v i) / den equals
-    x = (a + b i) / d exactly when u d = a den and v d = b den, so the
-    entries are compared without a division, and a GaussianRational
-    difference is formed only where they differ."""
-    re, im = parts
-    return mat_magnitude([
-        [
-            GaussianRational.from_integers(u, v, den) - x
-            for u, v, x in zip(row_re, row_im, row)
-            if u * x._d != x._a * den or v * x._d != x._b * den
-        ]
-        for row_re, row_im, row in zip(re, im, target)
-    ])
+def _integer_residual(rows: list, den: int, target: tuple) -> int:
+    """mat_magnitude(X - target), X the Gaussian-integer matrix over den
+    given by its nonzero rows; an absent entry is 0.  X's entry
+    (u + v i) / den equals x = (a + b i) / d exactly when u d = a den and
+    v d = b den, so the entries are compared without a division, and a
+    GaussianRational difference is formed only where they differ."""
+    differences = []
+    for row, target_row in zip(rows, target):
+        rest = list(target_row)
+        for c, u, v in row:
+            x = rest[c]
+            if u * x._d != x._a * den or v * x._d != x._b * den:
+                differences.append(GaussianRational.from_integers(u, v, den) - x)
+            rest[c] = ZERO
+        # where X is absent the difference is -x
+        differences.extend(-x for x in rest if x)
+    return mat_magnitude([differences])
 
 
 # -- the classical recursive construction (independent ground truth) -----------------
@@ -927,28 +959,32 @@ def compare_with_oracle(
     change of basis inside each eigenspace of H0; only the eigenvalue
     content of each diagonal block is fixed.  Order k matches when every
     entry outside the diagonal blocks agrees exactly and, in each block of
-    size m, the mu^k coefficients of tr(block^p), p = 1..m, agree.  For a
-    simple spectrum every block is 1x1, so this is the entrywise test.
-    Both constructions fix the resonant part of W_1 to zero, so W_1 is the
-    same in both, and order 1 matches only if W_1 does too: this is the
-    one check of the scale of W, which nothing else reads.  The higher W_k
-    differ, as the oracle composes one exponential per order.
+    size m >= 2, the mu^k coefficients of tr(block^p), p = 1..m, agree
+    (``_power_traces``).  A block of size 1 is its diagonal entry, and is
+    compared exactly as one more entry, so for a simple spectrum this is
+    the entrywise test and no trace is formed.  Both constructions fix the
+    resonant part of W_1 to zero, so W_1 is the same in both, and order 1
+    matches only if W_1 does too: this is the one check of the scale of W,
+    which nothing else reads.  The higher W_k differ, as the oracle
+    composes one exponential per order.
     """
     n_parts, w_parts = hierarchy_oracle(problem)
     oracle = MatrixSeries([zero_matrix(problem.dim)] + n_parts)
     blocks = {}
     for i, level in enumerate(problem.levels[1]):
         blocks.setdefault(level, []).append(i)
-    ours = [t for block in blocks.values() for t in _power_traces(n_series, block)]
-    theirs = [t for block in blocks.values() for t in _power_traces(oracle, block)]
+    wide = [block for block in blocks.values() if len(block) > 1]
+    ours = [t for block in wide for t in _power_traces(n_series, block)]
+    theirs = [t for block in wide for t in _power_traces(oracle, block)]
     every = range(problem.dim)
-    off_block = [(i, j) for i in every for j in every if not problem.resonance[i][j]]
+    compared = [(i, j) for i in every for j in every if not problem.resonance[i][j]]
+    compared += [(i, i) for block in blocks.values() if len(block) == 1 for i in block]
     flags = []
     for k in range(1, problem.order + 1):
         a = n_series.coeffs[k]
         b = oracle.coeffs[k]
         flags.append(
-            all(a[i][j] == b[i][j] for i, j in off_block)
+            all(a[i][j] == b[i][j] for i, j in compared)
             and all(x[k] == y[k] for x, y in zip(ours, theirs))
             and (k > 1 or w_series.coeffs[1] == w_parts[0])
         )
@@ -965,89 +1001,90 @@ def _power_traces(series: MatrixSeries, indices: Sequence[int]) -> list:
     k >= 1.  Each product of p coefficients whose orders sum to k is then
     over D0^p E^k, so order k of B^p is a matrix of Gaussian integers over
     D0^p E^k and no sum or product is reduced on the way.  Only
-    B^1..B^m, m = ceil(n/2), are formed as series products.  For p > m,
-    tr(B^p) is taken order by order as the sum over i, j of
-    (B^m)_ij (B^(p-m))_ji, with p - m <= m: one pass over the nonzero
-    entries of B^m instead of another product.  Each trace becomes a
-    canonical GaussianRational once, as (its integer sum) / (D0^p E^k).
-    Every trace still comes from B alone."""
+    B^1..B^m, m = ceil(n/2), are formed as series products, each order
+    as its nonzero rows (``_gaussian_product``), so the cost follows the
+    nonzero products.  For p > m, tr(B^p) is taken order by order as the
+    sum over i, j of (B^m)_ij (B^(p-m))_ji, with p - m <= m: one pass
+    over the nonzero entries of B^(p-m), each looking up its partner in
+    the per-row dicts of B^m (``_split_trace``), instead of another
+    product.  Each trace becomes a canonical GaussianRational once, as
+    (its integer sum) / (D0^p E^k).  Every trace still comes from B
+    alone."""
     n = len(indices)
-    block = [tuple(tuple(a[i][j] for j in indices) for i in indices) for a in series.coeffs]
+    block = [[[a[i][j] for j in indices] for i in indices] for a in series.coeffs]
     d0, e = _denominator(block[:1]), _denominator(block[1:])
     base_rows = top_rows = [_integer_rows(a, d0 * e**k) for k, a in enumerate(block)]
-    powers = [[_gaussian_parts(rows) for rows in base_rows]]
+    powers = [base_rows]
     for _ in range(1, (n + 1) // 2):
-        powers.append(_gaussian_product(top_rows, base_rows, n))
-        top_rows = [_gaussian_rows(c) for c in powers[-1]]
+        top_rows = _gaussian_product(top_rows, base_rows)
+        powers.append(top_rows)
     m = len(powers)
-    sums = [
-        [(sum(re[i][i] for i in range(n)), sum(im[i][i] for i in range(n))) for re, im in power]
-        for power in powers
-    ]
+    sums = [[_diagonal_sum(rows) for rows in power] for power in powers]
+    top = [[{c: (re, im) for c, re, im in row} for row in rows] for rows in top_rows]
     for p in range(m + 1, n + 1):
-        sums.append(_split_trace(top_rows, powers[p - m - 1]))
+        sums.append(_split_trace(top, powers[p - m - 1]))
     return [
         [GaussianRational.from_integers(re, im, d0**p * e**k) for k, (re, im) in enumerate(by_order)]
         for p, by_order in enumerate(sums, start=1)
     ]
 
 
-def _gaussian_parts(rows: list) -> tuple:
-    """The (real, imaginary) parts of a Gaussian-integer matrix given by its
-    nonzero rows: the inverse of ``_gaussian_rows``."""
-    re = [[0] * len(rows) for _ in rows]
-    im = [[0] * len(rows) for _ in rows]
-    for i, row in enumerate(rows):
-        for j, x, y in row:
-            re[i][j] = x
-            im[i][j] = y
-    return re, im
-
-
-def _gaussian_rows(coefficient: tuple) -> list:
-    """Per row of a Gaussian-integer matrix, given as its (real, imaginary)
-    parts, the (column, re, im) triples of its nonzero entries."""
-    re, im = coefficient
-    columns = range(len(re))
-    return [
-        [(j, row_re[j], row_im[j]) for j in compress(columns, map(or_, row_re, row_im))]
-        for row_re, row_im in zip(re, im)
-    ]
-
-
-def _gaussian_product(left: list, right: list, n: int) -> list:
+def _gaussian_product(left: list, right: list) -> list:
     """The truncated series product of two Gaussian-integer matrix series,
-    each given by the nonzero rows of its coefficients; per order, the
-    (real, imaginary) parts of the product."""
+    each given per order by the nonzero rows of its coefficient; per order,
+    the nonzero rows of the product.  Each output row is summed in a dict
+    keyed by column, so the work follows the nonzero products; an entry
+    that cancels to 0 + 0i is dropped, and the columns within a row come
+    in no fixed order."""
     out = []
     for k in range(len(left)):
-        re = [[0] * n for _ in range(n)]
-        im = [[0] * n for _ in range(n)]
-        for j in range(k + 1):
-            b = right[k - j]
-            for i, row in enumerate(left[j]):
-                out_re, out_im = re[i], im[i]
-                for c, xr, xi in row:
+        pairs = [(left[j], right[k - j]) for j in range(k + 1)]
+        rows = []
+        for i in range(len(left[k])):
+            acc = {}
+            for a, b in pairs:
+                for c, xr, xi in a[i]:
                     for l, yr, yi in b[c]:
-                        out_re[l] += xr * yr - xi * yi
-                        out_im[l] += xr * yi + xi * yr
-        out.append((re, im))
+                        if l in acc:
+                            s = acc[l]
+                            s[0] += xr * yr - xi * yi
+                            s[1] += xr * yi + xi * yr
+                        else:
+                            acc[l] = [xr * yr - xi * yi, xr * yi + xi * yr]
+            rows.append([(l, re, im) for l, (re, im) in acc.items() if re or im])
+        out.append(rows)
     return out
 
 
+def _diagonal_sum(rows: list) -> tuple:
+    """The trace, as (real, imaginary) integers, of a Gaussian-integer
+    matrix given by its nonzero rows."""
+    total_re = total_im = 0
+    for i, row in enumerate(rows):
+        for c, re, im in row:
+            if c == i:
+                total_re += re
+                total_im += im
+    return total_re, total_im
+
+
 def _split_trace(left: list, right: list) -> list:
-    """tr(X Y) by order as (real, imaginary) integers, X given by the
-    nonzero rows of its coefficients and Y by their parts."""
+    """tr(X Y) by order as (real, imaginary) integers, X given per order
+    by one dict {column: (re, im)} per row of its coefficient and Y by the
+    nonzero rows of its coefficients: the sum over the entries Y_li of
+    Y_li X_il, an absent X_il being 0."""
     out = []
     for k in range(len(left)):
         total_re = total_im = 0
         for j in range(k + 1):
-            b_re, b_im = right[k - j]
-            for i, row in enumerate(left[j]):
-                for l, xr, xi in row:
-                    yr, yi = b_re[l][i], b_im[l][i]
-                    total_re += xr * yr - xi * yi
-                    total_im += xr * yi + xi * yr
+            x_rows = left[j]
+            for l, row in enumerate(right[k - j]):
+                for i, yr, yi in row:
+                    x = x_rows[i].get(l)
+                    if x is not None:
+                        xr, xi = x
+                        total_re += xr * yr - xi * yi
+                        total_im += xr * yi + xi * yr
         out.append((total_re, total_im))
     return out
 

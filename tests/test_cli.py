@@ -410,6 +410,24 @@ def test_malformed_problem_exits_2_with_a_message(tmp_path, capsys, data):
             assert f'unknown key "{key}"' in captured.err
 
 
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        # a list where a scalar belongs: literals are parsed once each, other entries as before
+        ([["0", ["1"]], ["1", "0"]], "expected a scalar literal"),
+        # one repeated literal on both sides of the diagonal
+        ([["0", "1+i"], ["1+i", "0"]], "not Hermitian at (0,1)"),
+    ],
+)
+def test_bad_matrix_entries_exit_2_with_their_message(tmp_path, capsys, v, message):
+    path = write_problem(tmp_path, {**TWO_LEVEL, "V": v})
+    for argv in (["solve", path], ["oracle", path]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+
 def test_corrupt_word_longer_than_max_length_exits_2(capsys):
     verify = ["verify", "--alphabet", "i,-i,0", "--corrupt-word", "i,-i,0"]
     assert main(verify + ["-L", "2"]) == 2

@@ -145,6 +145,12 @@ def trace_bumped(traces):
     return traces
 
 
+def split_trace_bumped(traces):
+    """A split trace, (real, imaginary) integers by order, one higher in
+    its real part at order 1."""
+    return [(re + 1, im) if k == 1 else (re, im) for k, (re, im) in enumerate(traces)]
+
+
 EVERY_CHECK = {
     "commutation",
     "conjugacy",
@@ -186,6 +192,9 @@ FAULTS = {
     "oracle_w_entry": ("_oracle_generator", on_call(1, entry_bumped), "simple", {"oracle_match"}),
     # the first call forms the traces of H0 + mu V in verify_conjugacy
     "power_trace": ("_power_traces", on_call(0, trace_bumped), "simple", {"trace_powers.1"}),
+    # with n = 3 only B^1 and B^2 are formed: the first split trace is
+    # tr(B^3) of H0 + mu V, in verify_conjugacy
+    "split_trace": ("_split_trace", on_call(0, split_trace_bumped), "simple", {"trace_powers.3"}),
 }
 
 

@@ -32,7 +32,7 @@ from mouldpert.operators import (
     verify_conjugacy,
     zero_matrix,
 )
-from mouldpert.scalars import GaussianRational, I, ONE, ZERO
+from mouldpert.scalars import GaussianRational, I, ONE, ZERO, parse_scalar
 
 
 def gr(re, im=0):
@@ -191,6 +191,31 @@ def test_json_roundtrip():
     assert data["E0"] == ["0", "1"]
     again = PerturbationProblem.from_json_dict(data)
     assert again == problem
+
+
+def test_repeated_literals_are_parsed_once_per_matrix(monkeypatch):
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_scalar(text)
+
+    monkeypatch.setattr(operators, "parse_scalar", counting)
+    m = operators.mat_from_json([["0", "1+i", "0"], ["1-i", "0", 2], ["0", 2, "1/2"]])
+    assert m == (
+        (ZERO, gr(1, 1), ZERO),
+        (gr(1, -1), ZERO, gr(2)),
+        (ZERO, gr(2), gr(Fraction(1, 2))),
+    )
+    assert sorted(parsed) == ["0", "1+i", "1-i", "1/2"]
+
+
+@pytest.mark.parametrize("entry", [[], True, None, {"re": "1"}, 1.5])
+def test_matrix_entries_that_are_not_scalars_are_named(entry):
+    for rows in ([["0", entry], ["0", "0"]], [[entry]]):
+        with pytest.raises(ValueError) as raised:
+            operators.mat_from_json(rows)
+        assert str(raised.value) == f"expected a scalar literal string or an integer, got {entry!r}"
 
 
 def test_random_problem_is_reproducible_and_simple():
@@ -683,6 +708,19 @@ def test_hermiticity_checks_flag_their_own_series():
     assert not report.ok
 
 
+@given(data=st.data(), dim=st.integers(1, 5), hermitian=st.booleans())
+def test_hermiticity_is_equality_with_the_adjoint(data, dim, hermitian):
+    a = data.draw(sparse_matrices(dim))
+    if hermitian:
+        a = tuple(
+            tuple(a[i][j] if i < j else a[j][i].conjugate() if i > j else gr(a[i][i].re) for j in range(dim))
+            for i in range(dim)
+        )
+    assert operators.mat_is_hermitian(a) == (a == mat_adjoint(a))
+    if hermitian:
+        assert operators.mat_is_hermitian(a)
+
+
 def test_trace_check_catches_a_changed_normal_form():
     problem = two_level_problem(order=4)
     out = solve(problem)
@@ -1028,6 +1066,20 @@ def test_series_product_matches_a_dense_convolution(data, dim, order):
     assert series_mul(a, b) == dense_series_mul(a, b)
 
 
+def integer_series(a, den):
+    """A series as the integer rows of its coefficients, all over den."""
+    return [operators._integer_rows(c, den) for c in a.coeffs]
+
+
+def from_integer_rows(rows, den, dim):
+    """The GaussianRational matrix of Gaussian-integer rows over den."""
+    out = [[ZERO] * dim for _ in range(dim)]
+    for i, row in enumerate(rows):
+        for j, re, im in row:
+            out[i][j] = GaussianRational.from_integers(re, im, den)
+    return tuple(tuple(row) for row in out)
+
+
 def test_products_that_cancel_exactly_are_zero():
     a = ((gr(1), gr(1, 1)), (gr(1, 2), gr(0)))
     b = ((gr(1), gr(0)), (gr(Fraction(-1, 2), Fraction(1, 2)), gr(0)))  # 1 + (1+i)(-1+i)/2 = 0
@@ -1038,6 +1090,23 @@ def test_products_that_cancel_exactly_are_zero():
     product = series_mul(x, y)
     assert product.coeffs[1] == zero_matrix(2)
     assert product == dense_series_mul(x, y)
+    # on integer rows over 2, a b is over 4: its row 0 cancels and is dropped, not
+    # kept as 0 + 0i, and 1 + 2i is (4 + 8i) / 4
+    ab = operators._gaussian_product([operators._integer_rows(a, 2)], [operators._integer_rows(b, 2)])
+    assert ab == [[[], [(0, 4, 8)]]]
+    assert operators._gaussian_product(integer_series(x, 2), integer_series(y, 2))[1] == [[], []]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 5), order=st.integers(0, 3))
+def test_integer_product_matches_a_dense_convolution(data, dim, order):
+    a = data.draw(sparse_series(dim, order))
+    b = data.draw(sparse_series(dim, order))
+    den_a, den_b = operators._denominator(a.coeffs), operators._denominator(b.coeffs)
+    rows = operators._gaussian_product(integer_series(a, den_a), integer_series(b, den_b))
+    assert all(re or im for by_order in rows for row in by_order for _, re, im in row)
+    product = MatrixSeries([from_integer_rows(r, den_a * den_b, dim) for r in rows])
+    assert product == dense_series_mul(a, b)
 
 
 def unipotent_series(dim, order):
