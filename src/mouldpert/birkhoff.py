@@ -21,7 +21,10 @@ The recurrence is exact: U_minus values are finite polynomials in e^-1,
 so residues never lose accuracy; U_plus values are guaranteed through
 the accuracy requested (degree 0 suffices for the scalar moulds, and the
 engine widens T requests by the polar depth of the U_minus factor in
-each product term).
+each product term).  The sum over the splittings w = a.b of
+U_minus^a T^b is formed in one coefficient table
+(``Laurent.sum_of_products``), and T^w is its prefix divided by the
+linear s + r e, so no factor inverse is formed.
 """
 
 from __future__ import annotations
@@ -56,27 +59,24 @@ __all__ = [
 def make_T(alphabet: Alphabet) -> Mould:
     """The Laurent-valued mould 1/prod_j(s_j + j e), evaluated lazily.
 
-    Evaluation extends the memoized value of the length-(r-1) prefix by
-    the Laurent inverse of s + r e, with s the partial sum: the exact
-    monomial (1/r) e^-1 when s vanishes (the prefix is then requested one
-    degree deeper), else a geometric expansion deepened by the prefix's
-    polar depth, so the product is guaranteed through the requested
-    accuracy.  Factors are cached per (s, r, accuracy) in this mould.  The
-    valuation of T^w is minus the number of vanishing partial sums.
+    Evaluation divides the memoized value of the length-(r-1) prefix by
+    s + r e, with s the partial sum (``Laurent.over_linear``).  When s
+    vanishes the divisor's inverse is the exact (1/r) e^-1, a scale and a
+    shift, and the prefix is requested one degree deeper.  Otherwise the
+    quotient runs the recurrence q_k = (p_k - r q_{k-1}) / s through
+    min(acc(prefix), need + mindeg(prefix)), need = acc plus the prefix's
+    polar depth, so it is guaranteed through the requested accuracy; no
+    factor of the product is formed or cached.  The valuation of T^w is
+    minus the number of vanishing partial sums.
     """
-    factors: dict = {}
 
     def fn(word: Word, acc: int) -> Laurent:
         if len(word) == 0:
             return Laurent.one()
-        r = len(word)
         s = alphabet.phi(word)
         prefix = mould.value(word[:-1], acc if s else acc + 1)
         need = acc + max(0, -prefix.min_degree_bound())
-        factor = factors.get((s, r, need))
-        if factor is None:
-            factor = factors[s, r, need] = Laurent.from_pairs([(0, s), (1, r)]).inverse(need)
-        return prefix * factor
+        return prefix.over_linear(s, len(word), need)
 
     mould = Mould(alphabet, fn)
     return mould
@@ -98,8 +98,8 @@ class BirkhoffEngine:
         self._pairs: dict = {}
         self.u_minus = Mould(alphabet, lambda w, acc: self._pair(w, 0)[0])
         self.u_plus = Mould(alphabet, lambda w, acc: self._pair(w, acc)[1])
-        self.R = Mould.constant_from(alphabet, self.coeff_R)
-        self.S = Mould.constant_from(alphabet, self.coeff_S)
+        self.R = Mould.constant_from(alphabet, lambda w: self.coeff_R(w))
+        self.S = Mould.constant_from(alphabet, lambda w: self.coeff_S(w))
 
     def _pair(self, word: Word, acc: int) -> tuple:
         """(U_minus^word, U_plus^word), the latter guaranteed through acc."""
@@ -111,14 +111,14 @@ class BirkhoffEngine:
         if len(word) == 0:
             pair = (Laurent.one(), Laurent.one())
         else:
-            total = Laurent.zero()
+            terms = []
             for j in range(len(word)):
                 u_minus_prefix = self._pair(word[:j], 0)[0]
                 if u_minus_prefix.is_exact_zero:
                     continue
                 depth = max(0, -u_minus_prefix.min_degree_bound())
-                t_suffix = self.T.value(word[j:], acc + depth)
-                total = total + u_minus_prefix * t_suffix
+                terms.append((u_minus_prefix, self.T.value(word[j:], acc + depth)))
+            total = Laurent.sum_of_products(terms)
             pair = (-total.polar_part(), total.regular_part())
         self._pairs[word] = pair
         return pair

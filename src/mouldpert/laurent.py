@@ -16,7 +16,15 @@ Accuracy bookkeeping follows two rules:
 
 * sums keep the worse accuracy of the operands;
 * products of f and g are guaranteed through
-  min(acc(f) + mindeg(g), acc(g) + mindeg(f)).
+  min(acc(f) + mindeg(g), acc(g) + mindeg(f)) (``_product_acc``).
+
+A sum of products is formed in one coefficient table
+(:meth:`Laurent.sum_of_products`), with the windows the separate
+products and sums would give; ``*`` is its one-term case.  Division by
+a linear s + r e runs the recurrence q_k = (p_k - r q_{k-1}) / s
+(:meth:`Laurent.over_linear`).  ``inverse`` is the general series
+inverse; no computation in the package calls it, but the benchmark's
+per-layer micro case times it.
 
 Consumers that need a deeper window must request it explicitly; reading
 an unguaranteed coefficient raises :class:`InsufficientAccuracyError`
@@ -43,6 +51,16 @@ def _min_acc(a: Optional[int], b: Optional[int]) -> Optional[int]:
     if b is None:
         return a
     return min(a, b)
+
+
+def _product_acc(acc_f: Optional[int], low_f: int, acc_g: Optional[int], low_g: int) -> Optional[int]:
+    """Accuracy of f * g from each factor's accuracy and valuation bound:
+    min(acc f + mindeg g, acc g + mindeg f), None when both are exact."""
+    if acc_f is None:
+        return None if acc_g is None else acc_g + low_f
+    if acc_g is None:
+        return acc_f + low_g
+    return min(acc_f + low_g, acc_g + low_f)
 
 
 class Laurent:
@@ -207,29 +225,95 @@ class Laurent:
             return self.scale(other)
         if not isinstance(other, Laurent):
             return NotImplemented
-        if self.is_exact_zero or other.is_exact_zero:
-            return _EXACT_ZERO
-        if self._acc is None and other._acc is None:
-            acc = None
-        elif self._acc is None:
-            acc = other._acc + self.min_degree_bound()
-        elif other._acc is None:
-            acc = self._acc + other.min_degree_bound()
-        else:
-            acc = min(
-                self._acc + other.min_degree_bound(),
-                other._acc + self.min_degree_bound(),
-            )
-        if not self._coeffs or not other._coeffs:
-            return Laurent(0, (), acc)
-        out = [ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if not a:
+        return Laurent.sum_of_products(((self, other),))
+
+    @staticmethod
+    def sum_of_products(terms) -> "Laurent":
+        """The sum of f * g over the (f, g) pairs of ``terms``, formed in one
+        coefficient table.
+
+        Coefficients and window equal those of the separate products
+        folded into a sum: a pair with an exact-zero factor adds nothing;
+        every other pair bounds the accuracy by its product rule
+        (``_product_acc``), windowed zeros included, and the sum keeps the
+        least of those bounds.  Only degrees up to that bound are formed.
+        The result is the exact zero when every pair is exact and they
+        cancel.
+        """
+        acc = None
+        lo = hi = None
+        live = []
+        for f, g in terms:
+            f_coeffs, f_acc = f._coeffs, f._acc
+            g_coeffs, g_acc = g._coeffs, g._acc
+            if f_coeffs:
+                f_low = f._min
+            elif f_acc is None:
                 continue
-            for j, b in enumerate(other._coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return Laurent(self._min + other._min, out, acc)
+            else:
+                f_low = f_acc + 1
+            if g_coeffs:
+                g_low = g._min
+            elif g_acc is None:
+                continue
+            else:
+                g_low = g_acc + 1
+            bound = _product_acc(f_acc, f_low, g_acc, g_low)
+            if bound is not None and (acc is None or bound < acc):
+                acc = bound
+            if f_coeffs and g_coeffs:
+                low = f_low + g_low
+                top = low + len(f_coeffs) + len(g_coeffs) - 2
+                if lo is None or low < lo:
+                    lo = low
+                if hi is None or top > hi:
+                    hi = top
+                live.append((low, f_coeffs, g_coeffs))
+        if acc is not None and hi is not None and acc < hi:
+            hi = acc
+        if lo is None or hi < lo:
+            return _EXACT_ZERO if acc is None else Laurent(0, (), acc)
+        width = hi - lo + 1
+        out = [ZERO] * width
+        for low, f_coeffs, g_coeffs in live:
+            k = low - lo
+            for a in f_coeffs:
+                room = width - k
+                if room <= 0:
+                    break
+                if a:
+                    for j, b in enumerate(g_coeffs[:room], k):
+                        if b:
+                            out[j] = out[j] + a * b
+                k += 1
+        return Laurent(lo, out, acc)
+
+    def over_linear(self, s: GaussianRational, r: int, need: int) -> "Laurent":
+        """self / (s + r e): the coefficients and window of self times the
+        inverse of s + r e known through degree need >= 0.
+
+        For s != 0 the quotient is run up the recurrence
+        q_k = (p_k - r q_{k-1}) / s from the valuation of self to the
+        product accuracy min(acc(self), need + mindeg(self)).  For s == 0
+        the inverse is the exact (1/r) e^-1: a scale and a shift.
+        """
+        if self.is_exact_zero:
+            return _EXACT_ZERO
+        if not s:
+            return self.scale(GaussianRational.from_integers(1, 0, r)).shift(-1)
+        acc = _product_acc(self._acc, self.min_degree_bound(), need, 0)
+        if not self._coeffs or acc < self._min:
+            return Laurent(0, (), acc)
+        inv_s = s.reciprocal()
+        minus_r = GaussianRational(-r)
+        p = self._coeffs
+        q = [p[0] * inv_s]
+        for k in range(1, acc - self._min + 1):
+            step = q[-1] * minus_r
+            if k < len(p):
+                step = step + p[k]
+            q.append(step * inv_s)
+        return Laurent(self._min, q, acc)
 
     __rmul__ = __mul__
 

@@ -202,8 +202,10 @@ class Mould:
         return f"<mould over {self.alphabet!r}>"
 
 
-def _product_value(factors: list, acc: int) -> Laurent:
-    """Product of mould values, guaranteed through degree acc.
+def _product_value(factors: list, acc: int):
+    """The values of one product term, fetched deep enough that their
+    product is guaranteed through degree acc; None when one of them is
+    the exact zero.
 
     ``factors`` is a list of (mould, word) pairs.  Each factor is first
     evaluated at acc; factors are then re-requested deeper when the polar
@@ -213,7 +215,7 @@ def _product_value(factors: list, acc: int) -> Laurent:
     for mould, word in factors:
         v = mould.value(word, acc)
         if v.is_exact_zero:
-            return Laurent.zero()
+            return None
         values.append(v)
     bounds = [v.min_degree_bound() for v in values]
     total = sum(bounds)
@@ -221,10 +223,12 @@ def _product_value(factors: list, acc: int) -> Laurent:
         need = acc - (total - bounds[i])
         if need > acc:
             values[i] = mould.value(word, need)
-    out = values[0]
-    for v in values[1:]:
-        out = out * v
-    return out
+    return values
+
+
+@lru_cache(maxsize=None)
+def _integer_constant(m: int) -> Laurent:
+    return Laurent.monomial(m, 0)
 
 
 def mould_product(left: Mould, right: Mould) -> Mould:
@@ -233,10 +237,11 @@ def mould_product(left: Mould, right: Mould) -> Mould:
         raise MouldError("mould product requires a shared alphabet")
 
     def fn(word: Word, acc: int) -> Laurent:
-        total = Laurent.zero()
-        for j in range(len(word) + 1):
-            total = total + _product_value([(left, word[:j]), (right, word[j:])], acc)
-        return total
+        terms = (
+            _product_value([(left, word[:j]), (right, word[j:])], acc)
+            for j in range(len(word) + 1)
+        )
+        return Laurent.sum_of_products(t for t in terms if t is not None)
 
     return Mould(left.alphabet, fn)
 
@@ -249,11 +254,11 @@ def mould_inverse(mould: Mould) -> Mould:
     def fn(word: Word, acc: int) -> Laurent:
         if len(word) == 0:
             return Laurent.one()
-        total = Laurent.zero()
-        for j in range(1, len(word) + 1):
-            a, b = word[:j], word[j:]
-            total = total + _product_value([(mould, a), (inverse, b)], acc)
-        return -total
+        terms = (
+            _product_value([(mould, word[:j]), (inverse, word[j:])], acc)
+            for j in range(1, len(word) + 1)
+        )
+        return -Laurent.sum_of_products(t for t in terms if t is not None)
 
     inverse = Mould(mould.alphabet, fn)
     return inverse
@@ -287,14 +292,19 @@ def _composition_sum(mould: Mould, word: Word, acc: int, coefficient: Callable[[
     splittings of word into k nonempty consecutive blocks: the word's
     value of a power series in M, for M vanishing on the empty word."""
     r = len(word)
-    total = Laurent.zero()
+    terms = []
     for k in range(1, r + 1):
-        coeff = coefficient(k)
+        coeff = Laurent.monomial(coefficient(k), 0)
         for cuts in itertools.combinations(range(1, r), k - 1):
             edges = (0,) + cuts + (r,)
             blocks = [(mould, word[edges[i]:edges[i + 1]]) for i in range(k)]
-            total = total + _product_value(blocks, acc).scale(coeff)
-    return total
+            values = _product_value(blocks, acc)
+            if values is not None:
+                head = coeff
+                for v in values[:-1]:
+                    head = head * v
+                terms.append((head, values[-1]))
+    return Laurent.sum_of_products(terms)
 
 
 def mould_exp(mould: Mould) -> Mould:
@@ -368,13 +378,11 @@ def _shuffle_check(mould: Mould, max_length: int, character: bool, acc: int) -> 
                     if la == lb and b < a:
                         continue
                     report.pairs_checked += 1
-                    lhs = Laurent.zero()
-                    for n, mult in _shuffle_pairs(a, b):
-                        lhs = lhs + mould.value(n, acc).scale(GaussianRational(mult))
-                    if character:
-                        rhs = _product_value([(mould, a), (mould, b)], acc)
-                    else:
-                        rhs = Laurent.zero()
+                    lhs = Laurent.sum_of_products(
+                        (mould.value(n, acc), _integer_constant(mult)) for n, mult in _shuffle_pairs(a, b)
+                    )
+                    product = _product_value([(mould, a), (mould, b)], acc) if character else None
+                    rhs = Laurent.zero() if product is None else Laurent.sum_of_products([product])
                     if not lhs.agrees_with(rhs, acc):
                         report.violations.append(ShuffleViolation(a, b, lhs, rhs))
     return report

@@ -265,16 +265,19 @@ class PerturbationProblem:
     def is_simple(self) -> bool:
         return len(set(self.e0)) == self.dim
 
+    @functools.cached_property
     def h0_matrix(self) -> tuple:
+        """H0 as a diagonal matrix, built once from the integer levels over D."""
+        den, level = self.levels
         return tuple(
-            tuple(GaussianRational(self.e0[i]) if i == j else ZERO for j in range(self.dim))
-            for i in range(self.dim)
+            tuple(GaussianRational.from_integers(e, 0, den) if i == j else ZERO for j in range(self.dim))
+            for i, e in enumerate(level)
         )
 
     def h_series(self) -> MatrixSeries:
         """H0 + mu*V as a matrix series truncated at the problem order."""
         return MatrixSeries.from_orders(
-            self.dim, self.order, {0: self.h0_matrix(), 1: self.v}
+            self.dim, self.order, {0: self.h0_matrix, 1: self.v}
         )
 
     @functools.cached_property
@@ -1094,7 +1097,7 @@ def _split_trace(left: list, right: list) -> list:
 
 def _normal_series(problem: PerturbationProblem, n_series: MatrixSeries) -> MatrixSeries:
     """H0 + N as a matrix series: H0 at order 0, N_k at order k."""
-    return MatrixSeries([problem.h0_matrix()] + list(n_series.coeffs[1:]))
+    return MatrixSeries([problem.h0_matrix] + list(n_series.coeffs[1:]))
 
 
 def eigenvalue_series(problem: PerturbationProblem, n_series: MatrixSeries) -> Optional[dict]:
@@ -1158,7 +1161,7 @@ def numeric_compare(
     double-precision range is reported as skipped, with the reason; the
     exact checks do not depend on it.
     """
-    h_series = MatrixSeries([problem.h0_matrix(), problem.v])
+    h_series = MatrixSeries([problem.h0_matrix, problem.v])
     normal_series = _normal_series(problem, n_series)
     samples = []
     for mu in mu_samples:

@@ -342,6 +342,15 @@ def editing_R(alphabet, word):
             ("0",),
             "(i) nabla_Phi U_minus = -R x U_minus",
         ),
+        # (i) and (ii) read R through engine.R, which calls coeff_R when evaluated
+        *(
+            (verify_grading_identities, editing_R, letters, label)
+            for letters in (("0",), ("i",), ("i", "-i"))
+            for label in (
+                "(i) nabla_Phi U_minus = -R x U_minus",
+                "(ii) nabla_Phi U_plus = U_plus x I - R x U_plus",
+            )
+        ),
     ],
 )
 def test_each_identity_records_a_wrong_value(suite, make_engine, letters, label):

@@ -1,6 +1,7 @@
 """Exit codes and JSON output of the command-line front end."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -642,3 +643,47 @@ def test_exit_contract_holds_for_any_problem_and_flags(data, problem):
         assert err.getvalue().strip()
     if code == 1:
         assert some_flag_is_false(argv[0], json.loads(out.getvalue()))
+
+
+# sha256 of stdout and the exit code, recorded before the word engine summed
+# its products in one coefficient table: `moulds` prints every coefficient a
+# value stores, so these hold each Laurent window fixed, not only the values.
+GOLDEN_DIGESTS = (
+    (("moulds", "--alphabet", "i,-i,2i,0", "-L", "4", "--acc", "0"), 0,
+     "741ac8adf5aff0d6a0800eb9e96156015a2723b7d804f5c01cbf1809f3d63820"),
+    (("moulds", "--alphabet", "i,-i,2i,0", "-L", "4", "--acc", "2"), 0,
+     "8bddcdee1daa49eaad9123ccf7ea4b579b743c4ac20bb79748cd6b4f7efb66e5"),
+    (("moulds", "--alphabet", "i,-i,2i,0", "-L", "4", "--acc", "4"), 0,
+     "6232f1871a63f9c7d1dc637f106201d9d2d8242f597c3554d5a094aef141b29f"),
+    (("verify", "--alphabet", "i,-i,2i,0", "-L", "4", "--corrupt-word", "0"), 1,
+     "f0c6b752a3d8eb392a213e065fd8fc97a20707821f8b8e14654516af1a65d9ea"),
+    (("moulds", "--alphabet", "i,-i,1,-1,0", "-L", "3", "--acc", "0"), 0,
+     "c69c13c36e37cc6aa52b2a1b91e6e69f37be53d7e0e87a5c2d4936481331ad97"),
+    (("moulds", "--alphabet", "i,-i,1,-1,0", "-L", "3", "--acc", "2"), 0,
+     "b9bf0ec46b69b1a0fe67469e9604ad6aee8dbc91996fcfa2d7fb677d9a482fe1"),
+    (("moulds", "--alphabet", "i,-i,1,-1,0", "-L", "3", "--acc", "4"), 0,
+     "686b9c687da7d5aa8f57067c79092a534d7207110be4290ae998562ef5188741"),
+    (("verify", "--alphabet", "i,-i,1,-1,0", "-L", "3", "--corrupt-word", "0"), 1,
+     "8bee5c6ec312d798ff30995e31cd8d028bf7266afb0e1604f84f18c235e24a06"),
+)
+GOLDEN_VERIFY = os.path.join(os.path.dirname(__file__), "golden", "verify_corrupt_0.json")
+
+
+def run_main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def test_windows_and_violation_strings_are_unchanged():
+    changed = []
+    for argv, code, digest in GOLDEN_DIGESTS:
+        got_code, out = run_main(argv)
+        if (got_code, hashlib.sha256(out.encode()).hexdigest()) != (code, digest):
+            changed.append(" ".join(argv))
+    code, out = run_main(("verify", "--alphabet", "i,-i,0", "-L", "2", "--corrupt-word", "0"))
+    with open(GOLDEN_VERIFY, encoding="utf-8") as handle:
+        if (code, out) != (1, handle.read()):
+            changed.append("verify --alphabet i,-i,0 -L 2 --corrupt-word 0")
+    assert not changed, changed

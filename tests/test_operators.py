@@ -261,7 +261,7 @@ def test_decomposition_invariants(seed, hbar):
     problem = random_problem(4, 2, seed=seed, hbar=hbar)
     sd = spectral_decompose(problem)
     total = zero_matrix(problem.dim)
-    h0 = problem.h0_matrix()
+    h0 = problem.h0_matrix
     inv_ihbar = GaussianRational(0, -Fraction(1) / hbar)
     for index, lam in enumerate(sd.alphabet.letters):
         comp = sd.components[index]
@@ -668,7 +668,7 @@ def test_residual_magnitudes_are_those_of_the_dense_differences():
         report = verify_conjugacy(problem, n_series, c_series, w_series)
         clean.append(report.ok)
         c_adj = series_adjoint(c_series)
-        rhs = MatrixSeries([problem.h0_matrix()] + list(n_series.coeffs[1:]))
+        rhs = MatrixSeries([problem.h0_matrix] + list(n_series.coeffs[1:]))
         identity = MatrixSeries.from_orders(problem.dim, problem.order, {0: identity_matrix(problem.dim)})
         conjugacy = dense_series_mul(dense_series_mul(c_series, problem.h_series()), c_adj)
         unitarity = dense_series_mul(c_series, c_adj)
