@@ -318,7 +318,12 @@ class Laurent:
     __rmul__ = __mul__
 
     def inverse(self, target_acc: int) -> "Laurent":
-        """Multiplicative inverse g with self * g == 1 through degree target_acc."""
+        """Multiplicative inverse g with self * g == 1 through degree target_acc.
+
+        The package itself divides only by linear factors (``over_linear``);
+        this general inverse is the tests' reference for that division and
+        the benchmark's micro case.
+        """
         if self.is_exact_zero:
             raise ZeroDivisionError("inverting the exact zero series")
         if not self._coeffs:

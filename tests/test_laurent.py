@@ -344,10 +344,9 @@ factors = st.one_of(laurents(max_len=4), st.just(Laurent.zero()), windowed_zeros
 
 
 def assert_same(got, want):
+    """Same stored coefficients and the same window."""
+    assert (got.to_json(), got.acc_order) == (want.to_json(), want.acc_order)
     assert got == want
-    assert got.acc_order == want.acc_order
-    assert got.is_exact_zero == want.is_exact_zero
-    assert got.to_json() == want.to_json()
 
 
 @given(st.lists(st.tuples(factors, factors), max_size=5))
