@@ -23,8 +23,12 @@ splits V into eigencomponents B_lam of the rescaled commutator with H0
 (``build_normal_form``); it is built only for the coefficient table of
 the solve JSON, and the tests keep it, and the mould expansion of W
 (log(S)^w / len(w) times nested brackets), as independent references.
-Everything is exact except the final optional comparison against a
-double-precision eigensolver.
+Its walk runs on integers too: letter sums are integer level gaps, and
+each bracket is one fused kernel on Gaussian-integer rows
+(``SpectralDecomposition.sparse_left_bracket``), shared with neither the
+checks nor the oracle; GaussianRational values are formed once per entry
+of N.  Everything is exact except the final optional comparison against
+a double-precision eigensolver.
 
 Sign conventions: the entry in row k, column l of V belongs to the
 component with letter lam = (E0(k) - E0(l)) / (i hbar), which is exactly
@@ -142,10 +146,6 @@ def _first_non_hermitian(a: tuple) -> Optional[tuple]:
 def mat_is_hermitian(a: tuple) -> bool:
     """a equals its adjoint, diagonal included."""
     return _first_non_hermitian(a) is None
-
-
-def mat_is_zero(a: tuple) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def mat_magnitude(a: tuple) -> int:
@@ -390,50 +390,68 @@ class SpectralDecomposition:
     always there and the alphabet is closed under negation.
     Component matrices satisfy [H0, B_lam]/(i hbar) = lam * B_lam exactly and
     sum to V; the adjoint of B_lam is B_(-lam).
+
+    For the word walk each letter also has its integer gap
+    level(k) - level(l) (``PerturbationProblem.levels``), lam = -i gap /
+    (hbar D_E), so letter sums vanish exactly when gap sums do, and each
+    component its nonzero rows as Gaussian integers over ``den``, the lcm
+    of the denominators of V (``_integer_rows``).
     """
 
     def __init__(self, problem: PerturbationProblem):
         self.problem = problem
         dim = problem.dim
-        inv_hbar = Fraction(1) / problem.hbar
-        letter_of: dict = {}
-        for k in range(dim):
-            for l in range(dim):
-                if problem.v[k][l]:
-                    lam = GaussianRational(0, (problem.e0[k] - problem.e0[l]) * (-inv_hbar))
-                    letter_of[(k, l)] = lam
-        ordered = sorted(set(letter_of.values()), key=lambda z: (z.re, z.im))
-        self.alphabet = Alphabet(ordered)
-        components = [
-            [[ZERO] * dim for _ in range(dim)] for _ in range(len(ordered))
-        ]
-        for (k, l), lam in letter_of.items():
-            components[self.alphabet.index(lam)][k][l] = problem.v[k][l]
+        (level_den, level), p, q = problem.levels, problem.hbar.numerator, problem.hbar.denominator
+        gap_of = {(k, l): level[k] - level[l] for k in range(dim) for l in range(dim) if problem.v[k][l]}
+        # lam = -i q gap / (p D_E): ordered by (re, im), the letters run from the largest gap down
+        self.gaps = tuple(sorted(set(gap_of.values()), reverse=True))
+        self.alphabet = Alphabet(GaussianRational.from_integers(0, -q * g, p * level_den) for g in self.gaps)
+        index = {g: i for i, g in enumerate(self.gaps)}
+        components = [[[ZERO] * dim for _ in range(dim)] for _ in self.gaps]
+        for (k, l), g in gap_of.items():
+            components[index[g]][k][l] = problem.v[k][l]
         self.components = tuple(tuple(tuple(row) for row in comp) for comp in components)
-        self.inv_ihbar = GaussianRational(0, -inv_hbar)
-        # nonzero rows of B/(i hbar) and -B/(i hbar), the factors of the brackets
-        self._left_rows = [_nonzero_rows(mat_scale(self.inv_ihbar, b)) for b in self.components]
-        self._right_rows = [_nonzero_rows(mat_scale(-self.inv_ihbar, b)) for b in self.components]
+        self.inv_ihbar = GaussianRational.from_integers(0, -q, p)
+        self.den = _denominator([problem.v])
+        self.component_rows = [_integer_rows(b, self.den) for b in self.components]
 
-    def sparse_left_bracket(self, letter_index: int, x: tuple) -> tuple:
-        """[B_letter, x] / (i hbar) = (B/(i hbar)) x + x (-B/(i hbar)), over
-        the nonzero rows of the factors."""
-        dim = self.problem.dim
-        out = [[ZERO] * dim for _ in range(dim)]
-        x_rows = _nonzero_rows(x)
-        _accumulate(out, self._left_rows[letter_index], x_rows)
-        _accumulate(out, x_rows, self._right_rows[letter_index])
-        return tuple(tuple(row) for row in out)
+    def sparse_left_bracket(self, letter_index: int, x: list) -> list:
+        """The nonzero rows of B x - x B, B the component of the letter as
+        Gaussian integers over ``den`` and x given by its nonzero rows: the
+        bracket [B_letter, x] / (i hbar) times the nonzero scalar
+        (i hbar) den, so it vanishes exactly when that bracket does.  One
+        fused kernel, shared with neither the checks nor the oracle."""
+        b_rows = self.component_rows[letter_index]
+        out = []
+        for b_row, x_row in zip(b_rows, x):
+            acc = {}
+            for c, br, bi in b_row:
+                for l, xr, xi in x[c]:
+                    if l in acc:
+                        s = acc[l]
+                        s[0] += br * xr - bi * xi
+                        s[1] += br * xi + bi * xr
+                    else:
+                        acc[l] = [br * xr - bi * xi, br * xi + bi * xr]
+            for c, xr, xi in x_row:
+                for l, br, bi in b_rows[c]:
+                    if l in acc:
+                        s = acc[l]
+                        s[0] -= xr * br - xi * bi
+                        s[1] -= xr * bi + xi * br
+                    else:
+                        acc[l] = [xi * bi - xr * br, -xr * bi - xi * br]
+            out.append([(l, re, im) for l, (re, im) in acc.items() if re or im])
+        return out
 
     def reachable_sums(self, max_letters: int) -> list:
-        """reach[m] = set of letter sums attainable with at most m letters."""
-        values = self.alphabet.letters
-        reach = [{ZERO}]
+        """reach[m] = set of gap sums attainable with at most m letters."""
+        reach = [{0}]
         for _ in range(max_letters):
             grown = set(reach[-1])
             for s in reach[-1]:
-                for v in values:
-                    grown.add(s + v)
+                for g in self.gaps:
+                    grown.add(s + g)
             reach.append(grown)
         return reach
 
@@ -455,46 +473,94 @@ def build_normal_form(
     table of the solve JSON; ``solve`` takes N from ``build_conjugator``,
     and the tests hold the two equal.
 
-    Words are walked right to left so each step costs one sparse bracket;
-    prefixes that cannot be completed to a word with zero letter sum are
-    pruned before their bracket is formed (coefficients of nonresonant
-    words vanish by the support property, which the verification suite
-    checks independently), and branches die as soon as the bracket
-    vanishes.
+    The walk runs on integers.  Words are walked right to left so each
+    step costs one bracket (``sparse_left_bracket``), of Gaussian-integer
+    rows: a word of length k carries its nested bracket times
+    (i hbar)^(k-1) den^k, den the denominator of the components.  Letter
+    sums are the integer gap sums of ``SpectralDecomposition.gaps``:
+    prefixes that cannot be completed to a word with zero sum are pruned
+    before their bracket is formed (coefficients of nonresonant words
+    vanish by the support property, which the verification suite checks
+    independently), and branches die as soon as the bracket has no
+    nonzero row.  As each word is reached, d N^w times its bracket, d
+    the denominator of N^w, is added in Gaussian integers to the sum of
+    its order and d, so no bracket outlives its branch.  Per order those
+    sums are brought over the lcm L of their d, and each entry becomes
+    one GaussianRational, over L den^k and times (1/(i hbar))^(k-1)
+    (``_word_sum``).
     """
     problem = sd.problem
-    K = problem.order
-    totals = [[[ZERO] * problem.dim for _ in range(problem.dim)] for _ in range(K + 1)]
+    K, dim = problem.order, problem.dim
+    # per order, per denominator d of N^w, the rows {column: [re, im]} of the
+    # sum of d N^w times the integer bracket of w
+    sums = [{} for _ in range(K + 1)]
     table: dict = {}
     letters = range(len(sd.alphabet))
-    values = sd.alphabet.letters
+    gaps = sd.gaps
     reach = sd.reachable_sums(K)
 
-    def visit(word: tuple, sigma: GaussianRational, bracket: Optional[tuple], depth: int):
+    def visit(word: tuple, sigma: int, bracket: Optional[list], depth: int):
         if depth > 0 and not sigma:
             c = engine.coeff_N(word)
             if c:
-                for out_row, row in zip(totals[depth], bracket):
-                    for j, x in enumerate(row):
-                        if x:
-                            out_row[j] = out_row[j] + c * x
+                rows = sums[depth].get(c._d)
+                if rows is None:
+                    rows = sums[depth][c._d] = [{} for _ in range(dim)]
+                ca, cb = c._a, c._b
+                for acc, row in zip(rows, bracket):
+                    for l, re, im in row:
+                        if l in acc:
+                            t = acc[l]
+                            t[0] += ca * re - cb * im
+                            t[1] += ca * im + cb * re
+                        else:
+                            acc[l] = [ca * re - cb * im, ca * im + cb * re]
                 table[word] = {"N": c, "S": engine.coeff_S(word)}
         if depth == K:
             return
         for i in letters:
-            sigma2 = sigma + values[i]
+            sigma2 = sigma + gaps[i]
             if -sigma2 not in reach[K - depth - 1]:
                 continue
             if depth == 0:
-                extended = sd.components[i]
+                extended = sd.component_rows[i]
             else:
                 extended = sd.sparse_left_bracket(i, bracket)
-            if mat_is_zero(extended):
-                continue
-            visit((i,) + word, sigma2, extended, depth + 1)
+            if any(extended):
+                visit((i,) + word, sigma2, extended, depth + 1)
 
-    visit((), ZERO, None, 0)
-    return MatrixSeries([tuple(tuple(row) for row in rows) for rows in totals]), table
+    visit((), 0, None, 0)
+    coeffs = [_word_sum(by_den, k, dim, sd.den, problem.hbar) for k, by_den in enumerate(sums)]
+    return MatrixSeries(coeffs), table
+
+
+def _word_sum(by_den: dict, k: int, dim: int, den: int, hbar: Fraction) -> tuple:
+    """The GaussianRational matrix of order k of N from the sums of
+    ``build_normal_form``: per denominator d, Gaussian-integer rows of d
+    times the sum of N^w times the integer brackets, over den^k
+    (i hbar)^(k-1).  They are added over the lcm L of the d, and each
+    entry becomes one value.  With hbar = p/q, 1/(i hbar)^(k-1) is
+    (-i)^(k-1) q^(k-1) / p^(k-1)."""
+    out = [[ZERO] * dim for _ in range(dim)]
+    if by_den:
+        lcm = math.lcm(*by_den)
+        total = [{} for _ in range(dim)]
+        for d, rows in by_den.items():
+            s = lcm // d
+            for acc, row in zip(total, rows):
+                for l, (re, im) in row.items():
+                    t = acc.setdefault(l, [0, 0])
+                    t[0] += s * re
+                    t[1] += s * im
+        p, q = hbar.numerator, hbar.denominator
+        scale, total_den = q ** (k - 1), lcm * den**k * p ** (k - 1)
+        for out_row, acc in zip(out, total):
+            for l, (re, im) in acc.items():
+                for _ in range((k - 1) % 4):
+                    re, im = im, -re  # times -i
+                if re or im:
+                    out_row[l] = GaussianRational.from_integers(scale * re, scale * im, total_den)
+    return tuple(tuple(row) for row in out)
 
 
 def build_conjugator(problem: PerturbationProblem) -> tuple:

@@ -1,6 +1,7 @@
 """Exit codes and JSON output of the command-line front end."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -687,3 +688,64 @@ def test_windows_and_violation_strings_are_unchanged():
         if (code, out) != (1, handle.read()):
             changed.append("verify --alphabet i,-i,0 -L 2 --corrupt-word 0")
     assert not changed, changed
+
+
+# `solve` stdout recorded before the word table was walked on integers:
+# fractional, degenerate levels with hbar = 7/3 (the components' denominator
+# and hbar both differ from 1), and degenerate levels with hbar = 1/2 at order 6.
+GOLDEN_SOLVE = {
+    "solve_fractional.json": (
+        {
+            "E0": ["1/3", "1/7", "1/3"],
+            "V": [["1/5", "2/9+1/11i", "3"], ["2/9-1/11i", "0", "-5/4i"], ["3", "5/4i", "2"]],
+            "hbar": "7/3",
+            "order": 5,
+        },
+        (),
+    ),
+    "solve_degenerate.json": (
+        {"E0": ["0", "0", "1"], "V": [["1", "i", "1"], ["-i", "0", "2i"], ["1", "-2i", "-1"]], "hbar": "1/2"},
+        ("--order", "6"),
+    ),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_SOLVE))
+def test_solve_output_is_byte_identical_to_golden(tmp_path, golden):
+    problem, flags = GOLDEN_SOLVE[golden]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    code, out = run_main(("solve", str(path)) + flags)
+    with open(os.path.join(os.path.dirname(__file__), "golden", golden), encoding="utf-8") as handle:
+        assert (code, out) == (0, handle.read())
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    """The parser is built once per process and reused; each call still
+    reads only its own arguments and returns its own exit code."""
+    from mouldpert import cli
+
+    built = []
+
+    def counting():
+        built.append(1)
+        return cli.build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "_parser", functools.cache(counting))
+    assert main(["moulds", "--alphabet", "i,-i", "-L", "1", "--acc", "2"]) == 0
+    with_acc = read_json(capsys)
+    assert main(["verify", "--alphabet", "i,-i,0", "-L", "2"]) == 0
+    assert set(read_json(capsys)["suites"]) >= {"mould_equation_S", "support"}
+    with pytest.raises(SystemExit) as raised:
+        main(["moulds", "--acc", "two"])
+    assert raised.value.code == 2
+    capsys.readouterr()
+    assert main(["verify", "--alphabet", "i,-i,0", "-L", "2", "--corrupt-word", "0"]) == 1
+    capsys.readouterr()
+    assert main(["moulds", "--alphabet", "i,-i", "-L", "1"]) == 0
+    without_acc = read_json(capsys)
+    # --acc 2 of the first call does not carry over: T is read at accuracy 0
+    assert [row["word"] for row in without_acc] == [row["word"] for row in with_acc]
+    assert [row["T"] for row in without_acc] != [row["T"] for row in with_acc]
+    assert len(built) == 1

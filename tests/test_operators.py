@@ -22,7 +22,6 @@ from mouldpert.operators import (
     hierarchy_oracle,
     identity_matrix,
     mat_add,
-    mat_is_zero,
     mat_magnitude,
     mat_mul,
     mat_scale,
@@ -77,8 +76,25 @@ def sparse_half_integer_problem(dim, order, seed):
     return PerturbationProblem(e0=tuple(e0), v=tuple(tuple(row) for row in v), order=order)
 
 
+def fractional_problem(order=3):
+    """Fractional, degenerate levels, Gaussian-rational V and hbar = 7/3:
+    the components' denominator and hbar both differ from 1."""
+    return PerturbationProblem.from_json_dict(
+        {
+            "E0": ["1/3", "1/7", "1/3"],
+            "V": [["1/5", "2/9+1/11i", "3"], ["2/9-1/11i", "0", "-5/4i"], ["3", "5/4i", "2"]],
+            "hbar": "7/3",
+            "order": order,
+        }
+    )
+
+
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_is_zero(a):
+    return all(not x for row in a for x in row)
 
 
 # -- dense series references: every power a full MatrixSeries product ----------
@@ -277,17 +293,32 @@ def test_decomposition_invariants(seed, hbar):
 # -- nested brackets -------------------------------------------------------------------
 
 
+def bracket_value(sd, rows, k):
+    """The nested bracket of a word of length k from the integer rows the
+    walk carries for it: divided by den^k (i hbar)^(k-1), in GaussianRational
+    arithmetic."""
+    scale = sd.inv_ihbar ** (k - 1)
+    out = [[ZERO] * sd.problem.dim for _ in range(sd.problem.dim)]
+    for out_row, row in zip(out, rows):
+        for l, re, im in row:
+            out_row[l] = GaussianRational.from_integers(re, im, sd.den**k) * scale
+    return tuple(tuple(row) for row in out)
+
+
 def test_nested_bracket_of_cancelling_pair():
     sd = spectral_decompose(two_level_problem())
     index = sd.alphabet.index
-    bracket = sd.sparse_left_bracket(index(I), component_for(sd, -I))
+    bracket = sd.sparse_left_bracket(index(I), sd.component_rows[index(-I)])
     expected = ((gr(0, -1), gr(0)), (gr(0), gr(0, 1)))  # -i * diag(1, -1)
-    assert bracket == expected
+    assert bracket_value(sd, bracket, 2) == expected
 
 
 def test_nested_bracket_dies_on_commuting_letters():
     sd = spectral_decompose(diagonal_problem())
-    assert mat_is_zero(sd.sparse_left_bracket(sd.alphabet.index(ZERO), component_for(sd, ZERO)))
+    zero = sd.alphabet.index(ZERO)
+    bracket = sd.sparse_left_bracket(zero, sd.component_rows[zero])
+    assert not any(bracket)
+    assert mat_is_zero(bracket_value(sd, bracket, 2))
 
 
 def test_nested_bracket_matches_dense_commutators():
@@ -295,14 +326,28 @@ def test_nested_bracket_matches_dense_commutators():
         random_problem(3, 3, seed=9),
         random_problem(3, 3, seed=9, hbar=Fraction(1, 2)),
         degenerate_problem(order=3),
+        fractional_problem(order=3),
     )
     for problem in problems:
         sd = spectral_decompose(problem)
         for word in (w for w in sd.alphabet.words_up_to(3) if w):
-            sparse = sd.components[word[-1]]
+            sparse = sd.component_rows[word[-1]]
             for i in word[-2::-1]:
                 sparse = sd.sparse_left_bracket(i, sparse)
-            assert sparse == dense_nested_bracket(sd, word)
+            assert bracket_value(sd, sparse, len(word)) == dense_nested_bracket(sd, word)
+
+
+def test_letters_are_their_integer_gaps():
+    """Each letter is -i gap / (hbar D_E), gap the integer level gap of
+    ``SpectralDecomposition.gaps``, so a word's letters sum to zero exactly
+    when its gaps do."""
+    for problem in (fractional_problem(), random_problem(4, 2, seed=1, hbar=Fraction(1, 2))):
+        sd = spectral_decompose(problem)
+        level_den = problem.levels[0]
+        for letter, gap in zip(sd.alphabet.letters, sd.gaps):
+            assert letter == GaussianRational(0, -Fraction(gap, level_den) / problem.hbar)
+        for word in sd.alphabet.words_up_to(3):
+            assert (not sd.alphabet.phi(word)) == (not sum(sd.gaps[i] for i in word))
 
 
 # -- normal form ---------------------------------------------------------------------
@@ -354,6 +399,7 @@ WALK_PROBLEMS = {
     "degenerate-0": lambda: random_problem(3, 4, seed=0, degenerate=True),
     "degenerate-1": lambda: random_problem(3, 4, seed=1, degenerate=True),
     "half-integer": lambda: sparse_half_integer_problem(8, 2, seed=2),
+    "fractional": lambda: fractional_problem(order=4),
 }
 
 
@@ -374,16 +420,15 @@ def test_brackets_are_formed_only_on_prefixes_that_can_close(monkeypatch, name):
     sd = spectral_decompose(problem)
     order = problem.order
     reach = sd.reachable_sums(order)
-    values = sd.alphabet.letters
     # the walk passes each bracket on to the next call, so its object
     # identity names its word; `made` keeps every bracket alive
-    word_of = {id(component): (i,) for i, component in enumerate(sd.components)}
+    word_of = {id(rows): (i,) for i, rows in enumerate(sd.component_rows)}
     made = []
     original = SpectralDecomposition.sparse_left_bracket
 
     def checked(self, letter_index, x):
         word = (letter_index,) + word_of[id(x)]
-        total = sum((values[i] for i in word), ZERO)
+        total = sum(sd.gaps[i] for i in word)
         assert -total in reach[order - len(word)], sd.alphabet.render_word(word)
         result = original(self, letter_index, x)
         word_of[id(result)] = word
@@ -393,6 +438,29 @@ def test_brackets_are_formed_only_on_prefixes_that_can_close(monkeypatch, name):
     monkeypatch.setattr(SpectralDecomposition, "sparse_left_bracket", checked)
     build_normal_form(sd, BirkhoffEngine(sd.alphabet))
     assert made
+
+
+def test_word_route_check_catches_a_bracket_without_its_right_half(monkeypatch):
+    """The word route's N is held equal to the matrix route's; a bracket
+    that drops its x B half must break that equality."""
+    problem = degenerate_problem(order=4)
+    _, _, n_matrix = build_conjugator(problem)
+    sd = spectral_decompose(problem)
+    assert build_normal_form(sd, BirkhoffEngine(sd.alphabet))[0] == n_matrix
+
+    def left_half(self, letter_index, x):
+        out = []
+        for b_row in self.component_rows[letter_index]:
+            acc = {}
+            for c, br, bi in b_row:
+                for l, xr, xi in x[c]:
+                    re, im = acc.get(l, (0, 0))
+                    acc[l] = (re + br * xr - bi * xi, im + br * xi + bi * xr)
+            out.append([(l, re, im) for l, (re, im) in acc.items() if re or im])
+        return out
+
+    monkeypatch.setattr(SpectralDecomposition, "sparse_left_bracket", left_half)
+    assert build_normal_form(sd, BirkhoffEngine(sd.alphabet))[0] != n_matrix
 
 
 # -- conjugator and generator -----------------------------------------------------------
