@@ -3,26 +3,25 @@
 A perturbation problem is H0 + mu*V with H0 = diag(E0) exact-rational and
 V an exact Hermitian matrix.  The normal form N and the unitary
 conjugator C come from one Birkhoff decomposition of the matrix series
-built from H0, V and hbar alone (``build_conjugator``); the Hermitian
-generator is W = i hbar log C, by the truncated matrix logarithm.  No
-alphabet, component or word enters them.  That decomposition runs on
-Laurent series in e' held as Gaussian-integer numerators over one
-denominator per order, on a fixed window of degrees, and makes
-GaussianRational values only for C_k and N_k; the logarithm and the
-checks of ``verify_conjugacy`` (conjugacy, unitarity, traces) use one
-integer format, per row the (column, re, im) triples of its nonzero
-entries over a shared denominator (``_integer_rows``), and their
-products return it (``_gaussian_product``), so their cost follows the
-nonzeros; W becomes GaussianRational values once, at the end.  No
-series product of GaussianRational matrices is formed: the recursive
-oracle (``hierarchy_oracle``) conjugates by exp(ad), one sparse matrix
-product of GaussianRational entries per order and term
-(``_accumulate``), a kernel the checks do not share.  The word route
-splits V into eigencomponents B_lam of the rescaled commutator with H0
+built from H0 and V alone (``build_conjugator``).  No alphabet,
+component or word enters them.  That decomposition runs on Laurent
+series in e' held as Gaussian-integer numerators over one denominator
+per order, on a fixed window of degrees, and makes GaussianRational
+values only for C_k and N_k.  The checks of ``verify_conjugacy``
+(conjugacy, unitarity, traces) use one integer format, per row the
+(column, re, im) triples of its nonzero entries over a shared
+denominator (``_integer_rows``), and their products return it
+(``_gaussian_product``), so their cost follows the nonzeros.  No series
+product of GaussianRational matrices is formed: the recursive oracle
+(``hierarchy_oracle``) conjugates by exp(ad), one sparse matrix product
+of GaussianRational entries per order and term (``_accumulate``), a
+kernel the checks do not share.  The word route splits V into
+eigencomponents B_lam of the rescaled commutator with H0
 (``spectral_decompose``) and sums N^w times nested brackets
 (``build_normal_form``); it is built only for the coefficient table of
-the solve JSON, and the tests keep it, and the mould expansion of W
-(log(S)^w / len(w) times nested brackets), as independent references.
+the solve JSON, and the tests keep it, and the mould expansion of the
+generator i hbar log C (log(S)^w / len(w) times nested brackets), as
+independent references.
 Its walk runs on integers too: letter sums are integer level gaps, and
 each bracket is one fused kernel on Gaussian-integer rows
 (``SpectralDecomposition.sparse_left_bracket``), shared with neither the
@@ -564,8 +563,8 @@ def _word_sum(by_den: dict, k: int, dim: int, den: int, hbar: Fraction) -> tuple
 
 
 def build_conjugator(problem: PerturbationProblem) -> tuple:
-    """(C, W, N) from H0, V and hbar alone, by the Birkhoff decomposition
-    of the matrix series:
+    """(C, N) from H0 and V alone, by the Birkhoff decomposition of the
+    matrix series:
     Phi(A)_m = sum over |w| = m of A^w B_(w1) ... B_(wm) turns
     U_minus x T = U_plus into Phi(U_minus) Phi(T) = Phi(U_plus), solved
     order by order.  Letter sums telescope along index chains a -> c to
@@ -577,10 +576,8 @@ def build_conjugator(problem: PerturbationProblem) -> tuple:
     enumerated.  From X_m = Phi(T)_m + sum over 0 < j < m of
     Phi(U_minus)_j Phi(T)_(m-j): Phi(U_minus)_m = -polar(X_m),
     C_m = const(X_m), and N_m = m res(X_m), as N is alternal
-    (Dynkin-Specht-Wever).  hbar enters only W = i hbar log C
-    (``_generator``), whose Hermiticity tests unitarity and whose W_1 the
-    oracle checks.  No alphabet, component or word is built: those serve
-    only the solve JSON.
+    (Dynkin-Specht-Wever).  No alphabet, component or word is built:
+    those serve only the solve JSON.
 
     Windows.  Every entry of Phi(T)_m has degrees >= -m (one pole per
     zero gap), and the recursion reads it only through degree K - m:
@@ -620,8 +617,7 @@ def build_conjugator(problem: PerturbationProblem) -> tuple:
         n_coeffs.append(_degree_matrix(x_rows, x_den, m - 1, m))
         polar = [[(c, [-v for v in re[:m]], [-v for v in im[:m]]) for c, re, im in row] for row in x_rows]
         u_series.append(_reduced(x_den, polar))
-    c_series = MatrixSeries(c_coeffs)
-    return c_series, _generator(c_series, problem.hbar), MatrixSeries(n_coeffs)
+    return MatrixSeries(c_coeffs), MatrixSeries(n_coeffs)
 
 
 def _next_t(t: tuple, v: tuple, levels: tuple, m: int, K: int) -> tuple:
@@ -729,56 +725,6 @@ def _reduced(den: int, rows: list) -> tuple:
     ]
 
 
-def _generator(c_series: MatrixSeries, hbar: Fraction) -> MatrixSeries:
-    """W = i hbar log C, C_0 = I, as the log series of X = C - I on the
-    integer kernel.  X_k is held as Gaussian integers over E^k, E the lcm
-    of the entry denominators of C_1..C_K (``_integer_rows``), so order k
-    of every power X^j is over E^k too (``_gaussian_product``); the powers
-    stop at the first that vanishes, and at X^K, since X_0 = 0.  The log's
-    weights are the integers of ``_log_weights`` over L, so order k of
-    log C sums to Gaussian integers re + im i over L E^k, and with
-    hbar = p/q each entry of W_k is one canonical value
-    (-p im + p re i) / (q L E^k)."""
-    dim = c_series.dim
-    x = [zero_matrix(dim)] + list(c_series.coeffs[1:])
-    e = _denominator(x)
-    base = power = [_integer_rows(a, e**k) for k, a in enumerate(x)]
-    lcm, weights = _log_weights(c_series.order)
-    # per order and row, {column: (re, im)} of the weighted sum of powers
-    total = [[{} for _ in range(dim)] for _ in x]
-    for j, weight in enumerate(weights):
-        if j:
-            power = _gaussian_product(power, base)
-            if not any(map(any, power)):
-                break
-        for sums, rows in zip(total, power):
-            for acc, row in zip(sums, rows):
-                for c, xr, xi in row:
-                    re, im = acc.get(c, (0, 0))
-                    acc[c] = (re + weight * xr, im + weight * xi)
-    p, q = hbar.numerator, hbar.denominator
-    coeffs = []
-    for k, sums in enumerate(total):
-        den = q * lcm * e**k
-        rows = []
-        for acc in sums:
-            row = [ZERO] * dim
-            for c, (re, im) in acc.items():
-                if re or im:
-                    row[c] = GaussianRational.from_integers(-p * im, p * re, den)
-            rows.append(tuple(row))
-        coeffs.append(tuple(rows))
-    return MatrixSeries(coeffs)
-
-
-def _log_weights(order: int) -> tuple:
-    """(L, [(-1)^(j-1) L / j for j = 1..order]), L = lcm(1..order): the
-    coefficients of log(I + X) = sum over j of (-1)^(j-1) X^j / j, as
-    integers over L."""
-    lcm = math.lcm(*range(1, order + 1))
-    return lcm, [(-1) ** (j - 1) * (lcm // j) for j in range(1, order + 1)]
-
-
 # -- verification ------------------------------------------------------------------
 
 
@@ -791,7 +737,6 @@ class ConjugacyReport:
     commutation_ok: list
     hermitian_ok: list
     trace_ok: dict
-    generator_hermitian: bool
 
     @property
     def conjugacy_ok(self) -> bool:
@@ -809,7 +754,6 @@ class ConjugacyReport:
             and all(self.commutation_ok)
             and all(self.hermitian_ok)
             and all(self.trace_ok.values())
-            and self.generator_hermitian
         )
 
     def to_json(self) -> dict:
@@ -821,21 +765,17 @@ class ConjugacyReport:
             "commutation": all(self.commutation_ok),
             "hermitian": all(self.hermitian_ok),
             "trace_powers": {str(p): ok for p, ok in self.trace_ok.items()},
-            "generator_hermitian": self.generator_hermitian,
         }
 
 
 def verify_conjugacy(
-    problem: PerturbationProblem,
-    n_series: MatrixSeries,
-    c_series: MatrixSeries,
-    w_series: MatrixSeries,
+    problem: PerturbationProblem, n_series: MatrixSeries, c_series: MatrixSeries
 ) -> ConjugacyReport:
     """C (H0 + mu V) C* - (H0 + N) must vanish identically through the
     truncation order, alongside unitarity, [H0, N_k] = 0, Hermiticity of
-    N_k and of W, and conservation of tr((H0 + mu V)^p).
+    N_k, and conservation of tr((H0 + mu V)^p).
 
-    C, N and W are read as the GaussianRational series that ``solve``
+    C and N are read as the GaussianRational series that ``solve``
     outputs.  The products run on the integer kernel: order k of C is
     written as Gaussian integers over F^k, F the lcm of the entry
     denominators of C_1..C_K and of V (``_integer_rows``), H0 over D,
@@ -878,7 +818,6 @@ def verify_conjugacy(
         commutation_ok=commutation,
         hermitian_ok=hermitian,
         trace_ok=trace_ok,
-        generator_hermitian=all(mat_is_hermitian(w) for w in w_series.coeffs),
     )
 
 
@@ -914,7 +853,7 @@ def _integer_residual(rows: list, den: int, target: tuple) -> int:
 # -- the classical recursive construction (independent ground truth) -----------------
 
 
-def hierarchy_oracle(problem: PerturbationProblem) -> tuple:
+def hierarchy_oracle(problem: PerturbationProblem) -> list:
     """Order-by-order normalization by explicit generators.
 
     At order k the still-unnormalized coefficient X_k splits into its
@@ -928,7 +867,8 @@ def hierarchy_oracle(problem: PerturbationProblem) -> tuple:
     without forming its weight.  A step whose W_k vanishes conjugates
     nothing, and the series is not conjugated after order K, as nothing
     reads the result.  The constants are the oracle's own, not shared
-    with ``build_conjugator``.  Returns ([N_1..N_K], [W_1..W_K]).
+    with ``build_conjugator``.  Returns [N_1..N_K]; each W_k serves only
+    its own conjugation.
     """
     K = problem.order
     e0 = problem.e0
@@ -947,15 +887,13 @@ def hierarchy_oracle(problem: PerturbationProblem) -> tuple:
 
     x = list(problem.h_series().coeffs)
     n_parts = []
-    w_parts = []
     for k in range(1, K + 1):
         w_k = _oracle_generator(x[k], weight)
         n_parts.append(problem.resonant_part(x[k]))
-        w_parts.append(w_k)
         a_rows = [[(m, inv_ihbar * w) for m, w in row] for row in _nonzero_rows(w_k)]
         if k < K and any(a_rows):
             x = _conjugated(x, a_rows, k)
-    return n_parts, w_parts
+    return n_parts
 
 
 def _oracle_generator(a: tuple, weight) -> tuple:
@@ -1018,11 +956,8 @@ class OracleReport:
         return {"match": self.ok, "orders_equal": self.orders_equal, "first_mismatch": self.first_mismatch}
 
 
-def compare_with_oracle(
-    problem: PerturbationProblem, n_series: MatrixSeries, w_series: MatrixSeries
-) -> OracleReport:
-    """N against the recursive construction, up to the normal form's gauge,
-    and W_1 against the oracle's W_1.
+def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) -> OracleReport:
+    """N against the recursive construction, up to the normal form's gauge.
 
     With H0 degenerate the normal form is unique only up to a unitary
     change of basis inside each eigenspace of H0; only the eigenvalue
@@ -1031,14 +966,9 @@ def compare_with_oracle(
     size m >= 2, the mu^k coefficients of tr(block^p), p = 1..m, agree
     (``_power_traces``).  A block of size 1 is its diagonal entry, and is
     compared exactly as one more entry, so for a simple spectrum this is
-    the entrywise test and no trace is formed.  Both constructions fix the
-    resonant part of W_1 to zero, so W_1 is the same in both, and order 1
-    matches only if W_1 does too: this is the one check of the scale of W,
-    which nothing else reads.  The higher W_k differ, as the oracle
-    composes one exponential per order.
+    the entrywise test and no trace is formed.
     """
-    n_parts, w_parts = hierarchy_oracle(problem)
-    oracle = MatrixSeries([zero_matrix(problem.dim)] + n_parts)
+    oracle = MatrixSeries([zero_matrix(problem.dim)] + hierarchy_oracle(problem))
     blocks = {}
     for i, level in enumerate(problem.levels[1]):
         blocks.setdefault(level, []).append(i)
@@ -1055,7 +985,6 @@ def compare_with_oracle(
         flags.append(
             all(a[i][j] == b[i][j] for i, j in compared)
             and all(x[k] == y[k] for x, y in zip(ours, theirs))
-            and (k > 1 or w_series.coeffs[1] == w_parts[0])
         )
     return OracleReport(orders_equal=flags)
 
@@ -1281,7 +1210,6 @@ class NormalizationOutput:
     problem: PerturbationProblem
     n_series: MatrixSeries
     c_series: MatrixSeries
-    w_series: MatrixSeries
     conjugacy: ConjugacyReport
     oracle: OracleReport
     eigen: Optional[dict]  # see eigenvalue_series
@@ -1338,14 +1266,13 @@ class NormalizationOutput:
 
 def solve(problem: PerturbationProblem, mu_samples: Sequence[Fraction] = ()) -> NormalizationOutput:
     """Run the whole pipeline on one problem and verify it."""
-    c_series, w_series, n_series = build_conjugator(problem)
+    c_series, n_series = build_conjugator(problem)
     return NormalizationOutput(
         problem=problem,
         n_series=n_series,
         c_series=c_series,
-        w_series=w_series,
-        conjugacy=verify_conjugacy(problem, n_series, c_series, w_series),
-        oracle=compare_with_oracle(problem, n_series, w_series),
+        conjugacy=verify_conjugacy(problem, n_series, c_series),
+        oracle=compare_with_oracle(problem, n_series),
         eigen=eigenvalue_series(problem, n_series),
         numeric=numeric_compare(problem, n_series, mu_samples) if mu_samples else None,
     )

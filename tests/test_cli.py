@@ -234,10 +234,10 @@ def test_non_real_eigenvalue_correction_is_a_violation(problem_file, monkeypatch
     build = operators.build_conjugator
 
     def skewed(problem):
-        c_series, w_series, n_series = build(problem)
+        c_series, n_series = build(problem)
         coeffs = [[list(row) for row in a] for a in n_series.coeffs]
         coeffs[2][0][0] = coeffs[2][0][0] + I
-        return c_series, w_series, operators.MatrixSeries([tuple(map(tuple, a)) for a in coeffs])
+        return c_series, operators.MatrixSeries([tuple(map(tuple, a)) for a in coeffs])
 
     monkeypatch.setattr(operators, "build_conjugator", skewed)
     assert main(["solve", problem_file, "--mu", "1/100"]) == 1

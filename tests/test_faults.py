@@ -3,9 +3,10 @@
 Each row replaces one function of ``mouldpert.operators`` by a wrapper
 that returns one wrong value, runs ``mouldpert solve`` on the smallest
 ladder problem (three levels, order 4: simple, degenerate, or simple
-with hbar = 1/2), and records which verification flags turn false.  The
-row's expected set is the whole set of false flags, so the table shows
-which checks catch which fault, and which check is the only one that does.
+with hbar = 1/2; or order 5, where the sign of g^K is read), and records
+which verification flags turn false.  The row's expected set is the
+whole set of false flags, so the table shows which checks catch which
+fault, and which check is the only one that does.
 """
 
 import contextlib
@@ -18,13 +19,15 @@ import pytest
 
 from mouldpert import operators
 from mouldpert.cli import main
-from mouldpert.operators import MatrixSeries, mat_add, random_problem
+from mouldpert.operators import random_problem
 from mouldpert.scalars import ONE
 
 PROBLEMS = {
     "simple": random_problem(3, 4, seed=3),
     "degenerate": random_problem(3, 4, seed=3, degenerate=True),
     "hbar-half": random_problem(3, 4, seed=3, hbar=Fraction(1, 2)),
+    # an odd order: the factor of a negative gap g carries the sign of g^K
+    "odd-order": random_problem(3, 5, seed=3),
 }
 
 
@@ -55,6 +58,24 @@ def next_t_numerator(a, c):
     return wrap
 
 
+def next_t_negative_gaps_negated(honest):
+    """Phi(T)_1 with every entry at a negative gap g = E0(a) - E0(c)
+    negated, as if the factor dropped the sign of g^K."""
+
+    def faulty(t, v, levels, m, K):
+        den, rows = honest(t, v, levels, m, K)
+        if m != 1:
+            return den, rows
+        level = levels[1]
+        assert any(level[a] < level[c] for a, row in enumerate(rows) for c, _, _ in row)
+        return den, [
+            [(c, [-x for x in re], [-x for x in im]) if level[a] < level[c] else (c, re, im) for c, re, im in row]
+            for a, row in enumerate(rows)
+        ]
+
+    return faulty
+
+
 def x_window_numerator(a, c):
     """X_2, entry (a, c), one numerator high at degree -1 (index 1): N_2
     and Phi(U_minus)_2 read it."""
@@ -69,42 +90,25 @@ def x_window_numerator(a, c):
     return wrap
 
 
+def x_window_shifted(honest):
+    """X_2 with every entry read one degree high: index i holds what
+    belongs at index i + 1, and the last index is 0."""
+
+    def faulty(t_series, u_series, m):
+        den, rows = honest(t_series, u_series, m)
+        if m != 2:
+            return den, rows
+        return den, [[(c, re[1:] + [0], im[1:] + [0]) for c, re, im in row] for row in rows]
+
+    return faulty
+
+
 def n_without_its_factor(honest):
     """N_m = res(X_m) instead of m res(X_m): the residue sits at index
     m - 1 of X_m's window, C_m's constant term at index m with factor 1."""
 
     def faulty(rows, den, index, factor):
         return honest(rows, den, index, 1 if index == factor - 1 else factor)
-
-    return faulty
-
-
-def log_square_sign_flipped(honest):
-    """log C with +X^2/2 for -X^2/2, X = C - I: the integer weight of X^2
-    over L negated."""
-
-    def faulty(order):
-        lcm, weights = honest(order)
-        weights[1] = -weights[1]
-        return lcm, weights
-
-    return faulty
-
-
-def w_doubled(honest):
-    """2 W for W."""
-
-    def faulty(c_series, hbar):
-        return MatrixSeries([mat_add(a, a) for a in honest(c_series, hbar).coeffs])
-
-    return faulty
-
-
-def w_hbar_inverted(honest):
-    """W = (i / hbar) log C for i hbar log C."""
-
-    def faulty(c_series, hbar):
-        return honest(c_series, 1 / hbar)
 
     return faulty
 
@@ -154,7 +158,6 @@ def split_trace_bumped(traces):
 EVERY_CHECK = {
     "commutation",
     "conjugacy",
-    "generator_hermitian",
     "hermitian",
     "oracle_match",
     "unitarity",
@@ -163,29 +166,28 @@ EVERY_CHECK = {
     "trace_powers.3",
 }
 
-C_CHECKS = {"conjugacy", "unitarity", "generator_hermitian"}
+C_CHECKS = {"conjugacy", "unitarity"}
 
 # (name in mouldpert.operators, wrapper, problem, false flags)
 FAULTS = {
     "next_t_zero_gap": ("_next_t", next_t_numerator(0, 0), "simple", EVERY_CHECK),
     "next_t_degenerate_pair": ("_next_t", next_t_numerator(1, 2), "degenerate", EVERY_CHECK),
+    # the sign of g^K is -1 at a negative gap only at an odd order
+    "next_t_negative_gap_sign": ("_next_t", next_t_negative_gaps_negated, "odd-order", EVERY_CHECK),
     "x_window_residue": ("_x_window", x_window_numerator(0, 0), "simple", EVERY_CHECK),
+    "x_window_offset": ("_x_window", x_window_shifted, "simple", EVERY_CHECK),
     "n_factor_m": (
         "_degree_matrix",
         n_without_its_factor,
         "simple",
         {"conjugacy", "oracle_match", "trace_powers.2", "trace_powers.3"},
     ),
-    "log_coefficient": ("_log_weights", log_square_sign_flipped, "simple", {"generator_hermitian"}),
     # calls 0 and 1 of _degree_matrix form C_1 and N_1, call 2 forms C_2;
     # N is untouched, so only the checks that read C catch it
     "c_entry": ("_degree_matrix", on_call(2, entry_bumped), "simple", C_CHECKS),
     "c_entry_degenerate": ("_degree_matrix", on_call(2, entry_bumped), "degenerate", C_CHECKS),
     # call 0 of _reduced reduces Phi(T)_1, call 1 forms Phi(U_minus)_1
     "u_minus_sign": ("_reduced", on_call(1, negated), "simple", EVERY_CHECK),
-    # W stays Hermitian: only the oracle's W_1 shows its scale
-    "w_doubled": ("_generator", w_doubled, "simple", {"oracle_match"}),
-    "w_hbar": ("_generator", w_hbar_inverted, "hbar-half", {"oracle_match"}),
     # the oracle's own values: nothing but the oracle reads them.  The first
     # ad term is ad_(W_1 / (i hbar))(H0); call 1 of the generator forms W_2
     "oracle_exp_entry": ("_ad_term", on_call(0, entry_bumped), "simple", {"oracle_match"}),

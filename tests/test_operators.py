@@ -444,7 +444,7 @@ def test_word_route_check_catches_a_bracket_without_its_right_half(monkeypatch):
     """The word route's N is held equal to the matrix route's; a bracket
     that drops its x B half must break that equality."""
     problem = degenerate_problem(order=4)
-    _, _, n_matrix = build_conjugator(problem)
+    _, n_matrix = build_conjugator(problem)
     sd = spectral_decompose(problem)
     assert build_normal_form(sd, BirkhoffEngine(sd.alphabet))[0] == n_matrix
 
@@ -468,7 +468,7 @@ def test_word_route_check_catches_a_bracket_without_its_right_half(monkeypatch):
 
 def test_conjugator_first_order_matches_hand_value():
     problem = two_level_problem(order=2)
-    c_series, _, _ = build_conjugator(problem)
+    c_series, _ = build_conjugator(problem)
     # (1/i)(S^(i) B_i + S^(-i) B_(-i)) with S^(lam) = 1/lam
     assert c_series.coeffs[1] == ((gr(0), gr(-1)), (gr(1), gr(0)))
     assert c_series.coeffs[2] == ((gr(Fraction(-1, 2)), gr(0)), (gr(0), gr(Fraction(-1, 2))))
@@ -509,13 +509,13 @@ def test_matrix_decomposition_equals_the_word_routes(dim, order, seed, degenerat
     problem = random_problem(dim, order, seed=seed, hbar=hbar, degenerate=degenerate)
     sd = spectral_decompose(problem)
     engine = BirkhoffEngine(sd.alphabet)
-    c_series, _, n_series = build_conjugator(problem)
+    c_series, n_series = build_conjugator(problem)
     assert n_series == build_normal_form(sd, engine)[0]
     assert c_series == dense_conjugator(sd, engine, order)
 
 
 def laurent_conjugator(problem):
-    """(C, W, N) by the matrix Birkhoff recursion on dense matrices of
+    """(C, N) by the matrix Birkhoff recursion on dense matrices of
     Laurent series over the Gaussian rationals: each factor 1/(g + k e'),
     with the rational gap g = E0(a) - E0(c), is inverted through e'^K, and
     the Laurent accuracy bookkeeping raises if a window is short.  No
@@ -547,9 +547,7 @@ def laurent_conjugator(problem):
         u.append([[-y.polar_part() for y in row] for row in x])
         c_coeffs.append(tuple(tuple(y.constant_term() for y in row) for row in x))
         n_coeffs.append(tuple(tuple(y.residue() * k for y in row) for row in x))
-    c_series = MatrixSeries(c_coeffs)
-    w_series = series_scale(GaussianRational(0, problem.hbar), series_log(c_series))
-    return c_series, w_series, MatrixSeries(n_coeffs)
+    return MatrixSeries(c_coeffs), MatrixSeries(n_coeffs)
 
 
 # integer and half-integer levels; couplings with denominators 1, 2, 3 and 6
@@ -593,8 +591,8 @@ def kernel_problems(draw):
     )
 )
 def test_integer_kernel_equals_the_laurent_recursion(problem):
-    """C, W and N from the Gaussian-integer windows equal the dense
-    Laurent recursion exactly."""
+    """C and N from the Gaussian-integer windows equal the dense Laurent
+    recursion exactly."""
     assert build_conjugator(problem) == laurent_conjugator(problem)
 
 
@@ -612,8 +610,8 @@ def test_deeper_windows_leave_the_lower_orders_unchanged(name):
     K = 4
     low = FIXED_WINDOW_PROBLEMS[name](K)
     high = FIXED_WINDOW_PROBLEMS[name](K + 2)
-    c_low, _, n_low = build_conjugator(low)
-    c_high, _, n_high = build_conjugator(high)
+    c_low, n_low = build_conjugator(low)
+    c_high, n_high = build_conjugator(high)
     assert c_low.coeffs == c_high.coeffs[: K + 1]
     assert n_low.coeffs == n_high.coeffs[: K + 1]
     if name.startswith("degenerate"):
@@ -634,8 +632,9 @@ def test_unitarity_on_random_problems():
 
 
 def mould_generator(sd, engine, order):
-    """W as the mould expansion: log(S)^w / len(w) times the nested bracket
-    of w (built by dense commutators), summed over every word up to the order."""
+    """The generator W = i hbar log C as the mould expansion: log(S)^w /
+    len(w) times the nested bracket of w (built by dense commutators),
+    summed over every word up to the order."""
     log_s = mould_log(engine.S)
     dim = sd.problem.dim
     terms = {k: zero_matrix(dim) for k in range(1, order + 1)}
@@ -648,18 +647,19 @@ def mould_generator(sd, engine, order):
 
 
 def test_generator_is_hermitian_and_exponentiates_to_C():
+    """The paper's generator, from log S over words, is Hermitian at every
+    order, and exp(W / (i hbar)) is the C that solve outputs."""
     problems = (
         two_level_problem(order=4),
         random_problem(3, 4, seed=11),
         random_problem(3, 4, seed=5, degenerate=True),
+        random_problem(3, 4, seed=3, hbar=Fraction(1, 2)),
     )
     for problem in problems:
         out = solve(problem)
-        assert out.conjugacy.generator_hermitian
-        # independent route: the mould expansion of W from log S
         engine = BirkhoffEngine(out.decomposition.alphabet)
         w_mould = mould_generator(out.decomposition, engine, problem.order)
-        assert w_mould == out.w_series
+        assert all(mat_adjoint(w) == w for w in w_mould.coeffs)
         assert series_exp(series_scale(out.decomposition.inv_ihbar, w_mould)) == out.c_series
 
 
@@ -670,7 +670,6 @@ def test_solve_never_evaluates_the_mould_logarithm(monkeypatch):
     for module in (mouldpert, moulds, operators):
         monkeypatch.setattr(module, "mould_log", forbidden, raising=False)
     out = solve(random_problem(4, 4, seed=3))
-    assert out.conjugacy.generator_hermitian
     assert out.ok
 
 
@@ -698,7 +697,7 @@ def test_corrupted_normal_form_is_flagged_at_its_order():
     bad = [list(row) for row in coeffs[3]]
     bad[0][0] = bad[0][0] + ONE
     coeffs[3] = tuple(tuple(row) for row in bad)
-    report = verify_conjugacy(problem, MatrixSeries(coeffs), out.c_series, out.w_series)
+    report = verify_conjugacy(problem, MatrixSeries(coeffs), out.c_series)
     assert not report.ok
     assert report.conjugacy_magnitude[3] != 0
     assert report.conjugacy_magnitude[2] == 0
@@ -724,16 +723,16 @@ def test_residual_magnitudes_are_those_of_the_dense_differences():
         out = solve(problem)
         assert out.ok
         cases += [
-            (problem, out.n_series, out.c_series, out.w_series),
-            (problem, with_entry_added(out.n_series, 3, 0, 0, ONE), out.c_series, out.w_series),
+            (problem, out.n_series, out.c_series),
+            (problem, with_entry_added(out.n_series, 3, 0, 0, ONE), out.c_series),
             # a denominator that does not divide F^k, with an imaginary part
-            (problem, out.n_series, with_entry_added(out.c_series, 2, 0, 1, gr(Fraction(3, 7), 2)), out.w_series),
+            (problem, out.n_series, with_entry_added(out.c_series, 2, 0, 1, gr(Fraction(3, 7), 2))),
             # N not Hermitian: one entry below the diagonal only
-            (problem, with_entry_added(out.n_series, 2, 1, 0, gr(0, 1)), out.c_series, out.w_series),
+            (problem, with_entry_added(out.n_series, 2, 1, 0, gr(0, 1)), out.c_series),
         ]
     largest, clean = 0, []
-    for problem, n_series, c_series, w_series in cases:
-        report = verify_conjugacy(problem, n_series, c_series, w_series)
+    for problem, n_series, c_series in cases:
+        report = verify_conjugacy(problem, n_series, c_series)
         clean.append(report.ok)
         c_adj = series_adjoint(c_series)
         rhs = MatrixSeries([problem.h0_matrix] + list(n_series.coeffs[1:]))
@@ -755,24 +754,18 @@ def test_commutation_check_flags_an_off_resonant_entry():
     out = solve(problem)
     # E0 = (0, 1): an entry in row 0, column 1 of N_2 does not commute with H0
     shifted = with_entry_added(out.n_series, 2, 0, 1, ONE)
-    report = verify_conjugacy(problem, shifted, out.c_series, out.w_series)
+    report = verify_conjugacy(problem, shifted, out.c_series)
     assert report.commutation_ok == [True, False, True, True]
 
 
 def test_hermiticity_checks_flag_their_own_series():
     problem = two_level_problem(order=4)
     out = solve(problem)
-    assert out.conjugacy.hermitian_ok == [True] * 4 and out.conjugacy.generator_hermitian
+    assert out.conjugacy.hermitian_ok == [True] * 4
     # one off-diagonal entry of N_2 changed: N_2 is no longer Hermitian
     skewed = with_entry_added(out.n_series, 2, 1, 0, gr(0, 1))
-    report = verify_conjugacy(problem, skewed, out.c_series, out.w_series)
+    report = verify_conjugacy(problem, skewed, out.c_series)
     assert report.hermitian_ok == [True, False, True, True]
-    assert report.generator_hermitian
-    # a non-real diagonal entry of W_3: W is no longer Hermitian
-    tilted = with_entry_added(out.w_series, 3, 1, 1, gr(0, 1))
-    report = verify_conjugacy(problem, out.n_series, out.c_series, tilted)
-    assert not report.generator_hermitian
-    assert report.hermitian_ok == [True] * 4
     assert not report.ok
 
 
@@ -795,11 +788,11 @@ def test_trace_check_catches_a_changed_normal_form():
     assert all(out.conjugacy.trace_ok.values())
     # +1 on a diagonal entry of N_2 changes tr(H0 + N)
     shifted = with_entry_added(out.n_series, 2, 0, 0, ONE)
-    report = verify_conjugacy(problem, shifted, out.c_series, out.w_series)
+    report = verify_conjugacy(problem, shifted, out.c_series)
     assert report.trace_ok[1] is False
     # diag(1, -1) keeps the trace, and shows in tr((H0 + N)^2) through 2 tr(H0 N_2)
     traceless = with_entry_added(shifted, 2, 1, 1, -ONE)
-    report = verify_conjugacy(problem, traceless, out.c_series, out.w_series)
+    report = verify_conjugacy(problem, traceless, out.c_series)
     assert report.trace_ok[1] is True
     assert report.trace_ok[2] is False
     assert not report.ok
@@ -825,16 +818,14 @@ def test_degenerate_problem_passes_all_exact_checks():
 @pytest.mark.parametrize("degenerate", [False, True])
 @pytest.mark.parametrize("hbar", [Fraction(2), Fraction(1, 3)])
 def test_hbar_scaling_law(hbar, degenerate):
-    """N and C do not depend on hbar and W scales by it; letters scale by
-    1/hbar, so on a word of length r, N^w scales by hbar^(r-1) and S^w by
-    hbar^r."""
+    """N and C do not depend on hbar; letters scale by 1/hbar, so on a word
+    of length r, N^w scales by hbar^(r-1) and S^w by hbar^r."""
     scale = GaussianRational(hbar)
     for seed in range(3):
         base = solve(random_problem(3, 4, seed=seed, degenerate=degenerate))
         out = solve(random_problem(3, 4, seed=seed, hbar=hbar, degenerate=degenerate))
         assert out.n_series == base.n_series
         assert out.c_series == base.c_series
-        assert out.w_series == series_scale(scale, base.w_series)
         base_letters = base.decomposition.alphabet
         letters = out.decomposition.alphabet
         mapped = {}
@@ -850,11 +841,8 @@ def test_hbar_scaling_law(hbar, degenerate):
 
 def test_oracle_first_order_is_resonant_part():
     problem = random_problem(4, 3, seed=21)
-    n_parts, w_parts = hierarchy_oracle(problem)
+    n_parts = hierarchy_oracle(problem)
     assert n_parts[0] == problem.resonant_part(problem.v)
-    for w in w_parts:
-        assert problem.resonant_part(w) == zero_matrix(problem.dim)
-        assert mat_adjoint(w) == w
 
 
 def reference_oracle(problem):
@@ -864,7 +852,7 @@ def reference_oracle(problem):
     dim, K = problem.dim, problem.order
     ihbar = GaussianRational(0, problem.hbar)
     x = problem.h_series()
-    n_parts, w_parts = [], []
+    n_parts = []
     for k in range(1, K + 1):
         a = x.coeffs[k]
         n_parts.append(problem.resonant_part(a))
@@ -877,7 +865,6 @@ def reference_oracle(problem):
             )
             for n in range(dim)
         )
-        w_parts.append(w_k)
         generator = MatrixSeries.from_orders(
             dim, K, {k: mat_scale(GaussianRational(0, -Fraction(1) / problem.hbar), w_k)}
         )
@@ -886,7 +873,7 @@ def reference_oracle(problem):
             term = series_scale(GaussianRational(Fraction(1, j)), series_mul(term, generator))
             e = series_add(e, term)
         x = series_mul(series_mul(e, x), series_adjoint(e))
-    return n_parts, w_parts
+    return n_parts
 
 
 ORACLE_CASES = {
@@ -904,7 +891,7 @@ ORACLE_CASES = {
     "half-integer-12": lambda: sparse_half_integer_problem(12, 2, seed=0),
     # V diagonal: every W_k vanishes, so no step conjugates
     "diagonal": lambda: diagonal_problem(order=4),
-    # order 1: N_1 and W_1 are read before any conjugation
+    # order 1: N_1 is read before any conjugation
     "order-1": lambda: random_problem(4, 1, seed=3),
 }
 
@@ -913,19 +900,6 @@ ORACLE_CASES = {
 def test_oracle_equals_the_full_recursion(name):
     problem = ORACLE_CASES[name]()
     assert hierarchy_oracle(problem) == reference_oracle(problem)
-
-
-def test_oracle_checks_the_scale_of_W():
-    """W_1 is the same in both constructions, so a W off by a factor fails
-    order 1 alone, and N is not needed to see it."""
-    problems = (random_problem(3, 4, seed=3), random_problem(4, 3, seed=3, hbar=Fraction(1, 2), degenerate=True))
-    for problem in problems:
-        out = solve(problem)
-        assert out.oracle.ok
-        assert out.w_series.coeffs[1] == hierarchy_oracle(problem)[1][0]
-        for factor in (gr(2), gr(Fraction(1, 2)), gr(-1)):
-            report = compare_with_oracle(problem, out.n_series, series_scale(factor, out.w_series))
-            assert report.orders_equal == [False] + [True] * (problem.order - 1)
 
 
 def test_oracle_matches_mould_normal_form():
@@ -945,7 +919,7 @@ def test_oracle_accepts_a_basis_change_inside_a_degenerate_block():
     problem = random_problem(3, 4, seed=0, degenerate=True)
     assert not problem.is_simple
     out = solve(problem)
-    n_parts, _ = hierarchy_oracle(problem)
+    n_parts = hierarchy_oracle(problem)
     # the two constructions pick different bases of the E0 = 0 eigenspace
     assert out.n_series.coeffs[4] != n_parts[3]
     assert [out.n_series.coeffs[k] == n_parts[k - 1] for k in (1, 2, 3)] == [True] * 3
@@ -960,7 +934,7 @@ def test_oracle_catches_a_change_inside_a_degenerate_block():
     block = [i for i in range(problem.dim) if problem.e0[i] == problem.e0[0]]
     assert len(block) == 2
     i, j = block
-    report = compare_with_oracle(problem, with_entry_added(out.n_series, 2, i, i, ONE), out.w_series)
+    report = compare_with_oracle(problem, with_entry_added(out.n_series, 2, i, i, ONE))
     assert not report.ok
     assert report.first_mismatch == 2
     assert report.orders_equal[0]
@@ -968,7 +942,7 @@ def test_oracle_catches_a_change_inside_a_degenerate_block():
     # through 2 tr(N_1 diag(1, -1)) = 2 (N_1[i][i] - N_1[j][j])
     assert out.n_series.coeffs[1][i][i] != out.n_series.coeffs[1][j][j]
     traceless = with_entry_added(with_entry_added(out.n_series, 2, i, i, ONE), 2, j, j, -ONE)
-    assert compare_with_oracle(problem, traceless, out.w_series).first_mismatch == 3
+    assert compare_with_oracle(problem, traceless).first_mismatch == 3
 
 
 def test_oracle_catches_a_change_outside_the_blocks():
@@ -980,13 +954,13 @@ def test_oracle_catches_a_change_outside_the_blocks():
         for j in range(problem.dim)
         if problem.e0[i] != problem.e0[j]
     )
-    report = compare_with_oracle(problem, with_entry_added(out.n_series, 3, i, j, ONE), out.w_series)
+    report = compare_with_oracle(problem, with_entry_added(out.n_series, 3, i, j, ONE))
     assert report.first_mismatch == 3
 
 
 def test_oracle_second_order_is_the_textbook_formula():
     problem = random_problem(5, 2, seed=33)
-    n_parts, _ = hierarchy_oracle(problem)
+    n_parts = hierarchy_oracle(problem)
     for n in range(problem.dim):
         expected = Fraction(0)
         for m in range(problem.dim):
@@ -1059,8 +1033,6 @@ def test_series_exp_log_roundtrip():
         2, 3, {1: ((gr(0), gr(0, 1)), (gr(0, -1), gr(0))), 2: ((gr(1), gr(0)), (gr(0), gr(-1)))}
     )
     assert series_log(series_exp(a)) == a
-    # the integer log of the conjugator: i hbar log exp(a) = i hbar a
-    assert operators._generator(series_exp(a), Fraction(1, 3)) == series_scale(gr(0, Fraction(1, 3)), a)
 
 
 def test_series_mul_truncates():
@@ -1177,24 +1149,6 @@ def test_integer_product_matches_a_dense_convolution(data, dim, order):
     assert product == dense_series_mul(a, b)
 
 
-def unipotent_series(dim, order):
-    """Series with identity order-0 term and sparse higher orders."""
-    return sparse_series(dim, order).map(lambda a: MatrixSeries([identity_matrix(dim)] + list(a.coeffs[1:])))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    c=st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(lambda shape: unipotent_series(*shape)),
-    hbar=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3), Fraction(2, 3)]),
-)
-# log(1 + mu) = mu - mu^2/2 + mu^3/3 - mu^4/4: every power up to the order survives
-@example(c=MatrixSeries([((ONE,),), ((ONE,),)] + [((ZERO,),)] * 3), hbar=Fraction(1))
-def test_integer_log_equals_the_dense_log(c, hbar):
-    """W = i hbar log C on the integer kernel equals i hbar times the dense
-    log series, each power a full MatrixSeries product."""
-    assert operators._generator(c, hbar) == series_scale(GaussianRational(0, hbar), series_log(c))
-
-
 # (numerator of re, numerator of im, common denominator), not reduced
 GAUSSIAN_PARTS = st.one_of(
     st.just((0, 0, 1)),
@@ -1255,7 +1209,7 @@ def test_power_traces_match_every_dense_power(n, data, order):
 
 def test_power_traces_on_degenerate_blocks():
     problem = random_problem(5, 3, seed=3, degenerate=True)
-    _, _, n_series = build_conjugator(problem)
+    _, n_series = build_conjugator(problem)
     blocks = {}
     for i, level in enumerate(problem.e0):
         blocks.setdefault(level, []).append(i)
