@@ -142,6 +142,26 @@ def negated(window):
     return den, [[(c, [-v for v in re], [-v for v in im]) for c, re, im in row] for row in rows]
 
 
+def adjoint_not_conjugated(honest):
+    """C* as C transposed, its imaginary parts kept: the adjoint without
+    the conjugate."""
+
+    def faulty(rows):
+        return [[(c, re, -im) for c, re, im in row] for row in honest(rows)]
+
+    return faulty
+
+
+def order_2_diagonal_bumped(x):
+    """The oracle's conjugated series with entry (0, 0) of order 2 one
+    higher: the next N_2 is its resonant part, so it reads the entry."""
+    x = list(x)
+    rows = [list(row) for row in x[2]]
+    rows[0][0] = rows[0][0] + ONE
+    x[2] = tuple(tuple(row) for row in rows)
+    return x
+
+
 def trace_bumped(traces):
     """tr(B^1) at order 1 one higher."""
     traces = [list(by_order) for by_order in traces]
@@ -186,12 +206,16 @@ FAULTS = {
     # N is untouched, so only the checks that read C catch it
     "c_entry": ("_degree_matrix", on_call(2, entry_bumped), "simple", C_CHECKS),
     "c_entry_degenerate": ("_degree_matrix", on_call(2, entry_bumped), "degenerate", C_CHECKS),
+    # the adjoint feeds (C H) C* and C C*, so only the checks that read C catch it
+    "adjoint_conjugate": ("_adjoint_rows", adjoint_not_conjugated, "simple", C_CHECKS),
     # call 0 of _reduced reduces Phi(T)_1, call 1 forms Phi(U_minus)_1
     "u_minus_sign": ("_reduced", on_call(1, negated), "simple", EVERY_CHECK),
     # the oracle's own values: nothing but the oracle reads them.  The first
     # ad term is ad_(W_1 / (i hbar))(H0); call 1 of the generator forms W_2
     "oracle_exp_entry": ("_ad_term", on_call(0, entry_bumped), "simple", {"oracle_match"}),
     "oracle_w_entry": ("_oracle_generator", on_call(1, entry_bumped), "simple", {"oracle_match"}),
+    # call 0 of the conjugation clears order 1 of the oracle's series
+    "oracle_conjugation_entry": ("_conjugated", on_call(0, order_2_diagonal_bumped), "simple", {"oracle_match"}),
     # the first call forms the traces of H0 + mu V in verify_conjugacy
     "power_trace": ("_power_traces", on_call(0, trace_bumped), "simple", {"trace_powers.1"}),
     # with n = 3 only B^1 and B^2 are formed: the first split trace is

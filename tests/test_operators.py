@@ -902,6 +902,21 @@ def test_oracle_equals_the_full_recursion(name):
     assert hierarchy_oracle(problem) == reference_oracle(problem)
 
 
+def test_oracle_checks_the_scale_of_N():
+    """N times a constant fails every order where N_k is nonzero, order 1
+    (the resonant part of V) included, on a simple problem and on a
+    degenerate one at hbar = 1/2, where the blocks are compared by traces."""
+    problems = (random_problem(3, 4, seed=3), random_problem(4, 3, seed=3, hbar=Fraction(1, 2), degenerate=True))
+    assert not problems[1].is_simple
+    for problem in problems:
+        out = solve(problem)
+        assert out.oracle.ok
+        assert all(not mat_is_zero(n_k) for n_k in out.n_series.coeffs[1:])
+        for factor in (gr(2), gr(Fraction(1, 2)), gr(-1)):
+            scaled = MatrixSeries([mat_scale(factor, n_k) for n_k in out.n_series.coeffs])
+            assert compare_with_oracle(problem, scaled).orders_equal == [False] * problem.order
+
+
 def test_oracle_matches_mould_normal_form():
     for seed, dim, order in ((0, 3, 4), (1, 4, 4), (2, 4, 5), (3, 5, 3)):
         problem = random_problem(dim, order, seed=seed)
