@@ -29,6 +29,7 @@ linear s + r e, so no factor inverse is formed.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .laurent import Laurent
@@ -67,18 +68,20 @@ def make_T(alphabet: Alphabet) -> Mould:
     min(acc(prefix), need + mindeg(prefix)), need = acc plus the prefix's
     polar depth, so it is guaranteed through the requested accuracy; no
     factor of the product is formed or cached.  The valuation of T^w is
-    minus the number of vanishing partial sums.
+    minus the number of vanishing partial sums.  ``fn`` reads its own mould
+    through a weak reference, so the mould is freed by reference counting.
     """
 
     def fn(word: Word, acc: int) -> Laurent:
         if len(word) == 0:
             return Laurent.one()
         s = alphabet.phi(word)
-        prefix = mould.value(word[:-1], acc if s else acc + 1)
+        prefix = mould_ref().value(word[:-1], acc if s else acc + 1)
         need = acc + max(0, -prefix.min_degree_bound())
         return prefix.over_linear(s, len(word), need)
 
     mould = Mould(alphabet, fn)
+    mould_ref = weakref.ref(mould)
     return mould
 
 
@@ -89,17 +92,20 @@ class BirkhoffEngine:
     moulds of e-free values and as scalars (``coeff_R``, ``coeff_S``),
     and N through ``coeff_N``.  Caches are tied to the alphabet; a
     different alphabet (different eigenvalues or a rescaled hbar) needs
-    a fresh engine.
+    a fresh engine.  The moulds reach the engine through a weak proxy, so
+    an engine holds no reference cycle and is freed as soon as its last
+    reference goes.
     """
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self.T = make_T(alphabet)
         self._pairs: dict = {}
-        self.u_minus = Mould(alphabet, lambda w, acc: self._pair(w, 0)[0])
-        self.u_plus = Mould(alphabet, lambda w, acc: self._pair(w, acc)[1])
-        self.R = Mould.constant_from(alphabet, lambda w: self.coeff_R(w))
-        self.S = Mould.constant_from(alphabet, lambda w: self.coeff_S(w))
+        engine = weakref.proxy(self)
+        self.u_minus = Mould(alphabet, lambda w, acc: engine._pair(w, 0)[0])
+        self.u_plus = Mould(alphabet, lambda w, acc: engine._pair(w, acc)[1])
+        self.R = Mould.constant_from(alphabet, lambda w: engine.coeff_R(w))
+        self.S = Mould.constant_from(alphabet, lambda w: engine.coeff_S(w))
 
     def _pair(self, word: Word, acc: int) -> tuple:
         """(U_minus^word, U_plus^word), the latter guaranteed through acc."""

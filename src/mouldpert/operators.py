@@ -13,9 +13,10 @@ values only for C_k and N_k.  The checks of ``verify_conjugacy``
 denominator (``_integer_rows``), and their products return it
 (``_gaussian_product``), so their cost follows the nonzeros.  No series
 product of GaussianRational matrices is formed: the recursive oracle
-(``hierarchy_oracle``) conjugates by exp(ad), one sparse matrix product
-of GaussianRational entries per order and term (``_accumulate``), a
-kernel the checks do not share.  The word route splits V into
+(``hierarchy_oracle``) conjugates by exp(ad), one sparse product of
+Gaussian integers per order and term (``_ad_term``), summed per order
+over one denominator; it reads only E0 and V and shares no kernel with
+the checks or the decomposition.  The word route splits V into
 eigencomponents B_lam of the rescaled commutator with H0
 (``spectral_decompose``) and sums N^w times nested brackets
 (``build_normal_form``); it is built only for the coefficient table of
@@ -529,6 +530,7 @@ def build_normal_form(
                 visit((i,) + word, sigma2, extended, depth + 1)
 
     visit((), 0, None, 0)
+    del visit  # the recursive closure holds itself, and through it the engine
     coeffs = [_word_sum(by_den, k, dim, sd.den, problem.hbar) for k, by_den in enumerate(sums)]
     return MatrixSeries(coeffs), table
 
@@ -788,9 +790,9 @@ def verify_conjugacy(
     (``_integer_residual``), where an entry absent from the rows is 0,
     and an entry becomes a GaussianRational only where the two differ, so
     the residual magnitudes are exactly those of the differences
-    C H C* - (H0 + N) and C C* - I.  The oracle keeps its own product of
-    GaussianRational entries (``_accumulate``): the checks and the oracle
-    share no product kernel that one fault could make agree.  As H0 is
+    C H C* - (H0 + N) and C C* - I.  The oracle keeps its own integer
+    kernel (``_ad_term``): the checks and the oracle share no product
+    kernel that one fault could make agree.  As H0 is
     diagonal, [H0, N_k] = 0 is read as N_k equal to its resonant part."""
     dim, order = problem.dim, problem.order
     (d, level), f = problem.levels, _denominator(c_series.coeffs[1:] + (problem.v,))
@@ -857,87 +859,147 @@ def hierarchy_oracle(problem: PerturbationProblem) -> list:
     """Order-by-order normalization by explicit generators.
 
     At order k the still-unnormalized coefficient X_k splits into its
-    resonant part (the new N_k) and an off-resonant rest absorbed by
-    W_k[n][m] = i hbar X_k[n][m] / (E0(n) - E0(m)) (``_oracle_generator``);
-    conjugating by e = exp(mu^k A), A = W_k / (i hbar), clears order k and
-    the loop moves on.  The conjugation is the sum over n of
+    resonant part (the new N_k) and an off-resonant rest absorbed by the
+    generator A_k = W_k / (i hbar), A_k[n][m] = X_k[n][m] / (E0(n) - E0(m))
+    (``_oracle_generator``); conjugating by e = exp(mu^k A_k) clears order
+    k and the loop moves on.  The conjugation is the sum over n of
     mu^(kn) ad_A^n(x) / n! (``_conjugated``), so no exponential and no
-    product of two series is formed.  The resonant part of each W_k is
-    fixed to zero (free gauge), and so is every entry where X_k vanishes,
-    without forming its weight.  A step whose W_k vanishes conjugates
+    product of two series is formed.  The resonant part of each A_k is
+    fixed to zero (free gauge).  A step whose A_k vanishes conjugates
     nothing, and the series is not conjugated after order K, as nothing
-    reads the result.  The constants are the oracle's own, not shared
-    with ``build_conjugator``.  Returns [N_1..N_K]; each W_k serves only
-    its own conjugation.
+    reads the result.
+
+    The whole recursion runs on Gaussian integers.  Every matrix of it is
+    held as (denominator, rows), each row a dict {column: (re, im)} of
+    Gaussian-integer numerators, so its work follows the nonzeros.  The
+    levels are the oracle's own integers over their common denominator,
+    and hbar cancels from A_k, so the oracle reads only E0, V and the
+    order.  It shares no kernel with ``build_conjugator`` or the checks,
+    so no fault in them can make the oracle agree with them.
+    GaussianRational values are formed only for the N_k it returns, one
+    per nonzero resonant entry.  Returns [N_1..N_K].
     """
-    K = problem.order
-    e0 = problem.e0
-    p, q = problem.hbar.numerator, problem.hbar.denominator
-    inv_ihbar = GaussianRational(0, -1 / problem.hbar)
-
-    @functools.cache
-    def weight(n: int, m: int) -> GaussianRational:
-        """i hbar / (E0(n) - E0(m)) = i p b / (q a) for the gap a / b and
-        hbar = p / q; zero on resonance."""
-        gap = e0[n] - e0[m]
-        if not gap:
-            return ZERO
-        sign = 1 if gap > 0 else -1
-        return GaussianRational.from_integers(0, sign * p * gap.denominator, q * abs(gap.numerator))
-
-    x = list(problem.h_series().coeffs)
+    K, e0, v = problem.order, problem.e0, problem.v
+    dim = len(e0)
+    # E0(n) = level[n] / d_e; H0 over d_e and V over the lcm of its denominators
+    d_e = math.lcm(*(x.denominator for x in e0))
+    level = [x.numerator * (d_e // x.denominator) for x in e0]
+    v_den = math.lcm(*(y._d for row in v for y in row))
+    v_rows = [
+        {m: (y._a * (v_den // y._d), y._b * (v_den // y._d)) for m, y in enumerate(row) if y._a or y._b}
+        for row in v
+    ]
+    x = [(d_e, [{n: (e, 0)} if e else {} for n, e in enumerate(level)]), (v_den, v_rows)]
+    x += [(1, [{} for _ in range(dim)]) for _ in range(K - 1)]
     n_parts = []
     for k in range(1, K + 1):
-        w_k = _oracle_generator(x[k], weight)
-        n_parts.append(problem.resonant_part(x[k]))
-        a_rows = [[(m, inv_ihbar * w) for m, w in row] for row in _nonzero_rows(w_k)]
-        if k < K and any(a_rows):
-            x = _conjugated(x, a_rows, k)
+        den, rows = x[k]
+        n_k = [[ZERO] * dim for _ in range(dim)]
+        for n, (row, out_row) in enumerate(zip(rows, n_k)):
+            for m, (re, im) in row.items():
+                if level[m] == level[n]:
+                    out_row[m] = GaussianRational.from_integers(re, im, den)
+        n_parts.append(tuple(tuple(row) for row in n_k))
+        if k < K:
+            a = _oracle_generator(x[k], level, d_e)
+            if any(a[1]):
+                x = _conjugated(x, a, k)
     return n_parts
 
 
-def _oracle_generator(a: tuple, weight) -> tuple:
-    """W[n][m] = a[n][m] weight(n, m), weight(n, m) = i hbar / (E0(n) -
-    E0(m)) off resonance and zero on it; no weight is formed where a
-    vanishes."""
-    return tuple(
-        tuple(y * weight(n, m) if y else ZERO for m, y in enumerate(row))
-        for n, row in enumerate(a)
-    )
+def _oracle_generator(x_k: tuple, level: list, d_e: int) -> tuple:
+    """A = W / (i hbar), A[n][m] = X[n][m] / (E0(n) - E0(m)) off resonance
+    and zero on it, for X = x_k and E0(n) = level[n] / d_e, as
+    (denominator, rows) like X: over the denominator of X times the lcm L
+    of the integer gaps g present, entry (n, m) is X's numerator times
+    d_e L / g.  No hbar enters: W = i hbar X / (E0(n) - E0(m)), and A
+    divides it by i hbar again."""
+    den, rows = x_k
+    lcm = math.lcm(*{abs(level[n] - level[m]) for n, row in enumerate(rows) for m in row} - {0})
+    a_rows = []
+    for n, row in enumerate(rows):
+        a_row = {}
+        for m, (re, im) in row.items():
+            g = level[n] - level[m]
+            if g:
+                s = d_e * lcm // g
+                a_row[m] = (re * s, im * s)
+        a_rows.append(a_row)
+    return den * lcm, a_rows
 
 
-def _conjugated(x: list, a_rows: list, k: int) -> list:
-    """The coefficients of e x e*, e = exp(mu^k a), for a anti-Hermitian,
-    given by its nonzero rows, and every x_m Hermitian: the sum over n of
-    mu^(kn) ad_a^n(x) / n!.  Term n is ad_(a/n) of term n - 1, so no term
-    is rescaled, and it is formed only on orders m >= n k, from order
-    m - k of term n - 1."""
+def _conjugated(x: list, a: tuple, k: int) -> list:
+    """The coefficients of e x e*, e = exp(mu^k A), for A anti-Hermitian,
+    given as (denominator, rows) by ``_oracle_generator``, and every x_m
+    Hermitian: the sum over n of mu^(kn) ad_A^n(x) / n!.  Term n is
+    ad_(A/n) of term n - 1, the 1/n going into its denominator, and it is
+    formed only on orders m >= n k, from order m - k of term n - 1.  Each
+    order that gains terms is their sum over the lcm of their
+    denominators, reduced once (``_order_sum``)."""
     K = len(x) - 1
-    out = [[list(row) for row in c] for c in x]
+    a_den, a_rows = a
+    parts = [[c] for c in x]
     term = x
     for n in range(1, K // k + 1):
-        inverse = GaussianRational.from_integers(1, 0, n)
-        a_n = [[(j, z * inverse) for j, z in row] for row in a_rows]
+        a_n = (n * a_den, a_rows)
         term = {m: _ad_term(a_n, term[m - k]) for m in range(n * k, K + 1)}
         for m, t in term.items():
-            for out_row, row in zip(out[m], t):
-                for j, y in enumerate(row):
-                    if y:
-                        out_row[j] = out_row[j] + y
-    return [tuple(tuple(row) for row in c) for c in out]
+            parts[m].append(t)
+    return [p[0] if len(p) == 1 else _order_sum(p) for p in parts]
 
 
-def _ad_term(a_rows: list, y) -> list:
-    """ad_a(y) = a y - y a for a anti-Hermitian, given by its nonzero rows,
-    and y Hermitian: then y a = -(a y)*, so ad_a(y) = a y + (a y)*, one
-    product mirrored."""
-    dim = len(y)
-    p = [[ZERO] * dim for _ in range(dim)]
-    _accumulate(p, a_rows, _nonzero_rows(y))
-    return [
-        [u + v.conjugate() if v else u for u, v in zip(row, column)]
-        for row, column in zip(p, zip(*p))
-    ]
+def _ad_term(a: tuple, y: tuple) -> tuple:
+    """ad_A(y) = A y - y A, for A anti-Hermitian and y Hermitian, all three
+    as (denominator, rows): then y A = -(A y)*, so ad_A(y) = A y + (A y)*,
+    over the product of the two denominators.  The product runs over the
+    nonzero entries, and the mirror over the nonzero entries of the
+    product."""
+    (a_den, a_rows), (y_den, y_rows) = a, y
+    p = []
+    for a_row in a_rows:
+        acc = {}
+        for j, (ar, ai) in a_row.items():
+            for l, (yr, yi) in y_rows[j].items():
+                t = acc.get(l)
+                if t is None:
+                    acc[l] = [ar * yr - ai * yi, ar * yi + ai * yr]
+                else:
+                    t[0] += ar * yr - ai * yi
+                    t[1] += ar * yi + ai * yr
+        p.append(acc)
+    out = [{l: list(t) for l, t in row.items()} for row in p]
+    for n, row in enumerate(p):
+        for l, (re, im) in row.items():
+            t = out[l].get(n)
+            if t is None:
+                out[l][n] = [re, -im]
+            else:
+                t[0] += re
+                t[1] -= im
+    return a_den * y_den, out
+
+
+def _order_sum(parts: list) -> tuple:
+    """The sum of (denominator, rows) matrices: each is brought over the
+    lcm of their denominators, entries that cancel are dropped, and the
+    sum is reduced by one gcd of the lcm and every numerator."""
+    lcm = math.lcm(*(d for d, _ in parts))
+    acc = [{} for _ in parts[0][1]]
+    for d, rows in parts:
+        s = lcm // d
+        for acc_row, row in zip(acc, rows):
+            for m, (re, im) in row.items():
+                t = acc_row.get(m)
+                if t is None:
+                    acc_row[m] = [re * s, im * s]
+                else:
+                    t[0] += re * s
+                    t[1] += im * s
+    rows = [{m: t for m, t in acc_row.items() if t[0] or t[1]} for acc_row in acc]
+    g = math.gcd(lcm, *(v for row in rows for t in row.values() for v in t))
+    if g == 1:
+        return lcm, rows
+    return lcm // g, [{m: (re // g, im // g) for m, (re, im) in row.items()} for row in rows]
 
 
 @dataclass

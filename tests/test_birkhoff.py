@@ -1,5 +1,8 @@
 """The factorization recurrence and the scalar moulds it extracts."""
 
+import gc
+import weakref
+
 import pytest
 
 from mouldpert.birkhoff import (
@@ -13,6 +16,7 @@ from mouldpert.birkhoff import (
     verify_support,
 )
 from mouldpert.laurent import Laurent
+from mouldpert.operators import build_normal_form, random_problem, spectral_decompose
 from mouldpert.moulds import (
     Alphabet,
     EMPTY_WORD,
@@ -250,6 +254,34 @@ def test_corruption_is_detected():
     assert not (s_equation.ok and r_equation.ok and s_symmetral.ok)
     violating_words = {v.word for v in s_equation.violations}
     assert bad_word in violating_words
+
+
+@pytest.mark.parametrize("make", [BirkhoffEngine, lambda a: CorruptedEngine(a, a.word_of(a.letters[0]))])
+@pytest.mark.parametrize("use", ["coeff_N", "S", "build_normal_form"])
+def test_an_engine_is_freed_by_reference_counting(make, use):
+    """An engine holds no reference cycle: with the cyclic collector off, a
+    weak reference to it, and one to its T mould, die as soon as its last
+    name is deleted, after reading N, after evaluating the S mould, and
+    after the word walk of ``build_normal_form``."""
+    sd = spectral_decompose(random_problem(3, 4, seed=3))
+    alphabet = sd.alphabet
+    word = alphabet.word_of(alphabet.letters[0], alphabet.letters[-1])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        engine = make(alphabet)
+        if use == "coeff_N":
+            engine.coeff_N(word)
+        elif use == "S":
+            engine.S.value(word)
+        else:
+            build_normal_form(sd, engine)
+        refs = weakref.ref(engine), weakref.ref(engine.T)
+        del engine
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def editing_pair(edit):

@@ -152,14 +152,41 @@ def adjoint_not_conjugated(honest):
     return faulty
 
 
+def oracle_entry_bumped(i, j):
+    """An oracle matrix, (denominator, rows) with rows {column: (re, im)},
+    with entry (i, j) one higher."""
+
+    def edit(matrix):
+        den, rows = matrix
+        rows = [dict(row) for row in rows]
+        re, im = rows[i].get(j, (0, 0))
+        rows[i][j] = (re + den, im)
+        return den, rows
+
+    return edit
+
+
 def order_2_diagonal_bumped(x):
     """The oracle's conjugated series with entry (0, 0) of order 2 one
     higher: the next N_2 is its resonant part, so it reads the entry."""
     x = list(x)
-    rows = [list(row) for row in x[2]]
-    rows[0][0] = rows[0][0] + ONE
-    x[2] = tuple(tuple(row) for row in rows)
+    x[2] = oracle_entry_bumped(0, 0)(x[2])
     return x
+
+
+def last_term_scaled(honest):
+    """The sum of an order's terms with its last term brought over the lcm
+    at twice its scale (its numerators doubled) on the first call."""
+    calls = itertools.count()
+
+    def faulty(parts):
+        if next(calls) == 0:
+            den, rows = parts[-1]
+            doubled = [{c: (2 * re, 2 * im) for c, (re, im) in row.items()} for row in rows]
+            parts = parts[:-1] + [(den, doubled)]
+        return honest(parts)
+
+    return faulty
 
 
 def trace_bumped(traces):
@@ -211,11 +238,14 @@ FAULTS = {
     # call 0 of _reduced reduces Phi(T)_1, call 1 forms Phi(U_minus)_1
     "u_minus_sign": ("_reduced", on_call(1, negated), "simple", EVERY_CHECK),
     # the oracle's own values: nothing but the oracle reads them.  The first
-    # ad term is ad_(W_1 / (i hbar))(H0); call 1 of the generator forms W_2
-    "oracle_exp_entry": ("_ad_term", on_call(0, entry_bumped), "simple", {"oracle_match"}),
-    "oracle_w_entry": ("_oracle_generator", on_call(1, entry_bumped), "simple", {"oracle_match"}),
+    # ad term is ad_(A_1)(H0), A_1 = W_1 / (i hbar); call 1 of the generator
+    # forms A_2
+    "oracle_exp_entry": ("_ad_term", on_call(0, oracle_entry_bumped(0, 1)), "simple", {"oracle_match"}),
+    "oracle_w_entry": ("_oracle_generator", on_call(1, oracle_entry_bumped(0, 1)), "simple", {"oracle_match"}),
     # call 0 of the conjugation clears order 1 of the oracle's series
     "oracle_conjugation_entry": ("_conjugated", on_call(0, order_2_diagonal_bumped), "simple", {"oracle_match"}),
+    # call 0 of the order sum adds order 1 of the series to ad_(A_1)(H0)
+    "oracle_term_scale": ("_order_sum", last_term_scaled, "simple", {"oracle_match"}),
     # the first call forms the traces of H0 + mu V in verify_conjugacy
     "power_trace": ("_power_traces", on_call(0, trace_bumped), "simple", {"trace_powers.1"}),
     # with n = 3 only B^1 and B^2 are formed: the first split trace is

@@ -109,8 +109,8 @@ def series_adjoint(a):
 
 
 def series_mul(a, b):
-    """The truncated series product, over the nonzero rows of the
-    coefficients (the sparse kernel of the oracle, ``_accumulate``)."""
+    """The truncated series product of GaussianRational coefficients, over
+    their nonzero rows (``_accumulate``), a kernel the oracle does not use."""
     left = [operators._nonzero_rows(x) for x in a.coeffs]
     right = [operators._nonzero_rows(y) for y in b.coeffs]
     out = []
@@ -893,6 +893,8 @@ ORACLE_CASES = {
     "diagonal": lambda: diagonal_problem(order=4),
     # order 1: N_1 is read before any conjugation
     "order-1": lambda: random_problem(4, 1, seed=3),
+    # fractional levels, V with denominators, hbar = 7/3 (the CI problem)
+    "fractional-5": lambda: fractional_problem(order=5),
 }
 
 
@@ -900,6 +902,26 @@ ORACLE_CASES = {
 def test_oracle_equals_the_full_recursion(name):
     problem = ORACLE_CASES[name]()
     assert hierarchy_oracle(problem) == reference_oracle(problem)
+
+
+def test_oracle_runs_on_its_own_kernel(monkeypatch):
+    """The oracle reads only E0, V and the order: with the integer kernels
+    of the decomposition and the checks, and the problem's integer levels,
+    made to raise, it still equals the full recursion."""
+    cases = ("seed3-4-5-degenerate", "hbar-half", "fractional-5")
+    expected = {name: reference_oracle(ORACLE_CASES[name]()) for name in cases}
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the oracle must not call this")
+
+    for name in ("_integer_rows", "_denominator", "_reduced", "_gaussian_product", "_adjoint_rows"):
+        monkeypatch.setattr(operators, name, unavailable)
+    monkeypatch.setattr(PerturbationProblem, "levels", property(unavailable))
+    for name in cases:
+        problem = ORACLE_CASES[name]()
+        with pytest.raises(AssertionError):
+            problem.levels
+        assert hierarchy_oracle(problem) == expected[name]
 
 
 def test_oracle_checks_the_scale_of_N():
