@@ -12,19 +12,16 @@ The direct-sum split C((e)) = e^-1 C[e^-1] (+) C[[e]] drives everything
 downstream: ``polar_part``/``regular_part`` are the two projections and
 ``residue``/``constant_term`` read the e^-1 and e^0 coefficients.
 
-Accuracy bookkeeping follows two rules:
-
-* sums keep the worse accuracy of the operands;
-* products of f and g are guaranteed through
-  min(acc(f) + mindeg(g), acc(g) + mindeg(f)) (``_product_acc``).
-
-A sum of products is formed in one coefficient table
-(:meth:`Laurent.sum_of_products`), with the windows the separate
-products and sums would give; ``*`` is its one-term case.  Division by
-a linear s + r e runs the recurrence q_k = (p_k - r q_{k-1}) / s
-(:meth:`Laurent.over_linear`).  ``inverse`` is the general series
-inverse; no computation in the package calls it, but the benchmark's
-per-layer micro case times it.
+Accuracy bookkeeping follows one rule: a product of f and g is
+guaranteed through min(acc(f) + mindeg(g), acc(g) + mindeg(f))
+(``_product_acc``), and a sum of products through the least of its
+terms' bounds.  Every sum and product is formed in one coefficient table
+(:meth:`Laurent.sum_of_products`): ``*`` is its one-term case, and
+f + g is f * 1 + g * 1, so a sum keeps the worse window of its
+operands.  Division by a linear s + r e runs the recurrence
+q_k = (p_k - r q_{k-1}) / s (:meth:`Laurent.over_linear`).  ``inverse``
+is the general series inverse; no computation in the package calls it,
+but the benchmark's per-layer micro case times it.
 
 Consumers that need a deeper window must request it explicitly; reading
 an unguaranteed coefficient raises :class:`InsufficientAccuracyError`
@@ -43,14 +40,6 @@ __all__ = ["Laurent", "InsufficientAccuracyError"]
 
 class InsufficientAccuracyError(ArithmeticError):
     """A coefficient beyond the guaranteed window was required."""
-
-
-def _min_acc(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 def _product_acc(acc_f: Optional[int], low_f: int, acc_g: Optional[int], low_g: int) -> Optional[int]:
@@ -181,25 +170,7 @@ class Laurent:
     def __add__(self, other):
         if not isinstance(other, Laurent):
             return NotImplemented
-        if self.is_exact_zero:
-            return other
-        if other.is_exact_zero:
-            return self
-        acc = _min_acc(self._acc, other._acc)
-        if not self._coeffs and not other._coeffs:
-            return Laurent(0, (), acc)
-        if not self._coeffs:
-            return Laurent(other._min, other._coeffs, acc)
-        if not other._coeffs:
-            return Laurent(self._min, self._coeffs, acc)
-        lo = min(self._min, other._min)
-        hi = max(self.max_degree, other.max_degree)
-        coeffs = []
-        for k in range(lo, hi + 1):
-            a = self._coeffs[k - self._min] if self._min <= k <= self.max_degree else ZERO
-            b = other._coeffs[k - other._min] if other._min <= k <= other.max_degree else ZERO
-            coeffs.append(a + b)
-        return Laurent(lo, coeffs, acc)
+        return Laurent.sum_of_products(((self, _EXACT_ONE), (other, _EXACT_ONE)))
 
     def __sub__(self, other):
         if not isinstance(other, Laurent):
@@ -232,8 +203,8 @@ class Laurent:
         """The sum of f * g over the (f, g) pairs of ``terms``, formed in one
         coefficient table.
 
-        Coefficients and window equal those of the separate products
-        folded into a sum: a pair with an exact-zero factor adds nothing;
+        The one accumulator of the class: ``*`` and ``+`` are its cases.
+        A pair with an exact-zero factor adds nothing;
         every other pair bounds the accuracy by its product rule
         (``_product_acc``), windowed zeros included, and the sum keeps the
         least of those bounds.  Only degrees up to that bound are formed.
@@ -284,7 +255,7 @@ class Laurent:
                 if a:
                     for j, b in enumerate(g_coeffs[:room], k):
                         if b:
-                            out[j] = out[j] + a * b
+                            out[j] = out[j] + (a if b is ONE else a * b)
                 k += 1
         return Laurent(lo, out, acc)
 

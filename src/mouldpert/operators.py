@@ -23,8 +23,9 @@ eigencomponents B_lam of the rescaled commutator with H0
 the solve JSON, and the tests keep it, and the mould expansion of the
 generator i hbar log C (log(S)^w / len(w) times nested brackets), as
 independent references.
-Its walk runs on integers too: letter sums are integer level gaps, and
-each bracket is one fused kernel on Gaussian-integer rows
+It runs on integers alone: each component is held only as V's
+Gaussian-integer rows split by level gap, letter sums are integer level
+gaps, and each bracket is one fused kernel on those rows
 (``SpectralDecomposition.sparse_left_bracket``), shared with neither the
 checks nor the oracle; GaussianRational values are formed once per entry
 of N.  Everything is exact except the final optional comparison against
@@ -110,24 +111,20 @@ def _integer_rows(a: tuple, den: int) -> list:
     ]
 
 
-def _nonzero_rows(a: tuple) -> list:
-    """Per row of a, the (column, entry) pairs of its nonzero entries."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
-
-
-def _accumulate(out: list, a_rows: list, b_rows: list) -> None:
-    """out += a b, with a and b given by their nonzero rows and out a list
-    of mutable rows; the work is proportional to the nonzero products."""
-    for out_row, a_row in zip(out, a_rows):
-        for j, x in a_row:
-            for l, y in b_rows[j]:
-                out_row[l] = out_row[l] + x * y
-
-
 def mat_mul(a: tuple, b: tuple) -> tuple:
-    out = [[ZERO] * len(a) for _ in a]
-    _accumulate(out, _nonzero_rows(a), _nonzero_rows(b))
-    return tuple(tuple(row) for row in out)
+    """The product a b of square GaussianRational matrices; zero entries
+    of a and b add no product.  Nothing in the package calls it: it is the
+    tests' dense product, and the benchmark counts its calls."""
+    b_rows = [[(l, y) for l, y in enumerate(row) if y] for row in b]
+    out = []
+    for a_row in a:
+        out_row = [ZERO] * len(a)
+        for j, x in enumerate(a_row):
+            if x:
+                for l, y in b_rows[j]:
+                    out_row[l] = out_row[l] + x * y
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def _first_non_hermitian(a: tuple) -> Optional[tuple]:
@@ -383,37 +380,36 @@ def random_problem(
 
 
 class SpectralDecomposition:
-    """V split into eigencomponents of X -> [H0, X] / (i hbar).
+    """V split into eigencomponents B_lam of X -> [H0, X] / (i hbar).
 
     The alphabet collects the distinct letters lam = (E0(k) - E0(l))/(i hbar)
     over the support of V; V is Hermitian, so lam(l, k) = -lam(k, l) is
-    always there and the alphabet is closed under negation.
-    Component matrices satisfy [H0, B_lam]/(i hbar) = lam * B_lam exactly and
-    sum to V; the adjoint of B_lam is B_(-lam).
+    always there and the alphabet is closed under negation.  Each letter
+    is held as its integer gap level(k) - level(l)
+    (``PerturbationProblem.levels``), lam = -i gap / (hbar D_E), so letter
+    sums vanish exactly when gap sums do.
 
-    For the word walk each letter also has its integer gap
-    level(k) - level(l) (``PerturbationProblem.levels``), lam = -i gap /
-    (hbar D_E), so letter sums vanish exactly when gap sums do, and each
-    component its nonzero rows as Gaussian integers over ``den``, the lcm
-    of the denominators of V (``_integer_rows``).
+    B_lam is the part of V on the entries of that gap, so
+    [H0, B_lam]/(i hbar) = lam B_lam exactly, the components sum to V, and
+    the adjoint of B_lam is B_(-lam).  Each is held only as its nonzero
+    rows of Gaussian integers over ``den``, the lcm of the denominators of
+    V: V's integer rows (``_integer_rows``) split by gap, in column order.
     """
 
     def __init__(self, problem: PerturbationProblem):
         self.problem = problem
-        dim = problem.dim
         (level_den, level), p, q = problem.levels, problem.hbar.numerator, problem.hbar.denominator
-        gap_of = {(k, l): level[k] - level[l] for k in range(dim) for l in range(dim) if problem.v[k][l]}
+        self.den = _denominator([problem.v])
+        v_rows = _integer_rows(problem.v, self.den)
         # lam = -i q gap / (p D_E): ordered by (re, im), the letters run from the largest gap down
-        self.gaps = tuple(sorted(set(gap_of.values()), reverse=True))
+        gaps = {level[k] - level[l] for k, row in enumerate(v_rows) for l, _, _ in row}
+        self.gaps = tuple(sorted(gaps, reverse=True))
         self.alphabet = Alphabet(GaussianRational.from_integers(0, -q * g, p * level_den) for g in self.gaps)
         index = {g: i for i, g in enumerate(self.gaps)}
-        components = [[[ZERO] * dim for _ in range(dim)] for _ in self.gaps]
-        for (k, l), g in gap_of.items():
-            components[index[g]][k][l] = problem.v[k][l]
-        self.components = tuple(tuple(tuple(row) for row in comp) for comp in components)
-        self.inv_ihbar = GaussianRational.from_integers(0, -q, p)
-        self.den = _denominator([problem.v])
-        self.component_rows = [_integer_rows(b, self.den) for b in self.components]
+        self.component_rows = [[[] for _ in v_rows] for _ in self.gaps]
+        for k, row in enumerate(v_rows):
+            for entry in row:
+                self.component_rows[index[level[k] - level[entry[0]]]][k].append(entry)
 
     def sparse_left_bracket(self, letter_index: int, x: list) -> list:
         """The nonzero rows of B x - x B, B the component of the letter as
@@ -476,7 +472,7 @@ def build_normal_form(
     The walk runs on integers.  Words are walked right to left so each
     step costs one bracket (``sparse_left_bracket``), of Gaussian-integer
     rows: a word of length k carries its nested bracket times
-    (i hbar)^(k-1) den^k, den the denominator of the components.  Letter
+    (i hbar)^(k-1) den^k, den the denominator of V.  Letter
     sums are the integer gap sums of ``SpectralDecomposition.gaps``:
     prefixes that cannot be completed to a word with zero sum are pruned
     before their bracket is formed (coefficients of nonresonant words

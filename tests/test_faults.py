@@ -76,6 +76,40 @@ def next_t_negative_gaps_negated(honest):
     return faulty
 
 
+def next_t_zero_gaps_doubled(honest):
+    """Phi(T)_2 with every entry at a zero gap doubled, as if the shift
+    of the window at a zero gap carried the multiplier twice."""
+
+    def faulty(t, v, levels, m, K):
+        den, rows = honest(t, v, levels, m, K)
+        if m != 2:
+            return den, rows
+        level = levels[1]
+        assert any(level[a] == level[c] for a, row in enumerate(rows) for c, _, _ in row)
+        return den, [
+            [(c, [2 * x for x in re], [2 * x for x in im]) if level[a] == level[c] else (c, re, im) for c, re, im in row]
+            for a, row in enumerate(rows)
+        ]
+
+    return faulty
+
+
+def next_t_factor_coefficient(honest):
+    """Phi(T)_1 with the degree-1 numerator (index 2) of its first entry at
+    a nonzero gap one higher: one coefficient of the factor 1/(g/D + e')
+    wrong."""
+
+    def faulty(t, v, levels, m, K):
+        out = honest(t, v, levels, m, K)
+        if m != 1:
+            return out
+        level = levels[1]
+        a, c = next((a, c) for a, row in enumerate(out[1]) for c, _, _ in row if level[a] != level[c])
+        return bump_window(out, a, c, 2)
+
+    return faulty
+
+
 def x_window_numerator(a, c):
     """X_2, entry (a, c), one numerator high at degree -1 (index 1): N_2
     and Phi(U_minus)_2 read it."""
@@ -134,6 +168,18 @@ def entry_bumped(matrix):
     rows = [list(row) for row in matrix]
     rows[0][1] = rows[0][1] + ONE
     return tuple(tuple(row) for row in rows)
+
+
+def entries_added(changes):
+    """Edit of a matrix: entry (i, j) plus changes[(i, j)]."""
+
+    def edit(matrix):
+        rows = [list(row) for row in matrix]
+        for (i, j), delta in changes.items():
+            rows[i][j] = rows[i][j] + delta
+        return tuple(tuple(row) for row in rows)
+
+    return edit
 
 
 def negated(window):
@@ -221,6 +267,14 @@ FAULTS = {
     "next_t_degenerate_pair": ("_next_t", next_t_numerator(1, 2), "degenerate", EVERY_CHECK),
     # the sign of g^K is -1 at a negative gap only at an odd order
     "next_t_negative_gap_sign": ("_next_t", next_t_negative_gaps_negated, "odd-order", EVERY_CHECK),
+    "next_t_zero_gap_shift": ("_next_t", next_t_zero_gaps_doubled, "degenerate", EVERY_CHECK),
+    # N_k stays resonant here: the wrong factor sits at a nonzero gap
+    "next_t_factor_coefficient": (
+        "_next_t",
+        next_t_factor_coefficient,
+        "degenerate",
+        EVERY_CHECK - {"commutation"},
+    ),
     "x_window_residue": ("_x_window", x_window_numerator(0, 0), "simple", EVERY_CHECK),
     "x_window_offset": ("_x_window", x_window_shifted, "simple", EVERY_CHECK),
     "n_factor_m": (
@@ -233,6 +287,41 @@ FAULTS = {
     # N is untouched, so only the checks that read C catch it
     "c_entry": ("_degree_matrix", on_call(2, entry_bumped), "simple", C_CHECKS),
     "c_entry_degenerate": ("_degree_matrix", on_call(2, entry_bumped), "degenerate", C_CHECKS),
+    # call 6 forms C_4, the top order of the simple problem, where X added to
+    # C_K adds X + X* to (C C*)_K and X H0 + H0 X* to (C H C*)_K, and nothing
+    # to a higher order.  At (0, 1), E0(0) + E0(1) = 0: a Hermitian X leaves
+    # (C H C*)_K as it is, and only unitarity catches it; an anti-Hermitian X
+    # leaves C unitary, and only conjugacy catches it
+    "c_top_hermitian": (
+        "_degree_matrix",
+        on_call(6, entries_added({(0, 1): ONE, (1, 0): ONE})),
+        "simple",
+        {"unitarity"},
+    ),
+    "c_top_anti_hermitian": (
+        "_degree_matrix",
+        on_call(6, entries_added({(0, 1): ONE, (1, 0): -ONE})),
+        "simple",
+        {"conjugacy"},
+    ),
+    # call 7 forms N_4.  A non-Hermitian N_K breaks (C H C*)_K = H0 + N_K, as
+    # C H C* is Hermitian; inside the degenerate block of levels 1 and 2 the
+    # oracle compares traces, which an off-diagonal entry at the top order
+    # does not move, so hermitian fires only with conjugacy
+    "n_top_not_hermitian": (
+        "_degree_matrix",
+        on_call(7, entries_added({(1, 2): ONE})),
+        "degenerate",
+        {"conjugacy", "hermitian"},
+    ),
+    # every entry off the degenerate blocks is compared with the oracle's
+    # resonant N, so commutation fires only with oracle_match
+    "n_top_off_resonance": (
+        "_degree_matrix",
+        on_call(7, entries_added({(0, 1): ONE, (1, 0): ONE})),
+        "simple",
+        {"commutation", "conjugacy", "oracle_match"},
+    ),
     # the adjoint feeds (C H) C* and C C*, so only the checks that read C catch it
     "adjoint_conjugate": ("_adjoint_rows", adjoint_not_conjugated, "simple", C_CHECKS),
     # call 0 of _reduced reduces Phi(T)_1, call 1 forms Phi(U_minus)_1

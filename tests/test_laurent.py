@@ -379,6 +379,43 @@ def test_sum_of_products_examples():
     assert Laurent.sum_of_products([(exact, exact), (-exact, exact)]).is_exact_zero
 
 
+def coefficientwise(f, g, sign):
+    """f + sign g degree by degree: ({degree: nonzero coefficient}, window).
+    An exact zero adds nothing, not even a window; otherwise the window is
+    the worse of the operands', and degrees above it are dropped."""
+    operands = [(x, c) for x, c in ((f, ONE), (g, GaussianRational(sign))) if not x.is_exact_zero]
+    accs = [x.acc_order for x, _ in operands if x.acc_order is not None]
+    acc = min(accs) if accs else None
+    table = {}
+    for x, c in operands:
+        if x.min_degree is None:
+            continue
+        for k in range(x.min_degree, x.max_degree + 1):
+            if acc is None or k <= acc:
+                table[k] = table.get(k, ZERO) + c * x.coefficient(k)
+    return {k: v for k, v in table.items() if v}, acc
+
+
+sum_operands = st.one_of(laurents(), st.just(Laurent.zero()), windowed_zeros)
+
+
+@given(sum_operands, sum_operands, st.booleans())
+def test_add_and_sub_equal_the_coefficientwise_reference(f, g, same):
+    if same:
+        g = f  # f - f cancels: the exact zero, or a zero on f's window
+    for got, sign in ((f + g, 1), (f - g, -1)):
+        table, acc = coefficientwise(f, g, sign)
+        assert got.acc_order == acc
+        if not table:
+            assert got.min_degree is None
+            assert got.is_exact_zero == (acc is None)
+            continue
+        # both ends trimmed: the stored degrees run from the lowest nonzero
+        # coefficient to the highest
+        assert (got.min_degree, got.max_degree) == (min(table), max(table))
+        assert all(got.coefficient(k) == table.get(k, ZERO) for k in range(min(table), max(table) + 1))
+
+
 def reference_over_linear(prefix, s, r, need):
     return prefix * Laurent.from_pairs([(0, s), (1, r)]).inverse(need)
 

@@ -109,16 +109,14 @@ def series_adjoint(a):
 
 
 def series_mul(a, b):
-    """The truncated series product of GaussianRational coefficients, over
-    their nonzero rows (``_accumulate``), a kernel the oracle does not use."""
-    left = [operators._nonzero_rows(x) for x in a.coeffs]
-    right = [operators._nonzero_rows(y) for y in b.coeffs]
+    """The truncated series product of GaussianRational coefficients, by
+    ``mat_mul``, a kernel the oracle does not use."""
     out = []
     for k in range(a.order + 1):
-        acc = [[ZERO] * a.dim for _ in range(a.dim)]
+        acc = zero_matrix(a.dim)
         for j in range(k + 1):
-            operators._accumulate(acc, left[j], right[k - j])
-        out.append(tuple(tuple(row) for row in acc))
+            acc = mat_add(acc, mat_mul(a.coeffs[j], b.coeffs[k - j]))
+        out.append(acc)
     return MatrixSeries(out)
 
 
@@ -159,8 +157,19 @@ def series_log(a):
     return power_sum(rest, lambda j: Fraction((-1) ** (j - 1), j))
 
 
+def inv_ihbar(problem):
+    """1 / (i hbar) = -i / hbar."""
+    return GaussianRational(0, -1 / problem.hbar)
+
+
+def dense_components(sd):
+    """The component matrices B_lam, by letter index, from their integer
+    rows over ``den``."""
+    return [from_integer_rows(rows, sd.den, sd.problem.dim) for rows in sd.component_rows]
+
+
 def component_for(sd, letter):
-    return sd.components[sd.alphabet.index(letter)]
+    return dense_components(sd)[sd.alphabet.index(letter)]
 
 
 def commutator(a, b):
@@ -169,9 +178,10 @@ def commutator(a, b):
 
 def dense_nested_bracket(sd, word):
     """[B_(w1), [B_(w2), ... B_(wk)]] / (i hbar)^(k-1) by dense commutators."""
-    dense = sd.components[word[-1]]
+    components, scale = dense_components(sd), inv_ihbar(sd.problem)
+    dense = components[word[-1]]
     for i in word[-2::-1]:
-        dense = mat_scale(sd.inv_ihbar, commutator(sd.components[i], dense))
+        dense = mat_scale(scale, commutator(components[i], dense))
     return dense
 
 
@@ -280,7 +290,7 @@ def test_decomposition_invariants(seed, hbar):
     h0 = problem.h0_matrix
     inv_ihbar = GaussianRational(0, -Fraction(1) / hbar)
     for index, lam in enumerate(sd.alphabet.letters):
-        comp = sd.components[index]
+        comp = dense_components(sd)[index]
         total = mat_sub(total, mat_scale(-ONE, comp))
         bracket = mat_scale(inv_ihbar, commutator(h0, comp))
         assert bracket == mat_scale(lam, comp)
@@ -290,6 +300,38 @@ def test_decomposition_invariants(seed, hbar):
     assert sd.alphabet.purely_imaginary
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        diagonal_problem(),
+        degenerate_problem(),
+        fractional_problem(),
+        random_problem(4, 2, seed=1, hbar=Fraction(1, 2)),
+        sparse_half_integer_problem(12, 2, seed=0),
+    ],
+    ids=["diagonal", "degenerate", "fractional", "random-hbar-half", "half-integer-12"],
+)
+def test_component_rows_partition_v_by_gap(problem):
+    """Row k of the component of gap g holds, in column order, exactly the
+    nonzero entries V[k][l] with level gap g, as Gaussian integers over
+    den, the lcm of the denominators of V's parts: every nonzero entry of
+    V is in one component, and only there."""
+    sd = spectral_decompose(problem)
+    parts = [x.re for row in problem.v for x in row] + [x.im for row in problem.v for x in row]
+    assert sd.den == math.lcm(*(f.denominator for f in parts))
+    level = problem.levels[1]
+    entry_gaps = set()
+    for k, row in enumerate(problem.v):
+        entries = [(l, x.re * sd.den, x.im * sd.den) for l, x in enumerate(row) if x]
+        assert all(re.denominator == im.denominator == 1 for _, re, im in entries)
+        entry_gaps.update(level[k] - level[l] for l, _, _ in entries)
+        for gap, rows in zip(sd.gaps, sd.component_rows):
+            assert rows[k] == [e for e in entries if level[k] - level[e[0]] == gap]
+    assert all(a > b for a, b in zip(sd.gaps, sd.gaps[1:]))  # distinct, largest first
+    assert set(sd.gaps) == entry_gaps
+    assert len(sd.component_rows) == len(sd.gaps)
+
+
 # -- nested brackets -------------------------------------------------------------------
 
 
@@ -297,7 +339,7 @@ def bracket_value(sd, rows, k):
     """The nested bracket of a word of length k from the integer rows the
     walk carries for it: divided by den^k (i hbar)^(k-1), in GaussianRational
     arithmetic."""
-    scale = sd.inv_ihbar ** (k - 1)
+    scale = inv_ihbar(sd.problem) ** (k - 1)
     out = [[ZERO] * sd.problem.dim for _ in range(sd.problem.dim)]
     for out_row, row in zip(out, rows):
         for l, re, im in row:
@@ -478,18 +520,18 @@ def dense_conjugator(sd, engine, order):
     """C as S^w (i hbar)^(-len(w)) times B_(w1) ... B_(wk) by mat_mul,
     summed over every word up to the order (a word whose prefix product
     vanishes adds nothing, so its extensions are skipped)."""
-    dim = sd.problem.dim
+    dim, components, scale = sd.problem.dim, dense_components(sd), inv_ihbar(sd.problem)
     terms = {0: identity_matrix(dim)}
     frontier = [((), identity_matrix(dim))]
     for k in range(1, order + 1):
         grown = []
         terms[k] = zero_matrix(dim)
         for word, product in frontier:
-            for i, component in enumerate(sd.components):
+            for i, component in enumerate(components):
                 extended = mat_mul(product, component)
                 if not mat_is_zero(extended):
                     grown.append((word + (i,), extended))
-                    weight = engine.coeff_S(word + (i,)) * sd.inv_ihbar ** k
+                    weight = engine.coeff_S(word + (i,)) * scale**k
                     terms[k] = mat_add(terms[k], mat_scale(weight, extended))
         frontier = grown
     return MatrixSeries.from_orders(dim, order, terms)
@@ -660,7 +702,7 @@ def test_generator_is_hermitian_and_exponentiates_to_C():
         engine = BirkhoffEngine(out.decomposition.alphabet)
         w_mould = mould_generator(out.decomposition, engine, problem.order)
         assert all(mat_adjoint(w) == w for w in w_mould.coeffs)
-        assert series_exp(series_scale(out.decomposition.inv_ihbar, w_mould)) == out.c_series
+        assert series_exp(series_scale(inv_ihbar(problem), w_mould)) == out.c_series
 
 
 def test_solve_never_evaluates_the_mould_logarithm(monkeypatch):
