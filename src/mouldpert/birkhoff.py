@@ -207,8 +207,9 @@ def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> tuple:
     (R x S)^w is the sum over j >= 1 of R^(w[:j]) S^(w[j:]), as R vanishes
     on the empty word.  Both identities must hold with exactly zero
     residual on every word of length <= max_length; S must additionally
-    pass the symmetrality check.  Returns the three reports (S equation,
-    R equation, S symmetrality).
+    pass the symmetrality check, which reads the mould ``engine.S``
+    through its scalar reader and compares Gaussian rationals.  Returns
+    the three reports (S equation, R equation, S symmetrality).
     """
     alphabet = engine.alphabet
     s_report = SuiteReport()
@@ -276,7 +277,15 @@ def verify_grading_identities(engine: BirkhoffEngine, max_length: int) -> SuiteR
 
     A product by the letters mould I is a read of the shorter word:
     (U_plus x I)^w is U_plus on w without its last letter, and 0 on the
-    empty word.
+    empty word.  R x U_minus and R x U_plus read the mould ``engine.R``
+    through its scalar reader: each value is one sum of U values weighted
+    by the nonzero R on the prefixes.
+
+    The value half of (iii) compares R with -len(w) * residue(U_minus^w),
+    which is how ``coeff_R`` computes R from the same pair table, so it
+    holds by construction on any pair table; only its shape half can fire
+    on a fault in ``_pair``, and its value half only on an edited
+    ``coeff_R``.
     """
     alphabet = engine.alphabet
     report = SuiteReport()

@@ -23,7 +23,7 @@ from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .laurent import Laurent
-from .scalars import GaussianRational, ZERO, format_scalar, parse_scalar
+from .scalars import GaussianRational, ONE, ZERO, format_scalar, parse_scalar
 
 __all__ = [
     "Word",
@@ -174,12 +174,18 @@ class Mould:
     <= acc.  Every mould memoizes its values per word: a cached value is
     returned when its window covers acc, and a deeper request re-evaluates
     and replaces it.
+
+    ``scalar`` is None for a Laurent-valued mould.  A mould of e-free
+    values (:meth:`constant_from`) keeps a reader ``scalar(word)`` of its
+    Gaussian rational values, and the shuffle checks and a product with
+    it on the left read that instead of Laurent values.
     """
 
     def __init__(self, alphabet: Alphabet, evaluate: Callable[[Word, int], Laurent]):
         self.alphabet = alphabet
         self._evaluate = evaluate
         self._memo: dict = {}
+        self.scalar = None
 
     def value(self, word: Word, acc: int = 0) -> Laurent:
         cached = self._memo.get(word)
@@ -191,15 +197,32 @@ class Mould:
 
     @classmethod
     def constant_from(cls, alphabet: Alphabet, scalar_fn: Callable[[Word], GaussianRational]) -> "Mould":
-        """The mould of e-free values scalar_fn(word)."""
-        def fn(word: Word, acc: int) -> Laurent:
-            c = scalar_fn(word)
-            return Laurent.monomial(c, 0) if c else Laurent.zero()
+        """The mould of e-free values scalar_fn(word).
 
-        return cls(alphabet, fn)
+        ``scalar(word)`` is scalar_fn(word), memoized per word, and
+        ``value(word, acc)`` is that same memo entry as the monomial of
+        degree 0, or the exact zero.  Neither closure reads the mould, so
+        the mould closes no reference cycle.
+        """
+        memo = {}
+
+        def scalar(word: Word) -> GaussianRational:
+            c = memo.get(word)
+            if c is None:
+                c = memo[word] = scalar_fn(word)
+            return c
+
+        mould = cls(alphabet, lambda word, acc: _constant(scalar(word)))
+        mould.scalar = scalar
+        return mould
 
     def __repr__(self) -> str:
         return f"<mould over {self.alphabet!r}>"
+
+
+def _constant(c: GaussianRational) -> Laurent:
+    """The e-free Laurent value c: the monomial c e^0, or the exact zero."""
+    return Laurent.monomial(c, 0) if c else Laurent.zero()
 
 
 def _product_value(factors: list, acc: int):
@@ -232,9 +255,26 @@ def _integer_constant(m: int) -> Laurent:
 
 
 def mould_product(left: Mould, right: Mould) -> Mould:
-    """Concatenation-dual convolution: (M x N)^w = sum over w = a.b of M^a N^b."""
+    """Concatenation-dual convolution: (M x N)^w = sum over w = a.b of M^a N^b.
+
+    A left factor with poles needs its partner re-requested deeper
+    (``_product_value``).  A scalar left factor (``left.scalar``) has
+    none: the value is one sum of N^b, at acc, weighted by the nonzero
+    M^a, and N^b is not evaluated where M^a is zero.
+    """
     if left.alphabet is not right.alphabet:
         raise MouldError("mould product requires a shared alphabet")
+    scalar = left.scalar
+    if scalar is not None:
+        def fn(word: Word, acc: int) -> Laurent:
+            terms = []
+            for j in range(len(word) + 1):
+                c = scalar(word[:j])
+                if c:
+                    terms.append((_constant(c), right.value(word[j:], acc)))
+            return Laurent.sum_of_products(terms)
+
+        return Mould(left.alphabet, fn)
 
     def fn(word: Word, acc: int) -> Laurent:
         terms = (
@@ -363,7 +403,21 @@ class ShuffleReport:
         return self.empty_word_ok and not self.violations
 
 
+def _shuffle_pairs_up_to(alphabet: Alphabet, max_length: int) -> Iterator[tuple]:
+    """The nonempty word pairs (a, b) with len(a) + len(b) <= max_length,
+    len(a) <= len(b), and a <= b when the lengths are equal."""
+    for la in range(1, max_length):
+        for lb in range(la, max_length - la + 1):
+            for a in alphabet.words_of_length(la):
+                for b in alphabet.words_of_length(lb):
+                    if la == lb and b < a:
+                        continue
+                    yield a, b
+
+
 def _shuffle_check(mould: Mould, max_length: int, character: bool, acc: int) -> ShuffleReport:
+    if mould.scalar is not None and acc >= 0:
+        return _scalar_shuffle_check(mould.scalar, mould.alphabet, max_length, character)
     alphabet = mould.alphabet
     report = ShuffleReport()
     empty_value = mould.value(EMPTY_WORD, acc)
@@ -371,30 +425,52 @@ def _shuffle_check(mould: Mould, max_length: int, character: bool, acc: int) -> 
         report.empty_word_ok = empty_value.agrees_with(Laurent.one(), acc)
     else:
         report.empty_word_ok = empty_value.agrees_with(Laurent.zero(), acc)
-    for la in range(1, max_length):
-        for lb in range(la, max_length - la + 1):
-            for a in alphabet.words_of_length(la):
-                for b in alphabet.words_of_length(lb):
-                    if la == lb and b < a:
-                        continue
-                    report.pairs_checked += 1
-                    lhs = Laurent.sum_of_products(
-                        (mould.value(n, acc), _integer_constant(mult)) for n, mult in _shuffle_pairs(a, b)
-                    )
-                    product = _product_value([(mould, a), (mould, b)], acc) if character else None
-                    rhs = Laurent.zero() if product is None else Laurent.sum_of_products([product])
-                    if not lhs.agrees_with(rhs, acc):
-                        report.violations.append(ShuffleViolation(a, b, lhs, rhs))
+    for a, b in _shuffle_pairs_up_to(alphabet, max_length):
+        report.pairs_checked += 1
+        lhs = Laurent.sum_of_products(
+            (mould.value(n, acc), _integer_constant(mult)) for n, mult in _shuffle_pairs(a, b)
+        )
+        product = _product_value([(mould, a), (mould, b)], acc) if character else None
+        rhs = Laurent.zero() if product is None else Laurent.sum_of_products([product])
+        if not lhs.agrees_with(rhs, acc):
+            report.violations.append(ShuffleViolation(a, b, lhs, rhs))
+    return report
+
+
+def _scalar_shuffle_check(
+    scalar: Callable[[Word], GaussianRational], alphabet: Alphabet, max_length: int, character: bool
+) -> ShuffleReport:
+    """The shuffle check of an e-free mould on its Gaussian rational
+    values: through any degree acc >= 0 its values agree exactly when
+    their constant terms are equal.  A violation holds the same Laurent
+    values as the check on Laurent values would."""
+    report = ShuffleReport(empty_word_ok=scalar(EMPTY_WORD) == (ONE if character else ZERO))
+    for a, b in _shuffle_pairs_up_to(alphabet, max_length):
+        report.pairs_checked += 1
+        lhs = ZERO
+        for n, mult in _shuffle_pairs(a, b):
+            c = scalar(n)
+            if c:
+                lhs = lhs + (c if mult == 1 else c * mult)
+        rhs = scalar(a) * scalar(b) if character else ZERO
+        if lhs != rhs:
+            report.violations.append(ShuffleViolation(a, b, _constant(lhs), _constant(rhs)))
     return report
 
 
 def is_symmetral_up_to(mould: Mould, max_length: int, acc: int = 0) -> ShuffleReport:
     """Check the character property M^(a sh b) = M^a M^b for all nonempty
-    word pairs with total length <= max_length (plus M = 1 on the empty word)."""
+    word pairs with total length <= max_length (plus M = 1 on the empty word).
+
+    For acc >= 0 an e-free mould (``mould.scalar``) is checked on its
+    Gaussian rational values; otherwise the values agree through degree acc."""
     return _shuffle_check(mould, max_length, character=True, acc=acc)
 
 
 def is_alternal_up_to(mould: Mould, max_length: int) -> ShuffleReport:
     """Check the infinitesimal-character property: the shuffle sum vanishes
-    for all nonempty word pairs with total length <= max_length."""
+    for all nonempty word pairs with total length <= max_length.
+
+    An e-free mould (``mould.scalar``) is checked on its Gaussian
+    rational values, and a Laurent-valued one through degree 0."""
     return _shuffle_check(mould, max_length, character=False, acc=0)

@@ -257,12 +257,13 @@ def test_corruption_is_detected():
 
 
 @pytest.mark.parametrize("make", [BirkhoffEngine, lambda a: CorruptedEngine(a, a.word_of(a.letters[0]))])
-@pytest.mark.parametrize("use", ["coeff_N", "S", "build_normal_form"])
+@pytest.mark.parametrize("use", ["coeff_N", "S", "scalar", "build_normal_form"])
 def test_an_engine_is_freed_by_reference_counting(make, use):
     """An engine holds no reference cycle: with the cyclic collector off, a
-    weak reference to it, and one to its T mould, die as soon as its last
-    name is deleted, after reading N, after evaluating the S mould, and
-    after the word walk of ``build_normal_form``."""
+    weak reference to it, and one to each of its T, S and R moulds, die as soon as its last
+    name is deleted, after reading N, after evaluating the S mould, after
+    reading S and R through their scalar readers, and after the word walk
+    of ``build_normal_form``."""
     sd = spectral_decompose(random_problem(3, 4, seed=3))
     alphabet = sd.alphabet
     word = alphabet.word_of(alphabet.letters[0], alphabet.letters[-1])
@@ -274,11 +275,14 @@ def test_an_engine_is_freed_by_reference_counting(make, use):
             engine.coeff_N(word)
         elif use == "S":
             engine.S.value(word)
+        elif use == "scalar":
+            engine.S.scalar(word)
+            engine.R.scalar(word)
         else:
             build_normal_form(sd, engine)
-        refs = weakref.ref(engine), weakref.ref(engine.T)
+        refs = [weakref.ref(m) for m in (engine, engine.T, engine.S, engine.R)]
         del engine
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         if enabled:
             gc.enable()

@@ -666,6 +666,10 @@ GOLDEN_DIGESTS = (
      "686b9c687da7d5aa8f57067c79092a534d7207110be4290ae998562ef5188741"),
     (("verify", "--alphabet", "i,-i,1,-1,0", "-L", "3", "--corrupt-word", "0"), 1,
      "8bee5c6ec312d798ff30995e31cd8d028bf7266afb0e1604f84f18c235e24a06"),
+    # a two-letter corrupted word: 55 symmetrality_S violations, with shuffle
+    # multiplicities above 1, and 48 grading_identities violations
+    (("verify", "--alphabet", "i,-i,2i,0", "-L", "4", "--corrupt-word", "i,-i"), 1,
+     "e7bb69401fe81dc1bb42f2b886c918993e49ff080697cc8e88db7756c6708506"),
 )
 GOLDEN_VERIFY = os.path.join(os.path.dirname(__file__), "golden", "verify_corrupt_0.json")
 

@@ -4,10 +4,12 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
+from mouldpert.birkhoff import BirkhoffEngine
 from mouldpert.laurent import Laurent
 from mouldpert.moulds import (
     Alphabet,
@@ -362,3 +364,75 @@ def test_symmetrality_checker_reports_violations(alphabet):
     assert report.violations
     described = report.violations[0].describe(alphabet)
     assert "sh" in described
+
+
+# -- e-free moulds read as scalars ----------------------------------------------
+
+SCALAR_ALPHABETS = ("i,-i", "1,-1", "i,-i,0", "1,-1,2i", "0,1/2,-1/2")
+TABLE_VALUES = tuple(
+    GaussianRational(re, im)
+    for re, im in ((0, 0), (1, 0), (-1, 0), (Fraction(1, 2), 0), (0, 1), (2, Fraction(-1, 3)))
+)
+
+
+@st.composite
+def scalar_tables(draw, max_length=4):
+    """An alphabet of 2-3 letters and a table of e-free values on its words
+    of length <= max_length: random values (almost never symmetral), the
+    symmetral exp of a letters mould, x_(w1)...x_(wr) / r!, or an alternal
+    letters mould; a structured table has one entry redrawn half the time."""
+    alphabet = Alphabet.parse(draw(st.sampled_from(SCALAR_ALPHABETS)))
+    words = list(alphabet.words_up_to(max_length))
+    kind = draw(st.sampled_from(("random", "symmetral", "alternal")))
+    if kind == "random":
+        table = {w: draw(st.sampled_from(TABLE_VALUES)) for w in words}
+    else:
+        weights = [draw(st.sampled_from(TABLE_VALUES)) for _ in alphabet.letters]
+        table = {}
+        for w in words:
+            if kind == "alternal":
+                table[w] = weights[w[0]] if len(w) == 1 else ZERO
+            else:
+                value = GaussianRational(Fraction(1, factorial(len(w))))
+                for i in w:
+                    value = value * weights[i]
+                table[w] = value
+        if draw(st.booleans()):
+            table[draw(st.sampled_from(words))] = draw(st.sampled_from(TABLE_VALUES))
+    return alphabet, table
+
+
+def scalar_and_laurent_twin(alphabet, table):
+    """The same e-free values as a ``constant_from`` mould and as a plain
+    Laurent-valued mould serving the monomials c e^0."""
+    scalar = Mould.constant_from(alphabet, lambda w: table[w])
+    twin = Mould(alphabet, lambda w, acc: Laurent.monomial(table[w], 0) if table[w] else Laurent.zero())
+    assert scalar.scalar is not None and twin.scalar is None
+    return scalar, twin
+
+
+def shuffle_summary(report, alphabet):
+    return report.pairs_checked, report.empty_word_ok, [v.describe(alphabet) for v in report.violations]
+
+
+@given(scalar_tables())
+def test_scalar_shuffle_checks_equal_the_laurent_checks(case):
+    alphabet, table = case
+    scalar, twin = scalar_and_laurent_twin(alphabet, table)
+    for check in (is_symmetral_up_to, is_alternal_up_to):
+        assert shuffle_summary(check(scalar, 4), alphabet) == shuffle_summary(check(twin, 4), alphabet)
+        assert check(scalar, 4).violations == check(twin, 4).violations
+
+
+@given(scalar_tables(max_length=3), st.sampled_from(("u_minus", "u_plus")))
+def test_scalar_product_equals_the_laurent_product(case, right):
+    alphabet, table = case
+    scalar, twin = scalar_and_laurent_twin(alphabet, table)
+    # one engine per side, so that each side's windows come from its own
+    # requests; the moulds reach their engine weakly, so both are kept here
+    engines = BirkhoffEngine(alphabet), BirkhoffEngine(alphabet)
+    by_scalar = mould_product(scalar, getattr(engines[0], right))
+    by_twin = mould_product(twin, getattr(engines[1], right))
+    for acc in (0, 2):
+        for word in alphabet.words_up_to(3):
+            assert by_scalar.value(word, acc) == by_twin.value(word, acc)
