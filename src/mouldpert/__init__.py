@@ -3,8 +3,8 @@
 Laurent-valued moulds over an alphabet of eigenvalue differences are
 factored into polar and regular parts; the residues and constant terms
 of the factors weight nested commutators and ordered products of the
-perturbation's eigencomponents, producing the normal form, a unitary
-conjugator and its Hermitian generator, all in exact arithmetic.
+perturbation's eigencomponents, producing the normal form and a unitary
+conjugator, all in exact arithmetic.
 """
 
 from .scalars import GaussianRational, ScalarParseError, format_scalar, parse_scalar

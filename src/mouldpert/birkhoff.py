@@ -201,7 +201,7 @@ class SuiteReport:
 def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> tuple:
     """Residuals of nabla_phi S = S x I - R x S and nabla_phi R = 0.
 
-    S and R are read from the engine as scalars (``coeff_S``, ``coeff_R``).
+    S is read as a scalar (``coeff_S``), R from its memo (``R.scalar``).
     A product by the letters mould I is a read of the shorter word:
     (S x I)^w is S on w without its last letter, and 0 on the empty word.
     (R x S)^w is the sum over j >= 1 of R^(w[:j]) S^(w[j:]), as R vanishes
@@ -211,7 +211,7 @@ def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> tuple:
     through its scalar reader and compares Gaussian rationals.  Returns
     the three reports (S equation, R equation, S symmetrality).
     """
-    alphabet = engine.alphabet
+    alphabet, r = engine.alphabet, engine.R.scalar
     s_report = SuiteReport()
     r_report = SuiteReport()
     for word in alphabet.words_up_to(max_length):
@@ -220,11 +220,11 @@ def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> tuple:
         lhs = phi * engine.coeff_S(word)
         rhs = engine.coeff_S(word[:-1]) if word else ZERO
         for j in range(1, len(word) + 1):
-            rhs = rhs - engine.coeff_R(word[:j]) * engine.coeff_S(word[j:])
+            rhs = rhs - r(word[:j]) * engine.coeff_S(word[j:])
         if lhs != rhs:
             s_report.record(word, "nabla_phi S - (S x I - R x S)", lhs - rhs, ZERO)
         r_report.words_checked += 1
-        r_residual = phi * engine.coeff_R(word)
+        r_residual = phi * r(word)
         if r_residual:
             r_report.record(word, "nabla_phi R", r_residual, ZERO)
     return s_report, r_report, is_symmetral_up_to(engine.S, max_length)

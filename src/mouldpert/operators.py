@@ -9,8 +9,8 @@ series in e' held as Gaussian-integer numerators over one denominator
 per order, on a fixed window of degrees, and makes GaussianRational
 values only for C_k and N_k.  The checks of ``verify_conjugacy``
 (conjugacy, unitarity, traces) use one integer format, per row the
-(column, re, im) triples of its nonzero entries over a shared
-denominator (``_integer_rows``), and their products return it
+(column, re, im) triples of its nonzero entries over the
+denominator of its order (``_integer_rows``), and their products return it
 (``_gaussian_product``), so their cost follows the nonzeros.  No series
 product of GaussianRational matrices is formed: the recursive oracle
 (``hierarchy_oracle``) conjugates by exp(ad), one sparse product of
@@ -94,18 +94,13 @@ def mat_scale(c: GaussianRational, a: tuple) -> tuple:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def _denominator(matrices) -> int:
-    """The lcm of the entry denominators of GaussianRational matrices (a
-    zero entry's is 1)."""
-    return math.lcm(*{x._d for a in matrices for row in a for x in row})
-
-
-def _integer_rows(a: tuple, den: int) -> list:
-    """Per row of a, the (column, re, im) triples of its nonzero entries,
-    each entry the Gaussian integer re + im i over den, a multiple of every
-    entry denominator: the one integer format of the exact kernels."""
+def _integer_rows(a: tuple) -> tuple:
+    """(den, rows): per row of a, the (column, re, im) triples of its
+    nonzero entries, each the Gaussian integer re + im i over den, the lcm
+    of the entry denominators: the one integer format of the exact kernels."""
     # a GaussianRational is the canonical integer triple (_a + _b i) / _d
-    return [
+    den = math.lcm(*{x._d for row in a for x in row})
+    return den, [
         [(j, x._a * (den // x._d), x._b * (den // x._d)) for j, x in enumerate(row) if x._a or x._b]
         for row in a
     ]
@@ -399,8 +394,7 @@ class SpectralDecomposition:
     def __init__(self, problem: PerturbationProblem):
         self.problem = problem
         (level_den, level), p, q = problem.levels, problem.hbar.numerator, problem.hbar.denominator
-        self.den = _denominator([problem.v])
-        v_rows = _integer_rows(problem.v, self.den)
+        self.den, v_rows = _integer_rows(problem.v)
         # lam = -i q gap / (p D_E): ordered by (re, im), the letters run from the largest gap down
         gaps = {level[k] - level[l] for k, row in enumerate(v_rows) for l, _, _ in row}
         self.gaps = tuple(sorted(gaps, reverse=True))
@@ -600,8 +594,7 @@ def build_conjugator(problem: PerturbationProblem) -> tuple:
     values are formed only for C_m and N_m, one gcd per entry.
     """
     dim, K = problem.dim, problem.order
-    v_den = _denominator([problem.v])
-    v = (v_den, _integer_rows(problem.v, v_den))
+    v = _integer_rows(problem.v)
     # Phi(T)_m and Phi(U_minus)_m as (denominator, rows): per row, the
     # (column, re, im) of its nonzero entries, re and im the numerators of
     # degrees -m..K-m for Phi(T)_m and -m..-1 for Phi(U_minus)_m
@@ -774,47 +767,32 @@ def verify_conjugacy(
     N_k, and conservation of tr((H0 + mu V)^p).
 
     C and N are read as the GaussianRational series that ``solve``
-    outputs.  The products run on the integer kernel: order k of C is
-    written as Gaussian integers over F^k, F the lcm of the entry
-    denominators of C_1..C_K and of V (``_integer_rows``), H0 over D,
-    the common denominator of the levels (``PerturbationProblem.levels``),
-    and V over D F; C* is C's rows transposed, imaginary parts negated.  So
-    order k of C H and of C H C* is over D F^k, and order k of C C* over
-    F^k (``_gaussian_product``), with no reduction on the way; each
-    product is held as its nonzero rows and feeds the next as it is.
-    Order k is compared with H0 + N and with I in integers
-    (``_integer_residual``), where an entry absent from the rows is 0,
-    and an entry becomes a GaussianRational only where the two differ, so
-    the residual magnitudes are exactly those of the differences
-    C H C* - (H0 + N) and C C* - I.  The oracle keeps its own integer
-    kernel (``_ad_term``): the checks and the oracle share no product
-    kernel that one fault could make agree.  As H0 is
+    outputs.  The products run on the integer kernel: every order of C,
+    C* (``_adjoint_rows``) and H = H0 + mu V is held as Gaussian integers
+    over its own denominator (``_integer_rows``), and every order of a
+    product over the lcm of the denominator products of its pairs
+    (``_gaussian_product``), with no reduction on the way.  Order k is
+    compared with H0 + N and with I in integers (``_integer_residual``),
+    where an entry absent from the rows is 0, and an entry becomes a
+    GaussianRational only where the two differ, so the residual
+    magnitudes are exactly those of the differences
+    C H C* - (H0 + N) and C C* - I.  The oracle keeps
+    its own integer kernel (``_ad_term``): the checks and the oracle
+    share no product kernel that one fault could make agree.  As H0 is
     diagonal, [H0, N_k] = 0 is read as N_k equal to its resonant part."""
-    dim, order = problem.dim, problem.order
-    (d, level), f = problem.levels, _denominator(c_series.coeffs[1:] + (problem.v,))
-    c_rows = [_integer_rows(a, f**k) for k, a in enumerate(c_series.coeffs)]
-    c_adj = [_adjoint_rows(rows) for rows in c_rows]
-    h_rows = [[[(i, e, 0)] if e else [] for i, e in enumerate(level)], _integer_rows(problem.v, d * f)]
-    h_rows += [[[] for _ in range(dim)] for _ in range(order - 1)]
-    ch_rows = _gaussian_product(c_rows, h_rows)
-    conjugated = _gaussian_product(ch_rows, c_adj)
-    unitary = _gaussian_product(c_rows, c_adj)
-    rhs = _normal_series(problem, n_series)
-    identity = MatrixSeries.from_orders(dim, order, {0: identity_matrix(dim)})
-    commutation = [n == problem.resonant_part(n) for n in n_series.coeffs[1:]]
-    hermitian = [mat_is_hermitian(n) for n in n_series.coeffs[1:]]
-    every = range(dim)
-    pairs = zip(_power_traces(problem.h_series(), every), _power_traces(rhs, every))
+    dim, h_series, rhs = problem.dim, problem.h_series(), _normal_series(problem, n_series)
+    c = [_integer_rows(a) for a in c_series.coeffs]
+    c_adj = [(den, _adjoint_rows(rows)) for den, rows in c]
+    conjugated = _gaussian_product(_gaussian_product(c, [_integer_rows(a) for a in h_series.coeffs]), c_adj)
+    unitary = _gaussian_product(c, c_adj)
+    identity = MatrixSeries.from_orders(dim, problem.order, {0: identity_matrix(dim)})
+    pairs = zip(_power_traces(h_series, range(dim)), _power_traces(rhs, range(dim)))
     trace_ok = {p: a == b for p, (a, b) in enumerate(pairs, start=1)}
     return ConjugacyReport(
-        conjugacy_magnitude=[
-            _integer_residual(p, d * f**k, a) for k, (p, a) in enumerate(zip(conjugated, rhs.coeffs))
-        ],
-        unitarity_magnitude=[
-            _integer_residual(p, f**k, a) for k, (p, a) in enumerate(zip(unitary, identity.coeffs))
-        ],
-        commutation_ok=commutation,
-        hermitian_ok=hermitian,
+        conjugacy_magnitude=[_integer_residual(*p, a) for p, a in zip(conjugated, rhs.coeffs)],
+        unitarity_magnitude=[_integer_residual(*p, a) for p, a in zip(unitary, identity.coeffs)],
+        commutation_ok=[n == problem.resonant_part(n) for n in n_series.coeffs[1:]],
+        hermitian_ok=[mat_is_hermitian(n) for n in n_series.coeffs[1:]],
         trace_ok=trace_ok,
     )
 
@@ -829,7 +807,7 @@ def _adjoint_rows(rows: list) -> list:
     return out
 
 
-def _integer_residual(rows: list, den: int, target: tuple) -> int:
+def _integer_residual(den: int, rows: list, target: tuple) -> int:
     """mat_magnitude(X - target), X the Gaussian-integer matrix over den
     given by its nonzero rows; an absent entry is 0.  X's entry
     (u + v i) / den equals x = (a + b i) / d exactly when u d = a den and
@@ -1051,97 +1029,93 @@ def _power_traces(series: MatrixSeries, indices: Sequence[int]) -> list:
     """[tr(B^p) by order for p = 1..n], n = len(indices), B the series
     restricted to the rows and columns in ``indices``.
 
-    The work is done in integers (``_integer_rows``), with one denominator
-    per order: B_0 over D0, the lcm of its entry denominators, and B_k,
-    k >= 1, over D0 E^k, E the lcm of the entry denominators of all orders
-    k >= 1.  Each product of p coefficients whose orders sum to k is then
-    over D0^p E^k, so order k of B^p is a matrix of Gaussian integers over
-    D0^p E^k and no sum or product is reduced on the way.  Only
-    B^1..B^m, m = ceil(n/2), are formed as series products, each order
-    as its nonzero rows (``_gaussian_product``), so the cost follows the
-    nonzero products.  For p > m, tr(B^p) is taken order by order as the
-    sum over i, j of (B^m)_ij (B^(p-m))_ji, with p - m <= m: one pass
+    The work is done in integers, each order of B and of its powers over
+    its own denominator (``_integer_rows``, ``_gaussian_product``), with
+    no reduction on the way.  Only B^1..B^m, m = ceil(n/2), are formed as
+    series products, each order as its nonzero rows, so the cost follows
+    the nonzero products.  For p > m, tr(B^p) is taken order by order as
+    the sum over i, j of (B^m)_ij (B^(p-m))_ji, with p - m <= m: one pass
     over the nonzero entries of B^(p-m), each looking up its partner in
     the per-row dicts of B^m (``_split_trace``), instead of another
-    product.  Each trace becomes a canonical GaussianRational once, as
-    (its integer sum) / (D0^p E^k).  Every trace still comes from B
-    alone."""
+    product.  Each trace is one canonical GaussianRational per order.
+    Every trace still comes from B alone."""
     n = len(indices)
     block = [[[a[i][j] for j in indices] for i in indices] for a in series.coeffs]
-    d0, e = _denominator(block[:1]), _denominator(block[1:])
-    base_rows = top_rows = [_integer_rows(a, d0 * e**k) for k, a in enumerate(block)]
-    powers = [base_rows]
+    powers = [[_integer_rows(a) for a in block]]
     for _ in range(1, (n + 1) // 2):
-        top_rows = _gaussian_product(top_rows, base_rows)
-        powers.append(top_rows)
+        powers.append(_gaussian_product(powers[-1], powers[0]))
     m = len(powers)
-    sums = [[_diagonal_sum(rows) for rows in power] for power in powers]
-    top = [[{c: (re, im) for c, re, im in row} for row in rows] for rows in top_rows]
-    for p in range(m + 1, n + 1):
-        sums.append(_split_trace(top, powers[p - m - 1]))
-    return [
-        [GaussianRational.from_integers(re, im, d0**p * e**k) for k, (re, im) in enumerate(by_order)]
-        for p, by_order in enumerate(sums, start=1)
-    ]
+    traces = [[_diagonal_sum(*x) for x in power] for power in powers]
+    top = [(den, [{c: (re, im) for c, re, im in row} for row in rows]) for den, rows in powers[-1]]
+    return traces + [_split_trace(top, powers[p - m - 1]) for p in range(m + 1, n + 1)]
 
 
 def _gaussian_product(left: list, right: list) -> list:
     """The truncated series product of two Gaussian-integer matrix series,
-    each given per order by the nonzero rows of its coefficient; per order,
-    the nonzero rows of the product.  Each output row is summed in a dict
-    keyed by column, so the work follows the nonzero products; an entry
-    that cancels to 0 + 0i is dropped, and the columns within a row come
-    in no fixed order."""
+    each given per order as (den, rows), the nonzero rows of the order over
+    den; per order k, (Q_k, rows), Q_k the lcm over j of the denominator
+    products d_j d'_(k-j), each pair's left entries scaled onto Q_k.  Each
+    output row is summed in a dict keyed by column, so the work follows the
+    nonzero products; an entry that cancels to 0 + 0i is dropped, no gcd is
+    taken, and the columns within a row come in no fixed order."""
     out = []
     for k in range(len(left)):
         pairs = [(left[j], right[k - j]) for j in range(k + 1)]
+        den = math.lcm(*(dx * dy for (dx, _), (dy, _) in pairs))
+        pairs = [(den // (dx * dy), a, b) for (dx, a), (dy, b) in pairs]
         rows = []
-        for i in range(len(left[k])):
+        for i in range(len(left[k][1])):
             acc = {}
-            for a, b in pairs:
+            for s, a, b in pairs:
                 for c, xr, xi in a[i]:
+                    if s != 1:
+                        xr, xi = xr * s, xi * s
                     for l, yr, yi in b[c]:
                         if l in acc:
-                            s = acc[l]
-                            s[0] += xr * yr - xi * yi
-                            s[1] += xr * yi + xi * yr
+                            t = acc[l]
+                            t[0] += xr * yr - xi * yi
+                            t[1] += xr * yi + xi * yr
                         else:
                             acc[l] = [xr * yr - xi * yi, xr * yi + xi * yr]
             rows.append([(l, re, im) for l, (re, im) in acc.items() if re or im])
-        out.append(rows)
+        out.append((den, rows))
     return out
 
 
-def _diagonal_sum(rows: list) -> tuple:
-    """The trace, as (real, imaginary) integers, of a Gaussian-integer
-    matrix given by its nonzero rows."""
+def _diagonal_sum(den: int, rows: list) -> GaussianRational:
+    """The trace of the Gaussian-integer matrix over den given by its
+    nonzero rows."""
     total_re = total_im = 0
     for i, row in enumerate(rows):
         for c, re, im in row:
             if c == i:
                 total_re += re
                 total_im += im
-    return total_re, total_im
+    return GaussianRational.from_integers(total_re, total_im, den)
 
 
 def _split_trace(left: list, right: list) -> list:
-    """tr(X Y) by order as (real, imaginary) integers, X given per order
-    by one dict {column: (re, im)} per row of its coefficient and Y by the
-    nonzero rows of its coefficients: the sum over the entries Y_li of
-    Y_li X_il, an absent X_il being 0."""
+    """tr(X Y) by order, one GaussianRational per order, X and Y given per
+    order as (den, rows), X's rows as one dict {column: (re, im)} each: the
+    sum over the entries Y_li of Y_li X_il, an absent X_il being 0, each
+    pair of orders brought over the lcm of their denominator products."""
     out = []
     for k in range(len(left)):
+        pairs = [(left[j], right[k - j]) for j in range(k + 1)]
+        den = math.lcm(*(dx * dy for (dx, _), (dy, _) in pairs))
+        pairs = [(den // (dx * dy), x, y) for (dx, x), (dy, y) in pairs]
         total_re = total_im = 0
-        for j in range(k + 1):
-            x_rows = left[j]
-            for l, row in enumerate(right[k - j]):
+        for s, x_rows, y_rows in pairs:
+            pair_re = pair_im = 0
+            for l, row in enumerate(y_rows):
                 for i, yr, yi in row:
                     x = x_rows[i].get(l)
                     if x is not None:
                         xr, xi = x
-                        total_re += xr * yr - xi * yi
-                        total_im += xr * yi + xi * yr
-        out.append((total_re, total_im))
+                        pair_re += xr * yr - xi * yi
+                        pair_im += xr * yi + xi * yr
+            total_re, total_im = total_re + s * pair_re, total_im + s * pair_im
+        out.append(GaussianRational.from_integers(total_re, total_im, den))
     return out
 
 

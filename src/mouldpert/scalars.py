@@ -323,7 +323,7 @@ def parse_scalar(text: str) -> GaussianRational:
             i += 1
         if i == start:
             fail(start, f"expected {what}")
-        return int(s[start:i])
+        return _parse_digits(s[start:i])
 
     def read_rational() -> Fraction:
         nonlocal i
@@ -368,10 +368,32 @@ def parse_scalar(text: str) -> GaussianRational:
     return GaussianRational(re_part, im_part)
 
 
+def _parse_digits(digits: str) -> int:
+    """int(digits), past the interpreter's int/str digit limit in halves."""
+    try:
+        return int(digits)
+    except ValueError:
+        k = len(digits) // 2
+        return _parse_digits(digits[:-k]) * 10**k + _parse_digits(digits[-k:])
+
+
+def _decimal(n: int) -> str:
+    """str(n), past the int/str digit limit split at a power of ten."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # log10(2) ~ 0.3
+        high, low = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + _decimal(high) + _decimal(low).zfill(k)
+
+
 def _ratio_str(n: int, d: int) -> str:
     """n/d in lowest terms, d > 0; a whole number prints without "/1"."""
     g = _gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
+    except ValueError:  # past the interpreter's limit on int/str conversion
+        return _decimal(n // g) if g == d else _decimal(n // g) + "/" + _decimal(d // g)
 
 
 def format_scalar(z: GaussianRational) -> str:

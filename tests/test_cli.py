@@ -139,6 +139,20 @@ def test_moulds_length_zero(capsys):
     }
 
 
+def test_letters_past_the_int_string_limit_are_valid_input(capsys):
+    """A letter of 2201 digits, whose length-2 values pass Python's
+    4300-digit limit on int/str conversion, and a 5001-digit letter are
+    printed in full, with exit 0."""
+    letter = "1/1" + "0" * 2200
+    assert main(["moulds", "--alphabet", letter, "-L", "2"]) == 0
+    rows = read_json(capsys)
+    s = rows[2]["S"]
+    assert len(s) > 4300
+    assert format_scalar(parse_scalar(s)) == s
+    assert main(["moulds", "--alphabet", "3" * 5001, "-L", "1"]) == 0
+    assert read_json(capsys)[1]["word"] == "3" * 5001
+
+
 def test_moulds_rejects_bad_alphabet(capsys):
     assert main(["moulds", "--alphabet", "i,i"]) == 2
     assert main(["moulds", "--alphabet", "x"]) == 2

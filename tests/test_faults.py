@@ -243,9 +243,8 @@ def trace_bumped(traces):
 
 
 def split_trace_bumped(traces):
-    """A split trace, (real, imaginary) integers by order, one higher in
-    its real part at order 1."""
-    return [(re + 1, im) if k == 1 else (re, im) for k, (re, im) in enumerate(traces)]
+    """A split trace, one GaussianRational per order, one higher at order 1."""
+    return [t + ONE if k == 1 else t for k, t in enumerate(traces)]
 
 
 EVERY_CHECK = {

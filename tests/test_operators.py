@@ -956,7 +956,7 @@ def test_oracle_runs_on_its_own_kernel(monkeypatch):
     def unavailable(*args, **kwargs):
         raise AssertionError("the oracle must not call this")
 
-    for name in ("_integer_rows", "_denominator", "_reduced", "_gaussian_product", "_adjoint_rows"):
+    for name in ("_integer_rows", "_reduced", "_gaussian_product", "_adjoint_rows"):
         monkeypatch.setattr(operators, name, unavailable)
     monkeypatch.setattr(PerturbationProblem, "levels", property(unavailable))
     for name in cases:
@@ -1185,9 +1185,9 @@ def test_series_product_matches_a_dense_convolution(data, dim, order):
     assert series_mul(a, b) == dense_series_mul(a, b)
 
 
-def integer_series(a, den):
-    """A series as the integer rows of its coefficients, all over den."""
-    return [operators._integer_rows(c, den) for c in a.coeffs]
+def integer_series(a):
+    """A series as (den, rows) per order, each order over its own denominator."""
+    return [operators._integer_rows(c) for c in a.coeffs]
 
 
 def from_integer_rows(rows, den, dim):
@@ -1209,11 +1209,11 @@ def test_products_that_cancel_exactly_are_zero():
     product = series_mul(x, y)
     assert product.coeffs[1] == zero_matrix(2)
     assert product == dense_series_mul(x, y)
-    # on integer rows over 2, a b is over 4: its row 0 cancels and is dropped, not
-    # kept as 0 + 0i, and 1 + 2i is (4 + 8i) / 4
-    ab = operators._gaussian_product([operators._integer_rows(a, 2)], [operators._integer_rows(b, 2)])
-    assert ab == [[[], [(0, 4, 8)]]]
-    assert operators._gaussian_product(integer_series(x, 2), integer_series(y, 2))[1] == [[], []]
+    # a is over 1 and b over 2, so a b is over 2: its row 0 cancels and is
+    # dropped, not kept as 0 + 0i, and 1 + 2i is (2 + 4i) / 2
+    ab = operators._gaussian_product([operators._integer_rows(a)], [operators._integer_rows(b)])
+    assert ab == [(2, [[], [(0, 2, 4)]])]
+    assert operators._gaussian_product(integer_series(x), integer_series(y))[1][1] == [[], []]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1221,10 +1221,46 @@ def test_products_that_cancel_exactly_are_zero():
 def test_integer_product_matches_a_dense_convolution(data, dim, order):
     a = data.draw(sparse_series(dim, order))
     b = data.draw(sparse_series(dim, order))
-    den_a, den_b = operators._denominator(a.coeffs), operators._denominator(b.coeffs)
-    rows = operators._gaussian_product(integer_series(a, den_a), integer_series(b, den_b))
-    assert all(re or im for by_order in rows for row in by_order for _, re, im in row)
-    product = MatrixSeries([from_integer_rows(r, den_a * den_b, dim) for r in rows])
+    rows = operators._gaussian_product(integer_series(a), integer_series(b))
+    assert all(re or im for _, by_order in rows for row in by_order for _, re, im in row)
+    product = MatrixSeries([from_integer_rows(r, den, dim) for den, r in rows])
+    assert product == dense_series_mul(a, b)
+
+
+# per-order denominators of a series: one shared value, pairwise coprime primes, or all 1
+ORDER_DENOMINATORS = st.one_of(
+    st.integers(2, 12).map(lambda d: [d] * 4),
+    st.permutations([2, 3, 5, 7]),
+    st.just([1] * 4),
+)
+
+
+@st.composite
+def per_order_series(draw, dim, order):
+    """(GaussianRational series, its (den, rows) per order): Gaussian-integer
+    numerators over the drawn denominator of each order, not reduced."""
+    dens = draw(ORDER_DENOMINATORS)
+    entry = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    coeffs, orders = [], []
+    for k in range(order + 1):
+        numerators = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
+        coeffs.append(tuple(tuple(GaussianRational.from_integers(re, im, dens[k]) for re, im in row) for row in numerators))
+        rows = [[(j, re, im) for j, (re, im) in enumerate(row) if re or im] for row in numerators]
+        orders.append((dens[k], rows))
+    return MatrixSeries(coeffs), orders
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4), order=st.integers(0, 3))
+def test_per_order_product_matches_a_dense_convolution(data, dim, order):
+    """Order k of the product is over Q_k, the lcm over j of d_j d'_(k-j),
+    whatever the per-order denominators: equal, pairwise coprime or 1."""
+    a, a_orders = data.draw(per_order_series(dim, order))
+    b, b_orders = data.draw(per_order_series(dim, order))
+    rows = operators._gaussian_product(a_orders, b_orders)
+    for k, (den, _) in enumerate(rows):
+        assert den == math.lcm(*(a_orders[j][0] * b_orders[k - j][0] for j in range(k + 1)))
+    product = MatrixSeries([from_integer_rows(r, den, dim) for den, r in rows])
     assert product == dense_series_mul(a, b)
 
 

@@ -147,6 +147,17 @@ def test_format_examples():
     assert format_scalar(gr(Fraction(-1, 2), Fraction(2, 3))) == "-1/2+2/3i"
 
 
+def test_literals_of_any_length_round_trip():
+    """Integers past the interpreter's 4300-digit limit on int/str
+    conversion print and parse exactly, with that limit left as it is."""
+    numerator = 10**5001 + 7
+    z = GaussianRational(Fraction(-numerator, 3**9000), Fraction(2**20000 + 1, 10**5200))
+    text = format_scalar(z)
+    assert text.startswith("-1" + "0" * 5000 + "7/")
+    assert parse_scalar(text) == z
+    assert parse_scalar("1" + "0" * 5001 + "i") == GaussianRational(0, 10**5001)
+
+
 def test_repr_is_informative():
     assert "3/4" in repr(gr(Fraction(3, 4)))
 
