@@ -4,8 +4,11 @@ Subcommands: ``solve`` runs the whole pipeline on a problem file,
 ``moulds`` dumps the word table for an alphabet, ``verify`` runs the
 identity suites, ``oracle`` runs ``solve`` and reports how its normal form
 compares with the recursive construction.  All output is JSON with scalars
-in the exact literal grammar; exit codes are 0 (clean), 1 (an invariant is
-violated), 2 (bad input).
+in the exact literal grammar, laid out as ``json.dumps(indent=2)`` lays it
+out by one writer (``_emit``); ``moulds`` writes its table row by row as
+the rows are computed, so its memory follows the engine's memo, not the
+table.  Exit codes are 0 (clean), 1 (an invariant is violated), 2 (bad
+input).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .birkhoff import (
     BirkhoffEngine,
@@ -72,11 +76,65 @@ def _parse_mu_list(text: str) -> list:
     return samples
 
 
+def _encode(value, indent: str, out: list) -> None:
+    """Append the text of value, laid out as ``json.dumps(indent=2)`` lays
+    it out at nesting ``indent``, to out.  A dict is an object, a str a
+    string (the C escaper ``json.dumps`` uses), an int, float, bool or
+    None the text ``json.dumps`` gives it; any other value is iterated as
+    an array, so a generator stands for a list."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key, item in value.items():
+            out.append(separator)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _encode(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif value is None or isinstance(value, (int, float)):
+        out.append(json.dumps(value))
+    else:
+        inner = indent + "  "
+        separator = "[\n" + inner
+        for item in value:
+            out.append(separator)
+            _encode(item, inner, out)
+            separator = ",\n" + inner
+        out.append("[]" if separator[0] == "[" else "\n" + indent + "]")
+
+
+def _write_json(payload, write) -> None:
+    """Write payload as ``json.dumps(payload, indent=2)`` and a newline
+    through write: a dict in one call, any other iterable one element per
+    call, so no list of its elements and no whole text is ever held."""
+    if isinstance(payload, dict):
+        out: list = []
+        _encode(payload, "", out)
+        out.append("\n")
+        write("".join(out))
+        return
+    separator = "[\n  "
+    for item in payload:
+        out = [separator]
+        _encode(item, "  ", out)
+        write("".join(out))
+        separator = ",\n  "
+    write("[]\n" if separator[0] == "[" else "\n]\n")
+
+
 def _emit(payload, output: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    """Write payload's JSON to standard output, or to the file output
+    (resolved against ``MOULDPERT_OUTPUT_DIR`` when relative).  A list
+    payload may be any iterable; it is written as it is consumed."""
     if output is None or output == "-":
         try:
-            print(text)
+            _write_json(payload, sys.stdout.write)
             sys.stdout.flush()
         except OSError as exc:
             # later flushes, at exit too, go nowhere instead of raising again
@@ -90,7 +148,7 @@ def _emit(payload, output: str | None) -> None:
         output = os.path.join(directory, output)
     try:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            _write_json(payload, handle.write)
     except OSError as exc:
         raise ValueError(f"cannot write {output}: {exc}") from exc
 
@@ -134,11 +192,11 @@ def cmd_moulds(args) -> int:
     engine = BirkhoffEngine(alphabet)
     acc = _nonnegative(args.acc, "--acc")
     max_length = _nonnegative(args.max_length, "--max-length")
-    rows = []
-    for word in alphabet.words_up_to(max_length):
-        u_minus, u_plus = engine.decompose(word, acc)
-        rows.append(
-            {
+
+    def rows():
+        for word in alphabet.words_up_to(max_length):
+            u_minus, u_plus = engine.decompose(word, acc)
+            yield {
                 "word": alphabet.render_word(word),
                 "T": engine.T.value(word, acc).to_json(),
                 "U_minus": u_minus.to_json(),
@@ -147,8 +205,9 @@ def cmd_moulds(args) -> int:
                 "S": format_scalar(engine.coeff_S(word)),
                 "N": format_scalar(engine.coeff_N(word)),
             }
-        )
-    _emit(rows, args.output)
+
+    # each row is computed as it is written, so the table is never held
+    _emit(rows(), args.output)
     return EXIT_OK
 
 

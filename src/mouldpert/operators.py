@@ -1054,13 +1054,17 @@ def _gaussian_product(left: list, right: list) -> list:
     """The truncated series product of two Gaussian-integer matrix series,
     each given per order as (den, rows), the nonzero rows of the order over
     den; per order k, (Q_k, rows), Q_k the lcm over j of the denominator
-    products d_j d'_(k-j), each pair's left entries scaled onto Q_k.  Each
+    products d_j d'_(k-j), each pair's left entries scaled onto Q_k.  A
+    pair with a zero order on either side adds nothing, so it is left out
+    of Q_k and of the loop, and Q_k is 1 when no pair is left.  Each
     output row is summed in a dict keyed by column, so the work follows the
     nonzero products; an entry that cancels to 0 + 0i is dropped, no gcd is
     taken, and the columns within a row come in no fixed order."""
+    left_live = [any(rows) for _, rows in left]
+    right_live = [any(rows) for _, rows in right]
     out = []
     for k in range(len(left)):
-        pairs = [(left[j], right[k - j]) for j in range(k + 1)]
+        pairs = [(left[j], right[k - j]) for j in range(k + 1) if left_live[j] and right_live[k - j]]
         den = math.lcm(*(dx * dy for (dx, _), (dy, _) in pairs))
         pairs = [(den // (dx * dy), a, b) for (dx, a), (dy, b) in pairs]
         rows = []

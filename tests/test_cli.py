@@ -9,11 +9,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mouldpert.cli import main
+from mouldpert.cli import _write_json, main
 from mouldpert.scalars import format_scalar, parse_scalar
 
 
@@ -137,6 +138,17 @@ def test_moulds_length_zero(capsys):
         "S": "1",
         "N": "0",
     }
+
+
+def test_moulds_length_zero_writes_the_same_bytes_to_a_file(tmp_path, capsys):
+    """The single-row table, streamed to stdout and to --output."""
+    argv = ["moulds", "--alphabet", "i,-i", "--max-length", "0"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--output", str(tmp_path / "table.json")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "table.json").read_text(encoding="utf-8") == printed
+    assert printed == json.dumps(json.loads(printed), indent=2) + "\n"
 
 
 def test_letters_past_the_int_string_limit_are_valid_input(capsys):
@@ -318,27 +330,165 @@ def test_unwritable_output_exits_2_with_a_message(problem_file, tmp_path, monkey
     assert not missing.exists()
 
 
-def test_closed_stdout_exits_2_without_a_traceback():
+def cli_env() -> dict:
+    """The environment of a ``python -m mouldpert.cli`` subprocess that
+    imports this checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (os.path.abspath(src), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def assert_closed_stdout_reported(returncode, stderr):
+    assert returncode == 2
+    assert stderr.startswith("error: cannot write standard output")
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
+
+
+# a dict payload, and a streamed table of 1365 rows (about 420 kB)
+CLOSED_STDOUT_ARGV = [
+    ["oracle", "--random-dim", "3", "--seed", "1"],
+    ["moulds", "--alphabet", "i,-i,2i,0", "-L", "5", "--acc", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_ARGV, ids=["oracle", "moulds"])
+def test_closed_stdout_exits_2_without_a_traceback(argv):
     # stdout is a pipe whose read end is closed before the program writes
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    path = os.pathsep.join(filter(None, (os.path.abspath(src), os.environ.get("PYTHONPATH"))))
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "mouldpert.cli", "oracle", "--random-dim", "3", "--seed", "1"],
+            [sys.executable, "-m", "mouldpert.cli"] + argv,
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=cli_env(),
             timeout=120,
         )
     finally:
         os.close(write_end)
-    assert done.returncode == 2
-    assert done.stderr.startswith("error: cannot write standard output")
-    assert "Traceback" not in done.stderr
-    assert "Exception ignored" not in done.stderr
+    assert_closed_stdout_reported(done.returncode, done.stderr)
+
+
+def test_stdout_closed_mid_stream_exits_2_without_a_traceback():
+    """The reader takes the first bytes of the table and closes the pipe,
+    so the write that fails comes in the middle of the stream."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "mouldpert.cli"] + CLOSED_STDOUT_ARGV[1],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env(),
+    )
+    try:
+        assert process.stdout.read(16) == b'[\n  {\n    "word"'
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        returncode = process.wait(timeout=120)
+    finally:
+        process.kill()
+        process.stderr.close()
+    assert_closed_stdout_reported(returncode, stderr)
+
+
+# any JSON value json.dumps writes: str keys, any text, ints past 64 bits,
+# NaN and +-inf, booleans, None and empty containers
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**60), 10**60)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+# a payload, as the commands emit: a dict or a list
+JSON_TREES = st.lists(JSON_VALUES, max_size=4) | st.dictionaries(st.text(), JSON_VALUES, max_size=4)
+
+
+def written(payload) -> tuple:
+    """(text, number of write calls) of the CLI's JSON writer."""
+    chunks = []
+    _write_json(payload, chunks.append)
+    return "".join(chunks), len(chunks)
+
+
+def as_generators(value):
+    """value with every list replaced by a generator of its elements."""
+    if isinstance(value, list):
+        return (as_generators(item) for item in value)
+    if isinstance(value, dict):
+        return {key: as_generators(item) for key, item in value.items()}
+    return value
+
+
+@given(JSON_TREES)
+def test_writer_equals_json_dumps_indent_2(value):
+    text, calls = written(value)
+    assert text == json.dumps(value, indent=2) + "\n"
+    if isinstance(value, dict):
+        assert calls == 1
+
+
+@given(JSON_TREES)
+def test_writer_streams_generators_as_lists(value):
+    """A generator stands for a list at any depth; at the top it is
+    written one element per call, and its closing bracket in one more."""
+    text, calls = written(as_generators(value))
+    assert text == json.dumps(value, indent=2) + "\n"
+    if isinstance(value, list):
+        assert calls == len(value) + 1
+
+
+def test_writer_writes_an_empty_generator_as_an_empty_list():
+    assert written(iter(()))[0] == "[]\n"
+    assert written({"rows": iter(()), "more": [iter(())]})[0] == json.dumps({"rows": [], "more": [[]]}, indent=2) + "\n"
+
+
+class Discarding:
+    """A standard output that drops what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_moulds_memory_does_not_grow_with_its_table(monkeypatch):
+    """The table is written row by row, so the peak is the engine's memo
+    and one row: under 1 MiB for the 341 rows of L = 4 (about 100 kB of
+    text), where holding the rows and their text took 1.7 MiB."""
+    argv = ["moulds", "--alphabet", "i,-i,2i,0", "-L", "4", "--acc", "2"]
+    monkeypatch.setattr(sys, "stdout", Discarding())
+    assert main(argv) == 0  # the parser and any lazy import, outside the trace
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
+
+
+def test_moulds_writes_each_row_before_computing_the_next(monkeypatch):
+    """No list of rows is built: write k comes right after the k-th word
+    is decomposed, and the closing bracket after the last."""
+    from mouldpert.birkhoff import BirkhoffEngine
+
+    decomposed, seen = [], []
+    honest = BirkhoffEngine.decompose
+    monkeypatch.setattr(BirkhoffEngine, "decompose", lambda self, *a: decomposed.append(1) or honest(self, *a))
+
+    class Recording(Discarding):
+        def write(self, text):
+            seen.append(len(decomposed))
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Recording())
+    assert main(["moulds", "--alphabet", "i,-i", "-L", "2"]) == 0
+    assert seen == [1, 2, 3, 4, 5, 6, 7, 7]
 
 
 def test_numpy_is_loaded_only_by_the_numeric_check(problem_file):

@@ -1254,14 +1254,26 @@ def per_order_series(draw, dim, order):
 @given(data=st.data(), dim=st.integers(1, 4), order=st.integers(0, 3))
 def test_per_order_product_matches_a_dense_convolution(data, dim, order):
     """Order k of the product is over Q_k, the lcm over j of d_j d'_(k-j),
-    whatever the per-order denominators: equal, pairwise coprime or 1."""
+    whatever the per-order denominators: equal, pairwise coprime or 1.  A
+    pair with a zero order on either side is left out, so Q_k is 1 when
+    every pair has one."""
     a, a_orders = data.draw(per_order_series(dim, order))
     b, b_orders = data.draw(per_order_series(dim, order))
     rows = operators._gaussian_product(a_orders, b_orders)
     for k, (den, _) in enumerate(rows):
-        assert den == math.lcm(*(a_orders[j][0] * b_orders[k - j][0] for j in range(k + 1)))
+        live = [j for j in range(k + 1) if any(a_orders[j][1]) and any(b_orders[k - j][1])]
+        assert den == math.lcm(*(a_orders[j][0] * b_orders[k - j][0] for j in live))
     product = MatrixSeries([from_integer_rows(r, den, dim) for den, r in rows])
     assert product == dense_series_mul(a, b)
+
+
+def test_zero_orders_leave_the_denominator_alone():
+    """Orders 2..K of H0 + mu V are zero: a pair with a zero order adds
+    nothing to Q_k, and an order with no pair left is over 1."""
+    one = [[(0, 1, 0)]]
+    left = [(2, one), (3, [[]]), (5, one)]
+    right = [(7, one), (11, [[]]), (13, [[]])]
+    assert operators._gaussian_product(left, right) == [(14, one), (1, [[]]), (35, one)]
 
 
 # (numerator of re, numerator of im, common denominator), not reduced
