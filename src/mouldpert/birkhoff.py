@@ -15,7 +15,9 @@ free yields the exact scalar moulds
 
 which solve the normalization problem downstream: R/N weight nested
 commutators of the perturbation's eigencomponents, S weights their
-ordered products.
+ordered products.  ``BirkhoffEngine`` is these six moulds and no other
+reader: T, U_minus and U_plus (Laurent-valued) and N, R and S (e-free),
+each memoized per word.
 
 The recurrence is exact: U_minus values are finite polynomials in e^-1,
 so residues never lose accuracy; U_plus values are guaranteed through
@@ -86,15 +88,17 @@ def make_T(alphabet: Alphabet) -> Mould:
 
 
 class BirkhoffEngine:
-    """Per-alphabet factorization engine with memoized word values.
+    """Per-alphabet factorization engine: six moulds, each value read once.
 
-    Exposes T, U_minus, U_plus as Laurent-valued moulds, R and S as
-    moulds of e-free values and as scalars (``coeff_R``, ``coeff_S``),
-    and N through ``coeff_N``.  Caches are tied to the alphabet; a
-    different alphabet (different eigenvalues or a rescaled hbar) needs
-    a fresh engine.  The moulds reach the engine through a weak proxy, so
-    an engine holds no reference cycle and is freed as soon as its last
-    reference goes.
+    ``T``, ``u_minus`` and ``u_plus`` are Laurent-valued moulds; ``N``,
+    ``R`` and ``S`` are moulds of e-free values (``Mould.constant_from``),
+    read through their ``scalar`` memo.  U_minus and U_plus come from one
+    pair table (``_pair``); N is ``coeff_N`` on it, R is len(w) times N's
+    memo, and S is the constant term of U_plus.  Caches are tied to the
+    alphabet; a different alphabet (different eigenvalues or a rescaled
+    hbar) needs a fresh engine.  The moulds reach the engine through a
+    weak proxy, so an engine holds no reference cycle and is freed as
+    soon as its last reference goes.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -104,8 +108,10 @@ class BirkhoffEngine:
         engine = weakref.proxy(self)
         self.u_minus = Mould(alphabet, lambda w, acc: engine._pair(w, 0)[0])
         self.u_plus = Mould(alphabet, lambda w, acc: engine._pair(w, acc)[1])
-        self.R = Mould.constant_from(alphabet, lambda w: engine.coeff_R(w))
-        self.S = Mould.constant_from(alphabet, lambda w: engine.coeff_S(w))
+        self.N = Mould.constant_from(alphabet, lambda w: engine.coeff_N(w))
+        n = self.N.scalar
+        self.R = Mould.constant_from(alphabet, lambda w: GaussianRational(len(w)) * n(w))
+        self.S = Mould.constant_from(alphabet, lambda w: engine._pair(w, 0)[1].constant_term())
 
     def _pair(self, word: Word, acc: int) -> tuple:
         """(U_minus^word, U_plus^word), the latter guaranteed through acc."""
@@ -129,22 +135,12 @@ class BirkhoffEngine:
         self._pairs[word] = pair
         return pair
 
-    def decompose(self, word: Word, acc: int = 0) -> tuple:
-        """The pair (U_minus^word, U_plus^word)."""
-        return self._pair(word, acc)
-
-    # -- scalar moulds ------------------------------------------------------
-
-    def coeff_R(self, word: Word) -> GaussianRational:
-        return GaussianRational(len(word)) * self.coeff_N(word)
-
-    def coeff_S(self, word: Word) -> GaussianRational:
-        return self._pair(word, 0)[1].constant_term()
-
     def coeff_N(self, word: Word) -> GaussianRational:
+        """N^word = -residue(U_minus^word); read it through ``N``."""
         if len(word) == 0:
             return ZERO
-        return -self._pair(word, 0)[0].residue()
+        n = -self._pair(word, 0)[0].residue()
+        return n if n else ZERO  # N's memo shares one zero across nonresonant words
 
 
 class CorruptedEngine(BirkhoffEngine):
@@ -201,26 +197,26 @@ class SuiteReport:
 def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> tuple:
     """Residuals of nabla_phi S = S x I - R x S and nabla_phi R = 0.
 
-    S is read as a scalar (``coeff_S``), R from its memo (``R.scalar``).
+    S and R are read from their memos (``S.scalar``, ``R.scalar``).
     A product by the letters mould I is a read of the shorter word:
     (S x I)^w is S on w without its last letter, and 0 on the empty word.
     (R x S)^w is the sum over j >= 1 of R^(w[:j]) S^(w[j:]), as R vanishes
     on the empty word.  Both identities must hold with exactly zero
     residual on every word of length <= max_length; S must additionally
-    pass the symmetrality check, which reads the mould ``engine.S``
-    through its scalar reader and compares Gaussian rationals.  Returns
-    the three reports (S equation, R equation, S symmetrality).
+    pass the symmetrality check, which reads the same memo and compares
+    Gaussian rationals.  Returns the three reports (S equation, R
+    equation, S symmetrality).
     """
-    alphabet, r = engine.alphabet, engine.R.scalar
+    alphabet, r, s = engine.alphabet, engine.R.scalar, engine.S.scalar
     s_report = SuiteReport()
     r_report = SuiteReport()
     for word in alphabet.words_up_to(max_length):
         phi = alphabet.phi(word)
         s_report.words_checked += 1
-        lhs = phi * engine.coeff_S(word)
-        rhs = engine.coeff_S(word[:-1]) if word else ZERO
+        lhs = phi * s(word)
+        rhs = s(word[:-1]) if word else ZERO
         for j in range(1, len(word) + 1):
-            rhs = rhs - r(word[:j]) * engine.coeff_S(word[j:])
+            rhs = rhs - r(word[:j]) * s(word[j:])
         if lhs != rhs:
             s_report.record(word, "nabla_phi S - (S x I - R x S)", lhs - rhs, ZERO)
         r_report.words_checked += 1
@@ -238,7 +234,7 @@ def verify_factorization(engine: BirkhoffEngine, max_length: int) -> SuiteReport
     product = mould_product(engine.u_minus, engine.T)
     for word in engine.alphabet.words_up_to(max_length):
         report.words_checked += 1
-        u_minus, u_plus = engine.decompose(word)
+        u_minus, u_plus = engine.u_minus.value(word), engine.u_plus.value(word)
         if not product.value(word).agrees_with(u_plus, 0):
             report.record(word, "U_minus x T = U_plus", product.value(word).render(), u_plus.render())
         if len(word) > 0:
@@ -258,10 +254,10 @@ def verify_support(engine: BirkhoffEngine, max_length: int) -> SuiteReport:
         if not engine.alphabet.phi(word):
             continue
         report.words_checked += 1
-        u_minus = engine.decompose(word)[0]
+        u_minus = engine.u_minus.value(word)
         if not u_minus.is_exact_zero:
             report.record(word, "U_minus off resonance", u_minus.render(), "0")
-        r_value = engine.coeff_R(word)
+        r_value = engine.R.scalar(word)
         if r_value:
             report.record(word, "R off resonance", r_value, ZERO)
     return report
@@ -282,12 +278,12 @@ def verify_grading_identities(engine: BirkhoffEngine, max_length: int) -> SuiteR
     by the nonzero R on the prefixes.
 
     The value half of (iii) compares R with -len(w) * residue(U_minus^w),
-    which is how ``coeff_R`` computes R from the same pair table, so it
-    holds by construction on any pair table; only its shape half can fire
-    on a fault in ``_pair``, and its value half only on an edited
-    ``coeff_R``.
+    which is how ``R`` is computed from N's memo on the same pair table,
+    so it holds by construction on any pair table; only its shape half can
+    fire on a fault in ``_pair``, and its value half only on an edited
+    ``R``.
     """
-    alphabet = engine.alphabet
+    alphabet, r = engine.alphabet, engine.R.scalar
     report = SuiteReport()
     lhs_minus = nabla(engine.u_minus)
     rhs_minus = mould_product(engine.R, engine.u_minus)
@@ -300,17 +296,17 @@ def verify_grading_identities(engine: BirkhoffEngine, max_length: int) -> SuiteR
         if not (left.acc_order is None and right.acc_order is None and left == right):
             report.record(word, "(i) nabla_Phi U_minus = -R x U_minus", left.render(), right.render())
         left2 = lhs_plus.value(word)
-        shorter = engine.decompose(word[:-1])[1] if word else Laurent.zero()
+        shorter = engine.u_plus.value(word[:-1]) if word else Laurent.zero()
         right2 = shorter - rhs_plus.value(word)
         if not left2.agrees_with(right2, 0):
             report.record(word, "(ii) nabla_Phi U_plus = U_plus x I - R x U_plus", left2.render(), right2.render())
         if len(word) > 0:
-            scaled = engine.decompose(word)[0].scale(GaussianRational(len(word))).shift(1)
+            scaled = engine.u_minus.value(word).scale(GaussianRational(len(word))).shift(1)
             if scaled.max_degree is not None and scaled.max_degree > 0:
                 report.record(word, "(iii) shape", scaled.render(), "degrees <= 0")
             at_infinity = scaled.constant_term()
-            if -at_infinity != engine.coeff_R(word):
-                report.record(word, "(iii) R from U_minus at infinity", -at_infinity, engine.coeff_R(word))
+            if -at_infinity != r(word):
+                report.record(word, "(iii) R from U_minus at infinity", -at_infinity, r(word))
     return report
 
 
@@ -323,11 +319,7 @@ def verify_conjugation_symmetry(engine: BirkhoffEngine, max_length: int) -> Suit
     if not alphabet.purely_imaginary:
         raise ValueError("conjugation symmetry needs a purely imaginary alphabet")
     report = SuiteReport()
-    readers = (
-        ("R", engine.coeff_R),
-        ("S", engine.coeff_S),
-        ("N", engine.coeff_N),
-    )
+    readers = (("R", engine.R.scalar), ("S", engine.S.scalar), ("N", engine.N.scalar))
     for word in alphabet.words_up_to(max_length):
         report.words_checked += 1
         negated = alphabet.negate_word(word)

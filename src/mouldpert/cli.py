@@ -195,15 +195,16 @@ def cmd_moulds(args) -> int:
 
     def rows():
         for word in alphabet.words_up_to(max_length):
-            u_minus, u_plus = engine.decompose(word, acc)
+            # U_plus first, so the pair is formed once, at acc
+            u_plus = engine.u_plus.value(word, acc)
             yield {
                 "word": alphabet.render_word(word),
                 "T": engine.T.value(word, acc).to_json(),
-                "U_minus": u_minus.to_json(),
+                "U_minus": engine.u_minus.value(word).to_json(),
                 "U_plus": u_plus.to_json(),
-                "R": format_scalar(engine.coeff_R(word)),
-                "S": format_scalar(engine.coeff_S(word)),
-                "N": format_scalar(engine.coeff_N(word)),
+                "R": format_scalar(engine.R.scalar(word)),
+                "S": format_scalar(engine.S.scalar(word)),
+                "N": format_scalar(engine.N.scalar(word)),
             }
 
     # each row is computed as it is written, so the table is never held

@@ -491,7 +491,7 @@ def build_normal_form(
 
     def visit(word: tuple, sigma: int, bracket: Optional[list], depth: int):
         if depth > 0 and not sigma:
-            c = engine.coeff_N(word)
+            c = engine.N.scalar(word)
             if c:
                 rows = sums[depth].get(c._d)
                 if rows is None:
@@ -505,7 +505,7 @@ def build_normal_form(
                             t[1] += ca * im + cb * re
                         else:
                             acc[l] = [ca * re - cb * im, ca * im + cb * re]
-                table[word] = {"N": c, "S": engine.coeff_S(word)}
+                table[word] = {"N": c, "S": engine.S.scalar(word)}
         if depth == K:
             return
         for i in letters:

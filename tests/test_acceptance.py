@@ -208,7 +208,7 @@ def test_criterion_10_first_order_identities():
         for index, lam in enumerate(sd.alphabet.letters):
             word = sd.alphabet.word_of(lam)
             expected = ZERO if not lam else ONE / lam
-            if engine.coeff_S(word) != expected:
+            if engine.S.scalar(word) != expected:
                 ok = False
     report(10, "N_1 is the resonant part of V and S^(lam) = 1/lam, S^(0) = 0, on every problem", ok)
 

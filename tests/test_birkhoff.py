@@ -1,7 +1,10 @@
 """The factorization recurrence and the scalar moulds it extracts."""
 
+import contextlib
 import gc
+import io
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -15,6 +18,7 @@ from mouldpert.birkhoff import (
     verify_mould_equation,
     verify_support,
 )
+from mouldpert.cli import main
 from mouldpert.laurent import Laurent
 from mouldpert.operators import build_normal_form, random_problem, spectral_decompose
 from mouldpert.moulds import (
@@ -106,43 +110,43 @@ def test_T_is_symmetral_on_real_alphabet():
 
 
 def test_decompose_single_resonant_letter(engine, alphabet):
-    u_minus, u_plus = engine.decompose(alphabet.word_of("0"))
+    word = alphabet.word_of("0")
+    u_minus, u_plus = engine.u_minus.value(word), engine.u_plus.value(word)
     assert u_minus == Laurent.monomial(-1, -1)
     assert u_plus.agrees_with(Laurent.zero(), 0)
 
 
 def test_decompose_single_nonresonant_letter(engine, alphabet):
     word = alphabet.word_of("i")
-    u_minus, u_plus = engine.decompose(word, acc=2)
-    assert u_minus.is_exact_zero
+    u_plus = engine.u_plus.value(word, 2)
+    assert engine.u_minus.value(word).is_exact_zero
     assert u_plus.agrees_with(engine.T.value(word, 2), 2)
 
 
 def test_decompose_cancelling_pair(engine, alphabet):
     lam = I
-    u_minus, _ = engine.decompose(alphabet.word_of("i", "-i"))
+    u_minus = engine.u_minus.value(alphabet.word_of("i", "-i"))
     assert u_minus == Laurent.monomial(-1 / (2 * lam), -1)
 
 
 def test_empty_word_values(engine):
-    u_minus, u_plus = engine.decompose(EMPTY_WORD)
-    assert u_minus == Laurent.one()
-    assert u_plus == Laurent.one()
-    assert engine.coeff_R(EMPTY_WORD) == ZERO
-    assert engine.coeff_S(EMPTY_WORD) == ONE
-    assert engine.coeff_N(EMPTY_WORD) == ZERO
+    assert engine.u_minus.value(EMPTY_WORD) == Laurent.one()
+    assert engine.u_plus.value(EMPTY_WORD) == Laurent.one()
+    assert engine.R.scalar(EMPTY_WORD) == ZERO
+    assert engine.S.scalar(EMPTY_WORD) == ONE
+    assert engine.N.scalar(EMPTY_WORD) == ZERO
 
 
 def test_scalar_moulds_on_small_words(engine, alphabet):
     zero_word = alphabet.word_of("0")
-    assert engine.coeff_R(zero_word) == ONE
-    assert engine.coeff_N(zero_word) == ONE
-    assert engine.coeff_S(zero_word) == ZERO
+    assert engine.R.scalar(zero_word) == ONE
+    assert engine.N.scalar(zero_word) == ONE
+    assert engine.S.scalar(zero_word) == ZERO
     lam = I
-    assert engine.coeff_S(alphabet.word_of("i")) == 1 / lam
-    assert engine.coeff_N(alphabet.word_of("i", "-i")) == 1 / (2 * lam)
+    assert engine.S.scalar(alphabet.word_of("i")) == 1 / lam
+    assert engine.N.scalar(alphabet.word_of("i", "-i")) == 1 / (2 * lam)
     two = GaussianRational(0, 2)
-    assert engine.coeff_S(alphabet.word_of("2i")) == 1 / two
+    assert engine.S.scalar(alphabet.word_of("2i")) == 1 / two
 
 
 def test_S_on_fully_nonresonant_word_is_the_inverse_partial_sum_product(engine, alphabet):
@@ -157,20 +161,21 @@ def test_S_on_fully_nonresonant_word_is_the_inverse_partial_sum_product(engine, 
         for s in partial_sums(alphabet, word):
             assert s
             expected = expected * s.reciprocal()
-        assert engine.coeff_S(word) == expected
+        assert engine.S.scalar(word) == expected
 
 
 def test_N_is_R_over_length(engine, alphabet):
     for word in (w for w in alphabet.words_up_to(4) if w):
-        r = engine.coeff_R(word)
-        n = engine.coeff_N(word)
+        r = engine.R.scalar(word)
+        n = engine.N.scalar(word)
+        assert n == -engine.u_minus.value(word).residue()
         assert r == GaussianRational(len(word)) * n
 
 
 def test_u_plus_widening_is_consistent(engine, alphabet):
     word = alphabet.word_of("i", "-i")
-    first = engine.decompose(word, acc=0)[1]
-    second = engine.decompose(word, acc=3)[1]
+    first = engine.u_plus.value(word, 0)
+    second = engine.u_plus.value(word, 3)
     assert second.agrees_with(first, 0)
     assert second.acc_order >= 3
 
@@ -260,9 +265,9 @@ def test_corruption_is_detected():
 @pytest.mark.parametrize("use", ["coeff_N", "S", "scalar", "build_normal_form"])
 def test_an_engine_is_freed_by_reference_counting(make, use):
     """An engine holds no reference cycle: with the cyclic collector off, a
-    weak reference to it, and one to each of its T, S and R moulds, die as soon as its last
+    weak reference to it, and one to each of its T, N, S and R moulds, die as soon as its last
     name is deleted, after reading N, after evaluating the S mould, after
-    reading S and R through their scalar readers, and after the word walk
+    reading N, S and R through their scalar readers, and after the word walk
     of ``build_normal_form``."""
     sd = spectral_decompose(random_problem(3, 4, seed=3))
     alphabet = sd.alphabet
@@ -276,16 +281,49 @@ def test_an_engine_is_freed_by_reference_counting(make, use):
         elif use == "S":
             engine.S.value(word)
         elif use == "scalar":
+            engine.N.scalar(word)
             engine.S.scalar(word)
             engine.R.scalar(word)
         else:
             build_normal_form(sd, engine)
-        refs = [weakref.ref(m) for m in (engine, engine.T, engine.S, engine.R)]
+        refs = [weakref.ref(m) for m in (engine, engine.T, engine.N, engine.S, engine.R)]
         del engine
-        assert [ref() for ref in refs] == [None] * 4
+        assert [ref() for ref in refs] == [None] * 5
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--alphabet", "i,-i,2i,0", "-L", "4"],
+        ["moulds", "--alphabet", "i,-i,2i,0", "-L", "4", "--acc", "2"],
+    ],
+    ids=["verify", "moulds"],
+)
+def test_each_scalar_value_is_computed_once_per_word(monkeypatch, argv):
+    """One ``verify`` or ``moulds`` run calls ``coeff_N``, and the function
+    behind each e-free mould (N, R and S), at most once per word: every
+    reader goes through the moulds' memos."""
+    per_mould = []
+    honest_constant_from = Mould.constant_from.__func__
+
+    def counting_constant_from(cls, alphabet, scalar_fn):
+        calls = Counter()
+        per_mould.append(calls)
+        return honest_constant_from(cls, alphabet, lambda w: calls.update([w]) or scalar_fn(w))
+
+    n_calls = Counter()
+    honest_n = BirkhoffEngine.coeff_N
+    monkeypatch.setattr(Mould, "constant_from", classmethod(counting_constant_from))
+    monkeypatch.setattr(BirkhoffEngine, "coeff_N", lambda self, w: n_calls.update([w]) or honest_n(self, w))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert len(per_mould) == 3
+    assert len(n_calls) == 1 + 4 + 16 + 64 + 256
+    for calls in (n_calls, *per_mould):
+        assert calls and max(calls.values()) == 1
 
 
 def editing_pair(edit):
@@ -307,11 +345,11 @@ def editing_pair(edit):
 
 
 def editing_R(alphabet, word):
-    """An engine whose coeff_R reads back one more on one word; its pair
-    table, and so every mould built from it, stays honest."""
+    """An engine whose R mould reads back one more on one word; its pair
+    table, and so every other mould, stays honest."""
     engine = BirkhoffEngine(alphabet)
-    honest = engine.coeff_R
-    engine.coeff_R = lambda w: honest(w) + ONE if w == word else honest(w)
+    honest = engine.R.scalar
+    engine.R = Mould.constant_from(alphabet, lambda w: honest(w) + ONE if w == word else honest(w))
     return engine
 
 
@@ -378,7 +416,7 @@ def editing_R(alphabet, word):
             ("0",),
             "(i) nabla_Phi U_minus = -R x U_minus",
         ),
-        # (i) and (ii) read R through engine.R, which calls coeff_R when evaluated
+        # (i) and (ii) read R through the mould engine.R
         *(
             (verify_grading_identities, editing_R, letters, label)
             for letters in (("0",), ("i",), ("i", "-i"))

@@ -473,17 +473,23 @@ def test_moulds_memory_does_not_grow_with_its_table(monkeypatch):
 
 
 def test_moulds_writes_each_row_before_computing_the_next(monkeypatch):
-    """No list of rows is built: write k comes right after the k-th word
-    is decomposed, and the closing bracket after the last."""
+    """No list of rows is built: write k comes right after U_plus of the
+    k-th word is read, and the closing bracket after the last."""
     from mouldpert.birkhoff import BirkhoffEngine
 
-    decomposed, seen = [], []
-    honest = BirkhoffEngine.decompose
-    monkeypatch.setattr(BirkhoffEngine, "decompose", lambda self, *a: decomposed.append(1) or honest(self, *a))
+    read, seen = [], []
+    honest_init = BirkhoffEngine.__init__
+
+    def init(self, alphabet):
+        honest_init(self, alphabet)
+        honest = self.u_plus.value
+        self.u_plus.value = lambda *a: read.append(1) or honest(*a)
+
+    monkeypatch.setattr(BirkhoffEngine, "__init__", init)
 
     class Recording(Discarding):
         def write(self, text):
-            seen.append(len(decomposed))
+            seen.append(len(read))
             return len(text)
 
     monkeypatch.setattr(sys, "stdout", Recording())

@@ -1,0 +1,204 @@
+"""A mutation gate for the matrix construction of ``solve``.
+
+The fault table (``test_faults.py``) shows that chosen faults fire.  This
+gate shows that ``solve``'s own runtime checks (``verify_conjugacy`` and
+``compare_with_oracle``) catch a whole class of faults in the code that
+builds C and N.  It parses ``operators.py`` with ``ast`` and makes every
+single-operator mutant of the construction functions, over a small
+operator set: ``+`` and ``-`` swapped, ``*`` to ``+``, ``//`` to ``*``,
+``**`` to ``*``, each comparison negated, and each ``not`` dropped.  Each
+mutant is patched into ``mouldpert.operators`` in process, runs ``solve``
+on a fixed set of problems, and is restored.  A mutant is flagged when
+some problem's ``solve`` reports ``ok`` false or raises.  The only
+mutants allowed through are the listed equivalents, each with the reason
+it cannot change an output, and each must leave every ``solve`` JSON
+byte for byte as it was.
+
+``_integer_rows`` is shared by the construction and the checks: its
+mutants stay in the gate, so that a shared-kernel fault that makes the
+checks agree with the construction fails it.
+"""
+
+import ast
+import copy
+import inspect
+import json
+import types
+from fractions import Fraction
+
+import pytest
+
+from mouldpert import operators
+from mouldpert.operators import PerturbationProblem, random_problem
+
+TARGETS = ("build_conjugator", "_next_t", "_x_window", "_degree_matrix", "_reduced", "_integer_rows")
+
+# The fault table's four problems (simple, degenerate, hbar = 1/2, odd order),
+# the fractional (order 5) and degenerate (order 6) problems of CI, and seed 54.
+# Without both CI problems the 4 mutants of ``_next_t``'s imaginary-only branch
+# survive, as no other problem takes it; without seed 54 the 4 mutants of
+# ``_x_window``'s fresh-entry line survive, as no other problem reaches it.
+PROBLEMS = {
+    "simple": random_problem(3, 4, seed=3),
+    "degenerate": random_problem(3, 4, seed=3, degenerate=True),
+    "hbar-half": random_problem(3, 4, seed=3, hbar=Fraction(1, 2)),
+    "odd-order": random_problem(3, 5, seed=3),
+    "ci-fractional": PerturbationProblem.from_json_dict(
+        {
+            "E0": ["1/3", "1/7", "1/3"],
+            "V": [["1/5", "2/9+1/11i", "3"], ["2/9-1/11i", "0", "-5/4i"], ["3", "5/4i", "2"]],
+            "hbar": "7/3",
+            "order": 5,
+        }
+    ),
+    "ci-degenerate": PerturbationProblem.from_json_dict(
+        {
+            "E0": ["0", "0", "1"],
+            "V": [["1", "i", "1"], ["-i", "0", "2i"], ["1", "-2i", "-1"]],
+            "hbar": "1/2",
+            "order": 6,
+        }
+    ),
+    "seed-54": random_problem(3, 4, seed=54, degenerate=True),
+}
+
+# (function, stripped source line, mutation) -> why no output can change
+EQUIVALENT = {
+    ("_reduced", "if g == 1:", "== -> !="): "gcd 1 divides nothing: both branches return the same den and rows",
+}
+
+BINARY = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.FloorDiv: ast.Mult, ast.Pow: ast.Mult}
+NEGATED = {
+    ast.Eq: ast.NotEq,
+    ast.NotEq: ast.Eq,
+    ast.Lt: ast.GtE,
+    ast.GtE: ast.Lt,
+    ast.Gt: ast.LtE,
+    ast.LtE: ast.Gt,
+    ast.In: ast.NotIn,
+    ast.NotIn: ast.In,
+    ast.Is: ast.IsNot,
+    ast.IsNot: ast.Is,
+}
+SYMBOL = {
+    ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//", ast.Pow: "**",
+    ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.GtE: ">=", ast.Gt: ">", ast.LtE: "<=",
+    ast.In: "in", ast.NotIn: "not in", ast.Is: "is", ast.IsNot: "is not",
+}
+
+
+class Mutator(ast.NodeTransformer):
+    """Walks a function and records its mutation sites in a fixed order;
+    the site numbered ``target``, if any, is mutated on the way."""
+
+    def __init__(self, target=None):
+        self.target = target
+        self.sites = []
+
+    def _site(self, node, old, new) -> bool:
+        self.sites.append((node.lineno, f"{SYMBOL[old]} -> {SYMBOL[new]}"))
+        return len(self.sites) - 1 == self.target
+
+    def _visit_operator(self, node):
+        self.generic_visit(node)
+        swap = BINARY.get(type(node.op))
+        if swap is not None and self._site(node, type(node.op), swap):
+            node.op = swap()
+        return node
+
+    visit_BinOp = visit_AugAssign = _visit_operator
+
+    def visit_Compare(self, node):
+        self.generic_visit(node)
+        for i, op in enumerate(node.ops):
+            if self._site(node, type(op), NEGATED[type(op)]):
+                node.ops[i] = NEGATED[type(op)]()
+        return node
+
+    def visit_UnaryOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Not):
+            self.sites.append((node.lineno, "drop not"))
+            if len(self.sites) - 1 == self.target:
+                return node.operand
+        return node
+
+
+SOURCE = inspect.getsource(operators)
+LINES = SOURCE.splitlines()
+FUNCTIONS = {node.name: node for node in ast.parse(SOURCE).body if isinstance(node, ast.FunctionDef)}
+
+
+def mutants():
+    """(key, name, index) per mutant; the key names the function, the
+    stripped source line and the mutation, with a count where a line has
+    the same mutation twice."""
+    out = []
+    for name in TARGETS:
+        seen = {}
+        counter = Mutator()
+        counter.visit(copy.deepcopy(FUNCTIONS[name]))
+        for index, (lineno, change) in enumerate(counter.sites):
+            key = (name, LINES[lineno - 1].strip(), change)
+            seen[key] = seen.get(key, 0) + 1
+            if seen[key] > 1:
+                key = key + (seen[key],)
+            out.append((key, name, index))
+    return out
+
+
+MUTANTS = mutants()
+
+
+def compile_mutant(name: str, index: int):
+    """The function ``name`` of ``operators`` with site ``index`` mutated,
+    reading the module's globals as the original does."""
+    node = Mutator(index).visit(copy.deepcopy(FUNCTIONS[name]))
+    module = ast.fix_missing_locations(ast.Module(body=[node], type_ignores=[]))
+    namespace = dict(vars(operators))
+    exec(compile(module, operators.__file__, "exec"), namespace)
+    original = namespace[name]
+    return types.FunctionType(original.__code__, vars(operators), name, original.__defaults__)
+
+
+def run_solves(mutant, name: str, report):
+    """Patch ``mutant`` in for ``name``, run ``solve`` on every problem and
+    return report(outputs), or None when a run raises; then restore."""
+    honest = getattr(operators, name)
+    setattr(operators, name, mutant)
+    try:
+        return report([operators.solve(problem) for problem in PROBLEMS.values()])
+    except Exception:
+        return None
+    finally:
+        setattr(operators, name, honest)
+
+
+def test_every_target_has_mutants():
+    names = {name for _, name, _ in MUTANTS}
+    assert names == set(TARGETS)
+    keys = [key for key, _, _ in MUTANTS]
+    assert len(keys) == len(set(keys))
+    assert set(EQUIVALENT) <= set(keys), "a listed equivalent is no longer a mutant"
+
+
+def test_every_construction_mutant_is_flagged():
+    """Each mutant makes some problem's ``solve`` report ``ok`` false, or
+    raise; only the listed equivalents get through."""
+    survivors = []
+    for key, name, index in MUTANTS:
+        all_ok = run_solves(compile_mutant(name, index), name, lambda outs: all(out.ok for out in outs))
+        if all_ok:
+            survivors.append(key)
+    assert set(survivors) <= set(EQUIVALENT), sorted(set(survivors) - set(EQUIVALENT))
+
+
+def _as_json(outs) -> list:
+    return [json.dumps(out.to_json_dict()) for out in outs]
+
+
+@pytest.mark.parametrize("key", sorted(EQUIVALENT), ids=lambda key: f"{key[0]}: {key[1]} {key[2]}")
+def test_listed_equivalents_change_no_output(key):
+    honest = _as_json([operators.solve(problem) for problem in PROBLEMS.values()])
+    (name, index), = [(n, i) for k, n, i in MUTANTS if k == key]
+    assert run_solves(compile_mutant(name, index), name, _as_json) == honest

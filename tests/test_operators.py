@@ -429,7 +429,7 @@ def unpruned_normal_form(sd, engine, order):
     dim = sd.problem.dim
     terms = {k: zero_matrix(dim) for k in range(1, order + 1)}
     for w in (word for word in sd.alphabet.words_up_to(order) if word):
-        c = engine.coeff_N(w)
+        c = engine.N.scalar(w)
         if c:
             terms[len(w)] = mat_add(terms[len(w)], mat_scale(c, dense_nested_bracket(sd, w)))
     return MatrixSeries.from_orders(dim, order, terms)
@@ -531,7 +531,7 @@ def dense_conjugator(sd, engine, order):
                 extended = mat_mul(product, component)
                 if not mat_is_zero(extended):
                     grown.append((word + (i,), extended))
-                    weight = engine.coeff_S(word + (i,)) * scale**k
+                    weight = engine.S.scalar(word + (i,)) * scale**k
                     terms[k] = mat_add(terms[k], mat_scale(weight, extended))
         frontier = grown
     return MatrixSeries.from_orders(dim, order, terms)
