@@ -3,10 +3,12 @@
 A perturbation problem is H0 + mu*V with H0 = diag(E0) exact-rational and
 V an exact Hermitian matrix.  The normal form N and the unitary
 conjugator C come from one Birkhoff decomposition of the matrix series
-built from H0 and V alone (``build_conjugator``).  No alphabet,
-component or word enters them.  That decomposition runs on Laurent
+built from H0 and V alone: its regular factor Phi(U_plus) is solved
+order by order as the only solution of a recursion in e' that is
+regular (``build_conjugator``), and no pole part is formed.  No
+alphabet, component or word enters them.  That recursion runs on power
 series in e' held as Gaussian-integer numerators over one denominator
-per order, on a fixed window of degrees, and makes GaussianRational
+per order, on windows of degrees 0..K-m, and makes GaussianRational
 values only for C_k and N_k.  The checks of ``verify_conjugacy``
 (conjugacy, unitarity, traces) use one integer format, per row the
 (column, re, im) triples of its nonzero entries over the
@@ -45,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -245,6 +248,8 @@ class PerturbationProblem:
             raise ValueError("hbar must be a positive rational")
         if self.order < 1:
             raise ValueError("the truncation order must be at least 1")
+        if self.order >= sys.maxsize:
+            raise ValueError(f"the truncation order must be below sys.maxsize = {sys.maxsize}")
         pair = _first_non_hermitian(v)
         if pair is not None:
             raise ValueError(f"V is not Hermitian at ({pair[0]},{pair[1]})")
@@ -556,151 +561,145 @@ def _word_sum(by_den: dict, k: int, dim: int, den: int, hbar: Fraction) -> tuple
 
 def build_conjugator(problem: PerturbationProblem) -> tuple:
     """(C, N) from H0 and V alone, by the Birkhoff decomposition of the
-    matrix series:
-    Phi(A)_m = sum over |w| = m of A^w B_(w1) ... B_(wm) turns
-    U_minus x T = U_plus into Phi(U_minus) Phi(T) = Phi(U_plus), solved
-    order by order.  Letter sums telescope along index chains a -> c to
-    g / (i hbar), with the real gap g = E0(a) - E0(c).  In e' = i hbar e
-    the factor of T at step m is i hbar / (g + m e'), so Phi(T)_m and X_m
-    carry exactly (i hbar)^m, and the recursion runs without hbar:
-    from Phi(T)_0 = I (T on the empty word is 1), Phi(T)_m is
-    Phi(T)_(m-1) V with entry (a, c) times 1/(g + m e'), and no word is
-    enumerated.  From X_m = Phi(T)_m + sum over 0 < j < m of
-    Phi(U_minus)_j Phi(T)_(m-j): Phi(U_minus)_m = -polar(X_m),
-    C_m = const(X_m), and N_m = m res(X_m), as N is alternal
-    (Dynkin-Specht-Wever).  No alphabet, component or word is built:
-    those serve only the solve JSON.
+    matrix series: Phi(A)_m = sum over |w| = m of A^w B_(w1) ... B_(wm)
+    turns U_minus x T = U_plus into Phi(U_minus) Phi(T) = Phi(U_plus).
+    Letter sums telescope along index chains a -> c to g / (i hbar), with
+    the real gap g = E0(a) - E0(c), and in e' = i hbar e the powers of
+    i hbar cancel.  The derivation d = ad_H0 + e' mu d/dmu gives
+    d Phi(T) = Phi(T) mu V, so (d Phi(U_minus)) Phi(U_minus)^-1 has no
+    positive degree in e' and, equal to (d Phi(U_plus)) Phi(U_plus)^-1 -
+    Phi(U_plus) mu V Phi(U_plus)^-1, no negative one: it is e'-free, and
+    its order m, m times the residue of Phi(U_minus)_m, is -N_m.  So
+    U_m = Phi(U_plus)_m solves, from U_0 = I, entry by entry
+    (g + m e') U_m = Y_m - N_m, with
+    Y_m = U_(m-1) V - sum over 0 < j < m of N_j U_(m-j) (``_y_window``)
+    and N resonant: at a zero gap N_m is the e'^0 coefficient of Y_m and
+    U_m is (Y_m - N_m) / (m e'); at any other gap U_m is Y_m / (g + m e')
+    (``_next_u``).  C_m is the e'^0 coefficient of U_m.  No Phi(T) or
+    Phi(U_minus) is formed, and no alphabet, component or word: those
+    serve only the solve JSON.
 
-    Windows.  Every entry of Phi(T)_m has degrees >= -m (one pole per
-    zero gap), and the recursion reads it only through degree K - m:
-    Phi(U_minus)_j Phi(T)_m, with j <= K - m, is needed only through
-    degree 0, and Phi(U_minus)_j has degrees -j..-1; the step to order
-    m + 1 reads one degree higher only at a zero gap, where the factor is
-    (1/(m + 1)) e'^-1.  So Phi(T)_m is held on the fixed window
-    -m..K-m, K + 1 coefficients, and X_m only on -m..0: each product is
-    truncated at degree 0.  With g != 0, 1/(g/D + m e'), D the common
-    denominator of the levels (``PerturbationProblem.levels``), is the
-    series sum over e of D (-m D)^e / g^(e+1) e'^e, of which degrees
-    0..K-1 reach the window; over |g|^K its coefficients are the integers
-    D (-m D)^e g^(K-1-e), times the sign of g^K.  With g = 0 the factor
-    shifts the window by one degree over the multiplier m.
+    Windows.  U_m is held on degrees 0..K-m: later orders read it only
+    through Y_(m+j), j >= 1, on degrees 0..K-m-j+1, the zero-gap shift
+    reading Y one degree above U.  With g != 0, 1/(g/D + m e'), D the
+    common denominator of the levels (``PerturbationProblem.levels``), is
+    the series sum over e of D (-m D)^e / g^(e+1) e'^e; over |g|^(p+1),
+    p = K - m, its coefficients of degrees 0..p are the integers
+    D (-m D)^e g^(p-e), times the sign of g^(p+1).
 
-    Denominators.  Each order is held as Gaussian-integer numerators
-    (re, im ints per coefficient) over one positive denominator: that of
-    Phi(T)_(m-1), times that of V, times the lcm of the multipliers |g|^K
-    and m of the gaps present; X_m is over the lcm of the denominators of
-    its terms.  Phi(T)_m and Phi(U_minus)_m are reduced once, by the gcd
-    of their denominator and all their numerators.  GaussianRational
-    values are formed only for C_m and N_m, one gcd per entry.
+    Denominators.  Each order is held as Gaussian-integer numerators (re,
+    im ints per coefficient) over one positive denominator: Y_m over the
+    lcm of the denominator products of its terms, N_m over Y_m's, and U_m
+    over Y_m's times the lcm of the multipliers |g|^(p+1) and m of the
+    gaps present.  U_m and N_m are reduced once, by one gcd each.
+    GaussianRational values are formed only for C_m and N_m.
+
+    Caveats.  N_m is written only at zero gaps, so [H0, N] = 0 catches an
+    edited N but no fault of this construction.  At e' = 0 the recursion
+    reads C (H0 + mu V) = (H0 + N) C, and C is unitary by the regularity
+    in e': the conjugacy check keeps the form C H C* = H0 + N, which this
+    recursion does not solve directly.
     """
     dim, K = problem.dim, problem.order
     v = _integer_rows(problem.v)
-    # Phi(T)_m and Phi(U_minus)_m as (denominator, rows): per row, the
-    # (column, re, im) of its nonzero entries, re and im the numerators of
-    # degrees -m..K-m for Phi(T)_m and -m..-1 for Phi(U_minus)_m
-    t_series = [(1, [[(a, [1] + [0] * K, [0] * (K + 1))] for a in range(dim)])]
-    u_series = [None]
+    # U_m and N_m as (denominator, rows): per row, the (column, re, im) of its nonzero
+    # entries, re and im the numerators of degrees 0..K-m for U_m, of degree 0 for N_m
+    u_series = [(1, [[(a, [1] + [0] * K, [0] * (K + 1))] for a in range(dim)])]
+    n_series = [None]
     c_coeffs, n_coeffs = [identity_matrix(dim)], [zero_matrix(dim)]
     for m in range(1, K + 1):
-        t_series.append(_next_t(t_series[-1], v, problem.levels, m, K))
-        x_den, x_rows = _x_window(t_series, u_series, m)
-        c_coeffs.append(_degree_matrix(x_rows, x_den, m, 1))
-        n_coeffs.append(_degree_matrix(x_rows, x_den, m - 1, m))
-        polar = [[(c, [-v for v in re[:m]], [-v for v in im[:m]]) for c, re, im in row] for row in x_rows]
-        u_series.append(_reduced(x_den, polar))
+        u, n = _next_u(_y_window(u_series, n_series, v, m, K), problem.levels, m, K)
+        u_series.append(u)
+        n_series.append(n)
+        c_coeffs.append(_degree_matrix(*u))
+        n_coeffs.append(_degree_matrix(*n))
     return MatrixSeries(c_coeffs), MatrixSeries(n_coeffs)
 
 
-def _next_t(t: tuple, v: tuple, levels: tuple, m: int, K: int) -> tuple:
-    """Phi(T)_m from Phi(T)_(m-1) = t, both on their windows and V = v, all
-    three as (denominator, rows) (see ``build_conjugator``):
-    Phi(T)_(m-1) V, entry (a, c) divided by g/D + m e'."""
-    (t_den, t_rows), (v_den, v_rows) = t, v
-    den, level = levels
-    zeros = [0] * (K + 1)
-    products = []
-    for t_row in t_rows:
+def _y_window(u_series: list, n_series: list, v: tuple, m: int, K: int) -> tuple:
+    """(denominator, rows) of Y_m = U_(m-1) V - sum over 0 < j < m of
+    N_j U_(m-j) on degrees 0..K-m+1, from the orders of U and N and V = v,
+    all as (denominator, rows) (see ``build_conjugator``)."""
+    (u_den, u_rows), (v_den, v_rows) = u_series[m - 1], v
+    den = math.lcm(u_den * v_den, *(n_series[j][0] * u_series[m - j][0] for j in range(1, m)))
+    zeros = [0] * (K - m + 2)
+    s = den // (u_den * v_den)
+    if s != 1:
+        v_rows = [[(c, vr * s, vi * s) for c, vr, vi in row] for row in v_rows]
+    window = []
+    for u_row in u_rows:
         acc = {}
-        for b, re, im in t_row:
+        for b, re, im in u_row:
             for c, vr, vi in v_rows[b]:
                 sr, si = acc.get(c, (zeros, zeros))
                 if not vi:
-                    sr = [s + x * vr for s, x in zip(sr, re)]
-                    si = [s + y * vr for s, y in zip(si, im)]
+                    sr = [x + y * vr for x, y in zip(sr, re)]
+                    si = [x + y * vr for x, y in zip(si, im)]
                 elif not vr:
-                    sr = [s - y * vi for s, y in zip(sr, im)]
-                    si = [s + x * vi for s, x in zip(si, re)]
+                    sr = [x - y * vi for x, y in zip(sr, im)]
+                    si = [x + y * vi for x, y in zip(si, re)]
                 else:
-                    sr = [s + x * vr - y * vi for s, x, y in zip(sr, re, im)]
-                    si = [s + x * vi + y * vr for s, x, y in zip(si, re, im)]
+                    sr = [x + y * vr - z * vi for x, y, z in zip(sr, re, im)]
+                    si = [x + y * vi + z * vr for x, y, z in zip(si, re, im)]
                 acc[c] = (sr, si)
-        products.append(acc)
-    gaps = {level[a] - level[c] for a, acc in enumerate(products) for c in acc}
-    multiplier = {g: abs(g) ** K if g else m for g in gaps}
+        window.append(acc)
+    for j in range(1, m):
+        (n_den, n_rows), (r_den, right) = n_series[j], u_series[m - j]
+        s = den // (n_den * r_den)
+        for acc, n_row in zip(window, n_rows):
+            # N_j is resonant, so its entries are few, each of one degree;
+            # zip truncates U_(m-j) to Y_m's window
+            for b, (nr,), (ni,) in n_row:
+                nr, ni = nr * s, ni * s
+                for c, re, im in right[b]:
+                    sr, si = acc.get(c, (zeros, zeros))
+                    acc[c] = ([x - nr * y + ni * z for x, y, z in zip(sr, re, im)],
+                              [x - nr * z - ni * y for x, y, z in zip(si, re, im)])
+    return den, [[(c, re, im) for c, (re, im) in acc.items()] for acc in window]
+
+
+def _next_u(y: tuple, levels: tuple, m: int, K: int) -> tuple:
+    """(U_m, N_m) from Y_m = y, all three as (denominator, rows) (see
+    ``build_conjugator``): entry (a, c) solves (g/D + m e') U_m = Y_m - N_m.
+    At g = 0, N_m is Y_m's degree 0 and U_m the rest shifted down one
+    degree over m; elsewhere U_m is Y_m times the series of
+    1/(g/D + m e') through degree p = K - m."""
+    (y_den, y_rows), (den, level) = y, levels
+    p = K - m
+    gaps = {level[a] - level[c] for a, row in enumerate(y_rows) for c, _, _ in row}
+    multiplier = {g: abs(g) ** (p + 1) if g else m for g in gaps}
     lcm = math.lcm(*multiplier.values())
     factors = {}
     for g in gaps - {0}:
-        # D (-m D)^e g^(K-1-e) over |g|^K, times the sign of g^K, then over lcm
-        scale = (-1 if g < 0 and K % 2 else 1) * (lcm // multiplier[g]) * den
-        factors[g] = [scale * (-m * den) ** e * g ** (K - 1 - e) for e in range(K)]
+        # D (-m D)^e g^(p-e) over |g|^(p+1), times the sign of g^(p+1), then over lcm
+        scale = (-1 if g < 0 and p % 2 == 0 else 1) * (lcm // multiplier[g]) * den
+        factors[g] = [scale * (-m * den) ** e * g ** (p - e) for e in range(p + 1)]
     shift = lcm // m  # read only at a zero gap, where m divides lcm
-    rows = []
-    for a, acc in enumerate(products):
-        row = []
-        for c, (re, im) in acc.items():
+    u_rows, n_rows = [], []
+    for a, row in enumerate(y_rows):
+        u_row, n_row = [], []
+        for c, re, im in row:
             g = level[a] - level[c]
             if g:
                 f = factors[g]
-                re = [0] + [sum(map(mul, re[i::-1], f)) for i in range(K)]
-                im = [0] + [sum(map(mul, im[i::-1], f)) for i in range(K)]
-            elif shift != 1:
-                re, im = [x * shift for x in re], [x * shift for x in im]
-            row.append((c, re, im))
-        rows.append(row)
-    return _reduced(t_den * v_den * lcm, rows)
+                u_row.append((c, [sum(map(mul, re[i::-1], f)) for i in range(p + 1)],
+                              [sum(map(mul, im[i::-1], f)) for i in range(p + 1)]))
+            else:
+                n_row.append((c, re[:1], im[:1]))
+                u_row.append((c, [x * shift for x in re[1:]], [x * shift for x in im[1:]]))
+        u_rows.append(u_row)
+        n_rows.append(n_row)
+    return _reduced(y_den * lcm, u_rows), _reduced(y_den, n_rows)
 
 
-def _x_window(t_series: list, u_series: list, m: int) -> tuple:
-    """(denominator, rows) of X_m = Phi(T)_m + sum over 0 < j < m of
-    Phi(U_minus)_j Phi(T)_(m-j) on degrees -m..0 (index 0..m)."""
-    t_den, t_rows = t_series[m]
-    x_den = math.lcm(t_den, *(u_series[j][0] * t_series[m - j][0] for j in range(1, m)))
-    s = x_den // t_den
-    window = [
-        {c: ([v * s for v in re[: m + 1]], [v * s for v in im[: m + 1]]) for c, re, im in row}
-        for row in t_rows
-    ]
-    for j in range(1, m):
-        u_den, u_rows = u_series[j]
-        right_den, right = t_series[m - j]
-        s = x_den // (u_den * right_den)
-        for acc, u_row in zip(window, u_rows):
-            for b, ur, ui in u_row:
-                if s != 1:
-                    ur, ui = [v * s for v in ur], [v * s for v in ui]
-                for c, tr, ti in right[b]:
-                    if c not in acc:
-                        acc[c] = ([0] * (m + 1), [0] * (m + 1))
-                    xr, xi = acc[c]
-                    # index u of U times index t of T lands on index u + t <= m
-                    for u, (yr, yi) in enumerate(zip(ur, ui)):
-                        if yi:
-                            xr[u:] = [x + yr * p - yi * q for x, p, q in zip(xr[u:], tr, ti)]
-                            xi[u:] = [x + yr * q + yi * p for x, p, q in zip(xi[u:], tr, ti)]
-                        elif yr:
-                            xr[u:] = [x + yr * p for x, p in zip(xr[u:], tr)]
-                            xi[u:] = [x + yr * q for x, q in zip(xi[u:], ti)]
-    return x_den, [[(c, re, im) for c, (re, im) in acc.items()] for acc in window]
-
-
-def _degree_matrix(rows: list, den: int, index: int, factor: int) -> tuple:
-    """The GaussianRational matrix of factor times coefficient ``index`` of
-    the entries of rows, over den."""
+def _degree_matrix(den: int, rows: list) -> tuple:
+    """The GaussianRational matrix of the degree-0 coefficients of the
+    entries of rows, over den."""
     out = [[ZERO] * len(rows) for _ in rows]
     for out_row, row in zip(out, rows):
         for c, re, im in row:
-            if re[index] or im[index]:
-                out_row[c] = GaussianRational.from_integers(factor * re[index], factor * im[index], den)
+            if re[0] or im[0]:
+                out_row[c] = GaussianRational.from_integers(re[0], im[0], den)
     return tuple(tuple(row) for row in out)
 
 

@@ -99,6 +99,22 @@ def test_solve_rejects_zero_order(problem_file, tmp_path, capsys):
             assert capsys.readouterr().err == f"error: bad problem file {path}: {message}\n"
 
 
+def test_solve_rejects_an_order_past_every_index(problem_file, tmp_path, capsys):
+    """An order that no list index can reach, from a flag or from the
+    file, is bad input, refused before any arithmetic.  Only orders past
+    sys.maxsize are tried: one that fits an index would start the run."""
+    huge = 99999999999999999999
+    assert huge > sys.maxsize
+    message = f"the truncation order must be below sys.maxsize = {sys.maxsize}"
+    for command in ("solve", "oracle"):
+        assert main([command, problem_file, "--order", str(huge)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    path = write_problem(tmp_path, {**TWO_LEVEL, "order": huge}, name="huge_order.json")
+    for command in ("solve", "oracle"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == f"error: bad problem file {path}: {message}\n"
+
+
 def test_solve_missing_file(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
 

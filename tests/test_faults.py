@@ -3,10 +3,10 @@
 Each row replaces one function of ``mouldpert.operators`` by a wrapper
 that returns one wrong value, runs ``mouldpert solve`` on the smallest
 ladder problem (three levels, order 4: simple, degenerate, or simple
-with hbar = 1/2; or order 5, where the sign of g^K is read), and records
-which verification flags turn false.  The row's expected set is the
-whole set of false flags, so the table shows which checks catch which
-fault, and which check is the only one that does.
+with hbar = 1/2; or order 5, where the sign of g^(K - m + 1) is read at
+m = 1), and records which verification flags turn false.  The row's
+expected set is the whole set of false flags, so the table shows which
+checks catch which fault, and which check is the only one that does.
 """
 
 import contextlib
@@ -26,7 +26,7 @@ PROBLEMS = {
     "simple": random_problem(3, 4, seed=3),
     "degenerate": random_problem(3, 4, seed=3, degenerate=True),
     "hbar-half": random_problem(3, 4, seed=3, hbar=Fraction(1, 2)),
-    # an odd order: the factor of a negative gap g carries the sign of g^K
+    # an odd order: at m = 1 the factor of a negative gap g carries the sign of g^K
     "odd-order": random_problem(3, 5, seed=3),
 }
 
@@ -45,91 +45,25 @@ def bump_window(window, a, c, index):
     return den, rows[:a] + [row] + rows[a + 1:]
 
 
-def next_t_numerator(a, c):
-    """Phi(T)_1, entry (a, c), one numerator high at degree 0 (index 1)."""
+def y_numerator(a, c, m, index):
+    """Y_m, entry (a, c), one numerator high at degree ``index``."""
 
     def wrap(honest):
-        def faulty(t, v, levels, m, K):
-            out = honest(t, v, levels, m, K)
-            return bump_window(out, a, c, m) if m == 1 else out
+        def faulty(u_series, n_series, v, order, K):
+            out = honest(u_series, n_series, v, order, K)
+            return bump_window(out, a, c, index) if order == m else out
 
         return faulty
 
     return wrap
 
 
-def next_t_negative_gaps_negated(honest):
-    """Phi(T)_1 with every entry at a negative gap g = E0(a) - E0(c)
-    negated, as if the factor dropped the sign of g^K."""
-
-    def faulty(t, v, levels, m, K):
-        den, rows = honest(t, v, levels, m, K)
-        if m != 1:
-            return den, rows
-        level = levels[1]
-        assert any(level[a] < level[c] for a, row in enumerate(rows) for c, _, _ in row)
-        return den, [
-            [(c, [-x for x in re], [-x for x in im]) if level[a] < level[c] else (c, re, im) for c, re, im in row]
-            for a, row in enumerate(rows)
-        ]
-
-    return faulty
-
-
-def next_t_zero_gaps_doubled(honest):
-    """Phi(T)_2 with every entry at a zero gap doubled, as if the shift
-    of the window at a zero gap carried the multiplier twice."""
-
-    def faulty(t, v, levels, m, K):
-        den, rows = honest(t, v, levels, m, K)
-        if m != 2:
-            return den, rows
-        level = levels[1]
-        assert any(level[a] == level[c] for a, row in enumerate(rows) for c, _, _ in row)
-        return den, [
-            [(c, [2 * x for x in re], [2 * x for x in im]) if level[a] == level[c] else (c, re, im) for c, re, im in row]
-            for a, row in enumerate(rows)
-        ]
-
-    return faulty
-
-
-def next_t_factor_coefficient(honest):
-    """Phi(T)_1 with the degree-1 numerator (index 2) of its first entry at
-    a nonzero gap one higher: one coefficient of the factor 1/(g/D + e')
-    wrong."""
-
-    def faulty(t, v, levels, m, K):
-        out = honest(t, v, levels, m, K)
-        if m != 1:
-            return out
-        level = levels[1]
-        a, c = next((a, c) for a, row in enumerate(out[1]) for c, _, _ in row if level[a] != level[c])
-        return bump_window(out, a, c, 2)
-
-    return faulty
-
-
-def x_window_numerator(a, c):
-    """X_2, entry (a, c), one numerator high at degree -1 (index 1): N_2
-    and Phi(U_minus)_2 read it."""
-
-    def wrap(honest):
-        def faulty(t_series, u_series, m):
-            out = honest(t_series, u_series, m)
-            return bump_window(out, a, c, m - 1) if m == 2 else out
-
-        return faulty
-
-    return wrap
-
-
-def x_window_shifted(honest):
-    """X_2 with every entry read one degree high: index i holds what
+def y_shifted(honest):
+    """Y_2 with every entry read one degree high: index i holds what
     belongs at index i + 1, and the last index is 0."""
 
-    def faulty(t_series, u_series, m):
-        den, rows = honest(t_series, u_series, m)
+    def faulty(u_series, n_series, v, m, K):
+        den, rows = honest(u_series, n_series, v, m, K)
         if m != 2:
             return den, rows
         return den, [[(c, re[1:] + [0], im[1:] + [0]) for c, re, im in row] for row in rows]
@@ -137,12 +71,66 @@ def x_window_shifted(honest):
     return faulty
 
 
-def n_without_its_factor(honest):
-    """N_m = res(X_m) instead of m res(X_m): the residue sits at index
-    m - 1 of X_m's window, C_m's constant term at index m with factor 1."""
+def y_n_terms_added(honest):
+    """Y_m with the terms N_j U_(m-j) added instead of subtracted: every
+    N_j it reads negated."""
 
-    def faulty(rows, den, index, factor):
-        return honest(rows, den, index, 1 if index == factor - 1 else factor)
+    def faulty(u_series, n_series, v, m, K):
+        return honest(u_series, [n and negated(n) for n in n_series], v, m, K)
+
+    return faulty
+
+
+def next_u_entries(m, gap, edit):
+    """U_m with edit(re, im) applied to every entry whose level gap
+    g = E0(a) - E0(c) passes ``gap``; N_m as it is."""
+
+    def wrap(honest):
+        def faulty(y, levels, order, K):
+            (den, rows), n = honest(y, levels, order, K)
+            if order != m:
+                return (den, rows), n
+            level = levels[1]
+            assert any(gap(level[a] - level[c]) for a, row in enumerate(rows) for c, _, _ in row)
+            rows = [
+                [(c, *edit(re, im)) if gap(level[a] - level[c]) else (c, re, im) for c, re, im in row]
+                for a, row in enumerate(rows)
+            ]
+            return (den, rows), n
+
+        return faulty
+
+    return wrap
+
+
+def next_u_factor_coefficient(honest):
+    """U_1 with the degree-1 numerator (index 1) of its first entry at a
+    nonzero gap one higher: one coefficient of the factor 1/(g/D + e')
+    wrong."""
+
+    def faulty(y, levels, m, K):
+        u, n = honest(y, levels, m, K)
+        if m != 1:
+            return u, n
+        level = levels[1]
+        a, c = next((a, c) for a, row in enumerate(u[1]) for c, _, _ in row if level[a] != level[c])
+        return bump_window(u, a, c, 1), n
+
+    return faulty
+
+
+def n_without_its_factor(honest):
+    """Every N_m over m, as if N_m were the residue of Phi(U_minus)_m
+    without its factor m: call 2m - 1 of _degree_matrix forms N_m."""
+    calls = itertools.count()
+
+    def faulty(den, rows):
+        out = honest(den, rows)
+        call = next(calls)
+        if call % 2 == 0:
+            return out
+        m = (call + 1) // 2
+        return tuple(tuple(x / m for x in row) for row in out)
 
     return faulty
 
@@ -260,22 +248,43 @@ EVERY_CHECK = {
 
 C_CHECKS = {"conjugacy", "unitarity"}
 
+# N_m is written only at zero gaps, so no fault of the construction can
+# make commutation fire: only an edited N does (n_top_off_resonance)
+CONSTRUCTION_CHECKS = EVERY_CHECK - {"commutation"}
+# on the simple problems N is diagonal, and a fault with real numerators
+# leaves it real: hermitian does not fire either
+SIMPLE_CHECKS = CONSTRUCTION_CHECKS - {"hermitian"}
+
 # (name in mouldpert.operators, wrapper, problem, false flags)
 FAULTS = {
-    "next_t_zero_gap": ("_next_t", next_t_numerator(0, 0), "simple", EVERY_CHECK),
-    "next_t_degenerate_pair": ("_next_t", next_t_numerator(1, 2), "degenerate", EVERY_CHECK),
-    # the sign of g^K is -1 at a negative gap only at an odd order
-    "next_t_negative_gap_sign": ("_next_t", next_t_negative_gaps_negated, "odd-order", EVERY_CHECK),
-    "next_t_zero_gap_shift": ("_next_t", next_t_zero_gaps_doubled, "degenerate", EVERY_CHECK),
-    # N_k stays resonant here: the wrong factor sits at a nonzero gap
-    "next_t_factor_coefficient": (
-        "_next_t",
-        next_t_factor_coefficient,
-        "degenerate",
-        EVERY_CHECK - {"commutation"},
+    # Y_1 = V: entry (0, 0) is N_1's, at a zero gap
+    "y_zero_gap": ("_y_window", y_numerator(0, 0, 1, 0), "simple", SIMPLE_CHECKS),
+    # inside the degenerate block of levels 1 and 2 the bump makes N_1 non-Hermitian
+    "y_degenerate_pair": ("_y_window", y_numerator(1, 2, 1, 0), "degenerate", CONSTRUCTION_CHECKS),
+    # degree 1 of Y_2 at a zero gap is degree 0 of U_2: C_2, C_3 and C_4
+    # change, and no order of N, so only the checks that read C catch it
+    "y_shifted_degree": ("_y_window", y_numerator(0, 0, 2, 1), "simple", C_CHECKS),
+    "y_offset": ("_y_window", y_shifted, "simple", SIMPLE_CHECKS),
+    "n_term_sign": ("_y_window", y_n_terms_added, "simple", SIMPLE_CHECKS),
+    # the sign of g^(K-m+1) is -1 at a negative gap only at an odd K - m + 1:
+    # order 5 at m = 1
+    "u_negative_gap_sign": (
+        "_next_u",
+        next_u_entries(1, lambda g: g < 0, lambda re, im: ([-x for x in re], [-x for x in im])),
+        "odd-order",
+        SIMPLE_CHECKS,
     ),
-    "x_window_residue": ("_x_window", x_window_numerator(0, 0), "simple", EVERY_CHECK),
-    "x_window_offset": ("_x_window", x_window_shifted, "simple", EVERY_CHECK),
+    # U_2 at the zero gaps without its division by m = 2: C_2..C_4 change,
+    # and N_3 and N_4 inside the degenerate block, whose traces stay put
+    "u_zero_gap_shift": (
+        "_next_u",
+        next_u_entries(2, lambda g: g == 0, lambda re, im: ([2 * x for x in re], [2 * x for x in im])),
+        "degenerate",
+        {"conjugacy", "hermitian", "unitarity"},
+    ),
+    # degree 1 of U_1 changes C_2..C_4 and no order of N, like
+    # y_shifted_degree: only the checks that read C catch it
+    "u_factor_coefficient": ("_next_u", next_u_factor_coefficient, "degenerate", C_CHECKS),
     "n_factor_m": (
         "_degree_matrix",
         n_without_its_factor,
@@ -323,8 +332,6 @@ FAULTS = {
     ),
     # the adjoint feeds (C H) C* and C C*, so only the checks that read C catch it
     "adjoint_conjugate": ("_adjoint_rows", adjoint_not_conjugated, "simple", C_CHECKS),
-    # call 0 of _reduced reduces Phi(T)_1, call 1 forms Phi(U_minus)_1
-    "u_minus_sign": ("_reduced", on_call(1, negated), "simple", EVERY_CHECK),
     # the oracle's own values: nothing but the oracle reads them.  The first
     # ad term is ad_(A_1)(H0), A_1 = W_1 / (i hbar); call 1 of the generator
     # forms A_2

@@ -31,13 +31,15 @@ import pytest
 from mouldpert import operators
 from mouldpert.operators import PerturbationProblem, random_problem
 
-TARGETS = ("build_conjugator", "_next_t", "_x_window", "_degree_matrix", "_reduced", "_integer_rows")
+TARGETS = ("build_conjugator", "_y_window", "_next_u", "_degree_matrix", "_reduced", "_integer_rows")
 
 # The fault table's four problems (simple, degenerate, hbar = 1/2, odd order),
 # the fractional (order 5) and degenerate (order 6) problems of CI, and seed 54.
-# Without both CI problems the 4 mutants of ``_next_t``'s imaginary-only branch
-# survive, as no other problem takes it; without seed 54 the 4 mutants of
-# ``_x_window``'s fresh-entry line survive, as no other problem reaches it.
+# Without both CI problems the 4 mutants of ``_y_window``'s imaginary-only
+# branch of U_(m-1) V survive, as no other problem takes it; without the
+# fractional one, whose V alone has denominators, the ``*`` of N_j's
+# denominator times U_(m-j)'s survives.  Seed 54 reached a fresh entry of
+# the X window that ``_y_window`` replaced; no mutant needs it now.
 PROBLEMS = {
     "simple": random_problem(3, 4, seed=3),
     "degenerate": random_problem(3, 4, seed=3, degenerate=True),
@@ -65,6 +67,10 @@ PROBLEMS = {
 # (function, stripped source line, mutation) -> why no output can change
 EQUIVALENT = {
     ("_reduced", "if g == 1:", "== -> !="): "gcd 1 divides nothing: both branches return the same den and rows",
+    # a wider window adds degrees above those any output reads, and no
+    # degree reads one above it: degree 0 of every order stays as it was
+    ("_y_window", "zeros = [0] * (K - m + 2)", "- -> +"): "Y_m's fresh entries reach degree K + m + 1, unread",
+    ("_next_u", "p = K - m", "- -> +"): "U_m's nonzero gaps reach degree K + m, exact through K - m + 1, unread",
 }
 
 BINARY = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.FloorDiv: ast.Mult, ast.Pow: ast.Mult}

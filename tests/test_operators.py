@@ -1,5 +1,7 @@
 """Matrix application: decomposition, expansions, oracle, numeric checks."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -25,6 +27,7 @@ from mouldpert.operators import (
     mat_magnitude,
     mat_mul,
     mat_scale,
+    mat_to_json,
     random_problem,
     solve,
     spectral_decompose,
@@ -647,8 +650,9 @@ FIXED_WINDOW_PROBLEMS = {
 
 @pytest.mark.parametrize("name", sorted(FIXED_WINDOW_PROBLEMS))
 def test_deeper_windows_leave_the_lower_orders_unchanged(name):
-    """Phi(T)_k is held on degrees -k..K-k only: two more orders widen
-    every window by two degrees and must not change C_k or N_k, k <= K."""
+    """U_k = Phi(U_plus)_k is held on degrees 0..K-k only, and Y_k on
+    0..K-k+1: two more orders widen every window by two degrees and must
+    not change C_k or N_k, k <= K."""
     K = 4
     low = FIXED_WINDOW_PROBLEMS[name](K)
     high = FIXED_WINDOW_PROBLEMS[name](K + 2)
@@ -657,9 +661,52 @@ def test_deeper_windows_leave_the_lower_orders_unchanged(name):
     assert c_low.coeffs == c_high.coeffs[: K + 1]
     assert n_low.coeffs == n_high.coeffs[: K + 1]
     if name.startswith("degenerate"):
-        # N_k is k times a residue: a nonzero N_k at every order means a
-        # zero gap, and so the one-degree shift, at every order
+        # N_k is degree 0 of Y_k at a zero gap: a nonzero N_k at every
+        # order means a zero gap, and so the one-degree shift, at every order
         assert all(not mat_is_zero(n) for n in n_low.coeffs[1:])
+
+
+# sha256 of json.dumps of [mat_to_json(C_k) for k = 0..K], and the same of
+# N, as the Phi(T) / Phi(U_minus) recursion gave them before the regular
+# recursion for Phi(U_plus) replaced it
+DEEP_PROBLEMS = {
+    "random-6-10-seed3-degenerate": lambda: random_problem(6, 10, seed=3, degenerate=True),
+    "ci-degenerate-12": lambda: PerturbationProblem.from_json_dict(
+        {
+            "E0": ["0", "0", "1"],
+            "V": [["1", "i", "1"], ["-i", "0", "2i"], ["1", "-2i", "-1"]],
+            "hbar": "1/2",
+            "order": 12,
+        }
+    ),
+    "random-13-12-seed1": lambda: random_problem(13, 12, seed=1),
+}
+DEEP_DIGESTS = {
+    "random-6-10-seed3-degenerate": (
+        "a3dbc55400815640fc12bda7f29ab39add548d2d5d8f6c7d7409f7914bc2a234",
+        "372bf049e90d7cc02d826c6404d3b8d0df2caca90dfce01943cdd7790ea09ef2",
+    ),
+    "ci-degenerate-12": (
+        "364516bd5dfb712656e5d08589103dcede3bf9cc3140d714b9567bca60861c13",
+        "daeaec8d8e683b1c3ee218ffe07103e32454669815e409ecdc0ea1956bfcdb73",
+    ),
+    "random-13-12-seed1": (
+        "bf2570ce4a7fe27782daea59ba94efff5331c4bff8ca70638a0767194c87e04b",
+        "add8d6926f34d4ef2d3c1f3a57f08d9b7d01aaf5d589386ad840f6ac164e4db3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_PROBLEMS))
+def test_deep_outputs_keep_their_digests(name):
+    """C and N at depth, degenerate blocks and thirteen levels included,
+    are byte for byte what they were."""
+    c, n = build_conjugator(DEEP_PROBLEMS[name]())
+    digests = tuple(
+        hashlib.sha256(json.dumps([mat_to_json(a) for a in series.coeffs]).encode()).hexdigest()
+        for series in (c, n)
+    )
+    assert digests == DEEP_DIGESTS[name]
 
 
 def test_unitarity_on_random_problems():
