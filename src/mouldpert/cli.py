@@ -3,12 +3,14 @@
 Subcommands: ``solve`` runs the whole pipeline on a problem file,
 ``moulds`` dumps the word table for an alphabet, ``verify`` runs the
 identity suites, ``oracle`` runs ``solve`` and reports how its normal form
-compares with the recursive construction.  All output is JSON with scalars
-in the exact literal grammar, laid out as ``json.dumps(indent=2)`` lays it
-out by one writer (``_emit``); ``moulds`` writes its table row by row as
-the rows are computed, so its memory follows the engine's memo, not the
-table.  Exit codes are 0 (clean), 1 (an invariant is violated), 2 (bad
-input).
+compares with the recursive construction.  Each command returns its
+payload and exit code, and ``main`` prints the payload to standard output
+in one call of one writer (``_emit``): JSON with scalars in the exact
+literal grammar, laid out as ``json.dumps(indent=2)`` lays it out.
+Standard output is the only sink; ``>`` writes a file.  ``moulds`` returns
+its table as a generator, so the rows are computed as they are written and
+its memory follows the engine's memo, not the table.  Exit codes are 0
+(clean), 1 (an invariant is violated), 2 (bad input).
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from .operators import (
     spectral_decompose,
 )
 from .scalars import format_scalar, parse_scalar
-
-OUTPUT_DIR_ENV = "MOULDPERT_OUTPUT_DIR"
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -128,29 +128,18 @@ def _write_json(payload, write) -> None:
     write("[]\n" if separator[0] == "[" else "\n]\n")
 
 
-def _emit(payload, output: str | None) -> None:
-    """Write payload's JSON to standard output, or to the file output
-    (resolved against ``MOULDPERT_OUTPUT_DIR`` when relative).  A list
-    payload may be any iterable; it is written as it is consumed."""
-    if output is None or output == "-":
-        try:
-            _write_json(payload, sys.stdout.write)
-            sys.stdout.flush()
-        except OSError as exc:
-            # later flushes, at exit too, go nowhere instead of raising again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise ValueError(f"cannot write standard output: {exc}") from exc
-        return
-    directory = os.environ.get(OUTPUT_DIR_ENV)
-    if directory and not os.path.isabs(output):
-        output = os.path.join(directory, output)
+def _emit(payload) -> None:
+    """Write payload's JSON to standard output.  A list payload may be any
+    iterable; it is written as it is consumed."""
     try:
-        with open(output, "w", encoding="utf-8") as handle:
-            _write_json(payload, handle.write)
+        _write_json(payload, sys.stdout.write)
+        sys.stdout.flush()
     except OSError as exc:
-        raise ValueError(f"cannot write {output}: {exc}") from exc
+        # later flushes, at exit too, go nowhere instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ValueError(f"cannot write standard output: {exc}") from exc
 
 
 def _alphabet_from_args(args) -> Alphabet:
@@ -179,15 +168,14 @@ def _nonnegative(value: int, flag: str) -> int:
     return value
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple:
     problem = _with_order(_load_problem(args.input), args.order)
-    mu_samples = _parse_mu_list(args.mu) if args.mu else []
+    mu_samples = _parse_mu_list(args.mu) if args.mu is not None else []
     out = solve(problem, mu_samples=mu_samples)
-    _emit(out.to_json_dict(), args.output)
-    return EXIT_OK if out.ok else EXIT_VIOLATION
+    return out.to_json_dict(), EXIT_OK if out.ok else EXIT_VIOLATION
 
 
-def cmd_moulds(args) -> int:
+def cmd_moulds(args) -> tuple:
     alphabet = _alphabet_from_args(args)
     engine = BirkhoffEngine(alphabet)
     acc = _nonnegative(args.acc, "--acc")
@@ -208,11 +196,10 @@ def cmd_moulds(args) -> int:
             }
 
     # each row is computed as it is written, so the table is never held
-    _emit(rows(), args.output)
-    return EXIT_OK
+    return rows(), EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     alphabet = _alphabet_from_args(args)
     max_length = _nonnegative(args.max_length, "--max-length")
     if args.corrupt_word is None:
@@ -240,11 +227,11 @@ def cmd_verify(args) -> int:
             verify_conjugation_symmetry(engine, max_length), alphabet
         )
     clean = all(entry["ok"] for entry in suites.values())
-    _emit({"alphabet": [format_scalar(v) for v in alphabet.letters], "suites": suites}, args.output)
-    return EXIT_OK if clean else EXIT_VIOLATION
+    payload = {"alphabet": [format_scalar(v) for v in alphabet.letters], "suites": suites}
+    return payload, EXIT_OK if clean else EXIT_VIOLATION
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple:
     if args.input is not None:
         for flag, value in (("--random-dim", args.random_dim), ("--seed", args.seed)):
             if value is not None:
@@ -266,8 +253,7 @@ def cmd_oracle(args) -> int:
         "oracle_match": out.oracle.to_json(),
         "conjugacy_ok": out.conjugacy.ok,
     }
-    _emit(payload, args.output)
-    return EXIT_OK if out.ok else EXIT_VIOLATION
+    return payload, EXIT_OK if out.ok else EXIT_VIOLATION
 
 
 def _suite_json(report, alphabet) -> dict:
@@ -306,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input", help="problem JSON file")
     p_solve.add_argument("--order", "-K", type=int, default=None, help="override the truncation order")
     p_solve.add_argument("--mu", default=None, help="comma-separated rational samples in (0,1) for the numeric check")
-    p_solve.add_argument("--output", "-o", default=None, help="output path (default stdout)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_moulds = sub.add_parser("moulds", help="dump the mould table for an alphabet")
@@ -314,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_moulds.add_argument("--problem", default=None, help="derive the alphabet from a problem file")
     p_moulds.add_argument("--max-length", "-L", type=int, default=3)
     p_moulds.add_argument("--acc", type=int, default=0, help="guaranteed accuracy of dumped series values")
-    p_moulds.add_argument("--output", "-o", default=None)
     p_moulds.set_defaults(func=cmd_moulds)
 
     p_verify = sub.add_parser("verify", help="run the identity suites for an alphabet")
@@ -326,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="debug: poison (U_minus, U_plus) on one word to prove the suites notice",
     )
-    p_verify.add_argument("--output", "-o", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="diff the normal form against the recursive construction")
@@ -334,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--random-dim", type=int, default=None, help="generate a random Hermitian problem instead")
     p_oracle.add_argument("--seed", type=int, default=None, help="seed for --random-dim")
     p_oracle.add_argument("--order", "-K", type=int, default=None)
-    p_oracle.add_argument("--output", "-o", default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
@@ -350,7 +332,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        _emit(payload)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

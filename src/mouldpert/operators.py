@@ -768,7 +768,8 @@ def verify_conjugacy(
     C and N are read as the GaussianRational series that ``solve``
     outputs.  The products run on the integer kernel: every order of C,
     C* (``_adjoint_rows``) and H = H0 + mu V is held as Gaussian integers
-    over its own denominator (``_integer_rows``), and every order of a
+    over its own denominator (``_integer_rows``; H0 is the levels over D,
+    and the orders 2..K of H are empty rows over 1), and every order of a
     product over the lcm of the denominator products of its pairs
     (``_gaussian_product``), with no reduction on the way.  Order k is
     compared with H0 + N and with I in integers (``_integer_residual``),
@@ -780,9 +781,12 @@ def verify_conjugacy(
     share no product kernel that one fault could make agree.  As H0 is
     diagonal, [H0, N_k] = 0 is read as N_k equal to its resonant part."""
     dim, h_series, rhs = problem.dim, problem.h_series(), _normal_series(problem, n_series)
+    d_e, level = problem.levels
+    h = [(d_e, [[(a, e, 0)] if e else [] for a, e in enumerate(level)]), _integer_rows(problem.v)]
+    h += [(1, [[] for _ in range(dim)])] * (problem.order - 1)
     c = [_integer_rows(a) for a in c_series.coeffs]
     c_adj = [(den, _adjoint_rows(rows)) for den, rows in c]
-    conjugated = _gaussian_product(_gaussian_product(c, [_integer_rows(a) for a in h_series.coeffs]), c_adj)
+    conjugated = _gaussian_product(_gaussian_product(c, h), c_adj)
     unitary = _gaussian_product(c, c_adj)
     identity = MatrixSeries.from_orders(dim, problem.order, {0: identity_matrix(dim)})
     pairs = zip(_power_traces(h_series, range(dim)), _power_traces(rhs, range(dim)))

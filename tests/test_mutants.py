@@ -33,13 +33,12 @@ from mouldpert.operators import PerturbationProblem, random_problem
 
 TARGETS = ("build_conjugator", "_y_window", "_next_u", "_degree_matrix", "_reduced", "_integer_rows")
 
-# The fault table's four problems (simple, degenerate, hbar = 1/2, odd order),
-# the fractional (order 5) and degenerate (order 6) problems of CI, and seed 54.
+# The fault table's four problems (simple, degenerate, hbar = 1/2, odd order)
+# and the fractional (order 5) and degenerate (order 6) problems of CI.
 # Without both CI problems the 4 mutants of ``_y_window``'s imaginary-only
 # branch of U_(m-1) V survive, as no other problem takes it; without the
 # fractional one, whose V alone has denominators, the ``*`` of N_j's
-# denominator times U_(m-j)'s survives.  Seed 54 reached a fresh entry of
-# the X window that ``_y_window`` replaced; no mutant needs it now.
+# denominator times U_(m-j)'s survives.
 PROBLEMS = {
     "simple": random_problem(3, 4, seed=3),
     "degenerate": random_problem(3, 4, seed=3, degenerate=True),
@@ -61,7 +60,6 @@ PROBLEMS = {
             "order": 6,
         }
     ),
-    "seed-54": random_problem(3, 4, seed=54, degenerate=True),
 }
 
 # (function, stripped source line, mutation) -> why no output can change
