@@ -41,7 +41,7 @@ from .operators import (
     solve,
     spectral_decompose,
 )
-from .scalars import format_scalar, parse_scalar
+from .scalars import _parse_digits, format_scalar, parse_scalar
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -49,13 +49,17 @@ EXIT_INPUT = 2
 
 
 def _load_problem(path: str) -> PerturbationProblem:
+    """The problem in the file at path.  JSON integers are read past the
+    interpreter's int/str digit limit, as scalar literals are."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=_parse_digits)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path} is nested too deeply to read: {exc}") from exc
     try:
         return PerturbationProblem.from_json_dict(data)
     except ValueError as exc:

@@ -632,16 +632,8 @@ def _y_window(u_series: list, n_series: list, v: tuple, m: int, K: int) -> tuple
         for b, re, im in u_row:
             for c, vr, vi in v_rows[b]:
                 sr, si = acc.get(c, (zeros, zeros))
-                if not vi:
-                    sr = [x + y * vr for x, y in zip(sr, re)]
-                    si = [x + y * vr for x, y in zip(si, im)]
-                elif not vr:
-                    sr = [x - y * vi for x, y in zip(sr, im)]
-                    si = [x + y * vi for x, y in zip(si, re)]
-                else:
-                    sr = [x + y * vr - z * vi for x, y, z in zip(sr, re, im)]
-                    si = [x + y * vi + z * vr for x, y, z in zip(si, re, im)]
-                acc[c] = (sr, si)
+                acc[c] = ([x + y * vr - z * vi for x, y, z in zip(sr, re, im)],
+                          [x + y * vi + z * vr for x, y, z in zip(si, re, im)])
         window.append(acc)
     for j in range(1, m):
         (n_den, n_rows), (r_den, right) = n_series[j], u_series[m - j]
@@ -708,8 +700,6 @@ def _reduced(den: int, rows: list) -> tuple:
     by the gcd of den and every numerator."""
     rows = [[(c, re, im) for c, re, im in row if any(re) or any(im)] for row in rows]
     g = math.gcd(den, *(v for row in rows for _, re, im in row for part in (re, im) for v in part))
-    if g == 1:
-        return den, rows
     return den // g, [
         [(c, [v // g for v in re], [v // g for v in im]) for c, re, im in row] for row in rows
     ]
@@ -842,9 +832,8 @@ def hierarchy_oracle(problem: PerturbationProblem) -> list:
     k and the loop moves on.  The conjugation is the sum over n of
     mu^(kn) ad_A^n(x) / n! (``_conjugated``), so no exponential and no
     product of two series is formed.  The resonant part of each A_k is
-    fixed to zero (free gauge).  A step whose A_k vanishes conjugates
-    nothing, and the series is not conjugated after order K, as nothing
-    reads the result.
+    fixed to zero (free gauge).  The series is not conjugated after order
+    K, as nothing reads the result.
 
     The whole recursion runs on Gaussian integers.  Every matrix of it is
     held as (denominator, rows), each row a dict {column: (re, im)} of
@@ -878,9 +867,7 @@ def hierarchy_oracle(problem: PerturbationProblem) -> list:
                     out_row[m] = GaussianRational.from_integers(re, im, den)
         n_parts.append(tuple(tuple(row) for row in n_k))
         if k < K:
-            a = _oracle_generator(x[k], level, d_e)
-            if any(a[1]):
-                x = _conjugated(x, a, k)
+            x = _conjugated(x, _oracle_generator(x[k], level, d_e), k)
     return n_parts
 
 
@@ -974,8 +961,6 @@ def _order_sum(parts: list) -> tuple:
                     t[1] += im * s
     rows = [{m: t for m, t in acc_row.items() if t[0] or t[1]} for acc_row in acc]
     g = math.gcd(lcm, *(v for row in rows for t in row.values() for v in t))
-    if g == 1:
-        return lcm, rows
     return lcm // g, [{m: (re // g, im // g) for m, (re, im) in row.items()} for row in rows]
 
 

@@ -369,10 +369,13 @@ def parse_scalar(text: str) -> GaussianRational:
 
 
 def _parse_digits(digits: str) -> int:
-    """int(digits), past the interpreter's int/str digit limit in halves."""
+    """int(digits), for digits with an optional leading "-", past the
+    interpreter's int/str digit limit in halves."""
     try:
         return int(digits)
     except ValueError:
+        if digits[0] == "-":
+            return -_parse_digits(digits[1:])
         k = len(digits) // 2
         return _parse_digits(digits[:-k]) * 10**k + _parse_digits(digits[-k:])
 

@@ -109,10 +109,13 @@ def test_solve_rejects_an_order_past_every_index(problem_file, tmp_path, capsys)
     for command in ("solve", "oracle"):
         assert main([command, problem_file, "--order", str(huge)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-    path = write_problem(tmp_path, {**TWO_LEVEL, "order": huge}, name="huge_order.json")
-    for command in ("solve", "oracle"):
-        assert main([command, path]) == 2
-        assert capsys.readouterr().err == f"error: bad problem file {path}: {message}\n"
+    # from the file, also past the 4300-digit int/str limit, which json.dumps cannot write
+    longest = tmp_path / "longest_order.json"
+    longest.write_text('{"E0": ["0", "1"], "V": [["0", "1"], ["1", "0"]], "order": 1' + "0" * 5000 + "}")
+    for path in (write_problem(tmp_path, {**TWO_LEVEL, "order": huge}, name="huge_order.json"), str(longest)):
+        for command in ("solve", "oracle"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err == f"error: bad problem file {path}: {message}\n"
 
 
 def test_solve_missing_file(tmp_path, capsys):
@@ -625,6 +628,32 @@ def test_integer_scalars_are_accepted(tmp_path, capsys):
     path = write_problem(tmp_path, {"E0": [0, 1], "V": [[0, 1], [1, 0]], "hbar": 1, "order": 2})
     assert main(["solve", path]) == 0
     assert read_json(capsys)["eigenvalue_series"]["0"] == ["0", "0", "-1"]
+
+
+@pytest.mark.parametrize("e0", [["0", "1" + "0" * 5000], ["-1" + "0" * 5000, "0"]])
+def test_integers_past_the_int_string_limit_read_as_their_literals(tmp_path, capsys, e0):
+    """A problem file's JSON integers of any length are read as the same
+    digits written as string literals are."""
+    literal = write_problem(tmp_path, {"E0": e0, "V": [["1", "-1"], ["-1", "1"]], "order": 2}, "literal.json")
+    integer = tmp_path / "integer.json"
+    integer.write_text('{"E0": [' + ", ".join(e0) + '], "V": [[1, -1], [-1, 1]], "order": 2}')
+    assert main(["solve", literal]) == 0
+    expected = capsys.readouterr().out
+    assert main(["solve", str(integer)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "command", [["solve"], ["oracle"], ["moulds", "--problem"], ["verify", "--problem"]], ids=lambda c: c[0]
+)
+def test_a_deeply_nested_problem_file_exits_2_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "nested.json"
+    path.write_text('{"E0": ' + "[" * 100_000 + "]" * 100_000 + ', "V": []}')
+    assert main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} is nested too deeply to read: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

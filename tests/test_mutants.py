@@ -35,10 +35,8 @@ TARGETS = ("build_conjugator", "_y_window", "_next_u", "_degree_matrix", "_reduc
 
 # The fault table's four problems (simple, degenerate, hbar = 1/2, odd order)
 # and the fractional (order 5) and degenerate (order 6) problems of CI.
-# Without both CI problems the 4 mutants of ``_y_window``'s imaginary-only
-# branch of U_(m-1) V survive, as no other problem takes it; without the
-# fractional one, whose V alone has denominators, the ``*`` of N_j's
-# denominator times U_(m-j)'s survives.
+# Without the fractional one, whose V alone has denominators, the ``*`` of
+# N_j's denominator times U_(m-j)'s survives.
 PROBLEMS = {
     "simple": random_problem(3, 4, seed=3),
     "degenerate": random_problem(3, 4, seed=3, degenerate=True),
@@ -64,7 +62,6 @@ PROBLEMS = {
 
 # (function, stripped source line, mutation) -> why no output can change
 EQUIVALENT = {
-    ("_reduced", "if g == 1:", "== -> !="): "gcd 1 divides nothing: both branches return the same den and rows",
     # a wider window adds degrees above those any output reads, and no
     # degree reads one above it: degree 0 of every order stays as it was
     ("_y_window", "zeros = [0] * (K - m + 2)", "- -> +"): "Y_m's fresh entries reach degree K + m + 1, unread",

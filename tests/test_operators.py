@@ -978,7 +978,7 @@ ORACLE_CASES = {
     "hbar-half": lambda: random_problem(4, 4, seed=3, hbar=Fraction(1, 2)),
     "hbar-half-degenerate": lambda: random_problem(4, 4, seed=3, hbar=Fraction(1, 2), degenerate=True),
     "half-integer-12": lambda: sparse_half_integer_problem(12, 2, seed=0),
-    # V diagonal: every W_k vanishes, so no step conjugates
+    # V diagonal: every W_k vanishes, so each step conjugates by the identity
     "diagonal": lambda: diagonal_problem(order=4),
     # order 1: N_1 is read before any conjugation
     "order-1": lambda: random_problem(4, 1, seed=3),
