@@ -166,6 +166,19 @@ def _with_order(problem: PerturbationProblem, order: int | None) -> Perturbation
     return dataclasses.replace(problem, order=order)
 
 
+def _order_value(text: str) -> int:
+    """int(text) for --order, also past the interpreter's int/str digit
+    limit, so that a huge order reaches the problem's own bound check
+    instead of an argparse message that echoes every digit."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        return _parse_digits(text)
+
+
 def _nonnegative(value: int, flag: str) -> int:
     if value < 0:
         raise ValueError(f"{flag} must be at least 0, got {value}")
@@ -294,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="normalize a problem file and verify it")
     p_solve.add_argument("input", help="problem JSON file")
-    p_solve.add_argument("--order", "-K", type=int, default=None, help="override the truncation order")
+    p_solve.add_argument("--order", "-K", type=_order_value, default=None, help="override the truncation order")
     p_solve.add_argument("--mu", default=None, help="comma-separated rational samples in (0,1) for the numeric check")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -320,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("input", nargs="?", default=None, help="problem JSON file")
     p_oracle.add_argument("--random-dim", type=int, default=None, help="generate a random Hermitian problem instead")
     p_oracle.add_argument("--seed", type=int, default=None, help="seed for --random-dim")
-    p_oracle.add_argument("--order", "-K", type=int, default=None)
+    p_oracle.add_argument("--order", "-K", type=_order_value, default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 
     return parser

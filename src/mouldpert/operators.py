@@ -31,7 +31,8 @@ gaps, and each bracket is one fused kernel on those rows
 (``SpectralDecomposition.sparse_left_bracket``), shared with neither the
 checks nor the oracle; GaussianRational values are formed once per entry
 of N.  Everything is exact except the final optional comparison against
-a double-precision eigensolver.
+double-precision eigenvalues from the module's own Jacobi kernel
+(``_hermitian_eigenvalues``).
 
 Sign conventions: the entry in row k, column l of V belongs to the
 component with letter lam = (E0(k) - E0(l)) / (i hbar), which is exactly
@@ -1154,12 +1155,6 @@ class NumericSample:
         return out
 
 
-def _to_complex_matrix(a: tuple):
-    import numpy as np  # only the numeric cross-check needs it
-
-    return np.array([[complex(x) for x in row] for row in a], dtype=complex)
-
-
 def numeric_compare(
     problem: PerturbationProblem,
     n_series: MatrixSeries,
@@ -1168,13 +1163,16 @@ def numeric_compare(
     """|double-precision eigenvalue - exact value|, one :class:`NumericSample`
     per sample.
 
-    The numeric eigenvalues are those of H0 + mu V at the sample; the
-    exact values are read from (H0 + N) at the sample.  For a simple
-    spectrum its diagonal entry n is level n's partial sum (see
-    :func:`eigenvalue_series`), matched to the numeric eigenvalues by
-    proximity; for a degenerate one its eigenvalues are compared in order.
-    A proximity match is flagged ambiguous when the two nearest numeric
-    eigenvalues are closer than 1e-8 times the spectral range.  Expected
+    The numeric eigenvalues are those of H0 + mu V at the sample, from
+    :func:`_hermitian_eigenvalues`, a cyclic Jacobi kernel that reads the
+    lower triangle as LAPACK's eigvalsh does and agrees with it to within
+    1e-13 max(1, max |lambda|) (tested); the exact values are read from
+    (H0 + N) at the sample.  For a simple spectrum its diagonal entry n
+    is level n's partial sum (see :func:`eigenvalue_series`), matched to
+    the numeric eigenvalues by proximity; for a degenerate one its
+    eigenvalues are compared in order.  A proximity match is flagged
+    ambiguous when the two nearest numeric eigenvalues are closer than
+    1e-8 times the spectral range.  Expected
     decay between samples is mu^(K+1) (or the first nonvanishing
     neglected order).  A sample whose exact matrix entries lie beyond the
     double-precision range is reported as skipped, with the reason; the
@@ -1201,29 +1199,92 @@ def numeric_compare(
 def _numeric_sample(
     h_series: MatrixSeries, normal_series: MatrixSeries, simple: bool, mu: Fraction
 ) -> NumericSample:
-    import numpy as np  # only the numeric cross-check needs it
-
+    exact = normal_series.evaluate(mu)
     try:
-        numeric = np.linalg.eigvalsh(_to_complex_matrix(h_series.evaluate(mu)))
-    except np.linalg.LinAlgError as exc:
+        numeric = _hermitian_eigenvalues([[complex(x) for x in row] for row in h_series.evaluate(mu)])
+        reference = None if simple else _hermitian_eigenvalues([[complex(x) for x in row] for row in exact])
+    except ValueError as exc:
         raise ValueError(f"numeric diagonalization failed at mu = {mu}: {exc}") from exc
-    spread = float(numeric[-1] - numeric[0]) or 1.0
+    spread = (numeric[-1] - numeric[0]) or 1.0
     tol = 1e-8 * spread
     ambiguous = False
     errors = []
-    exact = normal_series.evaluate(mu)
     if simple:
         for n, row in enumerate(exact):
-            gaps = np.abs(numeric - complex(row[n]))
-            order = np.argsort(gaps)
-            best = gaps[order[0]]
-            if len(order) > 1 and gaps[order[1]] - best < tol:
+            value = complex(row[n])
+            gaps = sorted(abs(x - value) for x in numeric)
+            if len(gaps) > 1 and gaps[1] - gaps[0] < tol:
                 ambiguous = True
-            errors.append(float(best))
+            errors.append(gaps[0])
     else:
-        reference = np.linalg.eigvalsh(_to_complex_matrix(exact))
-        errors = [float(abs(a - b)) for a, b in zip(numeric, reference)]
+        errors = [abs(a - b) for a, b in zip(numeric, reference)]
     return NumericSample(mu=mu, errors=errors, ambiguous=ambiguous)
+
+
+def _hermitian_eigenvalues(rows: list, sweeps: int = 50) -> list:
+    """The eigenvalues, ascending, of the Hermitian matrix whose lower
+    triangle is ``rows`` (lists of complex), read as LAPACK's eigvalsh
+    reads it: the upper triangle and the imaginary part of the diagonal
+    are ignored.
+
+    Cyclic Jacobi on the full matrix.  The rotation at (p, q) first takes
+    the phase of a_pq into column q, then makes the real rotation with
+    a_pp -= t |a_pq|, a_qq += t |a_pq| and tau = s / (1 + c) (Demmel and
+    Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).  An a_pq below the
+    rounding of both a_pp and a_qq is set to zero; a sweep with no
+    rotation ends the run.  The entries are first divided by the power of
+    two at their largest part, so no square or sum overflows, and the
+    eigenvalues are multiplied back by it exactly.  Raises ValueError when
+    ``sweeps`` sweeps do not converge.
+    """
+    n = len(rows)
+    top = max(
+        [abs(rows[i][i].real) for i in range(n)]
+        + [abs(x) for i in range(n) for z in rows[i][:i] for x in (z.real, z.imag)],
+        default=0.0,
+    )
+    e = math.frexp(top)[1]
+    d = [math.ldexp(rows[i][i].real, -e) for i in range(n)]
+    a = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            z = rows[i][j]
+            a[i][j] = complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
+            a[j][i] = a[i][j].conjugate()
+    for _ in range(sweeps):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                r = abs(apq)
+                if not r:
+                    continue
+                a[p][q] = a[q][p] = 0j
+                dp, dq = d[p], d[q]
+                if abs(dp) + 100 * r == abs(dp) and abs(dq) + 100 * r == abs(dq):
+                    continue
+                rotated = True
+                theta = (dq - dp) / (2 * r)
+                t = 1 / (abs(theta) + math.hypot(1.0, theta))
+                if theta < 0:
+                    t = -t
+                c = 1 / math.sqrt(1 + t * t)
+                s = t * c
+                tau = s / (1 + c)
+                d[p] = dp - t * r
+                d[q] = dq + t * r
+                phase = apq.conjugate() / r
+                for k in range(n):
+                    if k != p and k != q:
+                        g = a[k][p]
+                        h = a[k][q] * phase
+                        a[k][p] = g - s * (h + tau * g)
+                        a[k][q] = h + s * (g - tau * h)
+                        a[p][k] = a[k][p].conjugate()
+                        a[q][k] = a[k][q].conjugate()
+        if not rotated:
+            return sorted(math.ldexp(x, e) for x in d)
+    raise ValueError(f"no convergence in {sweeps} Jacobi sweeps")
 
 
 # -- whole pipeline --------------------------------------------------------------------

@@ -109,6 +109,12 @@ def test_solve_rejects_an_order_past_every_index(problem_file, tmp_path, capsys)
     for command in ("solve", "oracle"):
         assert main([command, problem_file, "--order", str(huge)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+    # a flag past the 4300-digit int/str limit reaches the same check, and no digit is echoed
+    longest_flag = "1" + "0" * 5000
+    for args in (["solve", problem_file], ["oracle", "--random-dim", "3", "--seed", "1"]):
+        assert main([*args, "--order", longest_flag]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n" and len(err.encode()) < 300
     # from the file, also past the 4300-digit int/str limit, which json.dumps cannot write
     longest = tmp_path / "longest_order.json"
     longest.write_text('{"E0": ["0", "1"], "V": [["0", "1"], ["1", "0"]], "order": 1' + "0" * 5000 + "}")
@@ -503,17 +509,20 @@ def test_moulds_writes_each_row_before_computing_the_next(monkeypatch):
     assert seen == [1, 2, 3, 4, 5, 6, 7, 7]
 
 
-def test_numpy_is_loaded_only_by_the_numeric_check(problem_file):
-    """Importing the CLI and running ``oracle`` leave numpy out of
-    sys.modules; ``solve --mu`` loads it, so the probe can see it."""
+def test_no_command_loads_numpy(problem_file):
+    """Importing the CLI and running every command, ``solve --mu``
+    included, leave numpy out of sys.modules: the numeric check runs on
+    the package's own eigenvalue kernel."""
     script = (
         "import contextlib, io, sys\n"
         "import mouldpert.cli\n"
         "seen = ['numpy' in sys.modules]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert mouldpert.cli.main(['oracle', '--random-dim', '3', '--seed', '1']) == 0\n"
-        "    seen.append('numpy' in sys.modules)\n"
         "    assert mouldpert.cli.main(['solve', sys.argv[1], '--mu', '1/100']) == 0\n"
+        "    seen.append('numpy' in sys.modules)\n"
+        "    assert mouldpert.cli.main(['verify', '--alphabet', 'i,-i,0', '-L', '2']) == 0\n"
+        "    assert mouldpert.cli.main(['moulds', '--alphabet', 'i,-i,0', '-L', '2']) == 0\n"
         "    seen.append('numpy' in sys.modules)\n"
         "print(seen)\n"
     )
@@ -527,7 +536,7 @@ def test_numpy_is_loaded_only_by_the_numeric_check(problem_file):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[False, False, True]\n"
+    assert done.stdout == "[False, False, False]\n"
 
 
 def test_deterministic_output(problem_file, capsys):

@@ -1140,6 +1140,71 @@ def test_degenerate_numeric_comparison_is_small():
     assert out.numeric[0].max_error < 1e-7
 
 
+def hermitian_test_matrices(rng):
+    """(name, rows) pairs: seeded dense, sparse and degenerate Hermitian
+    matrices of dims 1-18, off-diagonal entries down to 1e-6, and the
+    zero and a diagonal matrix.  A degenerate one is Q D Q* with levels
+    -1, 0 and 2 and a Householder reflection Q."""
+    def entry():
+        return complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10 ** rng.uniform(-6, 0)
+
+    for n in range(1, 19):
+        for kind in ("dense", "sparse", "degenerate"):
+            if kind == "degenerate":
+                v = [entry() for _ in range(n)]
+                norm = sum(abs(x) ** 2 for x in v)
+                q = [[(i == j) - 2 * v[i] * v[j].conjugate() / norm for j in range(n)] for i in range(n)]
+                levels = [rng.choice((-1, 0, 2)) for _ in range(n)]
+                rows = [
+                    [sum(q[i][k] * levels[k] * q[j][k].conjugate() for k in range(n)) for j in range(n)]
+                    for i in range(n)
+                ]
+            else:
+                rows = [[0j] * n for _ in range(n)]
+                for i in range(n):
+                    rows[i][i] = complex(rng.uniform(-5, 5))
+                    for j in range(i):
+                        if kind == "dense" or rng.random() < 0.2:
+                            rows[i][j] = entry()
+                            rows[j][i] = rows[i][j].conjugate()
+            yield f"{kind} {n}", rows
+    yield "zero", [[0j] * 4 for _ in range(4)]
+    yield "diagonal", [[complex(3 - 2 * i) if i == j else 0j for j in range(5)] for i in range(5)]
+
+
+def test_hermitian_eigenvalues_match_eigvalsh():
+    """The --mu check's Jacobi kernel against LAPACK, which only the tests
+    load: within 1e-13 max(1, max |lam|), ascending, on the lower triangle."""
+    import numpy as np
+
+    cases = dict(hermitian_test_matrices(random.Random(20)))
+    # entries at 1e+-300: the scaled eigenvalues, to the same relative accuracy
+    for scale in (1e300, 1e-300):
+        cases[f"scaled {scale}"] = [[z * scale for z in row] for row in cases["dense 8"]]
+    # not Hermitian: the upper triangle and the diagonal's imaginary parts are not read
+    lower = cases["dense 11"]
+    edited = [[z if j < i else complex(9, -7) for j, z in enumerate(row)] for i, row in enumerate(lower)]
+    for i, row in enumerate(edited):
+        row[i] = lower[i][i] + 5j
+    cases["non-Hermitian"] = edited
+    for name, rows in cases.items():
+        ours = operators._hermitian_eigenvalues(rows)
+        reference = np.linalg.eigvalsh(np.array(rows))
+        assert ours == sorted(ours), name
+        size = max(abs(reference))
+        bound = 1e-13 * (size if name.startswith("scaled") else max(1.0, size))
+        assert max(abs(a - b) for a, b in zip(ours, reference)) <= bound, name
+    assert operators._hermitian_eigenvalues(edited) == operators._hermitian_eigenvalues(lower)
+
+
+def test_unconverged_jacobi_kernel_is_a_numeric_failure(monkeypatch):
+    kernel = operators._hermitian_eigenvalues
+    monkeypatch.setattr(operators, "_hermitian_eigenvalues", lambda rows: kernel(rows, sweeps=0))
+    message = r"numeric diagonalization failed at mu = 1/100: no convergence in 0 Jacobi sweeps"
+    with pytest.raises(ValueError, match=message):
+        solve(two_level_problem(order=2), mu_samples=[Fraction(1, 100)])
+
+
 def partial_sum(coefficients, mu):
     return sum((c * mu**k for k, c in enumerate(coefficients)), ZERO)
 
