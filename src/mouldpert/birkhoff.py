@@ -15,18 +15,41 @@ free yields the exact scalar moulds
 
 which solve the normalization problem downstream: R/N weight nested
 commutators of the perturbation's eigencomponents, S weights their
-ordered products.  ``BirkhoffEngine`` is these six moulds and no other
-reader: T, U_minus and U_plus (Laurent-valued) and N, R and S (e-free),
-each memoized per word.
+ordered products.
 
-The recurrence is exact: U_minus values are finite polynomials in e^-1,
-so residues never lose accuracy; U_plus values are guaranteed through
-the accuracy requested (degree 0 suffices for the scalar moulds, and the
-engine widens T requests by the polar depth of the U_minus factor in
-each product term).  The sum over the splittings w = a.b of
+``BirkhoffEngine`` reaches these values by two independent routes.
+
+The source of N, R, S and U_plus is the regular recursion.  Multiplying
+the value of w by phi(w) + len(w) e is a derivation D of the mould
+product with D T = T x I (I the letters mould) and D U_minus = -R x
+U_minus, so for w = w'.lam of length r
+
+    (phi(w) + r e) U_plus^w = Y^w - R^w,
+    Y^w = U_plus^(w') - sum over w = a.b, a and b nonempty, of R^a U_plus^b.
+
+At phi(w) = 0, R^w is the degree-0 coefficient of Y^w and U_plus^w is
+the rest shifted down one degree over r; elsewhere R^w = 0 and U_plus^w
+is Y^w / (phi(w) + r e).  The recursion has no poles: an engine built for
+words up to length L and a printed accuracy A holds U_plus^w on the fixed
+window of degrees 0..A + L - len(w), which is all that the longer words
+read, and a word past L is refused.
+
+The check is the paper's route: T, U_minus and the pair's own U_plus
+(``_pair``).  The sum over the splittings w = a.b, a != w, of
 U_minus^a T^b is formed in one coefficient table
-(``Laurent.sum_of_products``), and T^w is its prefix divided by the
-linear s + r e, so no factor inverse is formed.
+(``Laurent.sum_of_products``); U_minus^w is minus its polar part and the
+pair's U_plus^w its regular part, so the pair's U_plus is the regular
+part of U_minus x T.  T^w is its prefix divided by the linear s + r e, so
+no factor inverse is formed; U_minus values are finite polynomials in
+e^-1, so residues never lose accuracy, and T requests are widened by the
+polar depth of the U_minus factor in each product term.
+
+The suites compare the routes: ``factorization`` holds the two U_plus
+equal through degree A, grading identities (i) and (iii) tie the
+source's R to U_minus, and conjugation symmetry reads the source.  The
+mould equations, S symmetrality, the support property and grading
+identity (ii) read the pair's values, S = U_plus(0) and
+R = -len(w) residue(U_minus).
 """
 
 from __future__ import annotations
@@ -37,13 +60,14 @@ from dataclasses import dataclass, field
 from .laurent import Laurent
 from .moulds import (
     Alphabet,
+    HeldMould,
     Mould,
     Word,
     is_symmetral_up_to,
     mould_product,
     nabla,
 )
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational, ONE, ZERO
 
 __all__ = [
     "make_T",
@@ -88,33 +112,102 @@ def make_T(alphabet: Alphabet) -> Mould:
 
 
 class BirkhoffEngine:
-    """Per-alphabet factorization engine: six moulds, each value read once.
+    """Per-alphabet factorization engine: the regular recursion is the
+    source of N, R, S and U_plus, and the Birkhoff pair is the check.
 
-    ``T``, ``u_minus`` and ``u_plus`` are Laurent-valued moulds; ``N``,
-    ``R`` and ``S`` are moulds of e-free values (``Mould.constant_from``),
-    read through their ``scalar`` memo.  U_minus and U_plus come from one
-    pair table (``_pair``); N is ``coeff_N`` on it, R is len(w) times N's
-    memo, and S is the constant term of U_plus.  Caches are tied to the
-    alphabet; a different alphabet (different eigenvalues or a rescaled
-    hbar) needs a fresh engine.  The moulds reach the engine through a
-    weak proxy, so an engine holds no reference cycle and is freed as
-    soon as its last reference goes.
+    Built for words up to length ``max_length`` (L) and a printed
+    accuracy ``acc`` (A).  The source (``_regular``) holds, per word, U_plus
+    on degrees 0..A + L - len(w) and R; a read of a word longer than L
+    raises ValueError.  ``u_plus`` reads that window as a Laurent value;
+    ``N`` is ``coeff_N``, R / len(w), ``R`` is len(w) times N's memo and
+    ``S`` is U_plus's degree 0.  N, R and S are moulds of e-free values
+    (``Mould.constant_from``), read through their ``scalar`` memo.
+
+    The check route is ``T`` and the pair table ``_pair`` of the paper's
+    decomposition U_minus x T = U_plus: ``u_minus`` and ``pair_u_plus``
+    read the pair, and the e-free ``pair_S`` and ``pair_R`` are the
+    pair's U_plus(0) and -len(w) residue(U_minus).  The pair route needs
+    no L; an engine built without one reads only T and the pair.  The
+    Laurent moulds ``u_plus``, ``u_minus`` and ``pair_u_plus`` are views
+    (``HeldMould``): each Laurent value is held once, by ``_pairs`` or by
+    the recursion's memo.  Caches are tied to the alphabet; a different
+    alphabet (different eigenvalues or a rescaled hbar) needs a fresh
+    engine.  The moulds reach the engine through a weak proxy, so an
+    engine holds no reference cycle and is freed as soon as its last
+    reference goes.
     """
 
-    def __init__(self, alphabet: Alphabet):
+    def __init__(self, alphabet: Alphabet, max_length: int = 0, acc: int = 0):
         self.alphabet = alphabet
+        self.max_length = max_length
+        self.acc = acc
         self.T = make_T(alphabet)
         self._pairs: dict = {}
+        self._regular_values: dict = {}
         engine = weakref.proxy(self)
-        self.u_minus = Mould(alphabet, lambda w, acc: engine._pair(w, 0)[0])
-        self.u_plus = Mould(alphabet, lambda w, acc: engine._pair(w, acc)[1])
+        self.u_plus = HeldMould(alphabet, lambda w, acc: engine._regular_u_plus(w, acc))
         self.N = Mould.constant_from(alphabet, lambda w: engine.coeff_N(w))
         n = self.N.scalar
         self.R = Mould.constant_from(alphabet, lambda w: GaussianRational(len(w)) * n(w))
-        self.S = Mould.constant_from(alphabet, lambda w: engine._pair(w, 0)[1].constant_term())
+        self.S = Mould.constant_from(alphabet, lambda w: engine._regular(w)[0][0])
+        self.u_minus = HeldMould(alphabet, lambda w, acc: engine._pair(w, 0)[0])
+        self.pair_u_plus = HeldMould(alphabet, lambda w, acc: engine._pair(w, acc)[1])
+        self.pair_S = Mould.constant_from(alphabet, lambda w: engine._pair(w, 0)[1].constant_term())
+        self.pair_R = Mould.constant_from(
+            alphabet, lambda w: GaussianRational(-len(w)) * engine._pair(w, 0)[0].residue()
+        )
+
+    def _regular(self, word: Word) -> tuple:
+        """(U_plus^word on degrees 0..A + L - len(word), R^word) by the
+        regular recursion.  Shorter words are read through this method, so
+        an edit of one word's value reaches every word built from it."""
+        cached = self._regular_values.get(word)
+        if cached is not None:
+            return cached
+        r = len(word)
+        if r > self.max_length:
+            raise ValueError(f"a word of length {r} is past the {self.max_length} this engine holds")
+        top = self.acc + self.max_length - r
+        if not r:
+            value = ((ONE,) + (ZERO,) * top, ZERO)
+        else:
+            phi = self.alphabet.phi(word)
+            # a resonant word reads Y one degree past its window: U_plus is Y shifted down
+            width = top + 1 if phi else top + 2
+            y = list(self._regular(word[:-1])[0][:width])
+            for j in range(1, r):
+                r_a = self._regular(word[:j])[1]
+                if r_a:
+                    minus_r_a = -r_a
+                    u_b = self._regular(word[j:])[0]
+                    for k in range(width):
+                        if u_b[k]:
+                            y[k] = y[k] + minus_r_a * u_b[k]
+            if phi:
+                inv_phi = phi.reciprocal()
+                minus_r = GaussianRational(-r)
+                u = [y[0] * inv_phi]
+                for k in range(1, width):
+                    u.append((y[k] + minus_r * u[k - 1]) * inv_phi)
+                value = (tuple(u), ZERO)
+            else:
+                inv_r = GaussianRational.from_integers(1, 0, r)
+                value = (tuple(c * inv_r for c in y[1:]), y[0])
+        self._regular_values[word] = value
+        return value
+
+    def _regular_u_plus(self, word: Word, acc: int) -> Laurent:
+        """U_plus^word of the source as a Laurent value on its window."""
+        window = self._regular(word)[0]
+        if acc >= len(window):
+            raise ValueError(
+                f"U_plus of a word of length {len(word)} is held through degree {len(window) - 1}, not {acc}"
+            )
+        return Laurent(0, window, len(window) - 1)
 
     def _pair(self, word: Word, acc: int) -> tuple:
-        """(U_minus^word, U_plus^word), the latter guaranteed through acc."""
+        """(U_minus^word, U_plus^word) of the Birkhoff pair, the latter
+        guaranteed through acc."""
         cached = self._pairs.get(word)
         if cached is not None:
             up_acc = cached[1].acc_order
@@ -136,35 +229,42 @@ class BirkhoffEngine:
         return pair
 
     def coeff_N(self, word: Word) -> GaussianRational:
-        """N^word = -residue(U_minus^word); read it through ``N``."""
+        """N^word = R^word / len(word) of the source; read it through ``N``."""
         if len(word) == 0:
             return ZERO
-        n = -self._pair(word, 0)[0].residue()
-        return n if n else ZERO  # N's memo shares one zero across nonresonant words
+        r = self._regular(word)[1]
+        # N's memo shares one zero across nonresonant words
+        return r * GaussianRational.from_integers(1, 0, len(word)) if r else ZERO
 
 
 class CorruptedEngine(BirkhoffEngine):
-    """An engine whose pair table reads back deliberately wrong on one
+    """An engine whose two routes both read back deliberately wrong on one
     word, for sensitivity testing of the suites.
 
-    On the corrupted word ``_pair`` returns (U_minus - e^-1, U_plus + 1):
-    S is off by one there and, on a nonempty word, N by one and R by len(word).
-    Every longer word is built from the wrong value, because the
-    recursion reads its prefixes through ``self._pair``; so the
-    factorization, support, mould-equation and grading suites all see the
-    fault.  Only the value half of grading identity (iii) cannot: it
-    compares R with the residue R is computed from.
+    On the corrupted word ``_pair`` returns (U_minus - e^-1, U_plus + 1),
+    so the pair's S is off by one there and, on a nonempty word, its R by
+    len(word); ``_regular`` returns U_plus + 1 and R + len(word), so the
+    source's S and N are off by one and its R by len(word).  Every longer
+    word is built from the wrong values, because both recursions read
+    shorter words through these methods; so every suite sees the fault,
+    the cross-route ones on the longer words.
     """
 
-    def __init__(self, alphabet: Alphabet, corrupted: Word):
+    def __init__(self, alphabet: Alphabet, corrupted: Word, max_length: int = 0, acc: int = 0):
         self.corrupted = corrupted
-        super().__init__(alphabet)
+        super().__init__(alphabet, max_length, acc)
 
     def _pair(self, word: Word, acc: int) -> tuple:
         u_minus, u_plus = super()._pair(word, acc)
         if word != self.corrupted:
             return u_minus, u_plus
         return u_minus - Laurent.monomial(1, -1), u_plus + Laurent.one()
+
+    def _regular(self, word: Word) -> tuple:
+        u_plus, r = super()._regular(word)
+        if word != self.corrupted:
+            return u_plus, r
+        return (u_plus[0] + ONE,) + u_plus[1:], r + GaussianRational(len(word))
 
 
 # -- verification suites ------------------------------------------------------
@@ -197,8 +297,8 @@ class SuiteReport:
 def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> tuple:
     """Residuals of nabla_phi S = S x I - R x S and nabla_phi R = 0.
 
-    S and R are read from their memos (``S.scalar``, ``R.scalar``).
-    A product by the letters mould I is a read of the shorter word:
+    S and R are the Birkhoff pair's (``pair_S``, ``pair_R``), read off
+    the pair table.  A product by the letters mould I is a read of the shorter word:
     (S x I)^w is S on w without its last letter, and 0 on the empty word.
     (R x S)^w is the sum over j >= 1 of R^(w[:j]) S^(w[j:]), as R vanishes
     on the empty word.  Both identities must hold with exactly zero
@@ -207,7 +307,7 @@ def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> tuple:
     Gaussian rationals.  Returns the three reports (S equation, R
     equation, S symmetrality).
     """
-    alphabet, r, s = engine.alphabet, engine.R.scalar, engine.S.scalar
+    alphabet, r, s = engine.alphabet, engine.pair_R.scalar, engine.pair_S.scalar
     s_report = SuiteReport()
     r_report = SuiteReport()
     for word in alphabet.words_up_to(max_length):
@@ -223,20 +323,23 @@ def verify_mould_equation(engine: BirkhoffEngine, max_length: int) -> tuple:
         r_residual = phi * r(word)
         if r_residual:
             r_report.record(word, "nabla_phi R", r_residual, ZERO)
-    return s_report, r_report, is_symmetral_up_to(engine.S, max_length)
+    return s_report, r_report, is_symmetral_up_to(engine.pair_S, max_length)
 
 
 def verify_factorization(engine: BirkhoffEngine, max_length: int) -> SuiteReport:
-    """U_minus x T agrees with U_plus through degree 0 on every word of
-    length <= max_length, and the parts have the right shape: U_minus
-    purely polar with valuation >= -len(w), U_plus pole free."""
+    """The two routes to U_plus agree through degree A (``engine.acc``) on
+    every word of length <= max_length: the Birkhoff pair's, the regular
+    part of U_minus x T that ``_pair`` forms, and the regular
+    recursion's.  The pair's parts have the right shape: U_minus purely
+    polar with valuation >= -len(w), U_plus pole free."""
     report = SuiteReport()
-    product = mould_product(engine.u_minus, engine.T)
+    acc = engine.acc
     for word in engine.alphabet.words_up_to(max_length):
         report.words_checked += 1
-        u_minus, u_plus = engine.u_minus.value(word), engine.u_plus.value(word)
-        if not product.value(word).agrees_with(u_plus, 0):
-            report.record(word, "U_minus x T = U_plus", product.value(word).render(), u_plus.render())
+        u_minus, u_plus = engine.u_minus.value(word), engine.pair_u_plus.value(word, acc)
+        regular = engine.u_plus.value(word, acc)
+        if not u_plus.agrees_with(regular, acc):
+            report.record(word, "U_minus x T = U_plus", u_plus.render(), regular.render())
         if len(word) > 0:
             if not u_minus.is_exact_zero and (
                 u_minus.max_degree >= 0 or u_minus.min_degree < -len(word)
@@ -248,7 +351,8 @@ def verify_factorization(engine: BirkhoffEngine, max_length: int) -> SuiteReport
 
 
 def verify_support(engine: BirkhoffEngine, max_length: int) -> SuiteReport:
-    """Off resonance (letter sum nonzero) U_minus and R must vanish."""
+    """Off resonance (letter sum nonzero) the pair's U_minus and R must
+    vanish."""
     report = SuiteReport()
     for word in engine.alphabet.words_up_to(max_length):
         if not engine.alphabet.phi(word):
@@ -257,7 +361,7 @@ def verify_support(engine: BirkhoffEngine, max_length: int) -> SuiteReport:
         u_minus = engine.u_minus.value(word)
         if not u_minus.is_exact_zero:
             report.record(word, "U_minus off resonance", u_minus.render(), "0")
-        r_value = engine.R.scalar(word)
+        r_value = engine.pair_R.scalar(word)
         if r_value:
             report.record(word, "R off resonance", r_value, ZERO)
     return report
@@ -271,24 +375,21 @@ def verify_grading_identities(engine: BirkhoffEngine, max_length: int) -> SuiteR
     (ii)  nabla_Phi U_plus  = U_plus x I - R x U_plus   (through degree 0)
     (iii) R^w = -(e * len(w) * U_minus^w) evaluated at e = infinity.
 
+    (i) and (iii) tie the source's R (``engine.R``, the regular
+    recursion) to the pair's U_minus, so they compare the two routes.
+    (ii) reads the pair alone: its U_plus and its R (``pair_R``).
     A product by the letters mould I is a read of the shorter word:
     (U_plus x I)^w is U_plus on w without its last letter, and 0 on the
-    empty word.  R x U_minus and R x U_plus read the mould ``engine.R``
-    through its scalar reader: each value is one sum of U values weighted
-    by the nonzero R on the prefixes.
-
-    The value half of (iii) compares R with -len(w) * residue(U_minus^w),
-    which is how ``R`` is computed from N's memo on the same pair table,
-    so it holds by construction on any pair table; only its shape half can
-    fire on a fault in ``_pair``, and its value half only on an edited
-    ``R``.
+    empty word.  R x U_minus and R x U_plus read R through its scalar
+    reader: each value is one sum of U values weighted by the nonzero R on
+    the prefixes.
     """
     alphabet, r = engine.alphabet, engine.R.scalar
     report = SuiteReport()
     lhs_minus = nabla(engine.u_minus)
     rhs_minus = mould_product(engine.R, engine.u_minus)
-    lhs_plus = nabla(engine.u_plus)
-    rhs_plus = mould_product(engine.R, engine.u_plus)
+    lhs_plus = nabla(engine.pair_u_plus)
+    rhs_plus = mould_product(engine.pair_R, engine.pair_u_plus)
     for word in alphabet.words_up_to(max_length):
         report.words_checked += 1
         left = lhs_minus.value(word)
@@ -296,7 +397,7 @@ def verify_grading_identities(engine: BirkhoffEngine, max_length: int) -> SuiteR
         if not (left.acc_order is None and right.acc_order is None and left == right):
             report.record(word, "(i) nabla_Phi U_minus = -R x U_minus", left.render(), right.render())
         left2 = lhs_plus.value(word)
-        shorter = engine.u_plus.value(word[:-1]) if word else Laurent.zero()
+        shorter = engine.pair_u_plus.value(word[:-1]) if word else Laurent.zero()
         right2 = shorter - rhs_plus.value(word)
         if not left2.agrees_with(right2, 0):
             report.record(word, "(ii) nabla_Phi U_plus = U_plus x I - R x U_plus", left2.render(), right2.render())
@@ -311,8 +412,9 @@ def verify_grading_identities(engine: BirkhoffEngine, max_length: int) -> SuiteR
 
 
 def verify_conjugation_symmetry(engine: BirkhoffEngine, max_length: int) -> SuiteReport:
-    """For purely imaginary alphabets closed under negation, the scalar
-    moulds on the letterwise-negated word are the complex conjugates."""
+    """For purely imaginary alphabets closed under negation, the source's
+    scalar moulds on the letterwise-negated word are the complex
+    conjugates."""
     alphabet = engine.alphabet
     if not alphabet.closed_under_negation:
         raise ValueError("conjugation symmetry needs an alphabet closed under negation")

@@ -167,15 +167,18 @@ def _with_order(problem: PerturbationProblem, order: int | None) -> Perturbation
 
 
 def _order_value(text: str) -> int:
-    """int(text) for --order, also past the interpreter's int/str digit
-    limit, so that a huge order reaches the problem's own bound check
-    instead of an argparse message that echoes every digit."""
+    """int(text) for --order and --seed, also past the interpreter's
+    int/str digit limit, so that a huge order reaches the problem's own
+    bound check and a huge seed seeds the generator, instead of an
+    argparse message that echoes every digit.  A value that is not an
+    integer is refused with at most its first 20 characters."""
     try:
         return int(text)
     except ValueError:
         digits = text.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+            raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
         return _parse_digits(text)
 
 
@@ -194,19 +197,20 @@ def cmd_solve(args) -> tuple:
 
 def cmd_moulds(args) -> tuple:
     alphabet = _alphabet_from_args(args)
-    engine = BirkhoffEngine(alphabet)
     acc = _nonnegative(args.acc, "--acc")
     max_length = _nonnegative(args.max_length, "--max-length")
+    engine = BirkhoffEngine(alphabet, max_length, acc)
 
     def rows():
         for word in alphabet.words_up_to(max_length):
-            # U_plus first, so the pair is formed once, at acc
+            # U_plus, R, S and N from the regular recursion; T and U_minus
+            # from the Birkhoff pair, whose T requests T^word at acc first
             u_plus = engine.u_plus.value(word, acc)
             yield {
                 "word": alphabet.render_word(word),
-                "T": engine.T.value(word, acc).to_json(),
+                "T": engine.T.value(word, acc).to_json(acc),
                 "U_minus": engine.u_minus.value(word).to_json(),
-                "U_plus": u_plus.to_json(),
+                "U_plus": u_plus.to_json(acc),
                 "R": format_scalar(engine.R.scalar(word)),
                 "S": format_scalar(engine.S.scalar(word)),
                 "N": format_scalar(engine.N.scalar(word)),
@@ -220,7 +224,7 @@ def cmd_verify(args) -> tuple:
     alphabet = _alphabet_from_args(args)
     max_length = _nonnegative(args.max_length, "--max-length")
     if args.corrupt_word is None:
-        engine = BirkhoffEngine(alphabet)
+        engine = BirkhoffEngine(alphabet, max_length)
     else:
         try:
             bad_word = alphabet.parse_word(args.corrupt_word)
@@ -228,7 +232,7 @@ def cmd_verify(args) -> tuple:
             raise ValueError(f"bad --corrupt-word: {exc}") from exc
         if len(bad_word) > max_length:
             raise ValueError(f"--corrupt-word is longer than --max-length {max_length}: no suite reads it")
-        engine = CorruptedEngine(alphabet, bad_word)
+        engine = CorruptedEngine(alphabet, bad_word, max_length)
     suites = {}
     s_equation, r_equation, s_symmetral = verify_mould_equation(engine, max_length)
     suites["mould_equation_S"] = _suite_json(s_equation, alphabet)
@@ -325,14 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--corrupt-word",
         default=None,
-        help="debug: poison (U_minus, U_plus) on one word to prove the suites notice",
+        help="debug: poison one word's values on both routes, the regular recursion "
+        "(the source of U_plus, R, S, N) and the Birkhoff pair (U_minus, U_plus; the check), "
+        "to prove the suites notice",
     )
     p_verify.set_defaults(func=cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="diff the normal form against the recursive construction")
     p_oracle.add_argument("input", nargs="?", default=None, help="problem JSON file")
     p_oracle.add_argument("--random-dim", type=int, default=None, help="generate a random Hermitian problem instead")
-    p_oracle.add_argument("--seed", type=int, default=None, help="seed for --random-dim")
+    p_oracle.add_argument("--seed", type=_order_value, default=None, help="seed for --random-dim")
     p_oracle.add_argument("--order", "-K", type=_order_value, default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -402,11 +402,13 @@ class Laurent:
             parts.append(f"{head}e^{k}")
         return " + ".join(parts)
 
-    def to_json(self) -> dict:
-        """JSON form: degree -> scalar literal."""
+    def to_json(self, through: Optional[int] = None) -> dict:
+        """JSON form: degree -> scalar literal, of the degrees <= through
+        when it is given."""
+        coeffs = self._coeffs if through is None else self._coeffs[: max(0, through - self._min + 1)]
         return {
             str(self._min + offset): format_scalar(c)
-            for offset, c in enumerate(self._coeffs)
+            for offset, c in enumerate(coeffs)
             if c
         }
 

@@ -31,6 +31,7 @@ __all__ = [
     "Alphabet",
     "shuffle",
     "Mould",
+    "HeldMould",
     "MouldError",
     "mould_product",
     "mould_inverse",
@@ -63,6 +64,7 @@ class Alphabet:
 
     def __init__(self, letters: Iterable[GaussianRational]):
         self._letters = tuple(letters)
+        self._phi = {EMPTY_WORD: ZERO}
         self._index = {}
         for i, v in enumerate(self._letters):
             if v in self._index:
@@ -91,10 +93,11 @@ class Alphabet:
             raise ValueError(f"{format_scalar(value)} is not a letter of the alphabet") from None
 
     def phi(self, word: Word) -> GaussianRational:
-        """Sum of the letter values of a word (zero on the empty word)."""
-        total = ZERO
-        for i in word:
-            total = total + self._letters[i]
+        """Sum of the letter values of a word (zero on the empty word),
+        memoized per word: one addition to the sum of its prefix."""
+        total = self._phi.get(word)
+        if total is None:
+            total = self._phi[word] = self.phi(word[:-1]) + self._letters[word[-1]]
         return total
 
     def word_of(self, *values) -> Word:
@@ -218,6 +221,15 @@ class Mould:
 
     def __repr__(self) -> str:
         return f"<mould over {self.alphabet!r}>"
+
+
+class HeldMould(Mould):
+    """A mould whose values another table holds: ``value(word, acc)`` is
+    ``read(word, acc)`` on every call, so no memo keeps a second copy of
+    what the owner's table already holds."""
+
+    def value(self, word: Word, acc: int = 0) -> Laurent:
+        return self._evaluate(word, acc)
 
 
 def _constant(c: GaussianRational) -> Laurent:

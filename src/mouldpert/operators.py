@@ -1312,7 +1312,8 @@ class NormalizationOutput:
     @functools.cached_property
     def coefficient_table(self) -> dict:
         """The word route's {word: {"N": N^w, "S": S^w}}, built on first read."""
-        return build_normal_form(self.decomposition, BirkhoffEngine(self.decomposition.alphabet))[1]
+        engine = BirkhoffEngine(self.decomposition.alphabet, max_length=self.problem.order)
+        return build_normal_form(self.decomposition, engine)[1]
 
     def to_json_dict(self) -> dict:
         alphabet = self.decomposition.alphabet

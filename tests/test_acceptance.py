@@ -37,7 +37,7 @@ def report(number: int, description: str, ok: bool):
 
 @pytest.fixture(scope="module")
 def engine():
-    return BirkhoffEngine(Alphabet.parse(ACCEPTANCE_ALPHABET))
+    return BirkhoffEngine(Alphabet.parse(ACCEPTANCE_ALPHABET), max_length=5)
 
 
 def two_level_problem(order):
@@ -109,7 +109,7 @@ def test_criterion_06_oracle_equivalence_on_random_problems():
         problem = random_problem(dim, order, seed=seed)
         assert problem.is_simple
         sd = spectral_decompose(problem)
-        n_series, _ = build_normal_form(sd, BirkhoffEngine(sd.alphabet))
+        n_series, _ = build_normal_form(sd, BirkhoffEngine(sd.alphabet, problem.order))
         outcome = compare_with_oracle(problem, n_series)
         if not outcome.ok:
             ok = False
@@ -176,7 +176,7 @@ def test_criterion_09_second_order_textbook_formula():
         problem = random_problem(dim, 2, seed=200 + seed)
         assert problem.is_simple
         sd = spectral_decompose(problem)
-        n_series, _ = build_normal_form(sd, BirkhoffEngine(sd.alphabet))
+        n_series, _ = build_normal_form(sd, BirkhoffEngine(sd.alphabet, problem.order))
         for n in range(dim):
             expected = Fraction(0)
             for m in range(dim):
@@ -201,7 +201,7 @@ def test_criterion_10_first_order_identities():
     ok = True
     for problem in problems:
         sd = spectral_decompose(problem)
-        engine = BirkhoffEngine(sd.alphabet)
+        engine = BirkhoffEngine(sd.alphabet, problem.order)
         n_series, _ = build_normal_form(sd, engine)
         if n_series.coeffs[1] != problem.resonant_part(problem.v):
             ok = False

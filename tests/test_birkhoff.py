@@ -46,7 +46,7 @@ def partial_sums(alphabet, word):
 
 @pytest.fixture
 def engine(alphabet):
-    return BirkhoffEngine(alphabet)
+    return BirkhoffEngine(alphabet, max_length=4, acc=2)
 
 
 # -- the T mould --------------------------------------------------------------
@@ -131,7 +131,8 @@ def test_decompose_cancelling_pair(engine, alphabet):
 
 def test_empty_word_values(engine):
     assert engine.u_minus.value(EMPTY_WORD) == Laurent.one()
-    assert engine.u_plus.value(EMPTY_WORD) == Laurent.one()
+    assert engine.pair_u_plus.value(EMPTY_WORD) == Laurent.one()
+    assert engine.u_plus.value(EMPTY_WORD).agrees_with(Laurent.one(), 2 + 4)
     assert engine.R.scalar(EMPTY_WORD) == ZERO
     assert engine.S.scalar(EMPTY_WORD) == ONE
     assert engine.N.scalar(EMPTY_WORD) == ZERO
@@ -173,11 +174,54 @@ def test_N_is_R_over_length(engine, alphabet):
 
 
 def test_u_plus_widening_is_consistent(engine, alphabet):
+    # the Birkhoff pair's U_plus is widened on request
     word = alphabet.word_of("i", "-i")
-    first = engine.u_plus.value(word, 0)
-    second = engine.u_plus.value(word, 3)
+    first = engine.pair_u_plus.value(word, 0)
+    second = engine.pair_u_plus.value(word, 3)
     assert second.agrees_with(first, 0)
     assert second.acc_order >= 3
+
+
+def test_regular_u_plus_is_held_on_a_window_fixed_by_word_length(engine, alphabet):
+    """The source holds U_plus^w on degrees 0..A + L - len(w), however it
+    is requested; a degree past the window and a word past L raise."""
+    for word in alphabet.words_up_to(4):
+        window = 2 + 4 - len(word)
+        assert engine.u_plus.value(word, 0).acc_order == window
+        assert engine.u_plus.value(word, window).acc_order == window
+        with pytest.raises(ValueError, match="held through degree"):
+            engine.u_plus.value(word, window + 1)
+    too_long = alphabet.word_of("i", "-i", "0", "2i", "i")
+    for read in (engine.N.scalar, engine.R.scalar, engine.S.scalar, engine.u_plus.value, engine.coeff_N):
+        with pytest.raises(ValueError, match="past the 4 this engine holds"):
+            read(too_long)
+    # the Birkhoff pair, the check, takes no bound
+    assert engine.pair_S.scalar(too_long) is not None
+
+
+@pytest.mark.parametrize(
+    "letters, length",
+    [
+        ("i,-i,0", 4),
+        ("i,-i,1,-1,0", 4),
+        ("i,-i,2i,0", 5),
+        ("i,-i,2i,-2i,3i,-3i,0", 3),
+        ("1/3,-1/3,2/7i,-2/7i,0", 4),
+    ],
+)
+def test_the_regular_recursion_equals_the_birkhoff_pair(letters, length):
+    """The source's R, S and N equal the pair's on every word, and its
+    U_plus equals the pair's through degree A, at A = 0, 2 and 4: 3448
+    words over the five alphabets."""
+    alphabet = Alphabet.parse(letters)
+    for acc in (0, 2, 4):
+        engine = BirkhoffEngine(alphabet, max_length=length, acc=acc)
+        for word in alphabet.words_up_to(length):
+            pair_n = -engine.u_minus.value(word).residue()
+            assert engine.N.scalar(word) == pair_n
+            assert engine.R.scalar(word) == engine.pair_R.scalar(word) == GaussianRational(len(word)) * pair_n
+            assert engine.S.scalar(word) == engine.pair_S.scalar(word)
+            assert engine.u_plus.value(word, acc).agrees_with(engine.pair_u_plus.value(word, acc), acc)
 
 
 # -- identity suites ------------------------------------------------------------
@@ -208,7 +252,7 @@ def test_grading_identities(engine):
 
 def test_conjugation_symmetry():
     alphabet = Alphabet.parse("i,-i,2i,-2i,0")
-    engine = BirkhoffEngine(alphabet)
+    engine = BirkhoffEngine(alphabet, max_length=3)
     report = verify_conjugation_symmetry(engine, 3)
     assert report.ok
 
@@ -222,9 +266,10 @@ def test_conjugation_symmetry_requires_closure(engine):
 
 def test_symmetrality_and_alternality(engine):
     assert is_symmetral_up_to(engine.u_minus, 4).ok
-    assert is_symmetral_up_to(engine.u_plus, 4).ok
-    assert is_symmetral_up_to(engine.S, 4).ok
-    assert is_alternal_up_to(engine.R, 4).ok
+    for u_plus, s, r in ((engine.u_plus, engine.S, engine.R), (engine.pair_u_plus, engine.pair_S, engine.pair_R)):
+        assert is_symmetral_up_to(u_plus, 4).ok
+        assert is_symmetral_up_to(s, 4).ok
+        assert is_alternal_up_to(r, 4).ok
 
 
 def test_antipode_equals_recursive_inverse_for_S(engine, alphabet):
@@ -261,7 +306,9 @@ def test_corruption_is_detected():
     assert bad_word in violating_words
 
 
-@pytest.mark.parametrize("make", [BirkhoffEngine, lambda a: CorruptedEngine(a, a.word_of(a.letters[0]))])
+@pytest.mark.parametrize(
+    "make", [lambda a: BirkhoffEngine(a, 4), lambda a: CorruptedEngine(a, a.word_of(a.letters[0]), 4)]
+)
 @pytest.mark.parametrize("use", ["coeff_N", "S", "scalar", "build_normal_form"])
 def test_an_engine_is_freed_by_reference_counting(make, use):
     """An engine holds no reference cycle: with the cyclic collector off, a
@@ -295,17 +342,21 @@ def test_an_engine_is_freed_by_reference_counting(make, use):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, read",
     [
-        ["verify", "--alphabet", "i,-i,2i,0", "-L", "4"],
-        ["moulds", "--alphabet", "i,-i,2i,0", "-L", "4", "--acc", "2"],
+        # the suites read the source's R (so N) and the pair's S and R;
+        # S of the source only in conjugation symmetry, which this alphabet skips
+        (["verify", "--alphabet", "i,-i,2i,0", "-L", "4"], [True, True, False, True, True]),
+        # the table prints the source's N, R and S
+        (["moulds", "--alphabet", "i,-i,2i,0", "-L", "4", "--acc", "2"], [True, True, True, False, False]),
     ],
     ids=["verify", "moulds"],
 )
-def test_each_scalar_value_is_computed_once_per_word(monkeypatch, argv):
-    """One ``verify`` or ``moulds`` run calls ``coeff_N``, and the function
-    behind each e-free mould (N, R and S), at most once per word: every
-    reader goes through the moulds' memos."""
+def test_each_scalar_value_is_computed_once_per_word(monkeypatch, argv, read):
+    """One ``verify`` or ``moulds`` run calls ``coeff_N`` on every word,
+    and the function behind each e-free mould (the source's N, R and S,
+    the Birkhoff pair's S and R) at most once per word: every reader goes
+    through the moulds' memos."""
     per_mould = []
     honest_constant_from = Mould.constant_from.__func__
 
@@ -320,18 +371,20 @@ def test_each_scalar_value_is_computed_once_per_word(monkeypatch, argv):
     monkeypatch.setattr(BirkhoffEngine, "coeff_N", lambda self, w: n_calls.update([w]) or honest_n(self, w))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert len(per_mould) == 3
+    assert len(per_mould) == 5
+    assert [bool(calls) for calls in per_mould] == read
     assert len(n_calls) == 1 + 4 + 16 + 64 + 256
     for calls in (n_calls, *per_mould):
-        assert calls and max(calls.values()) == 1
+        assert max(calls.values(), default=0) <= 1
 
 
 def editing_pair(edit):
-    """An engine factory: (U_minus, U_plus) on one word read back as
-    edit(U_minus, U_plus), and every longer word is built from that value."""
+    """An engine factory: the Birkhoff pair (U_minus, U_plus) on one word
+    reads back as edit(U_minus, U_plus), and every longer word's pair is
+    built from that value; the regular recursion stays honest."""
 
     def make(alphabet, word):
-        engine = BirkhoffEngine(alphabet)
+        engine = BirkhoffEngine(alphabet, 2)
         honest = engine._pair
 
         def pair(w, acc):
@@ -345,12 +398,26 @@ def editing_pair(edit):
 
 
 def editing_R(alphabet, word):
-    """An engine whose R mould reads back one more on one word; its pair
-    table, and so every other mould, stays honest."""
-    engine = BirkhoffEngine(alphabet)
-    honest = engine.R.scalar
-    engine.R = Mould.constant_from(alphabet, lambda w: honest(w) + ONE if w == word else honest(w))
+    """An engine whose regular recursion, the source, reads R back one
+    more on one word, and builds every longer word from that value; its
+    Birkhoff pair stays honest."""
+    engine = BirkhoffEngine(alphabet, 2)
+    honest = engine._regular
+
+    def regular(w):
+        u_plus, r = honest(w)
+        return (u_plus, r + ONE) if w == word else (u_plus, r)
+
+    engine._regular = regular
     return engine
+
+
+def corrupted(alphabet, word):
+    return CorruptedEngine(alphabet, word, 2)
+
+
+# the pair's residue of U_minus one less, so the pair's R is len(word) more
+editing_pair_R = editing_pair(lambda um, up: (um - Laurent.monomial(1, -1), up))
 
 
 @pytest.mark.parametrize(
@@ -380,7 +447,7 @@ def editing_R(alphabet, word):
             ("i",),
             "U_minus off resonance",
         ),
-        (verify_support, CorruptedEngine, ("i",), "R off resonance"),
+        (verify_support, corrupted, ("i",), "R off resonance"),
         (
             verify_grading_identities,
             editing_pair(lambda um, up: (um + Laurent.one(), up)),
@@ -389,21 +456,27 @@ def editing_R(alphabet, word):
         ),
         (
             lambda engine, length: verify_mould_equation(engine, length)[1],
-            CorruptedEngine,
+            corrupted,
             ("i",),
             "nabla_phi R",
         ),
-        (verify_conjugation_symmetry, CorruptedEngine, ("i",), "R conjugation symmetry"),
-        (verify_factorization, CorruptedEngine, ("i", "-i"), "U_minus x T = U_plus"),
-        (verify_support, CorruptedEngine, ("i",), "U_minus off resonance"),
+        (verify_conjugation_symmetry, corrupted, ("i",), "R conjugation symmetry"),
+        # both routes are edited on the word itself, so the two U_plus part on the longer words
+        (verify_factorization, corrupted, ("i",), "U_minus x T = U_plus"),
+        (verify_factorization, corrupted, ("0",), "U_minus x T = U_plus"),
+        (verify_support, corrupted, ("i",), "U_minus off resonance"),
+        # (iii) compares the source's R with the pair's residue: an edit of either fires it
         (verify_grading_identities, editing_R, ("0",), "(iii) R from U_minus at infinity"),
+        (verify_grading_identities, editing_pair_R, ("0",), "(iii) R from U_minus at infinity"),
+        (verify_grading_identities, editing_R, ("i",), "(iii) R from U_minus at infinity"),
+        # the S and R equations read the pair's R
         (
             lambda engine, length: verify_mould_equation(engine, length)[0],
-            editing_R,
+            editing_pair_R,
             ("0",),
             "nabla_phi S - (S x I - R x S)",
         ),
-        (lambda engine, length: verify_mould_equation(engine, length)[1], editing_R, ("i",), "nabla_phi R"),
+        (lambda engine, length: verify_mould_equation(engine, length)[1], editing_pair_R, ("i",), "nabla_phi R"),
         (
             verify_grading_identities,
             editing_pair(lambda um, up: (um, up + Laurent.one())),
@@ -416,13 +489,13 @@ def editing_R(alphabet, word):
             ("0",),
             "(i) nabla_Phi U_minus = -R x U_minus",
         ),
-        # (i) and (ii) read R through the mould engine.R
+        # (i) reads the source's R, (ii) the pair's
         *(
-            (verify_grading_identities, editing_R, letters, label)
+            (verify_grading_identities, make_engine, letters, label)
             for letters in (("0",), ("i",), ("i", "-i"))
-            for label in (
-                "(i) nabla_Phi U_minus = -R x U_minus",
-                "(ii) nabla_Phi U_plus = U_plus x I - R x U_plus",
+            for make_engine, label in (
+                (editing_R, "(i) nabla_Phi U_minus = -R x U_minus"),
+                (editing_pair_R, "(ii) nabla_Phi U_plus = U_plus x I - R x U_plus"),
             )
         ),
     ],

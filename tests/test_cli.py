@@ -492,8 +492,8 @@ def test_moulds_writes_each_row_before_computing_the_next(monkeypatch):
     read, seen = [], []
     honest_init = BirkhoffEngine.__init__
 
-    def init(self, alphabet):
-        honest_init(self, alphabet)
+    def init(self, alphabet, *args):
+        honest_init(self, alphabet, *args)
         honest = self.u_plus.value
         self.u_plus.value = lambda *a: read.append(1) or honest(*a)
 
@@ -868,7 +868,7 @@ GOLDEN_DIGESTS = (
     (("moulds", "--alphabet", "i,-i,2i,0", "-L", "4", "--acc", "4"), 0,
      "6232f1871a63f9c7d1dc637f106201d9d2d8242f597c3554d5a094aef141b29f"),
     (("verify", "--alphabet", "i,-i,2i,0", "-L", "4", "--corrupt-word", "0"), 1,
-     "f0c6b752a3d8eb392a213e065fd8fc97a20707821f8b8e14654516af1a65d9ea"),
+     "0ba61f2eabe66777a7144a76a077b9e1cc015a6b20e430dc11178096128ae358"),
     (("moulds", "--alphabet", "i,-i,1,-1,0", "-L", "3", "--acc", "0"), 0,
      "c69c13c36e37cc6aa52b2a1b91e6e69f37be53d7e0e87a5c2d4936481331ad97"),
     (("moulds", "--alphabet", "i,-i,1,-1,0", "-L", "3", "--acc", "2"), 0,
@@ -876,11 +876,14 @@ GOLDEN_DIGESTS = (
     (("moulds", "--alphabet", "i,-i,1,-1,0", "-L", "3", "--acc", "4"), 0,
      "686b9c687da7d5aa8f57067c79092a534d7207110be4290ae998562ef5188741"),
     (("verify", "--alphabet", "i,-i,1,-1,0", "-L", "3", "--corrupt-word", "0"), 1,
-     "8bee5c6ec312d798ff30995e31cd8d028bf7266afb0e1604f84f18c235e24a06"),
+     "d534bf3cf8ffbecd0fa3c40ff892bb115e0d0a32dc8d146470cb580e77a27ab1"),
     # a two-letter corrupted word: 55 symmetrality_S violations, with shuffle
-    # multiplicities above 1, and 48 grading_identities violations
+    # multiplicities above 1, and 69 grading_identities violations
+    # (the corrupted runs were re-recorded when factorization and grading
+    # identities (i) and (iii) came to compare the regular recursion with the
+    # Birkhoff pair; the pair-side suites' violations stayed byte-identical)
     (("verify", "--alphabet", "i,-i,2i,0", "-L", "4", "--corrupt-word", "i,-i"), 1,
-     "e7bb69401fe81dc1bb42f2b886c918993e49ff080697cc8e88db7756c6708506"),
+     "76366ce8af144a57d0079dd55b634428381ab99d4908b562656af838417dff77"),
 )
 GOLDEN_VERIFY = os.path.join(os.path.dirname(__file__), "golden", "verify_corrupt_0.json")
 
@@ -926,6 +929,20 @@ GOLDEN_SOLVE = {
 
 
 @pytest.mark.parametrize("golden", sorted(GOLDEN_SOLVE))
+def test_solve_forms_no_birkhoff_pair(tmp_path, monkeypatch, golden):
+    """The word table of ``solve`` reads N and S from the regular
+    recursion: with the Birkhoff pair made to raise, the output is the
+    golden one."""
+    from mouldpert.birkhoff import BirkhoffEngine
+
+    def no_pair(self, word, acc):
+        raise AssertionError("solve formed a Birkhoff pair")
+
+    monkeypatch.setattr(BirkhoffEngine, "_pair", no_pair)
+    test_solve_output_is_byte_identical_to_golden(tmp_path, golden)
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_SOLVE))
 def test_solve_output_is_byte_identical_to_golden(tmp_path, golden):
     problem, flags = GOLDEN_SOLVE[golden]
     path = tmp_path / "problem.json"
@@ -964,3 +981,23 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert [row["word"] for row in without_acc] == [row["word"] for row in with_acc]
     assert [row["T"] for row in without_acc] != [row["T"] for row in with_acc]
     assert len(built) == 1
+
+
+def test_a_seed_past_the_int_string_limit_seeds_like_a_short_one(capsys):
+    """``oracle --seed`` reads its digits as ``--order`` does: a 5001-digit
+    seed runs, as a 30-digit one does."""
+    for seed in ("1" + "0" * 29, "1" + "0" * 5000):
+        assert main(["oracle", "--random-dim", "3", "--seed", seed, "--order", "2"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["oracle_match"]["match"] is True
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("seed", ["1.5", "seven", "1" * 5000 + "x"])
+def test_a_seed_that_is_not_an_integer_exits_2_briefly(capsys, seed):
+    with pytest.raises(SystemExit) as stop:
+        main(["oracle", "--random-dim", "3", "--seed", seed])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "invalid int value" in err
+    assert len(err.encode()) < 300

@@ -430,7 +430,7 @@ def test_scalar_product_equals_the_laurent_product(case, right):
     scalar, twin = scalar_and_laurent_twin(alphabet, table)
     # one engine per side, so that each side's windows come from its own
     # requests; the moulds reach their engine weakly, so both are kept here
-    engines = BirkhoffEngine(alphabet), BirkhoffEngine(alphabet)
+    engines = BirkhoffEngine(alphabet, 3, 2), BirkhoffEngine(alphabet, 3, 2)
     by_scalar = mould_product(scalar, getattr(engines[0], right))
     by_twin = mould_product(twin, getattr(engines[1], right))
     for acc in (0, 2):

@@ -1,4 +1,5 @@
-"""A mutation gate for the matrix construction of ``solve``.
+"""Mutation gates for the matrix construction of ``solve`` and for the
+word engine's regular recursion.
 
 The fault table (``test_faults.py``) shows that chosen faults fire.  This
 gate shows that ``solve``'s own runtime checks (``verify_conjugacy`` and
@@ -17,18 +18,25 @@ byte for byte as it was.
 ``_integer_rows`` is shared by the construction and the checks: its
 mutants stay in the gate, so that a shared-kernel fault that makes the
 checks agree with the construction fails it.
+
+The second gate makes the same mutants of the word engine's source of N,
+R, S and U_plus (``BirkhoffEngine._regular`` and ``coeff_N``) and requires
+``verify``, whose suites compare that source with the Birkhoff pair, to
+report a violation or raise on one of three small alphabets.
 """
 
 import ast
+import contextlib
 import copy
 import inspect
+import io
 import json
 import types
 from fractions import Fraction
 
 import pytest
 
-from mouldpert import operators
+from mouldpert import birkhoff, cli, operators
 from mouldpert.operators import PerturbationProblem, random_problem
 
 TARGETS = ("build_conjugator", "_y_window", "_next_u", "_degree_matrix", "_reduced", "_integer_rows")
@@ -130,17 +138,17 @@ LINES = SOURCE.splitlines()
 FUNCTIONS = {node.name: node for node in ast.parse(SOURCE).body if isinstance(node, ast.FunctionDef)}
 
 
-def mutants():
+def mutants(functions: dict, lines: list, targets) -> list:
     """(key, name, index) per mutant; the key names the function, the
     stripped source line and the mutation, with a count where a line has
     the same mutation twice."""
     out = []
-    for name in TARGETS:
+    for name in targets:
         seen = {}
         counter = Mutator()
-        counter.visit(copy.deepcopy(FUNCTIONS[name]))
+        counter.visit(copy.deepcopy(functions[name]))
         for index, (lineno, change) in enumerate(counter.sites):
-            key = (name, LINES[lineno - 1].strip(), change)
+            key = (name, lines[lineno - 1].strip(), change)
             seen[key] = seen.get(key, 0) + 1
             if seen[key] > 1:
                 key = key + (seen[key],)
@@ -148,18 +156,18 @@ def mutants():
     return out
 
 
-MUTANTS = mutants()
+MUTANTS = mutants(FUNCTIONS, LINES, TARGETS)
 
 
-def compile_mutant(name: str, index: int):
-    """The function ``name`` of ``operators`` with site ``index`` mutated,
+def compile_mutant(name: str, index: int, module=operators, functions=FUNCTIONS):
+    """The function ``name`` of ``module`` with site ``index`` mutated,
     reading the module's globals as the original does."""
-    node = Mutator(index).visit(copy.deepcopy(FUNCTIONS[name]))
-    module = ast.fix_missing_locations(ast.Module(body=[node], type_ignores=[]))
-    namespace = dict(vars(operators))
-    exec(compile(module, operators.__file__, "exec"), namespace)
+    node = Mutator(index).visit(copy.deepcopy(functions[name]))
+    tree = ast.fix_missing_locations(ast.Module(body=[node], type_ignores=[]))
+    namespace = dict(vars(module))
+    exec(compile(tree, module.__file__, "exec"), namespace)
     original = namespace[name]
-    return types.FunctionType(original.__code__, vars(operators), name, original.__defaults__)
+    return types.FunctionType(original.__code__, vars(module), name, original.__defaults__)
 
 
 def run_solves(mutant, name: str, report):
@@ -203,3 +211,61 @@ def test_listed_equivalents_change_no_output(key):
     honest = _as_json([operators.solve(problem) for problem in PROBLEMS.values()])
     (name, index), = [(n, i) for k, n, i in MUTANTS if k == key]
     assert run_solves(compile_mutant(name, index), name, _as_json) == honest
+
+
+# -- the word engine's regular recursion ---------------------------------------
+#
+# The same operator set and patch-and-restore, on the source of N, R, S and
+# U_plus (``BirkhoffEngine._regular`` and ``coeff_N``).  A mutant is flagged
+# when ``verify`` at L 3 on one of the alphabets exits non-zero or raises:
+# its suites compare the recursion with the Birkhoff pair.
+
+WORD_TARGETS = ("_regular", "coeff_N")
+WORD_ALPHABETS = ("i,-i,0", "i,-i,1,-1,0", "1/3,-1/3,2/7i,-2/7i,0")
+
+BIRKHOFF_SOURCE = inspect.getsource(birkhoff)
+ENGINE_METHODS = {
+    node.name: node
+    for cls in ast.parse(BIRKHOFF_SOURCE).body
+    if isinstance(cls, ast.ClassDef) and cls.name == "BirkhoffEngine"
+    for node in cls.body
+    if isinstance(node, ast.FunctionDef)
+}
+WORD_MUTANTS = mutants(ENGINE_METHODS, BIRKHOFF_SOURCE.splitlines(), WORD_TARGETS)
+
+
+def verify_flags(mutant, name: str) -> bool:
+    """Patch ``mutant`` in for the engine method ``name`` and run ``verify``
+    on each alphabet; True as soon as one run exits non-zero or raises.
+    Then restore."""
+    honest = getattr(birkhoff.BirkhoffEngine, name)
+    setattr(birkhoff.BirkhoffEngine, name, mutant)
+    try:
+        for letters in WORD_ALPHABETS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(["verify", "--alphabet", letters, "-L", "3"]) != 0:
+                    return True
+        return False
+    except Exception:
+        return True
+    finally:
+        setattr(birkhoff.BirkhoffEngine, name, honest)
+
+
+def test_every_word_target_has_mutants():
+    assert {name for _, name, _ in WORD_MUTANTS} == set(WORD_TARGETS)
+    keys = [key for key, _, _ in WORD_MUTANTS]
+    assert len(keys) == len(set(keys))
+
+
+def test_every_recursion_mutant_is_flagged_by_verify():
+    """Each mutant makes ``verify`` exit non-zero, or raise, on some
+    alphabet.  None is equivalent: every window bound is read exactly (a
+    wider one reads past the shorter words' windows and raises), and every
+    sum and product reaches degree 0 of some word."""
+    survivors = [
+        key
+        for key, name, index in WORD_MUTANTS
+        if not verify_flags(compile_mutant(name, index, birkhoff, ENGINE_METHODS), name)
+    ]
+    assert not survivors, survivors

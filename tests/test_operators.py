@@ -401,7 +401,7 @@ def test_letters_are_their_integer_gaps():
 def test_two_level_normal_form_orders():
     problem = two_level_problem(order=3)
     sd = spectral_decompose(problem)
-    engine = BirkhoffEngine(sd.alphabet)
+    engine = BirkhoffEngine(sd.alphabet, problem.order)
     n_series, table = build_normal_form(sd, engine)
     assert mat_is_zero(n_series.coeffs[1])
     assert n_series.coeffs[2] == ((gr(-1), gr(0)), (gr(0), gr(1)))
@@ -452,7 +452,7 @@ WALK_PROBLEMS = {
 def test_pruned_walk_equals_the_unpruned_sum(name):
     problem = WALK_PROBLEMS[name]()
     sd = spectral_decompose(problem)
-    engine = BirkhoffEngine(sd.alphabet)
+    engine = BirkhoffEngine(sd.alphabet, problem.order)
     n_series, _ = build_normal_form(sd, engine)
     assert n_series == unpruned_normal_form(sd, engine, problem.order)
 
@@ -481,7 +481,7 @@ def test_brackets_are_formed_only_on_prefixes_that_can_close(monkeypatch, name):
         return result
 
     monkeypatch.setattr(SpectralDecomposition, "sparse_left_bracket", checked)
-    build_normal_form(sd, BirkhoffEngine(sd.alphabet))
+    build_normal_form(sd, BirkhoffEngine(sd.alphabet, problem.order))
     assert made
 
 
@@ -491,7 +491,7 @@ def test_word_route_check_catches_a_bracket_without_its_right_half(monkeypatch):
     problem = degenerate_problem(order=4)
     _, n_matrix = build_conjugator(problem)
     sd = spectral_decompose(problem)
-    assert build_normal_form(sd, BirkhoffEngine(sd.alphabet))[0] == n_matrix
+    assert build_normal_form(sd, BirkhoffEngine(sd.alphabet, problem.order))[0] == n_matrix
 
     def left_half(self, letter_index, x):
         out = []
@@ -505,7 +505,7 @@ def test_word_route_check_catches_a_bracket_without_its_right_half(monkeypatch):
         return out
 
     monkeypatch.setattr(SpectralDecomposition, "sparse_left_bracket", left_half)
-    assert build_normal_form(sd, BirkhoffEngine(sd.alphabet))[0] != n_matrix
+    assert build_normal_form(sd, BirkhoffEngine(sd.alphabet, problem.order))[0] != n_matrix
 
 
 # -- conjugator and generator -----------------------------------------------------------
@@ -553,7 +553,7 @@ def test_matrix_decomposition_equals_the_word_routes(dim, order, seed, degenerat
     and C equals the S mould contracted with ordered products."""
     problem = random_problem(dim, order, seed=seed, hbar=hbar, degenerate=degenerate)
     sd = spectral_decompose(problem)
-    engine = BirkhoffEngine(sd.alphabet)
+    engine = BirkhoffEngine(sd.alphabet, order)
     c_series, n_series = build_conjugator(problem)
     assert n_series == build_normal_form(sd, engine)[0]
     assert c_series == dense_conjugator(sd, engine, order)
@@ -746,7 +746,7 @@ def test_generator_is_hermitian_and_exponentiates_to_C():
     )
     for problem in problems:
         out = solve(problem)
-        engine = BirkhoffEngine(out.decomposition.alphabet)
+        engine = BirkhoffEngine(out.decomposition.alphabet, problem.order)
         w_mould = mould_generator(out.decomposition, engine, problem.order)
         assert all(mat_adjoint(w) == w for w in w_mould.coeffs)
         assert series_exp(series_scale(inv_ihbar(problem), w_mould)) == out.c_series
