@@ -58,15 +58,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .laurent import Laurent
-from .moulds import (
-    Alphabet,
-    HeldMould,
-    Mould,
-    Word,
-    is_symmetral_up_to,
-    mould_product,
-    nabla,
-)
+from .moulds import Alphabet, HeldMould, Mould, Word, is_symmetral_up_to
 from .scalars import GaussianRational, ONE, ZERO
 
 __all__ = [
@@ -378,37 +370,49 @@ def verify_grading_identities(engine: BirkhoffEngine, max_length: int) -> SuiteR
     (i) and (iii) tie the source's R (``engine.R``, the regular
     recursion) to the pair's U_minus, so they compare the two routes.
     (ii) reads the pair alone: its U_plus and its R (``pair_R``).
-    A product by the letters mould I is a read of the shorter word:
+    Each word is checked on the engine's own values, read word by word
+    through ``R.scalar``, ``pair_R.scalar``, ``u_minus.value`` and
+    ``pair_u_plus.value``: nabla_Phi U^w is U^w times phi(w) + len(w) e,
+    and (R x U)^w is one sum of the U^b weighted by the nonzero R^a over
+    the splittings w = a.b with a nonempty, as R vanishes on the empty
+    word.  A product by the letters mould I is a read of the shorter word:
     (U_plus x I)^w is U_plus on w without its last letter, and 0 on the
-    empty word.  R x U_minus and R x U_plus read R through its scalar
-    reader: each value is one sum of U values weighted by the nonzero R on
-    the prefixes.
+    empty word.
     """
-    alphabet, r = engine.alphabet, engine.R.scalar
+    alphabet, r, pair_r = engine.alphabet, engine.R.scalar, engine.pair_R.scalar
+    u_minus, u_plus = engine.u_minus.value, engine.pair_u_plus.value
     report = SuiteReport()
-    lhs_minus = nabla(engine.u_minus)
-    rhs_minus = mould_product(engine.R, engine.u_minus)
-    lhs_plus = nabla(engine.pair_u_plus)
-    rhs_plus = mould_product(engine.pair_R, engine.pair_u_plus)
     for word in alphabet.words_up_to(max_length):
         report.words_checked += 1
-        left = lhs_minus.value(word)
-        right = -rhs_minus.value(word)
+        grade = Laurent.from_pairs([(0, alphabet.phi(word)), (1, len(word))])
+        left = u_minus(word) * grade
+        right = -_r_times(r, u_minus, word)
         if not (left.acc_order is None and right.acc_order is None and left == right):
             report.record(word, "(i) nabla_Phi U_minus = -R x U_minus", left.render(), right.render())
-        left2 = lhs_plus.value(word)
-        shorter = engine.pair_u_plus.value(word[:-1]) if word else Laurent.zero()
-        right2 = shorter - rhs_plus.value(word)
+        left2 = u_plus(word) * grade
+        shorter = u_plus(word[:-1]) if word else Laurent.zero()
+        right2 = shorter - _r_times(pair_r, u_plus, word)
         if not left2.agrees_with(right2, 0):
             report.record(word, "(ii) nabla_Phi U_plus = U_plus x I - R x U_plus", left2.render(), right2.render())
         if len(word) > 0:
-            scaled = engine.u_minus.value(word).scale(GaussianRational(len(word))).shift(1)
+            scaled = u_minus(word).scale(GaussianRational(len(word))).shift(1)
             if scaled.max_degree is not None and scaled.max_degree > 0:
                 report.record(word, "(iii) shape", scaled.render(), "degrees <= 0")
             at_infinity = scaled.constant_term()
             if -at_infinity != r(word):
                 report.record(word, "(iii) R from U_minus at infinity", -at_infinity, r(word))
     return report
+
+
+def _r_times(r, u, word: Word) -> Laurent:
+    """(R x U)^word: the sum over word = a.b, a nonempty, of R^a U^b, R
+    read by ``r`` and U by ``u``; U^b is not read where R^a is zero."""
+    terms = []
+    for j in range(1, len(word) + 1):
+        c = r(word[:j])
+        if c:
+            terms.append((Laurent.monomial(c, 0), u(word[j:])))
+    return Laurent.sum_of_products(terms)
 
 
 def verify_conjugation_symmetry(engine: BirkhoffEngine, max_length: int) -> SuiteReport:

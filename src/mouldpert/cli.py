@@ -167,11 +167,11 @@ def _with_order(problem: PerturbationProblem, order: int | None) -> Perturbation
 
 
 def _order_value(text: str) -> int:
-    """int(text) for --order and --seed, also past the interpreter's
-    int/str digit limit, so that a huge order reaches the problem's own
-    bound check and a huge seed seeds the generator, instead of an
-    argparse message that echoes every digit.  A value that is not an
-    integer is refused with at most its first 20 characters."""
+    """int(text) for every integer flag, also past the interpreter's
+    int/str digit limit, so that a huge value reaches the flag's own range
+    check (a huge seed seeds the generator) instead of an argparse message
+    that echoes every digit.  A value that is not an integer is refused
+    with at most its first 20 characters."""
     try:
         return int(text)
     except ValueError:
@@ -182,9 +182,20 @@ def _order_value(text: str) -> int:
         return _parse_digits(text)
 
 
+def _out_of_range(flag: str, rule: str, value: int) -> ValueError:
+    """The refusal of a flag's value; the value is shown only when it is
+    within sys.maxsize of 0, so no message formats a huge one."""
+    shown = f", got {value}" if abs(value) < sys.maxsize else ""
+    return ValueError(f"{flag} must be {rule}{shown}")
+
+
 def _nonnegative(value: int, flag: str) -> int:
+    """value, for a count that sizes the run: at least 0, and below
+    sys.maxsize, as the truncation order is."""
     if value < 0:
-        raise ValueError(f"{flag} must be at least 0, got {value}")
+        raise _out_of_range(flag, "at least 0", value)
+    if value >= sys.maxsize:
+        raise ValueError(f"{flag} must be below sys.maxsize = {sys.maxsize}")
     return value
 
 
@@ -262,9 +273,7 @@ def cmd_oracle(args) -> tuple:
         if args.seed is None:
             raise ValueError("--random-dim requires --seed for reproducibility")
         if not 1 <= args.random_dim <= len(RANDOM_LEVELS):
-            raise ValueError(
-                f"--random-dim must be between 1 and {len(RANDOM_LEVELS)}, got {args.random_dim}"
-            )
+            raise _out_of_range("--random-dim", f"between 1 and {len(RANDOM_LEVELS)}", args.random_dim)
         problem = _with_order(random_problem(args.random_dim, 4, args.seed), args.order)
     else:
         raise ValueError("either a problem file or --random-dim is required")
@@ -318,14 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_moulds = sub.add_parser("moulds", help="dump the mould table for an alphabet")
     p_moulds.add_argument("--alphabet", default=None, help='inline alphabet, e.g. "i,-i,2i,0"')
     p_moulds.add_argument("--problem", default=None, help="derive the alphabet from a problem file")
-    p_moulds.add_argument("--max-length", "-L", type=int, default=3)
-    p_moulds.add_argument("--acc", type=int, default=0, help="guaranteed accuracy of dumped series values")
+    p_moulds.add_argument("--max-length", "-L", type=_order_value, default=3)
+    p_moulds.add_argument("--acc", type=_order_value, default=0, help="guaranteed accuracy of dumped series values")
     p_moulds.set_defaults(func=cmd_moulds)
 
     p_verify = sub.add_parser("verify", help="run the identity suites for an alphabet")
     p_verify.add_argument("--alphabet", default=None)
     p_verify.add_argument("--problem", default=None)
-    p_verify.add_argument("--max-length", "-L", type=int, default=4)
+    p_verify.add_argument("--max-length", "-L", type=_order_value, default=4)
     p_verify.add_argument(
         "--corrupt-word",
         default=None,
@@ -337,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="diff the normal form against the recursive construction")
     p_oracle.add_argument("input", nargs="?", default=None, help="problem JSON file")
-    p_oracle.add_argument("--random-dim", type=int, default=None, help="generate a random Hermitian problem instead")
+    p_oracle.add_argument("--random-dim", type=_order_value, default=None, help="generate a random Hermitian problem instead")
     p_oracle.add_argument("--seed", type=_order_value, default=None, help="seed for --random-dim")
     p_oracle.add_argument("--order", "-K", type=_order_value, default=None)
     p_oracle.set_defaults(func=cmd_oracle)

@@ -180,8 +180,8 @@ class Mould:
 
     ``scalar`` is None for a Laurent-valued mould.  A mould of e-free
     values (:meth:`constant_from`) keeps a reader ``scalar(word)`` of its
-    Gaussian rational values, and the shuffle checks and a product with
-    it on the left read that instead of Laurent values.
+    Gaussian rational values; among the mould operations only the
+    shuffle checks read it instead of Laurent values.
     """
 
     def __init__(self, alphabet: Alphabet, evaluate: Callable[[Word, int], Laurent]):
@@ -269,24 +269,12 @@ def _integer_constant(m: int) -> Laurent:
 def mould_product(left: Mould, right: Mould) -> Mould:
     """Concatenation-dual convolution: (M x N)^w = sum over w = a.b of M^a N^b.
 
-    A left factor with poles needs its partner re-requested deeper
-    (``_product_value``).  A scalar left factor (``left.scalar``) has
-    none: the value is one sum of N^b, at acc, weighted by the nonzero
-    M^a, and N^b is not evaluated where M^a is zero.
+    One path for every pair of moulds: each term's factors are fetched
+    deep enough that the poles of one do not eat into the other's window
+    (``_product_value``).
     """
     if left.alphabet is not right.alphabet:
         raise MouldError("mould product requires a shared alphabet")
-    scalar = left.scalar
-    if scalar is not None:
-        def fn(word: Word, acc: int) -> Laurent:
-            terms = []
-            for j in range(len(word) + 1):
-                c = scalar(word[:j])
-                if c:
-                    terms.append((_constant(c), right.value(word[j:], acc)))
-            return Laurent.sum_of_products(terms)
-
-        return Mould(left.alphabet, fn)
 
     def fn(word: Word, acc: int) -> Laurent:
         terms = (

@@ -762,7 +762,8 @@ def verify_conjugacy(
     over its own denominator (``_integer_rows``; H0 is the levels over D,
     and the orders 2..K of H are empty rows over 1), and every order of a
     product over the lcm of the denominator products of its pairs
-    (``_gaussian_product``), with no reduction on the way.  Order k is
+    (``_gaussian_product``), with no reduction on the way; the traces
+    read the same rows of H, and those of H0 + N.  Order k is
     compared with H0 + N and with I in integers (``_integer_residual``),
     where an entry absent from the rows is 0, and an entry becomes a
     GaussianRational only where the two differ, so the residual
@@ -771,7 +772,7 @@ def verify_conjugacy(
     its own integer kernel (``_ad_term``): the checks and the oracle
     share no product kernel that one fault could make agree.  As H0 is
     diagonal, [H0, N_k] = 0 is read as N_k equal to its resonant part."""
-    dim, h_series, rhs = problem.dim, problem.h_series(), _normal_series(problem, n_series)
+    dim, rhs = problem.dim, _normal_series(problem, n_series)
     d_e, level = problem.levels
     h = [(d_e, [[(a, e, 0)] if e else [] for a, e in enumerate(level)]), _integer_rows(problem.v)]
     h += [(1, [[] for _ in range(dim)])] * (problem.order - 1)
@@ -780,7 +781,7 @@ def verify_conjugacy(
     conjugated = _gaussian_product(_gaussian_product(c, h), c_adj)
     unitary = _gaussian_product(c, c_adj)
     identity = MatrixSeries.from_orders(dim, problem.order, {0: identity_matrix(dim)})
-    pairs = zip(_power_traces(h_series, range(dim)), _power_traces(rhs, range(dim)))
+    pairs = zip(_power_traces(h), _power_traces(h[:1] + [_integer_rows(n) for n in n_series.coeffs[1:]]))
     trace_ok = {p: a == b for p, (a, b) in enumerate(pairs, start=1)}
     return ConjugacyReport(
         conjugacy_magnitude=[_integer_residual(*p, a) for p, a in zip(conjugated, rhs.coeffs)],
@@ -998,8 +999,8 @@ def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) ->
     for i, level in enumerate(problem.levels[1]):
         blocks.setdefault(level, []).append(i)
     wide = [block for block in blocks.values() if len(block) > 1]
-    ours = [t for block in wide for t in _power_traces(n_series, block)]
-    theirs = [t for block in wide for t in _power_traces(oracle, block)]
+    ours = [t for block in wide for t in _power_traces(_block_rows(n_series, block))]
+    theirs = [t for block in wide for t in _power_traces(_block_rows(oracle, block))]
     every = range(problem.dim)
     compared = [(i, j) for i in every for j in every if not problem.resonance[i][j]]
     compared += [(i, i) for block in blocks.values() if len(block) == 1 for i in block]
@@ -1014,13 +1015,19 @@ def compare_with_oracle(problem: PerturbationProblem, n_series: MatrixSeries) ->
     return OracleReport(orders_equal=flags)
 
 
-def _power_traces(series: MatrixSeries, indices: Sequence[int]) -> list:
-    """[tr(B^p) by order for p = 1..n], n = len(indices), B the series
-    restricted to the rows and columns in ``indices``.
+def _block_rows(series: MatrixSeries, indices: Sequence[int]) -> list:
+    """Per order of series, the integer rows (``_integer_rows``) of its
+    block on the rows and columns in ``indices``."""
+    return [_integer_rows([[a[i][j] for j in indices] for i in indices]) for a in series.coeffs]
+
+
+def _power_traces(block: list) -> list:
+    """[tr(B^p) by order for p = 1..n], B the n x n series given per order
+    as (den, rows), its nonzero rows over den (``_integer_rows``).
 
     The work is done in integers, each order of B and of its powers over
-    its own denominator (``_integer_rows``, ``_gaussian_product``), with
-    no reduction on the way.  Only B^1..B^m, m = ceil(n/2), are formed as
+    its own denominator (``_gaussian_product``), with no reduction on the
+    way.  Only B^1..B^m, m = ceil(n/2), are formed as
     series products, each order as its nonzero rows, so the cost follows
     the nonzero products.  For p > m, tr(B^p) is taken order by order as
     the sum over i, j of (B^m)_ij (B^(p-m))_ji, with p - m <= m: one pass
@@ -1028,9 +1035,8 @@ def _power_traces(series: MatrixSeries, indices: Sequence[int]) -> list:
     the per-row dicts of B^m (``_split_trace``), instead of another
     product.  Each trace is one canonical GaussianRational per order.
     Every trace still comes from B alone."""
-    n = len(indices)
-    block = [[[a[i][j] for j in indices] for i in indices] for a in series.coeffs]
-    powers = [[_integer_rows(a) for a in block]]
+    n = len(block[0][1])
+    powers = [block]
     for _ in range(1, (n + 1) // 2):
         powers.append(_gaussian_product(powers[-1], powers[0]))
     m = len(powers)

@@ -342,21 +342,26 @@ def test_an_engine_is_freed_by_reference_counting(make, use):
 
 
 @pytest.mark.parametrize(
-    "argv, read",
+    "argv, read, words",
     [
         # the suites read the source's R (so N) and the pair's S and R;
-        # S of the source only in conjugation symmetry, which this alphabet skips
-        (["verify", "--alphabet", "i,-i,2i,0", "-L", "4"], [True, True, False, True, True]),
+        # S of the source only in conjugation symmetry, which this alphabet
+        # skips.  R vanishes on the empty word, and no suite reads it there
+        (["verify", "--alphabet", "i,-i,2i,0", "-L", "4"], [True, True, False, True, True], 4 + 16 + 64 + 256),
         # the table prints the source's N, R and S
-        (["moulds", "--alphabet", "i,-i,2i,0", "-L", "4", "--acc", "2"], [True, True, True, False, False]),
+        (
+            ["moulds", "--alphabet", "i,-i,2i,0", "-L", "4", "--acc", "2"],
+            [True, True, True, False, False],
+            1 + 4 + 16 + 64 + 256,
+        ),
     ],
     ids=["verify", "moulds"],
 )
-def test_each_scalar_value_is_computed_once_per_word(monkeypatch, argv, read):
-    """One ``verify`` or ``moulds`` run calls ``coeff_N`` on every word,
-    and the function behind each e-free mould (the source's N, R and S,
-    the Birkhoff pair's S and R) at most once per word: every reader goes
-    through the moulds' memos."""
+def test_each_scalar_value_is_computed_once_per_word(monkeypatch, argv, read, words):
+    """One ``verify`` run calls ``coeff_N`` on every nonempty word and one
+    ``moulds`` run on every word, and the function behind each e-free
+    mould (the source's N, R and S, the Birkhoff pair's S and R) at most
+    once per word: every reader goes through the moulds' memos."""
     per_mould = []
     honest_constant_from = Mould.constant_from.__func__
 
@@ -373,7 +378,7 @@ def test_each_scalar_value_is_computed_once_per_word(monkeypatch, argv, read):
         assert main(argv) == 0
     assert len(per_mould) == 5
     assert [bool(calls) for calls in per_mould] == read
-    assert len(n_calls) == 1 + 4 + 16 + 64 + 256
+    assert len(n_calls) == words
     for calls in (n_calls, *per_mould):
         assert max(calls.values(), default=0) <= 1
 
@@ -505,3 +510,37 @@ def test_each_identity_records_a_wrong_value(suite, make_engine, letters, label)
     report = suite(make_engine(alphabet, alphabet.word_of(*letters)), 2)
     assert report.ok is False
     assert label in {v.label for v in report.violations}
+
+
+def mould_algebra_grading_violations(engine, max_length):
+    """The violations of grading identities (i) and (ii), formed from the
+    mould algebra, nabla and mould_product of the engine's moulds, as
+    (word, label, lhs, rhs)."""
+    out = []
+    minus = nabla(engine.u_minus), mould_product(engine.R, engine.u_minus)
+    plus = nabla(engine.pair_u_plus), mould_product(engine.pair_R, engine.pair_u_plus)
+    for word in engine.alphabet.words_up_to(max_length):
+        left, right = minus[0].value(word), -minus[1].value(word)
+        if not (left.acc_order is None and right.acc_order is None and left == right):
+            out.append((word, "(i) nabla_Phi U_minus = -R x U_minus", left.render(), right.render()))
+        shorter = engine.pair_u_plus.value(word[:-1]) if word else Laurent.zero()
+        left, right = plus[0].value(word), shorter - plus[1].value(word)
+        if not left.agrees_with(right, 0):
+            out.append((word, "(ii) nabla_Phi U_plus = U_plus x I - R x U_plus", left.render(), right.render()))
+    return out
+
+
+@pytest.mark.parametrize("letters", [(), ("0",), ("i",), ("i", "-i"), ("2i", "0")])
+@pytest.mark.parametrize(
+    "make_engine",
+    [corrupted, editing_R, editing_pair_R, editing_pair(lambda um, up: (um, up + Laurent.one()))],
+    ids=["corrupted", "R", "pair_R", "pair_U_plus"],
+)
+def test_grading_identities_read_word_by_word_equal_the_mould_algebra(make_engine, letters):
+    """The suite's word-by-word values of (i) and (ii) are those of
+    nabla and mould_product, violation strings included."""
+    alphabet = Alphabet.parse("i,-i,2i,-2i,0")
+    word = alphabet.word_of(*letters)
+    report = verify_grading_identities(make_engine(alphabet, word), 2)
+    suite = [(v.word, v.label, v.lhs, v.rhs) for v in report.violations if not v.label.startswith("(iii)")]
+    assert suite == mould_algebra_grading_violations(make_engine(alphabet, word), 2)

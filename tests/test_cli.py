@@ -124,6 +124,33 @@ def test_solve_rejects_an_order_past_every_index(problem_file, tmp_path, capsys)
             assert capsys.readouterr().err == f"error: bad problem file {path}: {message}\n"
 
 
+LONGEST_FLAG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, rule",
+    [
+        (["moulds", "--alphabet", "0", "-L", LONGEST_FLAG], "below sys.maxsize"),
+        (["moulds", "--alphabet", "0", "--acc", LONGEST_FLAG], "below sys.maxsize"),
+        (["verify", "--alphabet", "0", "-L", LONGEST_FLAG], "below sys.maxsize"),
+        (["oracle", "--random-dim", LONGEST_FLAG, "--seed", "1"], "between 1 and 13"),
+    ],
+    ids=["moulds -L", "moulds --acc", "verify -L", "oracle --random-dim"],
+)
+def test_an_integer_flag_past_the_int_string_limit_exits_2_briefly(capsys, argv, rule):
+    """Every integer flag reads its digits as ``--order`` does, so a
+    5001-digit value reaches the flag's range check, whose message does
+    not echo the value."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.encode()) < 300 and "Traceback" not in err
+    assert rule in err
+
+
 def test_solve_missing_file(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
 
@@ -884,6 +911,12 @@ GOLDEN_DIGESTS = (
     # Birkhoff pair; the pair-side suites' violations stayed byte-identical)
     (("verify", "--alphabet", "i,-i,2i,0", "-L", "4", "--corrupt-word", "i,-i"), 1,
      "76366ce8af144a57d0079dd55b634428381ab99d4908b562656af838417dff77"),
+    # the one known run where (ii) is the only grading identity that fires:
+    # one mould_equation_S, 3 symmetrality_S, one grading_identities (ii) and
+    # 6 conjugation_symmetry violations; factorization, support and
+    # mould_equation_R pass
+    (("verify", "--alphabet", "i,-i,2i,-2i,0", "-L", "3", "--corrupt-word", "0,i,-i"), 1,
+     "5c265011c9286f9210617ad7fdec3369c8d839ed403b27d1b8f89df2ddfd8645"),
 )
 GOLDEN_VERIFY = os.path.join(os.path.dirname(__file__), "golden", "verify_corrupt_0.json")
 

@@ -9,7 +9,6 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from mouldpert.birkhoff import BirkhoffEngine
 from mouldpert.laurent import Laurent
 from mouldpert.moulds import (
     Alphabet,
@@ -376,13 +375,13 @@ TABLE_VALUES = tuple(
 
 
 @st.composite
-def scalar_tables(draw, max_length=4):
+def scalar_tables(draw):
     """An alphabet of 2-3 letters and a table of e-free values on its words
-    of length <= max_length: random values (almost never symmetral), the
+    of length <= 4: random values (almost never symmetral), the
     symmetral exp of a letters mould, x_(w1)...x_(wr) / r!, or an alternal
     letters mould; a structured table has one entry redrawn half the time."""
     alphabet = Alphabet.parse(draw(st.sampled_from(SCALAR_ALPHABETS)))
-    words = list(alphabet.words_up_to(max_length))
+    words = list(alphabet.words_up_to(4))
     kind = draw(st.sampled_from(("random", "symmetral", "alternal")))
     if kind == "random":
         table = {w: draw(st.sampled_from(TABLE_VALUES)) for w in words}
@@ -422,17 +421,3 @@ def test_scalar_shuffle_checks_equal_the_laurent_checks(case):
     for check in (is_symmetral_up_to, is_alternal_up_to):
         assert shuffle_summary(check(scalar, 4), alphabet) == shuffle_summary(check(twin, 4), alphabet)
         assert check(scalar, 4).violations == check(twin, 4).violations
-
-
-@given(scalar_tables(max_length=3), st.sampled_from(("u_minus", "u_plus")))
-def test_scalar_product_equals_the_laurent_product(case, right):
-    alphabet, table = case
-    scalar, twin = scalar_and_laurent_twin(alphabet, table)
-    # one engine per side, so that each side's windows come from its own
-    # requests; the moulds reach their engine weakly, so both are kept here
-    engines = BirkhoffEngine(alphabet, 3, 2), BirkhoffEngine(alphabet, 3, 2)
-    by_scalar = mould_product(scalar, getattr(engines[0], right))
-    by_twin = mould_product(twin, getattr(engines[1], right))
-    for acc in (0, 2):
-        for word in alphabet.words_up_to(3):
-            assert by_scalar.value(word, acc) == by_twin.value(word, acc)

@@ -23,6 +23,10 @@ The second gate makes the same mutants of the word engine's source of N,
 R, S and U_plus (``BirkhoffEngine._regular`` and ``coeff_N``) and requires
 ``verify``, whose suites compare that source with the Birkhoff pair, to
 report a violation or raise on one of three small alphabets.
+
+The third gate mutates the grading-identity suite itself
+(``verify_grading_identities`` and its ``_r_times``) and requires each
+mutant to change the suite's verdict on a fixed set of ``verify`` runs.
 """
 
 import ast
@@ -37,6 +41,7 @@ from fractions import Fraction
 import pytest
 
 from mouldpert import birkhoff, cli, operators
+from mouldpert.moulds import Alphabet
 from mouldpert.operators import PerturbationProblem, random_problem
 
 TARGETS = ("build_conjugator", "_y_window", "_next_u", "_degree_matrix", "_reduced", "_integer_rows")
@@ -268,4 +273,97 @@ def test_every_recursion_mutant_is_flagged_by_verify():
         for key, name, index in WORD_MUTANTS
         if not verify_flags(compile_mutant(name, index, birkhoff, ENGINE_METHODS), name)
     ]
+    assert not survivors, survivors
+
+
+# -- the grading-identity suite ----------------------------------------------
+#
+# The same operator set and patch-and-restore, on the suite that reads the
+# engine word by word.  Each run is an engine built as ``verify`` builds it:
+# (alphabet, L, corrupted word or None, the identities that fire).  The
+# clean runs are the recursion gate's; the corrupted ones are CI's, each
+# identity set recorded before the suite was read word by word.  A mutant is
+# flagged when an identity fires on a clean run, an identity that fires on
+# a corrupted run no longer does, the suite counts other than every word of
+# length <= L, or it raises.  The identities are told apart because (iii)
+# fires only alongside (i) on these runs: the suite's one flag would not
+# show a mutant that never checks it.
+
+GRADING_TARGETS = ("verify_grading_identities", "_r_times")
+GRADING_RUNS = (
+    ("i,-i,0", 3, None, set()),
+    ("i,-i,1,-1,0", 3, None, set()),
+    ("1/3,-1/3,2/7i,-2/7i,0", 3, None, set()),
+    ("i,-i,0", 2, "0", {"(i)", "(ii)", "(iii)"}),
+    ("i,-i,2i,0", 4, "i,-i", {"(i)", "(ii)", "(iii)"}),
+    ("i,-i,2i,0", 3, "i", {"(i)", "(ii)", "(iii)"}),
+    # the one known run where (ii) alone fires
+    ("i,-i,2i,-2i,0", 3, "0,i,-i", {"(ii)"}),
+)
+
+BIRKHOFF_FUNCTIONS = {
+    node.name: node for node in ast.parse(BIRKHOFF_SOURCE).body if isinstance(node, ast.FunctionDef)
+}
+GRADING_MUTANTS = mutants(BIRKHOFF_FUNCTIONS, BIRKHOFF_SOURCE.splitlines(), GRADING_TARGETS)
+
+
+@pytest.fixture(scope="module")
+def grading_runs():
+    """(engine, L, identities that fire) per run; the engines are shared by
+    every mutant, which only read them."""
+    runs = []
+    for letters, length, word, fired in GRADING_RUNS:
+        alphabet = Alphabet.parse(letters)
+        if word is None:
+            engine = birkhoff.BirkhoffEngine(alphabet, length)
+        else:
+            engine = birkhoff.CorruptedEngine(alphabet, alphabet.parse_word(word), length)
+        runs.append((engine, length, fired))
+    return runs
+
+
+def fired_identities(report) -> set:
+    return {v.label.split(" ")[0] for v in report.violations}
+
+
+def grading_flags(runs, suite) -> bool:
+    """True when ``suite`` misjudges one run or raises."""
+    try:
+        for engine, length, fired in runs:
+            report = suite(engine, length)
+            words = sum(len(engine.alphabet) ** r for r in range(length + 1))
+            seen = fired_identities(report)
+            # a clean run fires nothing; a corrupted one at least what it fired
+            misjudged = fired - seen if fired else seen
+            if misjudged or report.words_checked != words:
+                return True
+        return False
+    except Exception:
+        return True
+
+
+def test_the_grading_runs_fire_their_identities(grading_runs):
+    for engine, length, fired in grading_runs:
+        assert fired_identities(birkhoff.verify_grading_identities(engine, length)) == fired
+
+
+def test_every_grading_target_has_mutants():
+    assert {name for _, name, _ in GRADING_MUTANTS} == set(GRADING_TARGETS)
+    keys = [key for key, _, _ in GRADING_MUTANTS]
+    assert len(keys) == len(set(keys))
+
+
+def test_every_grading_suite_mutant_is_flagged(grading_runs):
+    """Each mutant of the suite, or of the sums it reads, misjudges a run.
+    None is equivalent: every split of a word reaches a nonzero R^a on
+    some run, and every comparison decides some verdict."""
+    survivors = []
+    for key, name, index in GRADING_MUTANTS:
+        honest = getattr(birkhoff, name)
+        setattr(birkhoff, name, compile_mutant(name, index, birkhoff, BIRKHOFF_FUNCTIONS))
+        try:
+            if not grading_flags(grading_runs, birkhoff.verify_grading_identities):
+                survivors.append(key)
+        finally:
+            setattr(birkhoff, name, honest)
     assert not survivors, survivors

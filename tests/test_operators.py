@@ -1429,10 +1429,10 @@ def test_power_traces_match_dense_powers():
     problem = sparse_half_integer_problem(10, 2, seed=1)
     h = problem.h_series()
     for indices in (range(10), [0, 3, 4, 9]):
-        assert operators._power_traces(h, indices) == dense_power_traces(h, indices)
+        assert operators._power_traces(operators._block_rows(h, indices)) == dense_power_traces(h, indices)
     # n = 16: B^1..B^8 are formed and B^9..B^16 are split 8 + (p - 8)
     h = sparse_half_integer_problem(16, 2, seed=2).h_series()
-    assert operators._power_traces(h, range(16)) == dense_power_traces(h, range(16))
+    assert operators._power_traces(operators._block_rows(h, range(16))) == dense_power_traces(h, range(16))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -1441,7 +1441,7 @@ def test_power_traces_match_dense_powers():
 def test_power_traces_match_every_dense_power(n, data, order):
     # odd and even n: only B^1..B^ceil(n/2) are formed, the rest are split traces
     series = data.draw(sparse_series(n, order))
-    traces = operators._power_traces(series, range(n))
+    traces = operators._power_traces(operators._block_rows(series, range(n)))
     assert len(traces) == n
     assert traces == dense_power_traces(series, range(n))
 
@@ -1455,10 +1455,35 @@ def test_power_traces_on_degenerate_blocks():
     assert max(len(block) for block in blocks.values()) > 1
     for series in (problem.h_series(), n_series):
         for block in blocks.values():
-            assert operators._power_traces(series, block) == dense_power_traces(series, block)
+            assert operators._power_traces(operators._block_rows(series, block)) == dense_power_traces(series, block)
     # a nilpotent block: every power has zero trace at every order
     nilpotent = MatrixSeries.from_orders(3, 2, {1: ((ZERO, ONE, I), (ZERO, ZERO, gr(2)), (ZERO, ZERO, ZERO))})
-    assert operators._power_traces(nilpotent, range(3)) == [[ZERO] * 3] * 3
+    assert operators._power_traces(operators._block_rows(nilpotent, range(3))) == [[ZERO] * 3] * 3
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        two_level_problem(order=5),
+        random_problem(5, 3, seed=3, degenerate=True),
+        PerturbationProblem.from_json_dict(
+            {"E0": ["1/3", "1/7", "1/3"], "V": [["1/5", "2/9+1/11i", "3"], ["2/9-1/11i", "0", "-5/4i"], ["3", "5/4i", "2"]]}
+        ),
+    ],
+    ids=["two-level", "degenerate", "fractional"],
+)
+def test_the_trace_checks_read_the_rows_of_the_conjugacy_check(monkeypatch, problem):
+    """``verify_conjugacy`` hands the traces the integer rows it holds for
+    H, and H0's with N's: the same orders and denominators as those of
+    the dense H0 + mu V and H0 + N."""
+    seen = []
+    honest = operators._power_traces
+    monkeypatch.setattr(operators, "_power_traces", lambda block: seen.append(block) or honest(block))
+    c_series, n_series = build_conjugator(problem)
+    assert verify_conjugacy(problem, n_series, c_series).ok
+    every = range(problem.dim)
+    normal = MatrixSeries([problem.h0_matrix] + list(n_series.coeffs[1:]))
+    assert seen == [operators._block_rows(problem.h_series(), every), operators._block_rows(normal, every)]
 
 
 def test_series_exp_requires_vanishing_order_zero():
