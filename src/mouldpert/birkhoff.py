@@ -34,22 +34,34 @@ words up to length L and a printed accuracy A holds U_plus^w on the fixed
 window of degrees 0..A + L - len(w), which is all that the longer words
 read, and a word past L is refused.
 
-The check is the paper's route: T, U_minus and the pair's own U_plus
-(``_pair``).  The sum over the splittings w = a.b, a != w, of
-U_minus^a T^b is formed in one coefficient table
-(``Laurent.sum_of_products``); U_minus^w is minus its polar part and the
-pair's U_plus^w its regular part, so the pair's U_plus is the regular
-part of U_minus x T.  T^w is its prefix divided by the linear s + r e, so
-no factor inverse is formed; U_minus values are finite polynomials in
-e^-1, so residues never lose accuracy, and T requests are widened by the
-polar depth of the U_minus factor in each product term.
+The source also gives U_minus and T.  U_minus follows from R alone
+(``counterterm``): grading identity (i), D U_minus = -R x U_minus, read as
+a recursion, is the scattering formula of renormalization, where the
+counterterm follows from the beta-function (A. Connes and D. Kreimer,
+Comm. Math. Phys. 216 (2001), arXiv:hep-th/0003188).  T is held on the
+fixed window of degrees -z(w)..A + L - len(w), z(w) the number of
+vanishing partial sums (``t_window``).  Both run on tuples of Gaussian
+rationals and share no kernel with the check.  ``moulds`` reads only the
+source.
+
+The check is the paper's route, and only ``verify`` forms it: T,
+U_minus and the pair's own U_plus (``_pair``).  The sum over the
+splittings w = a.b, a != w, of U_minus^a T^b is formed in one
+coefficient table (``Laurent.sum_of_products``); U_minus^w is minus its
+polar part and the pair's U_plus^w its regular part, so the pair's
+U_plus is the regular part of U_minus x T.  T^w is its prefix divided
+by the linear s + r e, so no factor inverse is formed; U_minus values
+are finite polynomials in e^-1, so residues never lose accuracy, and T
+requests are widened by the polar depth of the U_minus factor in each
+product term.
 
 The suites compare the routes: ``factorization`` holds the two U_plus
 equal through degree A, grading identities (i) and (iii) tie the
 source's R to U_minus, and conjugation symmetry reads the source.  The
 mould equations, S symmetrality, the support property and grading
 identity (ii) read the pair's values, S = U_plus(0) and
-R = -len(w) residue(U_minus).
+R = -len(w) residue(U_minus).  No suite reads ``counterterm``: it solves
+identity (i), so a suite that read it would hold (i) by construction.
 """
 
 from __future__ import annotations
@@ -114,15 +126,18 @@ class BirkhoffEngine:
     ``N`` is ``coeff_N``, R / len(w), ``R`` is len(w) times N's memo and
     ``S`` is U_plus's degree 0.  N, R and S are moulds of e-free values
     (``Mould.constant_from``), read through their ``scalar`` memo.
+    ``counterterm`` is U_minus from R, and ``t_window`` T on degrees
+    -z(w)..A + L - len(w), each memoized per word as a tuple.  ``moulds``
+    reads these two, ``u_plus``, N, R and S, and forms no pair.
 
-    The check route is ``T`` and the pair table ``_pair`` of the paper's
-    decomposition U_minus x T = U_plus: ``u_minus`` and ``pair_u_plus``
-    read the pair, and the e-free ``pair_S`` and ``pair_R`` are the
-    pair's U_plus(0) and -len(w) residue(U_minus).  The pair route needs
-    no L; an engine built without one reads only T and the pair.  The
-    Laurent moulds ``u_plus``, ``u_minus`` and ``pair_u_plus`` are views
-    (``HeldMould``): each Laurent value is held once, by ``_pairs`` or by
-    the recursion's memo.  Caches are tied to the alphabet; a different
+    The check route, which only ``verify`` reads, is ``T`` and the pair
+    table ``_pair`` of the paper's decomposition U_minus x T = U_plus:
+    ``u_minus`` and ``pair_u_plus`` read the pair, and the e-free
+    ``pair_S`` and ``pair_R`` are the pair's U_plus(0) and -len(w)
+    residue(U_minus).  The pair route needs no L; an engine built without
+    one reads only T and the pair.  The Laurent moulds ``u_plus``,
+    ``u_minus`` and ``pair_u_plus`` are views (``HeldMould``): each
+    Laurent value is held once, by ``_pairs`` or by the recursion's memo.  Caches are tied to the alphabet; a different
     alphabet (different eigenvalues or a rescaled hbar) needs a fresh
     engine.  The moulds reach the engine through a weak proxy, so an
     engine holds no reference cycle and is freed as soon as its last
@@ -136,6 +151,8 @@ class BirkhoffEngine:
         self.T = make_T(alphabet)
         self._pairs: dict = {}
         self._regular_values: dict = {}
+        self._counterterms: dict = {}
+        self._t_windows: dict = {}
         engine = weakref.proxy(self)
         self.u_plus = HeldMould(alphabet, lambda w, acc: engine._regular_u_plus(w, acc))
         self.N = Mould.constant_from(alphabet, lambda w: engine.coeff_N(w))
@@ -196,6 +213,81 @@ class BirkhoffEngine:
                 f"U_plus of a word of length {len(word)} is held through degree {len(window) - 1}, not {acc}"
             )
         return Laurent(0, window, len(window) - 1)
+
+    def counterterm(self, word: Word) -> tuple:
+        """(-len(word), U_minus^word on degrees -len(word)..0) from the
+        source's R alone; the coefficients are () off resonance.
+
+        Grading identity (i) read as a recursion, the counterterm from the
+        beta-function R:
+
+            (phi(w) + r e) U_minus^w = -sum over w = a.b, a nonempty, of R^a U_minus^b.
+
+        With U_minus^w = sum of p_k e^-k and q_j the e^-j coefficient of
+        the right side, r p_1 = q_0 and r p_(j+1) = q_j - phi(w) p_j.  Only
+        splittings with phi(a) = 0 have R^a != 0, and then phi(b) =
+        phi(w); so off resonance the right side vanishes with U_minus^b,
+        and U_minus^w is exactly 0.  At phi(w) = 0, U_minus^w is the right
+        side times e^-1 / r.  Only divisions by r occur: no pole, no
+        window, and R^a is read from the source's ``R`` memo.
+        """
+        cached = self._counterterms.get(word)
+        if cached is not None:
+            return cached
+        r = len(word)
+        if r > self.max_length:
+            raise ValueError(f"a word of length {r} is past the {self.max_length} this engine holds")
+        if not r:
+            value = (0, (ONE,))
+        elif self.alphabet.phi(word):
+            value = (-r, ())
+        else:
+            # q[k] is the degree k - (r - 1) coefficient of the sum of R^a U_minus^b
+            q = [ZERO] * r
+            for j in range(1, r + 1):
+                r_a = self.R.scalar(word[:j])
+                if r_a:
+                    for k, c in enumerate(self.counterterm(word[j:])[1], j - 1):
+                        if c:
+                            q[k] = q[k] + r_a * c
+            minus_inv_r = GaussianRational.from_integers(-1, 0, r)
+            value = (-r, tuple(c * minus_inv_r for c in q) + (ZERO,))
+        self._counterterms[word] = value
+        return value
+
+    def t_window(self, word: Word) -> tuple:
+        """(v, T^word on degrees v..A + L - len(word)), v = -z(word) the
+        valuation of T^word, z the number of vanishing partial sums.
+
+        T^word is its prefix divided by s + r e, s = phi(word): at s = 0 a
+        scale by 1/r and a shift down one degree, otherwise the recurrence
+        q_k = (p_k - r q_(k-1)) / s from the valuation, which drops the
+        prefix's top degree.  The prefix's window reaches one degree past
+        the word's, as a resonant step needs.
+        """
+        cached = self._t_windows.get(word)
+        if cached is not None:
+            return cached
+        r = len(word)
+        if r > self.max_length:
+            raise ValueError(f"a word of length {r} is past the {self.max_length} this engine holds")
+        if not r:
+            value = (0, (ONE,) + (ZERO,) * (self.acc + self.max_length))
+        else:
+            low, p = self.t_window(word[:-1])
+            s = self.alphabet.phi(word)
+            if s:
+                inv_s = s.reciprocal()
+                minus_r = GaussianRational(-r)
+                q = [p[0] * inv_s]
+                for k in range(1, len(p) - 1):
+                    q.append((p[k] + minus_r * q[k - 1]) * inv_s)
+                value = (low, tuple(q))
+            else:
+                inv_r = GaussianRational.from_integers(1, 0, r)
+                value = (low - 1, tuple(c * inv_r for c in p))
+        self._t_windows[word] = value
+        return value
 
     def _pair(self, word: Word, acc: int) -> tuple:
         """(U_minus^word, U_plus^word) of the Birkhoff pair, the latter

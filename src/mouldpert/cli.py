@@ -32,6 +32,7 @@ from .birkhoff import (
     verify_mould_equation,
     verify_support,
 )
+from .laurent import window_json
 from .moulds import Alphabet
 from .operators import (
     RANDOM_LEVELS,
@@ -214,14 +215,14 @@ def cmd_moulds(args) -> tuple:
 
     def rows():
         for word in alphabet.words_up_to(max_length):
-            # U_plus, R, S and N from the regular recursion; T and U_minus
-            # from the Birkhoff pair, whose T requests T^word at acc first
-            u_plus = engine.u_plus.value(word, acc)
+            # every value from the source: U_plus, R, S and N from the
+            # regular recursion, U_minus from R, T on its fixed window; only
+            # verify forms the Birkhoff pair
             yield {
                 "word": alphabet.render_word(word),
-                "T": engine.T.value(word, acc).to_json(acc),
-                "U_minus": engine.u_minus.value(word).to_json(),
-                "U_plus": u_plus.to_json(acc),
+                "T": window_json(*engine.t_window(word), acc),
+                "U_minus": window_json(*engine.counterterm(word)),
+                "U_plus": engine.u_plus.value(word, acc).to_json(acc),
                 "R": format_scalar(engine.R.scalar(word)),
                 "S": format_scalar(engine.S.scalar(word)),
                 "N": format_scalar(engine.N.scalar(word)),

@@ -35,7 +35,7 @@ from typing import Iterable, Optional
 
 from .scalars import GaussianRational, ONE, ZERO, format_scalar
 
-__all__ = ["Laurent", "InsufficientAccuracyError"]
+__all__ = ["Laurent", "InsufficientAccuracyError", "window_json"]
 
 
 class InsufficientAccuracyError(ArithmeticError):
@@ -405,16 +405,20 @@ class Laurent:
     def to_json(self, through: Optional[int] = None) -> dict:
         """JSON form: degree -> scalar literal, of the degrees <= through
         when it is given."""
-        coeffs = self._coeffs if through is None else self._coeffs[: max(0, through - self._min + 1)]
-        return {
-            str(self._min + offset): format_scalar(c)
-            for offset, c in enumerate(coeffs)
-            if c
-        }
+        return window_json(self._min, self._coeffs, through)
 
     def __repr__(self) -> str:
         tail = "" if self._acc is None else f" + O(e^{self._acc + 1})"
         return f"<Laurent {self.render()}{tail}>"
+
+
+def window_json(low: int, coeffs, through: Optional[int] = None) -> dict:
+    """JSON form of the coefficients coeffs of degrees low, low + 1, ...:
+    degree -> scalar literal, of the nonzero coefficients of degrees
+    <= through when it is given."""
+    if through is not None:
+        coeffs = coeffs[: max(0, through - low + 1)]
+    return {str(low + offset): format_scalar(c) for offset, c in enumerate(coeffs) if c}
 
 
 _EXACT_ZERO = Laurent(0, (), None)

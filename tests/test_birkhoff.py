@@ -192,7 +192,15 @@ def test_regular_u_plus_is_held_on_a_window_fixed_by_word_length(engine, alphabe
         with pytest.raises(ValueError, match="held through degree"):
             engine.u_plus.value(word, window + 1)
     too_long = alphabet.word_of("i", "-i", "0", "2i", "i")
-    for read in (engine.N.scalar, engine.R.scalar, engine.S.scalar, engine.u_plus.value, engine.coeff_N):
+    for read in (
+        engine.N.scalar,
+        engine.R.scalar,
+        engine.S.scalar,
+        engine.u_plus.value,
+        engine.coeff_N,
+        engine.counterterm,
+        engine.t_window,
+    ):
         with pytest.raises(ValueError, match="past the 4 this engine holds"):
             read(too_long)
     # the Birkhoff pair, the check, takes no bound
@@ -222,6 +230,36 @@ def test_the_regular_recursion_equals_the_birkhoff_pair(letters, length):
             assert engine.R.scalar(word) == engine.pair_R.scalar(word) == GaussianRational(len(word)) * pair_n
             assert engine.S.scalar(word) == engine.pair_S.scalar(word)
             assert engine.u_plus.value(word, acc).agrees_with(engine.pair_u_plus.value(word, acc), acc)
+
+
+@pytest.mark.parametrize(
+    "letters, length",
+    [
+        ("i,-i,0", 4),
+        ("i,-i,1,-1,0", 4),
+        ("i,-i,2i,0", 5),
+        ("i,-i,2i,-2i,3i,-3i,0", 3),
+        ("1/3,-1/3,2/7i,-2/7i,0", 4),
+        ("0", 8),
+    ],
+)
+def test_the_source_u_minus_and_t_windows_equal_the_check_route(letters, length):
+    """The source's U_minus, read from R alone, equals the Birkhoff pair's
+    on every word; its T, held on degrees -z(w)..A + L - len(w), agrees
+    with the check route's ``T`` through A, at A = 0, 2 and 3."""
+    alphabet = Alphabet.parse(letters)
+    for acc in (0, 2, 3):
+        engine = BirkhoffEngine(alphabet, max_length=length, acc=acc)
+        for word in alphabet.words_up_to(length):
+            if acc == 0:
+                assert Laurent(*engine.counterterm(word)) == engine.u_minus.value(word)
+            low, window = engine.t_window(word)
+            top = acc + length - len(word)
+            assert len(window) == top - low + 1
+            held = Laurent(low, window, top)
+            check = engine.T.value(word, acc)
+            assert held.min_degree == check.min_degree == low
+            assert held.agrees_with(check, acc)
 
 
 # -- identity suites ------------------------------------------------------------

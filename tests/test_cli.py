@@ -941,6 +941,27 @@ def test_windows_and_violation_strings_are_unchanged():
     assert not changed, changed
 
 
+def test_moulds_forms_no_pair_and_uses_no_check_kernel(monkeypatch):
+    """``moulds`` reads only the source (the regular recursion, U_minus
+    from R, T on fixed windows): with the Birkhoff pair and the check
+    route's Laurent kernels made to raise, every ``moulds`` command of
+    ``GOLDEN_DIGESTS`` prints its digest."""
+    from mouldpert.birkhoff import BirkhoffEngine
+    from mouldpert.laurent import Laurent
+
+    def refuse(*args):
+        raise AssertionError("moulds reached the check route")
+
+    monkeypatch.setattr(BirkhoffEngine, "_pair", refuse)
+    monkeypatch.setattr(Laurent, "sum_of_products", staticmethod(refuse))
+    monkeypatch.setattr(Laurent, "over_linear", refuse)
+    moulds = [(argv, code, digest) for argv, code, digest in GOLDEN_DIGESTS if argv[0] == "moulds"]
+    assert len(moulds) == 6
+    for argv, code, digest in moulds:
+        got_code, out = run_main(argv)
+        assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
+
+
 # `solve` stdout recorded before the word table was walked on integers:
 # fractional, degenerate levels with hbar = 7/3 (the components' denominator
 # and hbar both differ from 1), and degenerate levels with hbar = 1/2 at order 6.

@@ -27,11 +27,16 @@ report a violation or raise on one of three small alphabets.
 The third gate mutates the grading-identity suite itself
 (``verify_grading_identities`` and its ``_r_times``) and requires each
 mutant to change the suite's verdict on a fixed set of ``verify`` runs.
+
+The fourth gate mutates the two readers of the source that only
+``moulds`` reads (``counterterm`` and ``t_window``) and requires each
+mutant to change a ``moulds`` table of ``GOLDEN_DIGESTS``, or raise.
 """
 
 import ast
 import contextlib
 import copy
+import hashlib
 import inspect
 import io
 import json
@@ -43,6 +48,7 @@ import pytest
 from mouldpert import birkhoff, cli, operators
 from mouldpert.moulds import Alphabet
 from mouldpert.operators import PerturbationProblem, random_problem
+from test_cli import GOLDEN_DIGESTS
 
 TARGETS = ("build_conjugator", "_y_window", "_next_u", "_degree_matrix", "_reduced", "_integer_rows")
 
@@ -366,4 +372,58 @@ def test_every_grading_suite_mutant_is_flagged(grading_runs):
                 survivors.append(key)
         finally:
             setattr(birkhoff, name, honest)
+    assert not survivors, survivors
+
+
+# -- the source's U_minus and T, which only ``moulds`` reads ------------------
+#
+# The same operator set and patch-and-restore, on the two readers of the
+# source that no suite reads (``counterterm``, U_minus from R, and
+# ``t_window``, T on its fixed window).  A mutant is flagged when it raises
+# or changes the output of a ``--acc 2`` ``moulds`` command of
+# ``GOLDEN_DIGESTS``.
+
+MOULDS_TARGETS = ("counterterm", "t_window")
+MOULDS_RUNS = tuple(run for run in GOLDEN_DIGESTS if run[0][0] == "moulds" and run[0][-2:] == ("--acc", "2"))
+MOULDS_MUTANTS = mutants(ENGINE_METHODS, BIRKHOFF_SOURCE.splitlines(), MOULDS_TARGETS)
+
+
+def moulds_flags(mutant, name: str) -> bool:
+    """Patch ``mutant`` in for the engine method ``name`` and run the
+    ``moulds`` commands; True as soon as one changes its exit code or
+    output, or raises.  Then restore."""
+    honest = getattr(birkhoff.BirkhoffEngine, name)
+    setattr(birkhoff.BirkhoffEngine, name, mutant)
+    try:
+        for argv, code, digest in MOULDS_RUNS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                got = cli.main(list(argv))
+            if (got, hashlib.sha256(out.getvalue().encode()).hexdigest()) != (code, digest):
+                return True
+        return False
+    except Exception:
+        return True
+    finally:
+        setattr(birkhoff.BirkhoffEngine, name, honest)
+
+
+def test_every_moulds_target_has_mutants():
+    assert len(MOULDS_RUNS) == 2
+    assert {name for _, name, _ in MOULDS_MUTANTS} == set(MOULDS_TARGETS)
+    keys = [key for key, _, _ in MOULDS_MUTANTS]
+    assert len(keys) == len(set(keys))
+    # the honest readers print every digest
+    for name in MOULDS_TARGETS:
+        assert not moulds_flags(getattr(birkhoff.BirkhoffEngine, name), name)
+
+
+def test_every_source_reader_mutant_changes_moulds():
+    """Each mutant of U_minus from R or of the T windows changes a
+    ``moulds`` table, or raises."""
+    survivors = [
+        key
+        for key, name, index in MOULDS_MUTANTS
+        if not moulds_flags(compile_mutant(name, index, birkhoff, ENGINE_METHODS), name)
+    ]
     assert not survivors, survivors
