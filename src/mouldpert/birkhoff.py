@@ -31,8 +31,8 @@ At phi(w) = 0, R^w is the degree-0 coefficient of Y^w and U_plus^w is
 the rest shifted down one degree over r; elsewhere R^w = 0 and U_plus^w
 is Y^w / (phi(w) + r e).  The recursion has no poles: an engine built for
 words up to length L and a printed accuracy A holds U_plus^w on the fixed
-window of degrees 0..A + L - len(w), which is all that the longer words
-read, and a word past L is refused.
+window of degrees 0..A + L - len(w) (``regular``), which is all that the
+longer words read, and a word past L is refused.
 
 The source also gives U_minus and T.  U_minus follows from R alone
 (``counterterm``): grading identity (i), D U_minus = -R x U_minus, read as
@@ -40,24 +40,24 @@ a recursion, is the scattering formula of renormalization, where the
 counterterm follows from the beta-function (A. Connes and D. Kreimer,
 Comm. Math. Phys. 216 (2001), arXiv:hep-th/0003188).  T is held on the
 fixed window of degrees -z(w)..A + L - len(w), z(w) the number of
-vanishing partial sums (``t_window``).  Both run on tuples of Gaussian
-rationals and share no kernel with the check.  ``moulds`` reads only the
-source.
+vanishing partial sums (``t_window``).  All three hold tuples of Gaussian
+rationals, build no ``Laurent`` and share no kernel with the check.
+``moulds`` reads only the source.
 
-The check is the paper's route, and only ``verify`` forms it: T,
-U_minus and the pair's own U_plus (``_pair``).  The sum over the
-splittings w = a.b, a != w, of U_minus^a T^b is formed in one
-coefficient table (``Laurent.sum_of_products``); U_minus^w is minus its
-polar part and the pair's U_plus^w its regular part, so the pair's
-U_plus is the regular part of U_minus x T.  T^w is its prefix divided
-by the linear s + r e, so no factor inverse is formed; U_minus values
-are finite polynomials in e^-1, so residues never lose accuracy, and T
-requests are widened by the polar depth of the U_minus factor in each
-product term.
+The check is the paper's route, and only ``verify`` forms it: T, U_minus
+and the pair's own U_plus (``_pair``), accuracy-tracked ``Laurent``
+values.  The sum over the splittings w = a.b, a != w, of U_minus^a T^b is
+formed in one coefficient table (``Laurent.sum_of_products``); U_minus^w
+is minus its polar part and the pair's U_plus^w its regular part, so the
+pair's U_plus is the regular part of U_minus x T.  T^w is its prefix
+divided by the linear s + r e, so no factor inverse is formed; U_minus
+values are finite polynomials in e^-1, so residues never lose accuracy,
+and T requests are widened by the polar depth of the U_minus factor in
+each product term.
 
-The suites compare the routes: ``factorization`` holds the two U_plus
-equal through degree A, grading identities (i) and (iii) tie the
-source's R to U_minus, and conjugation symmetry reads the source.  The
+The suites compare the routes: ``factorization`` holds the pair's U_plus
+equal to the source's window through degree A, grading identities (i)
+and (iii) tie the source's R to U_minus, and conjugation symmetry reads the source.  The
 mould equations, S symmetrality, the support property and grading
 identity (ii) read the pair's values, S = U_plus(0) and
 R = -len(w) residue(U_minus).  No suite reads ``counterterm``: it solves
@@ -120,26 +120,26 @@ class BirkhoffEngine:
     source of N, R, S and U_plus, and the Birkhoff pair is the check.
 
     Built for words up to length ``max_length`` (L) and a printed
-    accuracy ``acc`` (A).  The source (``_regular``) holds, per word, U_plus
-    on degrees 0..A + L - len(w) and R; a read of a word longer than L
-    raises ValueError.  ``u_plus`` reads that window as a Laurent value;
-    ``N`` is ``coeff_N``, R / len(w), ``R`` is len(w) times N's memo and
-    ``S`` is U_plus's degree 0.  N, R and S are moulds of e-free values
-    (``Mould.constant_from``), read through their ``scalar`` memo.
-    ``counterterm`` is U_minus from R, and ``t_window`` T on degrees
-    -z(w)..A + L - len(w), each memoized per word as a tuple.  ``moulds``
-    reads these two, ``u_plus``, N, R and S, and forms no pair.
+    accuracy ``acc`` (A).  The source's record ``regular`` holds, per
+    word, U_plus on degrees 0..A + L - len(w) and R; a read of a word
+    longer than L raises ValueError.  ``N`` is ``coeff_N``, R / len(w),
+    ``R`` is len(w) times N's memo and ``S`` is U_plus's degree 0.  N, R
+    and S are moulds of e-free values (``Mould.constant_from``), read
+    through their ``scalar`` memo.  ``counterterm`` is U_minus from R, and
+    ``t_window`` T on degrees -z(w)..A + L - len(w), each memoized per
+    word as a tuple.  ``moulds`` reads these three records, N, R and S,
+    and builds no Laurent value.
 
     The check route, which only ``verify`` reads, is ``T`` and the pair
     table ``_pair`` of the paper's decomposition U_minus x T = U_plus:
     ``u_minus`` and ``pair_u_plus`` read the pair, and the e-free
     ``pair_S`` and ``pair_R`` are the pair's U_plus(0) and -len(w)
     residue(U_minus).  The pair route needs no L; an engine built without
-    one reads only T and the pair.  The Laurent moulds ``u_plus``,
-    ``u_minus`` and ``pair_u_plus`` are views (``HeldMould``): each
-    Laurent value is held once, by ``_pairs`` or by the recursion's memo.  Caches are tied to the alphabet; a different
-    alphabet (different eigenvalues or a rescaled hbar) needs a fresh
-    engine.  The moulds reach the engine through a weak proxy, so an
+    one reads only T and the pair.  The Laurent moulds ``u_minus`` and
+    ``pair_u_plus`` are views (``HeldMould``) of ``_pairs``, so each
+    Laurent value is held once.  Caches are tied to the alphabet; a
+    different alphabet (different eigenvalues or a rescaled hbar) needs a
+    fresh engine.  The moulds reach the engine through a weak proxy, so an
     engine holds no reference cycle and is freed as soon as its last
     reference goes.
     """
@@ -154,11 +154,11 @@ class BirkhoffEngine:
         self._counterterms: dict = {}
         self._t_windows: dict = {}
         engine = weakref.proxy(self)
-        self.u_plus = HeldMould(alphabet, lambda w, acc: engine._regular_u_plus(w, acc))
         self.N = Mould.constant_from(alphabet, lambda w: engine.coeff_N(w))
         n = self.N.scalar
+        # verify checks N only through R, so R is read as len(w) N and not from the record
         self.R = Mould.constant_from(alphabet, lambda w: GaussianRational(len(w)) * n(w))
-        self.S = Mould.constant_from(alphabet, lambda w: engine._regular(w)[0][0])
+        self.S = Mould.constant_from(alphabet, lambda w: engine.regular(w)[0][0])
         self.u_minus = HeldMould(alphabet, lambda w, acc: engine._pair(w, 0)[0])
         self.pair_u_plus = HeldMould(alphabet, lambda w, acc: engine._pair(w, acc)[1])
         self.pair_S = Mould.constant_from(alphabet, lambda w: engine._pair(w, 0)[1].constant_term())
@@ -166,7 +166,7 @@ class BirkhoffEngine:
             alphabet, lambda w: GaussianRational(-len(w)) * engine._pair(w, 0)[0].residue()
         )
 
-    def _regular(self, word: Word) -> tuple:
+    def regular(self, word: Word) -> tuple:
         """(U_plus^word on degrees 0..A + L - len(word), R^word) by the
         regular recursion.  Shorter words are read through this method, so
         an edit of one word's value reaches every word built from it."""
@@ -183,12 +183,12 @@ class BirkhoffEngine:
             phi = self.alphabet.phi(word)
             # a resonant word reads Y one degree past its window: U_plus is Y shifted down
             width = top + 1 if phi else top + 2
-            y = list(self._regular(word[:-1])[0][:width])
+            y = list(self.regular(word[:-1])[0][:width])
             for j in range(1, r):
-                r_a = self._regular(word[:j])[1]
+                r_a = self.regular(word[:j])[1]
                 if r_a:
                     minus_r_a = -r_a
-                    u_b = self._regular(word[j:])[0]
+                    u_b = self.regular(word[j:])[0]
                     for k in range(width):
                         if u_b[k]:
                             y[k] = y[k] + minus_r_a * u_b[k]
@@ -204,15 +204,6 @@ class BirkhoffEngine:
                 value = (tuple(c * inv_r for c in y[1:]), y[0])
         self._regular_values[word] = value
         return value
-
-    def _regular_u_plus(self, word: Word, acc: int) -> Laurent:
-        """U_plus^word of the source as a Laurent value on its window."""
-        window = self._regular(word)[0]
-        if acc >= len(window):
-            raise ValueError(
-                f"U_plus of a word of length {len(word)} is held through degree {len(window) - 1}, not {acc}"
-            )
-        return Laurent(0, window, len(window) - 1)
 
     def counterterm(self, word: Word) -> tuple:
         """(-len(word), U_minus^word on degrees -len(word)..0) from the
@@ -316,7 +307,7 @@ class BirkhoffEngine:
         """N^word = R^word / len(word) of the source; read it through ``N``."""
         if len(word) == 0:
             return ZERO
-        r = self._regular(word)[1]
+        r = self.regular(word)[1]
         # N's memo shares one zero across nonresonant words
         return r * GaussianRational.from_integers(1, 0, len(word)) if r else ZERO
 
@@ -327,7 +318,7 @@ class CorruptedEngine(BirkhoffEngine):
 
     On the corrupted word ``_pair`` returns (U_minus - e^-1, U_plus + 1),
     so the pair's S is off by one there and, on a nonempty word, its R by
-    len(word); ``_regular`` returns U_plus + 1 and R + len(word), so the
+    len(word); ``regular`` returns U_plus + 1 and R + len(word), so the
     source's S and N are off by one and its R by len(word).  Every longer
     word is built from the wrong values, because both recursions read
     shorter words through these methods; so every suite sees the fault,
@@ -344,8 +335,8 @@ class CorruptedEngine(BirkhoffEngine):
             return u_minus, u_plus
         return u_minus - Laurent.monomial(1, -1), u_plus + Laurent.one()
 
-    def _regular(self, word: Word) -> tuple:
-        u_plus, r = super()._regular(word)
+    def regular(self, word: Word) -> tuple:
+        u_plus, r = super().regular(word)
         if word != self.corrupted:
             return u_plus, r
         return (u_plus[0] + ONE,) + u_plus[1:], r + GaussianRational(len(word))
@@ -414,22 +405,25 @@ def verify_factorization(engine: BirkhoffEngine, max_length: int) -> SuiteReport
     """The two routes to U_plus agree through degree A (``engine.acc``) on
     every word of length <= max_length: the Birkhoff pair's, the regular
     part of U_minus x T that ``_pair`` forms, and the regular
-    recursion's.  The pair's parts have the right shape: U_minus purely
+    recursion's window, coefficient by coefficient (a pole of the pair's
+    is a disagreement); the window becomes a Laurent only to render a
+    violation.  The pair's parts have the right shape: U_minus purely
     polar with valuation >= -len(w), U_plus pole free."""
     report = SuiteReport()
     acc = engine.acc
     for word in engine.alphabet.words_up_to(max_length):
         report.words_checked += 1
         u_minus, u_plus = engine.u_minus.value(word), engine.pair_u_plus.value(word, acc)
-        regular = engine.u_plus.value(word, acc)
-        if not u_plus.agrees_with(regular, acc):
-            report.record(word, "U_minus x T = U_plus", u_plus.render(), regular.render())
+        held = engine.regular(word)[0]
+        poles = u_plus.min_degree is not None and u_plus.min_degree < 0
+        if poles or any(u_plus.coefficient(k) != held[k] for k in range(acc + 1)):
+            report.record(word, "U_minus x T = U_plus", u_plus.render(), Laurent(0, held).render())
         if len(word) > 0:
             if not u_minus.is_exact_zero and (
                 u_minus.max_degree >= 0 or u_minus.min_degree < -len(word)
             ):
                 report.record(word, "U_minus shape", u_minus.render(), "polar, valuation >= -r")
-            if not u_plus.is_exact_zero and u_plus.min_degree is not None and u_plus.min_degree < 0:
+            if poles:
                 report.record(word, "U_plus shape", u_plus.render(), "pole free")
     return report
 

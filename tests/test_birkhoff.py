@@ -30,6 +30,7 @@ from mouldpert.moulds import (
     mould_inverse,
     mould_product,
     nabla,
+    HeldMould,
     Mould,
 )
 from mouldpert.scalars import GaussianRational, I, ONE, ZERO
@@ -47,6 +48,17 @@ def partial_sums(alphabet, word):
 @pytest.fixture
 def engine(alphabet):
     return BirkhoffEngine(alphabet, max_length=4, acc=2)
+
+
+def source_u_plus(engine):
+    """The source's U_plus as a Laurent-valued mould: each value is the
+    window of ``engine.regular``, guaranteed through its top degree."""
+
+    def read(word, acc):
+        window = engine.regular(word)[0]
+        return Laurent(0, window, len(window) - 1)
+
+    return HeldMould(engine.alphabet, read)
 
 
 # -- the T mould --------------------------------------------------------------
@@ -111,14 +123,13 @@ def test_T_is_symmetral_on_real_alphabet():
 
 def test_decompose_single_resonant_letter(engine, alphabet):
     word = alphabet.word_of("0")
-    u_minus, u_plus = engine.u_minus.value(word), engine.u_plus.value(word)
-    assert u_minus == Laurent.monomial(-1, -1)
-    assert u_plus.agrees_with(Laurent.zero(), 0)
+    assert engine.u_minus.value(word) == Laurent.monomial(-1, -1)
+    assert engine.regular(word)[0][0] == ZERO
 
 
 def test_decompose_single_nonresonant_letter(engine, alphabet):
     word = alphabet.word_of("i")
-    u_plus = engine.u_plus.value(word, 2)
+    u_plus = source_u_plus(engine).value(word)
     assert engine.u_minus.value(word).is_exact_zero
     assert u_plus.agrees_with(engine.T.value(word, 2), 2)
 
@@ -132,7 +143,7 @@ def test_decompose_cancelling_pair(engine, alphabet):
 def test_empty_word_values(engine):
     assert engine.u_minus.value(EMPTY_WORD) == Laurent.one()
     assert engine.pair_u_plus.value(EMPTY_WORD) == Laurent.one()
-    assert engine.u_plus.value(EMPTY_WORD).agrees_with(Laurent.one(), 2 + 4)
+    assert engine.regular(EMPTY_WORD) == ((ONE,) + (ZERO,) * (2 + 4), ZERO)
     assert engine.R.scalar(EMPTY_WORD) == ZERO
     assert engine.S.scalar(EMPTY_WORD) == ONE
     assert engine.N.scalar(EMPTY_WORD) == ZERO
@@ -183,20 +194,16 @@ def test_u_plus_widening_is_consistent(engine, alphabet):
 
 
 def test_regular_u_plus_is_held_on_a_window_fixed_by_word_length(engine, alphabet):
-    """The source holds U_plus^w on degrees 0..A + L - len(w), however it
-    is requested; a degree past the window and a word past L raise."""
+    """The source holds U_plus^w on degrees 0..A + L - len(w); a word past
+    L raises."""
     for word in alphabet.words_up_to(4):
-        window = 2 + 4 - len(word)
-        assert engine.u_plus.value(word, 0).acc_order == window
-        assert engine.u_plus.value(word, window).acc_order == window
-        with pytest.raises(ValueError, match="held through degree"):
-            engine.u_plus.value(word, window + 1)
+        assert len(engine.regular(word)[0]) == 2 + 4 - len(word) + 1
     too_long = alphabet.word_of("i", "-i", "0", "2i", "i")
     for read in (
         engine.N.scalar,
         engine.R.scalar,
         engine.S.scalar,
-        engine.u_plus.value,
+        engine.regular,
         engine.coeff_N,
         engine.counterterm,
         engine.t_window,
@@ -224,12 +231,13 @@ def test_the_regular_recursion_equals_the_birkhoff_pair(letters, length):
     alphabet = Alphabet.parse(letters)
     for acc in (0, 2, 4):
         engine = BirkhoffEngine(alphabet, max_length=length, acc=acc)
+        u_plus = source_u_plus(engine)
         for word in alphabet.words_up_to(length):
             pair_n = -engine.u_minus.value(word).residue()
             assert engine.N.scalar(word) == pair_n
             assert engine.R.scalar(word) == engine.pair_R.scalar(word) == GaussianRational(len(word)) * pair_n
             assert engine.S.scalar(word) == engine.pair_S.scalar(word)
-            assert engine.u_plus.value(word, acc).agrees_with(engine.pair_u_plus.value(word, acc), acc)
+            assert u_plus.value(word).agrees_with(engine.pair_u_plus.value(word, acc), acc)
 
 
 @pytest.mark.parametrize(
@@ -304,7 +312,7 @@ def test_conjugation_symmetry_requires_closure(engine):
 
 def test_symmetrality_and_alternality(engine):
     assert is_symmetral_up_to(engine.u_minus, 4).ok
-    for u_plus, s, r in ((engine.u_plus, engine.S, engine.R), (engine.pair_u_plus, engine.pair_S, engine.pair_R)):
+    for u_plus, s, r in ((source_u_plus(engine), engine.S, engine.R), (engine.pair_u_plus, engine.pair_S, engine.pair_R)):
         assert is_symmetral_up_to(u_plus, 4).ok
         assert is_symmetral_up_to(s, 4).ok
         assert is_alternal_up_to(r, 4).ok
@@ -386,7 +394,8 @@ def test_an_engine_is_freed_by_reference_counting(make, use):
         # S of the source only in conjugation symmetry, which this alphabet
         # skips.  R vanishes on the empty word, and no suite reads it there
         (["verify", "--alphabet", "i,-i,2i,0", "-L", "4"], [True, True, False, True, True], 4 + 16 + 64 + 256),
-        # the table prints the source's N, R and S
+        # the table prints the source's N, R and S, and its U_plus window
+        # straight from the record
         (
             ["moulds", "--alphabet", "i,-i,2i,0", "-L", "4", "--acc", "2"],
             [True, True, True, False, False],
@@ -399,7 +408,9 @@ def test_each_scalar_value_is_computed_once_per_word(monkeypatch, argv, read, wo
     """One ``verify`` run calls ``coeff_N`` on every nonempty word and one
     ``moulds`` run on every word, and the function behind each e-free
     mould (the source's N, R and S, the Birkhoff pair's S and R) at most
-    once per word: every reader goes through the moulds' memos."""
+    once per word: every reader goes through the moulds' memos.  Both
+    compute the source's record (``regular``) once on every word, as
+    ``factorization`` and the table's U_plus read it there."""
     per_mould = []
     honest_constant_from = Mould.constant_from.__func__
 
@@ -408,16 +419,24 @@ def test_each_scalar_value_is_computed_once_per_word(monkeypatch, argv, read, wo
         per_mould.append(calls)
         return honest_constant_from(cls, alphabet, lambda w: calls.update([w]) or scalar_fn(w))
 
-    n_calls = Counter()
-    honest_n = BirkhoffEngine.coeff_N
+    n_calls, records = Counter(), Counter()
+    honest_n, honest_regular = BirkhoffEngine.coeff_N, BirkhoffEngine.regular
+
+    def counting_regular(self, w):
+        if w not in self._regular_values:
+            records.update([w])
+        return honest_regular(self, w)
+
     monkeypatch.setattr(Mould, "constant_from", classmethod(counting_constant_from))
     monkeypatch.setattr(BirkhoffEngine, "coeff_N", lambda self, w: n_calls.update([w]) or honest_n(self, w))
+    monkeypatch.setattr(BirkhoffEngine, "regular", counting_regular)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert len(per_mould) == 5
     assert [bool(calls) for calls in per_mould] == read
     assert len(n_calls) == words
-    for calls in (n_calls, *per_mould):
+    assert len(records) == 1 + 4 + 16 + 64 + 256
+    for calls in (n_calls, records, *per_mould):
         assert max(calls.values(), default=0) <= 1
 
 
@@ -445,13 +464,13 @@ def editing_R(alphabet, word):
     more on one word, and builds every longer word from that value; its
     Birkhoff pair stays honest."""
     engine = BirkhoffEngine(alphabet, 2)
-    honest = engine._regular
+    honest = engine.regular
 
     def regular(w):
         u_plus, r = honest(w)
         return (u_plus, r + ONE) if w == word else (u_plus, r)
 
-    engine._regular = regular
+    engine.regular = regular
     return engine
 
 

@@ -512,19 +512,15 @@ def test_moulds_memory_does_not_grow_with_its_table(monkeypatch):
 
 
 def test_moulds_writes_each_row_before_computing_the_next(monkeypatch):
-    """No list of rows is built: write k comes right after U_plus of the
-    k-th word is read, and the closing bracket after the last."""
+    """No list of rows is built: write k comes right after the k-th word's
+    source record (``regular``) is first read, and the closing bracket
+    after the last.  A record reads only shorter words, which are earlier
+    rows, so k words have been read when row k is written."""
     from mouldpert.birkhoff import BirkhoffEngine
 
-    read, seen = [], []
-    honest_init = BirkhoffEngine.__init__
-
-    def init(self, alphabet, *args):
-        honest_init(self, alphabet, *args)
-        honest = self.u_plus.value
-        self.u_plus.value = lambda *a: read.append(1) or honest(*a)
-
-    monkeypatch.setattr(BirkhoffEngine, "__init__", init)
+    read, seen = set(), []
+    honest = BirkhoffEngine.regular
+    monkeypatch.setattr(BirkhoffEngine, "regular", lambda self, w: read.add(w) or honest(self, w))
 
     class Recording(Discarding):
         def write(self, text):
@@ -534,6 +530,24 @@ def test_moulds_writes_each_row_before_computing_the_next(monkeypatch):
     monkeypatch.setattr(sys, "stdout", Recording())
     assert main(["moulds", "--alphabet", "i,-i", "-L", "2"]) == 0
     assert seen == [1, 2, 3, 4, 5, 6, 7, 7]
+
+
+@pytest.mark.parametrize("reader", ["t_window", "regular", "_pair"])
+def test_a_run_too_large_to_allocate_exits_2_with_one_line(monkeypatch, capsys, reader):
+    """A window that cannot be allocated ends in one ``error:`` line and
+    exit 2, not a traceback and exit 1.  The reader is patched to raise,
+    so nothing large is allocated."""
+    from mouldpert.birkhoff import BirkhoffEngine
+
+    def out_of_memory(self, *args):
+        raise MemoryError
+
+    monkeypatch.setattr(BirkhoffEngine, reader, out_of_memory)
+    command = "verify" if reader == "_pair" else "moulds"
+    assert main([command, "--alphabet", "0", "-L", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the run needs more memory than it can allocate\n"
 
 
 def test_no_command_loads_numpy(problem_file):
@@ -943,8 +957,9 @@ def test_windows_and_violation_strings_are_unchanged():
 
 def test_moulds_forms_no_pair_and_uses_no_check_kernel(monkeypatch):
     """``moulds`` reads only the source (the regular recursion, U_minus
-    from R, T on fixed windows): with the Birkhoff pair and the check
-    route's Laurent kernels made to raise, every ``moulds`` command of
+    from R, T on fixed windows) and prints its windows: with the Birkhoff
+    pair, the check route's Laurent kernels and both ``Laurent``
+    constructors made to raise, every ``moulds`` command of
     ``GOLDEN_DIGESTS`` prints its digest."""
     from mouldpert.birkhoff import BirkhoffEngine
     from mouldpert.laurent import Laurent
@@ -955,6 +970,8 @@ def test_moulds_forms_no_pair_and_uses_no_check_kernel(monkeypatch):
     monkeypatch.setattr(BirkhoffEngine, "_pair", refuse)
     monkeypatch.setattr(Laurent, "sum_of_products", staticmethod(refuse))
     monkeypatch.setattr(Laurent, "over_linear", refuse)
+    monkeypatch.setattr(Laurent, "__init__", refuse)
+    monkeypatch.setattr(Laurent, "_raw", staticmethod(refuse))
     moulds = [(argv, code, digest) for argv, code, digest in GOLDEN_DIGESTS if argv[0] == "moulds"]
     assert len(moulds) == 6
     for argv, code, digest in moulds:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mouldpert.laurent import InsufficientAccuracyError, Laurent
+from mouldpert.laurent import InsufficientAccuracyError, Laurent, window_json
 from mouldpert.scalars import GaussianRational, I, ONE, ZERO
 
 
@@ -276,7 +276,10 @@ def test_canonical_strips_zero_edges():
 def test_render_and_json():
     f = lau([(-1, Fraction(-1, 2)), (0, 3), (2, 1)])
     assert f.render() == "-1/2 e^-1 + 3 + e^2"
-    assert f.to_json() == {"-1": "-1/2", "0": "3", "2": "1"}
+    coeffs = (GaussianRational(Fraction(-1, 2)), GaussianRational(3), ZERO, ONE)
+    assert f == Laurent(-1, coeffs)
+    assert window_json(-1, coeffs) == {"-1": "-1/2", "0": "3", "2": "1"}
+    assert window_json(-1, coeffs, 1) == {"-1": "-1/2", "0": "3"}
     assert Laurent.zero().render() == "0"
     mixed = lau([(1, GaussianRational(1, 1))])
     assert mixed.render() == "(1+i) e^1"
@@ -345,7 +348,6 @@ factors = st.one_of(laurents(max_len=4), st.just(Laurent.zero()), windowed_zeros
 
 def assert_same(got, want):
     """Same stored coefficients and the same window."""
-    assert (got.to_json(), got.acc_order) == (want.to_json(), want.acc_order)
     assert got == want
 
 

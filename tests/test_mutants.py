@@ -20,7 +20,7 @@ mutants stay in the gate, so that a shared-kernel fault that makes the
 checks agree with the construction fails it.
 
 The second gate makes the same mutants of the word engine's source of N,
-R, S and U_plus (``BirkhoffEngine._regular`` and ``coeff_N``) and requires
+R, S and U_plus (``BirkhoffEngine.regular`` and ``coeff_N``) and requires
 ``verify``, whose suites compare that source with the Birkhoff pair, to
 report a violation or raise on one of three small alphabets.
 
@@ -227,11 +227,11 @@ def test_listed_equivalents_change_no_output(key):
 # -- the word engine's regular recursion ---------------------------------------
 #
 # The same operator set and patch-and-restore, on the source of N, R, S and
-# U_plus (``BirkhoffEngine._regular`` and ``coeff_N``).  A mutant is flagged
+# U_plus (``BirkhoffEngine.regular`` and ``coeff_N``).  A mutant is flagged
 # when ``verify`` at L 3 on one of the alphabets exits non-zero or raises:
 # its suites compare the recursion with the Birkhoff pair.
 
-WORD_TARGETS = ("_regular", "coeff_N")
+WORD_TARGETS = ("regular", "coeff_N")
 WORD_ALPHABETS = ("i,-i,0", "i,-i,1,-1,0", "1/3,-1/3,2/7i,-2/7i,0")
 
 BIRKHOFF_SOURCE = inspect.getsource(birkhoff)
